@@ -14,16 +14,12 @@ import os
 import sys
 
 from .configs import (
-    CONFIG_SCHEMA_VERSION,
-    DESK_ALPHA_GRID,
     DESK_DATA_SEED_TEST,
     DESK_DATA_SEED_TRAIN,
     DESK_TEST_RAW_STEPS,
     DESK_TEST_TRAJECTORIES,
-    DESK_TEST_WINDOW,
     DESK_TRAIN_RAW_STEPS,
     DESK_TRAIN_TRAJECTORIES,
-    DESK_TRAIN_WINDOW,
     EVAL_DEFAULTS,
     SIMULATE_DEFAULTS,
     TRAIN_DEFAULTS,

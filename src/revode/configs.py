@@ -11,7 +11,6 @@ options next to its outputs so it can be reproduced from that file alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .data import build_observation_sets, build_trajectory, normalize_trajectories
 from .errors import ConfigurationError

@@ -9,7 +9,7 @@ stream index packs (item_index << 4) | purpose.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,13 +36,6 @@ def rng_stream(seed: int, item_index: int = 0, purpose: int = 0) -> np.random.Ge
         raise ConfigurationError("rng_stream arguments must be non-negative (purpose < 16)")
     stream_index = (item_index << 4) | purpose
     return np.random.Generator(np.random.Philox(key=(seed << 64) + stream_index))
-
-
-def sample_graph(n: int, edge_prob: float, rng_seed: int) -> InteractionGraph:
-    """Bernoulli graph over unordered pairs in fixed (i, j) iteration order."""
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    return sample_graph_with_rng(n, edge_prob, rng_stream(rng_seed, 0, PURPOSE_GRAPH))
 
 
 def generate_trajectory(
@@ -247,12 +240,17 @@ def _traj_record(traj: Trajectory) -> dict:
 def _traj_from_record(rec: dict, lineno: int) -> Trajectory:
     params = rec["params"]
     spec = SystemSpec.from_params_dict(params)
-    times = np.asarray(rec["times"], dtype=np.float64)
+    try:
+        times = np.asarray(rec["times"], dtype=np.float64)
+        states = np.asarray(rec["states"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged lists, non-numeric entries
+        raise DatasetFormatError(
+            f"line {lineno}: states/times are not numeric arrays ({exc})"
+        ) from None
+    if times.ndim != 1 or states.ndim != 2 or states.shape[0] != len(times):
+        raise DatasetFormatError(f"line {lineno}: states/timestamps shape mismatch")
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise DatasetFormatError(f"line {lineno}: timestamps are not strictly increasing")
-    states = np.asarray(rec["states"], dtype=np.float64)
-    if states.ndim != 2 or states.shape[0] != len(times):
-        raise DatasetFormatError(f"line {lineno}: states/timestamps shape mismatch")
     expected = spec.n_agents * spec.feature_dim
     if states.shape[1] != expected:
         raise DatasetFormatError(
@@ -419,7 +417,7 @@ def build_trajectory(
     if base_spec.is_spring and base_spec.n_agents > 1:
         graph_rng = rng_stream(seed, index, PURPOSE_GRAPH)
         graph = sample_graph_with_rng(base_spec.n_agents, edge_prob, graph_rng)
-        spec = SystemSpec(**{**_spec_kwargs(base_spec), "graph": graph})
+        spec = replace(base_spec, graph=graph)
     init_rng = rng_stream(seed, index, PURPOSE_INIT)
     state0 = draw_initial_state(spec, init_rng, init_scale, theta_range)
     traj = generate_trajectory(spec, state0, scheme, dt, raw_steps, subsample_every)
@@ -430,6 +428,7 @@ def build_trajectory(
 
 
 def sample_graph_with_rng(n: int, edge_prob: float, rng: np.random.Generator) -> InteractionGraph:
+    """Bernoulli graph over unordered pairs in fixed (i, j) iteration order."""
     if not (0.0 <= edge_prob <= 1.0):
         raise ConfigurationError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     adj = np.zeros((n, n), dtype=bool)
@@ -438,24 +437,6 @@ def sample_graph_with_rng(n: int, edge_prob: float, rng: np.random.Generator) ->
             if rng.random() < edge_prob:
                 adj[i, j] = adj[j, i] = True
     return InteractionGraph(n, adj)
-
-
-def _spec_kwargs(spec: SystemSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "n_agents": spec.n_agents,
-        "dim": spec.dim,
-        "m": spec.m,
-        "k": spec.k,
-        "k0": spec.k0,
-        "gamma": spec.gamma,
-        "k1": spec.k1,
-        "omega": spec.omega,
-        "length": spec.length,
-        "g": spec.g,
-        "damped_form": spec.damped_form,
-        "graph": spec.graph,
-    }
 
 
 def build_observation_sets(

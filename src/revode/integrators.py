@@ -12,7 +12,7 @@ by integrating the negated field, never by adaptive or implicit tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np

@@ -357,15 +357,20 @@ def load_checkpoint(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes
             raise ArtifactMismatchError(f"checkpoint is not valid JSON: {exc}") from None
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_SCHEMA_VERSION:
         raise ArtifactMismatchError(
-            f"checkpoint schema_version {doc.get('schema_version')!r} "
-            f"!= {CHECKPOINT_SCHEMA_VERSION}"
+            f"checkpoint schema_version {version!r} != {CHECKPOINT_SCHEMA_VERSION}"
         )
-    config = ModelConfig.from_dict(doc["model"])
-    params = {name: _decode_array(blob, name) for name, blob in doc["params"].items()}
+    try:
+        config = ModelConfig.from_dict(doc["model"])
+        params = {name: _decode_array(blob, name) for name, blob in doc["params"].items()}
+    except KeyError as exc:
+        raise ArtifactMismatchError(f"checkpoint has no {exc} field") from None
+    except (AttributeError, TypeError, ValueError, ConfigurationError) as exc:
+        raise ArtifactMismatchError(f"checkpoint is malformed: {exc}") from None
     reference = init_params(config, seed=0)
     if set(params) != set(reference):
         missing = sorted(set(reference) - set(params))

@@ -7,7 +7,7 @@ Every derivative function accepts states with arbitrary leading batch axes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

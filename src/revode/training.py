@@ -18,7 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward, check_finite_grads
 from .data import ObservationSet, rng_stream, PURPOSE_SPLIT, PURPOSE_SHUFFLE
-from .errors import ConfigurationError, NonFiniteGradientError, TrainingDivergedError
+from .errors import (
+    ConfigurationError, NonFiniteGradientError, RolloutDivergedError, TrainingDivergedError,
+)
 from .model import (
     ModelConfig,
     decode,
@@ -33,69 +35,6 @@ from .model import (
 LOSS_VARIANTS = ("treat", "gt_rev", "rev2", "none")
 
 
-# ------------------------------------------------------------ loss ops
-
-def _sq_diff(a, b):
-    if isinstance(a, Tensor):
-        if not isinstance(b, Tensor):
-            b = a.tape.const(b)
-        return ad.l2_norm_sq(ad.sub(a, b))
-    return float(np.sum((np.asarray(a) - np.asarray(b)) ** 2))
-
-
-def reconstruction_loss(y_hat, y_true):
-    """Sum of squared residuals between aligned prediction/target stacks."""
-    return _sq_diff(y_hat, y_true)
-
-
-def reversal_loss_treat(fwd_states, rev_states):
-    """Forward vs reverse trajectories under the t'_{K-k} = T - t_k pairing.
-
-    Both arguments are per-time lists (length K+1); element k of the
-    forward list is compared against element K-k of the reverse list.
-    """
-    if len(fwd_states) != len(rev_states):
-        raise ConfigurationError(
-            f"trajectory lengths differ: {len(fwd_states)} vs {len(rev_states)}"
-        )
-    paired = list(reversed(rev_states))
-    if isinstance(fwd_states[0], Tensor):
-        fwd = ad.concat(list(fwd_states), axis=0)
-        rev = ad.concat(paired, axis=0)
-        return ad.l2_norm_sq(ad.sub(fwd, rev))
-    fwd = np.concatenate(list(fwd_states), axis=0)
-    rev = np.concatenate(paired, axis=0)
-    return float(np.sum((fwd - rev) ** 2))
-
-
-def reversal_loss_gt_rev(y_true, y_rev_paired):
-    """Ground truth vs the reverse trajectory at the paired indices."""
-    return _sq_diff(y_rev_paired, y_true)
-
-
-def reversal_loss_rev2(fwd_states, rev2_states):
-    """Same-index comparison for the reverse-from-initial-state variant."""
-    if len(fwd_states) != len(rev2_states):
-        raise ConfigurationError(
-            f"trajectory lengths differ: {len(fwd_states)} vs {len(rev2_states)}"
-        )
-    if isinstance(fwd_states[0], Tensor):
-        fwd = ad.concat(list(fwd_states), axis=0)
-        rev = ad.concat(list(rev2_states), axis=0)
-        return ad.l2_norm_sq(ad.sub(fwd, rev))
-    fwd = np.concatenate(list(fwd_states), axis=0)
-    rev = np.concatenate(list(rev2_states), axis=0)
-    return float(np.sum((fwd - rev) ** 2))
-
-
-def combined_loss(l_pred, l_rev, alpha: float):
-    if isinstance(l_pred, Tensor):
-        if l_rev is None or alpha == 0.0:
-            return l_pred
-        return ad.add(l_pred, ad.smul(l_rev, alpha))
-    return l_pred + (0.0 if l_rev is None else alpha * float(l_rev))
-
-
 # --------------------------------------------------------------- batches
 
 @dataclass
@@ -106,9 +45,10 @@ class Batch:
     dt: float
     edges: list
     n_nodes: int
-    sel_matrix: np.ndarray   # (n_targets, (K+1) * n_nodes)
+    rows: np.ndarray         # (n_targets,) row k * n_nodes + node in decode()'s stack
+    spans: list              # per sample, per agent: (start, stop) into rows
+    sel_matrix: np.ndarray   # (n_targets, (K+1) * n_nodes), one-hot at rows
     targets: np.ndarray      # (n_targets, d)
-    target_rows: list        # per (item, agent): row span into sel rows
 
 
 def build_batch(obs_list: list[ObservationSet]) -> Batch:
@@ -119,22 +59,17 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
             raise ConfigurationError(
                 "all samples in a batch must share n_agents, rollout length, and dt"
             )
-    b_total = len(obs_list)
-    n_nodes = b_total * n
-    edges = []
+    n_nodes = len(obs_list) * n
+    edges, rows, spans = [], [], []
+    stop = 0
     for b, obs in enumerate(obs_list):
         edges.extend(directed_edges(obs.graph, n, offset=b * n))
-
-    rows = []
-    targets = []
-    spans = []
-    for b, obs in enumerate(obs_list):
-        for i in range(n):
-            start = len(rows)
-            for k in obs.pred_idx[i]:
-                rows.append(int(k) * n_nodes + b * n + i)
-            targets.append(obs.pred_feats[i])
-            spans.append((b, i, start, len(rows)))
+        spans.append([])
+        for i, idx in enumerate(obs.pred_idx):
+            rows.append(idx * n_nodes + b * n + i)
+            start, stop = stop, stop + len(idx)
+            spans[-1].append((start, stop))
+    rows = np.concatenate(rows)
     sel = np.zeros((len(rows), (K + 1) * n_nodes))
     sel[np.arange(len(rows)), rows] = 1.0
     return Batch(
@@ -144,9 +79,10 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
         dt=dt,
         edges=edges,
         n_nodes=n_nodes,
+        rows=rows,
+        spans=spans,
         sel_matrix=sel,
-        targets=np.concatenate(targets, axis=0),
-        target_rows=spans,
+        targets=np.concatenate([f for obs in obs_list for f in obs.pred_feats], axis=0),
     )
 
 
@@ -155,8 +91,7 @@ class BatchForward:
     loss: Tensor
     l_pred: float
     l_rev: float | None
-    fwd_states: list
-    rev_paired_values: np.ndarray | None  # ((K+1)*n_nodes, d) paired decode
+    rev_paired_values: np.ndarray | None  # ((K+1)*n_nodes, d) reverse decode
     yhat_values: np.ndarray
 
 
@@ -167,55 +102,48 @@ def batch_forward(
     batch: Batch,
     variant: str,
     alpha: float,
-    with_reverse: bool | None = None,
 ) -> BatchForward:
-    """Trace one minibatch; losses are means over the batch's samples."""
+    """Trace one minibatch; losses are means over the batch's samples.
+
+    loss = l_pred + alpha * l_rev, where l_pred fits the targets and l_rev
+    compares, per variant: treat, forward step k with step K-k of the
+    rollout reversed from z_K; gt_rev, the targets with that paired
+    reverse decode; rev2, forward step k with step k reversed from z_0.
+    """
     if variant not in LOSS_VARIANTS:
         raise ConfigurationError(f"unknown loss variant {variant!r}")
-    b_total = len(batch.obs_list)
-    z_rows = [
-        encode_initial_states(tape, leaves, config, obs) for obs in batch.obs_list
-    ]
-    z0 = z_rows[0] if b_total == 1 else ad.concat(z_rows, axis=0)
+    per_sample = 1.0 / len(batch.obs_list)
+
+    def mean_sq(a: Tensor, b: Tensor) -> Tensor:
+        return ad.smul(ad.l2_norm_sq(ad.sub(a, b)), per_sample)
+
+    z_rows = [encode_initial_states(tape, leaves, config, o) for o in batch.obs_list]
+    z0 = z_rows[0] if len(z_rows) == 1 else ad.concat(z_rows, axis=0)
     g = make_ode_func(tape, leaves, config, batch.edges, batch.n_nodes)
     fwd = rollout_forward(z0, g, batch.K, batch.dt, config.scheme)
     yhat = decode(tape, leaves, config, fwd)
 
     sel = tape.const(batch.sel_matrix)
     y = tape.const(batch.targets)
-    l_pred = ad.smul(
-        reconstruction_loss(ad.matmul(sel, yhat), y), 1.0 / b_total
-    )
-
-    if with_reverse is None:
-        with_reverse = variant in ("treat", "gt_rev", "rev2")
+    l_pred = mean_sq(ad.matmul(sel, yhat), y)
     l_rev = None
-    rev_vals = None
-    if with_reverse:
-        if variant == "rev2":
-            rev = rollout_reverse(fwd[0], g, batch.K, batch.dt, config.scheme)
-            yrev = decode(tape, leaves, config, rev)
-            l_rev = ad.smul(ad.l2_norm_sq(ad.sub(yhat, yrev)), 1.0 / b_total)
-            rev_vals = yrev.value
+    if variant == "rev2":
+        rev = rollout_reverse(fwd[0], g, batch.K, batch.dt, config.scheme)
+        yrev = decode(tape, leaves, config, rev)
+        l_rev = mean_sq(yhat, yrev)
+    elif variant != "none":
+        rev = rollout_reverse(fwd[-1], g, batch.K, batch.dt, config.scheme)
+        yrev = decode(tape, leaves, config, list(reversed(rev)))
+        if variant == "gt_rev":
+            l_rev = mean_sq(ad.matmul(sel, yrev), y)
         else:
-            rev = rollout_reverse(fwd[-1], g, batch.K, batch.dt, config.scheme)
-            yrev_paired = decode(tape, leaves, config, list(reversed(rev)))
-            rev_vals = yrev_paired.value
-            if variant == "gt_rev":
-                l_rev = ad.smul(
-                    reversal_loss_gt_rev(y, ad.matmul(sel, yrev_paired)), 1.0 / b_total
-                )
-            else:
-                l_rev = ad.smul(ad.l2_norm_sq(ad.sub(yhat, yrev_paired)), 1.0 / b_total)
-
-    use_rev = l_rev if variant != "none" else None
-    loss = combined_loss(l_pred, use_rev, alpha)
+            l_rev = mean_sq(yhat, yrev)
+    no_rev = l_rev is None
     return BatchForward(
-        loss=loss,
+        loss=l_pred if no_rev or alpha == 0.0 else ad.add(l_pred, ad.smul(l_rev, alpha)),
         l_pred=float(l_pred.value),
-        l_rev=None if l_rev is None else float(l_rev.value),
-        fwd_states=fwd,
-        rev_paired_values=rev_vals,
+        l_rev=None if no_rev else float(l_rev.value),
+        rev_paired_values=None if no_rev else yrev.value,
         yhat_values=yhat.value,
     )
 
@@ -268,6 +196,10 @@ def optimizer_step(
 
 # ------------------------------------------------------------- settings
 
+DIAG_SAMPLES = 32  # training samples the reversal-gap diagnostic reads
+DIAG_CHUNK = 16    # of those per tape
+
+
 @dataclass
 class TrainSettings:
     model: ModelConfig
@@ -280,7 +212,6 @@ class TrainSettings:
     val_fraction: float = 0.1
     weight_decay: float = 0.0
     seed: int = 0
-    diag_samples: int = 32
 
     def __post_init__(self):
         if self.loss_variant not in LOSS_VARIANTS:
@@ -309,7 +240,6 @@ def diagnostic_reverse_loss(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     obs_sets: list[ObservationSet],
-    chunk: int = 16,
 ) -> float:
     """Variant-independent reversal gap: mean per-sample treat-style loss.
 
@@ -319,14 +249,12 @@ def diagnostic_reverse_loss(
     if not obs_sets:
         return float("nan")
     total = 0.0
-    for start in range(0, len(obs_sets), chunk):
-        part = obs_sets[start : start + chunk]
+    for start in range(0, len(obs_sets), DIAG_CHUNK):
+        part = obs_sets[start : start + DIAG_CHUNK]
         tape = Tape()
         leaves = {k: tape.leaf(v, k) for k, v in params.items()}
         batch = build_batch(part)
-        out = batch_forward(
-            tape, leaves, config, batch, variant="treat", alpha=0.0, with_reverse=True
-        )
+        out = batch_forward(tape, leaves, config, batch, variant="treat", alpha=0.0)
         total += out.l_rev * len(part)
     return total / len(obs_sets)
 
@@ -336,7 +264,10 @@ def train(
     settings: TrainSettings,
     val_sets: list[ObservationSet] | None = None,
 ) -> TrainResult:
-    """Minibatch AdamW training with early stopping on validation MSE."""
+    """Minibatch AdamW training with early stopping on validation MSE.
+
+    A non-finite loss or gradient, or a latent rollout that diverges in
+    training, validation or the diagnostic, raises TrainingDivergedError."""
     if not train_sets:
         raise ConfigurationError("empty training set")
     if val_sets is None:
@@ -348,7 +279,7 @@ def train(
 
     params = init_params(settings.model, settings.seed)
     state = AdamWState.init(params)
-    diag_sets = train_sets[: min(settings.diag_samples, len(train_sets))]
+    diag_sets = train_sets[:DIAG_SAMPLES]
 
     history = []
     best_val = np.inf
@@ -356,73 +287,73 @@ def train(
     best_epoch = 0
     stale = 0
 
-    for epoch in range(settings.epochs):
-        order = rng_stream(settings.seed, epoch, PURPOSE_SHUFFLE).permutation(
-            len(train_sets)
-        )
-        sum_pred = 0.0
-        sum_rev = 0.0
-        n_rev = 0
-        for start in range(0, len(order), settings.batch_size):
-            idx = order[start : start + settings.batch_size]
-            batch = build_batch([train_sets[i] for i in idx])
-            tape = Tape()
-            leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-            out = batch_forward(
-                tape, leaves, settings.model, batch,
-                settings.loss_variant, settings.alpha,
+    try:
+        for epoch in range(settings.epochs):
+            order = rng_stream(settings.seed, epoch, PURPOSE_SHUFFLE).permutation(
+                len(train_sets)
             )
-            if not np.isfinite(out.loss.value):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} (batch starting {start})"
+            sum_pred = 0.0
+            sum_rev = 0.0
+            n_rev = 0
+            for start in range(0, len(order), settings.batch_size):
+                idx = order[start : start + settings.batch_size]
+                batch = build_batch([train_sets[i] for i in idx])
+                tape = Tape()
+                leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+                out = batch_forward(
+                    tape, leaves, settings.model, batch,
+                    settings.loss_variant, settings.alpha,
                 )
-            grads = backward(tape, out.loss)
-            try:
+                if not np.isfinite(out.loss.value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch} (batch starting {start})"
+                    )
+                grads = backward(tape, out.loss)
                 params = optimizer_step(
                     params, grads, state, settings.lr, settings.weight_decay
                 )
-            except NonFiniteGradientError as exc:
-                raise TrainingDivergedError(str(exc)) from exc
-            sum_pred += out.l_pred * len(idx)
-            if out.l_rev is not None:
-                sum_rev += out.l_rev * len(idx)
-                n_rev += len(idx)
+                sum_pred += out.l_pred * len(idx)
+                if out.l_rev is not None:
+                    sum_rev += out.l_rev * len(idx)
+                    n_rev += len(idx)
 
-        l_pred_epoch = sum_pred / len(train_sets)
-        if n_rev:
-            l_rev_epoch = sum_rev / n_rev
-        else:
-            l_rev_epoch = diagnostic_reverse_loss(params, settings.model, diag_sets)
-        total_epoch = l_pred_epoch + settings.alpha * l_rev_epoch
+            l_pred_epoch = sum_pred / len(train_sets)
+            if n_rev:
+                l_rev_epoch = sum_rev / n_rev
+            else:
+                l_rev_epoch = diagnostic_reverse_loss(params, settings.model, diag_sets)
+            total_epoch = l_pred_epoch + settings.alpha * l_rev_epoch
 
-        val_mse = np.nan
-        if val_sets:
-            val_mse = evaluate(params, val_sets, settings.model, chunk=32).mse
-        history.append(
-            {
-                "epoch": epoch,
-                "l_pred": l_pred_epoch,
-                "l_reverse": l_rev_epoch,
-                "total": total_epoch,
-                "val_mse": val_mse,
-            }
-        )
+            val_mse = np.nan
+            if val_sets:
+                val_mse = evaluate(params, val_sets, settings.model, chunk=32).mse
+            history.append(
+                {
+                    "epoch": epoch,
+                    "l_pred": l_pred_epoch,
+                    "l_reverse": l_rev_epoch,
+                    "total": total_epoch,
+                    "val_mse": val_mse,
+                }
+            )
 
-        if val_sets:
-            if val_mse < best_val * (1.0 - 1e-6):
-                best_val = val_mse
+            if val_sets:
+                if val_mse < best_val * (1.0 - 1e-6):
+                    best_val = val_mse
+                    best_params = {k: v.copy() for k, v in params.items()}
+                    best_epoch = epoch
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= settings.patience:
+                        break
+            else:
                 best_params = {k: v.copy() for k, v in params.items()}
                 best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-                if stale >= settings.patience:
-                    break
-        else:
-            best_params = {k: v.copy() for k, v in params.items()}
-            best_epoch = epoch
 
-    final_diag = diagnostic_reverse_loss(best_params, settings.model, diag_sets)
+        final_diag = diagnostic_reverse_loss(best_params, settings.model, diag_sets)
+    except (RolloutDivergedError, NonFiniteGradientError) as exc:
+        raise TrainingDivergedError(str(exc)) from exc
     return TrainResult(
         params=best_params,
         history=history,
@@ -468,31 +399,24 @@ def evaluate(
         batch = build_batch(part)
         tape = Tape()
         leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        out = batch_forward(
-            tape, leaves, config, batch, variant="treat", alpha=0.0, with_reverse=True
-        )
-        yhat = out.yhat_values
-        yrev = out.rev_paired_values
-        n_nodes = batch.n_nodes
-        for b, obs in enumerate(part):
+        out = batch_forward(tape, leaves, config, batch, variant="treat", alpha=0.0)
+        truth = batch.targets
+        err_sq = np.sum((out.yhat_values[batch.rows] - truth) ** 2, axis=1)
+        dist = np.sqrt(np.sum((out.rev_paired_values[batch.rows] - truth) ** 2, axis=1))
+        d = truth.shape[1]
+        for obs, spans in zip(part, batch.spans):
             samp_sq = 0.0
             samp_n = 0
-            for i in range(obs.n_agents):
-                idxs = obs.pred_idx[i]
-                truth = obs.pred_feats[i]
-                rows = idxs * n_nodes + b * obs.n_agents + i
-                pred = yhat[rows]
-                err_sq = np.sum((pred - truth) ** 2, axis=1)
-                samp_sq += float(err_sq.sum())
-                samp_n += truth.size
+            for idxs, (lo, hi) in zip(obs.pred_idx, spans):
+                agent_sq = err_sq[lo:hi]
+                samp_sq += float(agent_sq.sum())
+                samp_n += (hi - lo) * d
                 for bk in BUCKETS:
-                    if bk <= obs.n_rollout_steps:
+                    if bk <= batch.K:
                         mask = idxs <= bk
-                        bucket_sq[bk] += float(err_sq[mask].sum())
-                        bucket_n[bk] += int(mask.sum()) * truth.shape[1]
-                rev_pred = yrev[rows]
-                dist = np.sqrt(np.sum((rev_pred - truth) ** 2, axis=1))
-                max_errs.append(float(dist.max()) if len(dist) else 0.0)
+                        bucket_sq[bk] += float(agent_sq[mask].sum())
+                        bucket_n[bk] += int(mask.sum()) * d
+                max_errs.append(float(dist[lo:hi].max()) if hi > lo else 0.0)
             sq_sum += samp_sq
             n_tot += samp_n
             per_sample.append(samp_sq / samp_n)
@@ -511,12 +435,14 @@ def evaluate(
 
 # ------------------------------------------------------------- reporting
 
+LOSS_COLUMNS = ("epoch", "l_pred", "l_reverse", "total", "val_mse")
+
+
 def write_loss_report(path, history: list[dict]):
-    """CSV with the loss identity total = l_pred + alpha * l_reverse intact."""
+    """CSV of the history rows: total = l_pred + alpha * l_reverse stays intact,
+    and val_mse reads nan when there is no validation set."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "l_pred", "l_reverse", "total"])
+        writer.writerow(LOSS_COLUMNS)
         for row in history:
-            writer.writerow(
-                [row["epoch"], repr(row["l_pred"]), repr(row["l_reverse"]), repr(row["total"])]
-            )
+            writer.writerow([row["epoch"]] + [repr(row[k]) for k in LOSS_COLUMNS[1:]])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PURPOSE_INIT, PURPOSE_NOISE, SIM_DEFAULTS, draw_initial_state, rng_stream
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntegrationError
 from .integrators import StateVector, TimeGrid, integrate, integrate_reversed, reverse_state
 from .systems import (
     SystemSpec,
@@ -372,35 +372,23 @@ def energy_classification_check(
         state0 = draw_initial_state(spec, rng)
         trajs.append(integrate(deriv, state0, grid, scheme=scheme, record_every=sub))
 
+    energies = [mechanical_energy(spec, StateVector(t.q, t.p)) for t in trajs]
     if spec.kind == "simple_spring":
-        worst = 0.0
-        for traj in trajs:
-            e = np.array(
-                [mechanical_energy(spec, traj.state(i)) for i in range(traj.n_points)]
-            )
-            worst = max(worst, float(np.max(np.abs(e - e[0]) / abs(e[0]))))
+        worst = max(
+            (float(np.max(np.abs(e - e[0]) / abs(e[0]))) for e in energies), default=0.0
+        )
         checks["max_relative_drift"] = worst
         passed = worst < tol
     elif spec.kind == "damped_spring":
-        worst_rise = -np.inf
-        for traj in trajs:
-            e = np.array(
-                [mechanical_energy(spec, traj.state(i)) for i in range(traj.n_points)]
-            )
-            worst_rise = max(worst_rise, float(np.max(np.diff(e))))
+        worst_rise = max((float(np.max(np.diff(e))) for e in energies), default=-np.inf)
         checks["max_energy_increase_per_step"] = worst_rise
         rate_err = _max_rate_mismatch(spec, trajs, n_rate_states)
         checks["max_rate_mismatch"] = rate_err
-        passed = worst_rise <= 1e-9 and rate_err < rate_tol
+        passed = worst_rise <= ENERGY_STEP_TOL and rate_err < rate_tol
     else:  # forced_spring
         rate_err = _max_rate_mismatch(spec, trajs, n_rate_states)
         checks["max_rate_mismatch"] = rate_err
-        moved = 0.0
-        for traj in trajs:
-            e = np.array(
-                [mechanical_energy(spec, traj.state(i)) for i in range(traj.n_points)]
-            )
-            moved = max(moved, float(np.max(np.abs(e - e[0]))))
+        moved = max((float(np.max(np.abs(e - e[0]))) for e in energies), default=0.0)
         checks["max_energy_change"] = moved
         passed = rate_err < rate_tol and moved > 100 * tol
 
@@ -492,7 +480,7 @@ def lyapunov_mle(
         start = StateVector(q=state0.q + dq, p=state0.p + dp)
         try:
             traj = integrate(deriv, start, grid, scheme=scheme, record_every=sub)
-        except Exception:
+        except IntegrationError:
             trajs.append(None)
             continue
         trajs.append(traj)

@@ -10,8 +10,10 @@ import os
 import numpy as np
 import pytest
 
+import revode.training
 from revode.cli import build_parser, main
 from revode.data import read_dataset
+from revode.errors import RolloutDivergedError
 from revode.model import ModelConfig, init_params, save_checkpoint
 
 # small but structurally faithful: 1-body 1-D spring, 41 grid points
@@ -134,6 +136,8 @@ def test_train_writes_all_artifacts(tmp_path):
         assert key in summary, key
     assert summary["lr_retried"] is False
     assert summary["epochs_run"] <= 3
+    with open(os.path.join(outdir, "losses.csv")) as fh:
+        assert fh.readline().strip() == "epoch,l_pred,l_reverse,total,val_mse"
 
 
 def test_train_resolved_config_reruns_identically(tmp_path):
@@ -161,6 +165,40 @@ def test_train_resolved_config_reruns_identically(tmp_path):
 def test_train_missing_dataset_is_input_error(tmp_path):
     rc = main(["train", "--data", str(tmp_path / "nope.jsonl")] + WINDOW_ARGS)
     assert rc == 2
+
+
+def test_train_ragged_states_is_input_error(tmp_path, capsys):
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    lines = open(train_jl).read().splitlines()
+    rec = json.loads(lines[0])
+    rec["states"][1] = rec["states"][1][:-1]
+    lines[0] = json.dumps(rec)
+    with open(train_jl, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl] + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1:")
+
+
+def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise RolloutDivergedError("forward rollout diverged at step 1", step=1)
+
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    monkeypatch.setattr(revode.training, "rollout_forward", diverge)
+    capsys.readouterr()
+    rc = main(
+        ["train", "--data", train_jl, "--epochs", "1", "--lr", "0.004",
+         "--outdir", str(tmp_path / "run")] + WINDOW_ARGS + MODEL_ARGS
+    )
+    assert rc == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0] == "training diverged at lr=0.004; retrying once at lr=0.002"
+    assert err[1:] == ["error: forward rollout diverged at step 1"]
 
 
 def test_train_rejects_malformed_window(tmp_path):
@@ -204,6 +242,37 @@ def test_eval_feature_width_mismatch_is_artifact_error(tmp_path):
          "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"]
     )
     assert rc == 5
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.pop("params"),
+    lambda doc: doc.pop("model"),
+    lambda doc: doc.update(model=[1, 2]),
+    lambda doc: doc.update(params=[]),
+    lambda doc: doc["params"]["dec.b2"].update(data="not base64!"),
+    lambda doc: doc["params"]["dec.b2"].update(data=7),
+    lambda doc: doc["params"]["dec.b2"].update(shape="2"),
+    lambda doc: doc["params"]["dec.b2"].pop("data"),
+], ids=["no_params", "no_model", "model_list", "params_list", "bad_base64",
+        "data_int", "shape_str", "no_data"])
+def test_eval_malformed_checkpoint_is_artifact_error(tmp_path, capsys, mutate):
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    ckpt = str(tmp_path / "ckpt.json")
+    model = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8)
+    save_checkpoint(ckpt, init_params(model, 0), model)
+    doc = json.loads(open(ckpt).read())
+    mutate(doc)
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main(
+        ["eval", "--checkpoint", ckpt, "--data", train_jl,
+         "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"]
+    )
+    assert rc == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoint")
 
 
 def test_eval_missing_checkpoint(tmp_path):

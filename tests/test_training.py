@@ -1,8 +1,8 @@
 """Objective, optimizer, and training-loop tests.
 
 The AdamW update is checked against an independent reference written from
-the update equations; loss operators are checked on hand-built stacks
-where the pairing arithmetic can be read off directly.
+the update equations; each loss batch_forward reports is recomputed in
+NumPy from separately traced and decoded rollouts.
 """
 
 import csv
@@ -10,29 +10,35 @@ import csv
 import numpy as np
 import pytest
 
+from revode import autodiff as ad
+from revode import training
+from revode.autodiff import Tape
 from revode.data import build_observation_sets, build_trajectory
-from revode.errors import ConfigurationError
-from revode.model import ModelConfig, init_params
+from revode.errors import ConfigurationError, RolloutDivergedError, TrainingDivergedError
+from revode.model import (
+    ModelConfig,
+    decode,
+    encode_initial_states,
+    init_params,
+    make_ode_func,
+    rollout_forward,
+    rollout_reverse,
+)
 from revode.systems import SystemSpec
 from revode.training import (
     BUCKETS,
     LOSS_VARIANTS,
+    LOSS_COLUMNS,
     AdamWState,
     TrainSettings,
     batch_forward,
     build_batch,
-    combined_loss,
     diagnostic_reverse_loss,
     evaluate,
     optimizer_step,
-    reconstruction_loss,
-    reversal_loss_gt_rev,
-    reversal_loss_rev2,
-    reversal_loss_treat,
     train,
     write_loss_report,
 )
-from revode.autodiff import Tape
 
 TINY = ModelConfig(
     d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8, scheme="euler"
@@ -50,45 +56,104 @@ def small_obs_sets(n_sets=12, seed=1, window=(0, 10, 20), n_obs=(4, 8)):
 
 # ---------------------------------------------------------------- loss ops
 
+def three_agent_obs_sets(n_sets=2):
+    spec = SystemSpec(kind="simple_spring", n_agents=3, dim=1)
+    trajs = [
+        build_trajectory(spec, seed=4, index=i, raw_steps=3000, edge_prob=0.5)
+        for i in range(n_sets)
+    ]
+    return build_observation_sets(trajs, (0, 10, 25), 4, 8, obs_seed=8)
+
+
+def decoded_rollouts(params, batch):
+    """Forward rollout and the reverse rollouts from z_K and from z_0, each
+    decoded one time step at a time into a (K+1, n_nodes, d) array."""
+    tape = Tape()
+    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    z0 = ad.concat(
+        [encode_initial_states(tape, leaves, TINY, o) for o in batch.obs_list], axis=0
+    )
+    g = make_ode_func(tape, leaves, TINY, batch.edges, batch.n_nodes)
+    fwd = rollout_forward(z0, g, batch.K, batch.dt, TINY.scheme)
+    from_end = rollout_reverse(fwd[-1], g, batch.K, batch.dt, TINY.scheme)
+    from_start = rollout_reverse(fwd[0], g, batch.K, batch.dt, TINY.scheme)
+
+    def dec(states):
+        return np.stack([decode(tape, leaves, TINY, [z]).value for z in states])
+
+    return dec(fwd), dec(from_end), dec(from_start)
+
+
+def target_sq(stack, obs_list):
+    """Squared residual of stack[k, node] summed over every target (k, node)."""
+    n = obs_list[0].n_agents
+    return sum(
+        float(np.sum((stack[idx, b * n + i] - feats) ** 2))
+        for b, obs in enumerate(obs_list)
+        for i, (idx, feats) in enumerate(zip(obs.pred_idx, obs.pred_feats))
+    )
+
+
+def traced(batch, variant, alpha=0.5):
+    params = init_params(TINY, seed=0)
+    tape = Tape()
+    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    return params, batch_forward(tape, leaves, TINY, batch, variant, alpha)
+
+
 def test_reconstruction_loss_by_hand():
-    y_hat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y = np.array([[1.0, 0.0], [0.0, 4.0]])
-    assert reconstruction_loss(y_hat, y) == pytest.approx(4.0 + 9.0)
+    """l_pred is the per-sample mean squared target residual of the forward decode."""
+    batch = build_batch(three_agent_obs_sets())
+    for variant in LOSS_VARIANTS:
+        params, out = traced(batch, variant, alpha=0.0 if variant == "none" else 0.5)
+        y_fwd, _, _ = decoded_rollouts(params, batch)
+        expected = target_sq(y_fwd, batch.obs_list) / len(batch.obs_list)
+        assert out.l_pred == pytest.approx(expected, rel=1e-12), variant
 
 
 def test_reversal_loss_treat_pairing():
-    """Element k of the forward list meets element K-k of the reverse list."""
-    fwd = [np.array([[0.0]]), np.array([[1.0]]), np.array([[2.0]])]
-    rev = [np.array([[5.0]]), np.array([[6.0]]), np.array([[7.0]])]
-    # pairs: (0,7), (1,6), (2,5) -> 49 + 25 + 9
-    assert reversal_loss_treat(fwd, rev) == pytest.approx(83.0)
+    """Forward step k meets step K-k of the rollout reversed from z_K."""
+    batch = build_batch(three_agent_obs_sets())
+    params, out = traced(batch, "treat")
+    y_fwd, y_end, _ = decoded_rollouts(params, batch)
+    K = batch.K
+    expected = sum(np.sum((y_fwd[k] - y_end[K - k]) ** 2) for k in range(K + 1))
+    assert out.l_rev == pytest.approx(expected / len(batch.obs_list), rel=1e-12)
+    # evaluate() reads the paired reverse decode in the forward stack's layout
+    assert np.allclose(
+        out.rev_paired_values, y_end[::-1].reshape(out.yhat_values.shape), rtol=1e-12
+    )
 
 
 def test_reversal_loss_rev2_same_index():
-    fwd = [np.array([[0.0]]), np.array([[1.0]])]
-    rev = [np.array([[2.0]]), np.array([[4.0]])]
-    assert reversal_loss_rev2(fwd, rev) == pytest.approx(4.0 + 9.0)
-
-
-def test_reversal_losses_reject_length_mismatch():
-    fwd = [np.zeros((1, 1))] * 3
-    rev = [np.zeros((1, 1))] * 2
-    with pytest.raises(ConfigurationError):
-        reversal_loss_treat(fwd, rev)
-    with pytest.raises(ConfigurationError):
-        reversal_loss_rev2(fwd, rev)
+    """Forward step k meets step k of the rollout reversed from z_0."""
+    batch = build_batch(three_agent_obs_sets())
+    params, out = traced(batch, "rev2")
+    y_fwd, _, y_start = decoded_rollouts(params, batch)
+    expected = sum(np.sum((y_fwd[k] - y_start[k]) ** 2) for k in range(batch.K + 1))
+    assert out.l_rev == pytest.approx(expected / len(batch.obs_list), rel=1e-12)
 
 
 def test_reversal_loss_gt_rev_is_plain_residual():
-    y = np.array([[1.0], [2.0]])
-    y_rev = np.array([[0.0], [4.0]])
-    assert reversal_loss_gt_rev(y, y_rev) == pytest.approx(5.0)
+    """The targets meet the paired reverse decode: step K-k from z_K at target k."""
+    batch = build_batch(three_agent_obs_sets())
+    params, out = traced(batch, "gt_rev")
+    _, y_end, _ = decoded_rollouts(params, batch)
+    expected = target_sq(y_end[::-1], batch.obs_list) / len(batch.obs_list)
+    assert out.l_rev == pytest.approx(expected, rel=1e-12)
 
 
 def test_combined_loss_identity_scalar_path():
-    assert combined_loss(1.5, 2.0, 0.5) == pytest.approx(2.5)
-    assert combined_loss(1.5, None, 0.5) == pytest.approx(1.5)
-    assert combined_loss(1.5, 7.0, 0.0) == pytest.approx(1.5)
+    """loss = l_pred + alpha * l_rev; alpha = 0 and variant none train on l_pred."""
+    batch = build_batch(three_agent_obs_sets())
+    for alpha in (0.5, 2.0):
+        _, out = traced(batch, "treat", alpha)
+        assert out.loss.value == pytest.approx(out.l_pred + alpha * out.l_rev, rel=1e-12)
+    _, out = traced(batch, "treat", 0.0)
+    assert float(out.loss.value) == out.l_pred
+    _, out = traced(batch, "none", 0.0)
+    assert float(out.loss.value) == out.l_pred
+    assert out.l_rev is None and out.rev_paired_values is None
 
 
 # ----------------------------------------------------------------- batches
@@ -104,8 +169,23 @@ def test_build_batch_layout():
     n_rows = sum(len(ix) for o in obs for ix in o.pred_idx)
     assert batch.sel_matrix.shape == (n_rows, (batch.K + 1) * batch.n_nodes)
     assert batch.targets.shape == (n_rows, obs[0].d)
-    # every selector row is one-hot on the decoded stack
+    # every selector row is one-hot on the decoded stack, at the target's row
     assert np.all(batch.sel_matrix.sum(axis=1) == 1.0)
+    assert np.array_equal(np.argmax(batch.sel_matrix, axis=1), batch.rows)
+
+
+def test_build_batch_rows_and_spans_per_agent():
+    """Target rows sit at k * n_nodes + b * n_agents + i, grouped by (sample, agent)."""
+    obs = three_agent_obs_sets(n_sets=2)
+    batch = build_batch(obs)
+    assert len(batch.spans) == 2 and all(len(s) == 3 for s in batch.spans)
+    for b, o in enumerate(obs):
+        for i, (lo, hi) in enumerate(batch.spans[b]):
+            assert np.array_equal(
+                batch.rows[lo:hi], o.pred_idx[i] * batch.n_nodes + b * 3 + i
+            )
+            assert np.array_equal(batch.targets[lo:hi], o.pred_feats[i])
+    assert batch.spans[-1][-1][1] == len(batch.rows)
 
 
 def test_build_batch_rejects_mixed_rollout_lengths():
@@ -258,6 +338,19 @@ def test_train_baseline_logs_diagnostic_l_reverse():
     assert np.isfinite(result.final_diag_l_reverse)
 
 
+@pytest.mark.parametrize("stage", ["rollout_forward", "evaluate"])
+def test_train_reports_latent_divergence_as_training_divergence(monkeypatch, stage):
+    """A rollout leaving the finite range, in a training batch or in validation,
+    is a training divergence (the CLI retries it), not a configuration error."""
+    def diverge(*args, **kwargs):
+        raise RolloutDivergedError("forward rollout diverged at step 3", step=3)
+
+    monkeypatch.setattr(training, stage, diverge)
+    settings = TrainSettings(model=TINY, epochs=2, batch_size=4, seed=0)
+    with pytest.raises(TrainingDivergedError, match="diverged at step 3"):
+        train(small_obs_sets(), settings)
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(ConfigurationError):
         train([], TrainSettings(model=TINY))
@@ -316,16 +409,21 @@ def test_evaluate_rejects_empty():
 
 def test_write_loss_report_roundtrip(tmp_path):
     history = [
-        {"epoch": 0, "l_pred": 1.0 / 3.0, "l_reverse": np.pi, "total": 1.0 / 3.0 + 0.5 * np.pi},
-        {"epoch": 1, "l_pred": 0.25, "l_reverse": 0.125, "total": 0.3125},
+        {"epoch": 0, "l_pred": 1.0 / 3.0, "l_reverse": np.pi,
+         "total": 1.0 / 3.0 + 0.5 * np.pi, "val_mse": 0.1},
+        {"epoch": 1, "l_pred": 0.25, "l_reverse": 0.125, "total": 0.3125,
+         "val_mse": np.nan},
     ]
     path = tmp_path / "losses.csv"
     write_loss_report(path, history)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert tuple(rows[0]) == LOSS_COLUMNS
     assert len(rows) == 2
     for row, ref in zip(rows, history):
+        assert int(row["epoch"]) == ref["epoch"]
         # repr-serialized floats parse back to the identical double
-        assert float(row["l_pred"]) == ref["l_pred"]
-        assert float(row["l_reverse"]) == ref["l_reverse"]
-        assert float(row["total"]) == ref["total"]
+        for key in ("l_pred", "l_reverse", "total"):
+            assert float(row[key]) == ref[key]
+    assert float(rows[0]["val_mse"]) == 0.1
+    assert rows[1]["val_mse"] == "nan"  # no validation set
