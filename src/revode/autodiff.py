@@ -4,8 +4,9 @@ Nodes are appended in creation order, which is already a topological order
 (every parent index is smaller than its child's), so the backward sweep is
 a single reversed loop over the node list.  Values are float64 numpy
 arrays.  Elementwise ops require exactly matching shapes -- the only
-broadcasting allowed anywhere is scalar-times-tensor / scalar-plus-tensor,
-which keeps silent shape bugs out of the gradient path.
+broadcasting allowed anywhere is scalar-times-tensor / scalar-plus-tensor
+and add_bias's (1, c) row, which keeps silent shape bugs out of the
+gradient path.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return smul(self, float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __neg__(self):
         return smul(self, -1.0)
@@ -151,17 +149,76 @@ def sadd(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; 3-D operands share their batch axis."""
     b = _lift(a.tape, b)
     av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {av.shape} @ {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
+    if av.ndim not in (2, 3) or bv.ndim not in (2, 3):
+        raise ShapeError(f"matmul requires 2-D or 3-D operands, got {av.shape} @ {bv.shape}")
+    if av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeError(f"matmul batch axes differ: {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {av.shape} @ {bv.shape}")
     return a.tape._record(
         "matmul",
         av @ bv,
         (a.idx, b.idx),
-        lambda g: (g @ bv.T, av.T @ g),
+        lambda g: (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g),
+    )
+
+
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x + b for a (1, c) row b added to every row of a 2-D x."""
+    b = _lift(x.tape, b)
+    xv, bv = x.value, b.value
+    if xv.ndim != 2 or bv.shape != (1, xv.shape[1]):
+        raise ShapeError(f"add_bias needs (r, c) + (1, c), got {xv.shape} + {bv.shape}")
+    return x.tape._record(
+        "add_bias", xv + bv, (x.idx, b.idx), lambda g: (g, g.sum(axis=0, keepdims=True))
+    )
+
+
+class RowIndex:
+    """Row indices into an n-row operand, reusable across gather_rows and
+    scatter_rows calls.  Rows sharing an index are summed by one bincount
+    over flat (row, column) bins, whose index is built once per width."""
+
+    def __init__(self, idx, n: int):
+        self.idx, self.n, self._bins = np.asarray(idx, dtype=np.int64), int(n), {}
+        if self.idx.ndim != 1 or not np.all((self.idx >= 0) & (self.idx < n)):
+            raise ShapeError(f"row indices must be 1-D and lie in [0, {n})")
+
+    def segment_sum(self, x: np.ndarray) -> np.ndarray:
+        """(n, c) array whose row r sums the rows e of x with idx[e] == r."""
+        n, c = self.n, x.shape[1]
+        if c not in self._bins:
+            self._bins[c] = (self.idx[:, None] * c + np.arange(c)).reshape(-1)
+        return np.bincount(self._bins[c], weights=x.reshape(-1), minlength=n * c).reshape(n, c)
+
+
+def _rows(idx, n: int) -> RowIndex:
+    rows = idx if isinstance(idx, RowIndex) else RowIndex(idx, n)
+    if rows.n != n:
+        raise ShapeError(f"row index built for {rows.n} rows, used with {n}")
+    return rows
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Rows a[idx] of a 2-D a; the gradient sums back into repeated rows."""
+    rows = _rows(idx, a.value.shape[0])
+    if a.value.ndim != 2:
+        raise ShapeError(f"gather_rows requires a 2-D operand, got {a.value.shape}")
+    return a.tape._record(
+        "gather_rows", a.value[rows.idx], (a.idx,), lambda g: (rows.segment_sum(g),)
+    )
+
+
+def scatter_rows(a: Tensor, idx, n: int) -> Tensor:
+    """(n, c) sum of a's rows by target row idx; the gradient is a gather."""
+    rows = _rows(idx, n)
+    if a.value.ndim != 2 or a.value.shape[0] != rows.idx.size:
+        raise ShapeError(f"scatter_rows needs one index per row of {a.value.shape}")
+    return a.tape._record(
+        "scatter_rows", rows.segment_sum(a.value), (a.idx,), lambda g: (g[rows.idx],)
     )
 
 
@@ -214,9 +271,13 @@ def take(a: Tensor, key) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-D operand, got {a.value.shape}")
-    return a.tape._record("transpose", a.value.T.copy(), (a.idx,), lambda g: (g.T,))
+    """Swap the last two axes of a 2-D or 3-D operand."""
+    if a.value.ndim not in (2, 3):
+        raise ShapeError(f"transpose requires a 2-D or 3-D operand, got {a.value.shape}")
+    return a.tape._record(
+        "transpose", np.swapaxes(a.value, -1, -2).copy(), (a.idx,),
+        lambda g: (np.swapaxes(g, -1, -2),),
+    )
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -233,7 +294,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.value, 0.0)
-    mask = (a.value > 0.0).astype(np.float64)
+    mask = a.value > 0.0
     return a.tape._record("relu", out, (a.idx,), lambda g: (g * mask,))
 
 
@@ -289,21 +350,18 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     grads[loss.idx] = np.ones_like(loss.value)
     for idx in range(loss.idx, -1, -1):
         g = grads[idx]
-        if g is None:
-            continue
         node = tape.nodes[idx]
-        if node.bwd is None:
+        if g is None or node.bwd is None:
             continue
-        parent_grads = node.bwd(g)
-        for pidx, pg in zip(node.parents, parent_grads):
-            if grads[pidx] is None:
-                grads[pidx] = np.asarray(pg, dtype=np.float64).copy()
-            else:
-                grads[pidx] = grads[pidx] + pg
+        grads[idx] = None  # spent: free it as the sweep goes
+        # parents may share one array (add passes g to both); sums never
+        # write in place, and leaf gradients are copied out below
+        for pidx, pg in zip(node.parents, node.bwd(g)):
+            grads[pidx] = pg if grads[pidx] is None else grads[pidx] + pg
     out: dict[str, np.ndarray] = {}
     for idx, node in enumerate(tape.nodes):
         if node.op == "leaf" and node.name is not None and grads[idx] is not None:
-            out[node.name] = grads[idx]
+            out[node.name] = np.array(grads[idx], dtype=np.float64)
     return out
 
 

@@ -29,6 +29,7 @@ from .configs import (
     write_resolved_config,
 )
 from .data import (
+    TRAJECTORIES_PER_SEED,
     Trajectory,
     build_observation_sets,
     build_trajectory,
@@ -65,6 +66,12 @@ def _exit_code_for(exc: RevodeError) -> int:
         if isinstance(exc, cls):
             return code
     return 2
+
+
+def _flags(args, defaults: dict) -> dict:
+    """The command's flags by option name (None where a flag was not given);
+    every option of a command has a flag of the same name."""
+    return {key: getattr(args, key) for key in defaults}
 
 
 def _json_dump(path, doc):
@@ -122,20 +129,13 @@ def cmd_simulate(args) -> int:
     config = (
         load_config_file(args.config, set(defaults)) if args.config else None
     )
-    cli = {
-        "system": args.system, "agents": args.agents, "dim": args.dim,
-        "trajectories": args.trajectories,
-        "test_trajectories": args.test_trajectories,
-        "dt": args.dt, "steps": args.steps, "test_steps": args.test_steps,
-        "subsample": args.subsample, "scheme": args.scheme,
-        "edge_prob": args.edge_prob, "noise": args.noise, "seed": args.seed,
-        "k": args.k, "gamma": args.gamma, "k1": args.k1, "omega": args.omega,
-        "damped_form": args.damped_form,
-        "out": args.out, "test_out": args.test_out,
-    }
-    opt = resolve_options(defaults, config, cli)
+    opt = resolve_options(defaults, config, _flags(args, defaults))
     if opt["trajectories"] < 1:
         raise ConfigurationError("--trajectories must be at least 1")
+    if max(opt["trajectories"], opt["test_trajectories"] or 0) > TRAJECTORIES_PER_SEED:
+        raise ConfigurationError(
+            f"at most {TRAJECTORIES_PER_SEED} trajectories per seed (set and test set each)"
+        )
     if opt["test_trajectories"] and not opt["test_out"]:
         raise ConfigurationError("--test-trajectories requires --test-out")
 
@@ -252,22 +252,7 @@ def cmd_train(args) -> int:
     if args.desk_scale:
         defaults.update(_DESK_TRAIN)
     config = load_config_file(args.config, set(defaults)) if args.config else None
-    cli = {
-        "data": args.data, "test_data": args.test_data,
-        "loss_variant": args.loss_variant, "alpha": args.alpha, "lr": args.lr,
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "patience": args.patience, "val_fraction": args.val_fraction,
-        "weight_decay": args.weight_decay, "seed": args.seed,
-        "window": args.window, "test_window": args.test_window,
-        "n_obs_min": args.n_obs_min, "n_obs_max": args.n_obs_max,
-        "test_n_obs_min": args.test_n_obs_min,
-        "test_n_obs_max": args.test_n_obs_max,
-        "obs_seed": args.obs_seed, "test_obs_seed": args.test_obs_seed,
-        "d_enc": args.d_enc, "d_aug": args.d_aug, "d_model": args.d_model,
-        "ode_hidden": args.ode_hidden, "dec_hidden": args.dec_hidden,
-        "scheme": args.scheme, "outdir": args.outdir,
-    }
-    opt = resolve_options(defaults, config, cli)
+    opt = resolve_options(defaults, config, _flags(args, defaults))
 
     trajs = _load_trajectories(opt["data"])
     window = _parse_window(opt["window"])
@@ -361,12 +346,7 @@ def _add_eval_parser(sub):
 def cmd_eval(args) -> int:
     defaults = dict(EVAL_DEFAULTS)
     config = load_config_file(args.config, set(defaults)) if args.config else None
-    cli = {
-        "checkpoint": args.checkpoint, "data": args.data, "window": args.window,
-        "n_obs_min": args.n_obs_min, "n_obs_max": args.n_obs_max,
-        "obs_seed": args.obs_seed, "out": args.out,
-    }
-    opt = resolve_options(defaults, config, cli)
+    opt = resolve_options(defaults, config, _flags(args, defaults))
     params, model, extra = load_checkpoint(opt["checkpoint"])
     trajs = _load_trajectories(opt["data"])
     obs = build_observation_sets(
@@ -403,9 +383,7 @@ def _add_verify_parser(sub):
 
 
 def cmd_verify(args) -> int:
-    opt = resolve_options(
-        dict(VERIFY_DEFAULTS), None, {"suite": args.suite, "out": args.out}
-    )
+    opt = resolve_options(VERIFY_DEFAULTS, None, _flags(args, VERIFY_DEFAULTS))
     results = run_suite(opt["suite"])
     all_passed = True
     for result in results:

@@ -28,6 +28,9 @@ PURPOSE_OBS = 3
 PURPOSE_SPLIT = 4
 PURPOSE_SHUFFLE = 5
 PURPOSE_PARAMS = 6
+# build_trajectory packs a trajectory's index into the low 16 bits of its
+# tag and noise seed, (seed << 16) + index, so an index must fit there.
+TRAJECTORIES_PER_SEED = 1 << 16
 
 
 def rng_stream(seed: int, item_index: int = 0, purpose: int = 0) -> np.random.Generator:
@@ -108,14 +111,6 @@ class ObservationSet:
                 raise ConfigurationError(
                     f"agent {i} has condition observations after the anchor"
                 )
-
-    @property
-    def n_condition(self) -> list[int]:
-        return [len(t) for t in self.cond_times]
-
-    @property
-    def n_targets(self) -> list[int]:
-        return [len(ix) for ix in self.pred_idx]
 
 
 def irregular_subsample(
@@ -408,6 +403,10 @@ def build_trajectory(
     theta_range: float = np.pi / 2,
 ) -> Trajectory:
     """One dataset trajectory: sampled graph, sampled start, integrated, noised."""
+    if not 0 <= index < TRAJECTORIES_PER_SEED:
+        raise ConfigurationError(
+            f"trajectory index must lie in [0, {TRAJECTORIES_PER_SEED}), got {index}"
+        )
     default_scheme, default_dt, default_sub = SIM_DEFAULTS[base_spec.kind]
     scheme = scheme or default_scheme
     dt = default_dt if dt is None else dt

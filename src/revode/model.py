@@ -121,13 +121,8 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _linear(x: Tensor, W: Tensor, b: Tensor, ones: Tensor) -> Tensor:
-    """x @ W + broadcast bias, with the broadcast written as ones @ b."""
-    return ad.add(ad.matmul(x, W), ad.matmul(ones, b))
-
-
-def _ones_const(tape: Tape, rows: int) -> Tensor:
-    return tape.const(np.ones((rows, 1)))
+def _linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    return ad.add_bias(ad.matmul(x, W), b)
 
 
 def encode_agent(
@@ -136,77 +131,87 @@ def encode_agent(
     config: ModelConfig,
     rel_times: np.ndarray,
     feats: np.ndarray,
-    n_valid: int | None = None,
+    n_valid: np.ndarray,
 ) -> Tensor:
-    """Temporal self-attention over one agent's observations -> (1, d_model).
+    """Temporal self-attention over every agent's observations -> (A, d_model).
 
-    `n_valid` marks how many leading rows are real; any padding rows after
-    them are masked out of the attention weights and the pooling sums, so
-    padded and unpadded calls agree exactly.
+    Agent a's observations fill the first n_valid[a] slots of rel_times
+    (A, m) and feats (A, m, d_obs); the padding after them is masked out of
+    the attention weights and the pooling sums, so an agent encodes the same
+    whichever agents share its pass.
     """
-    m = feats.shape[0]
-    if n_valid is None:
-        n_valid = m
-    if n_valid < 1:
+    n_agents, m = rel_times.shape
+    n_valid = np.asarray(n_valid, dtype=np.int64)
+    if np.any(n_valid < 1):
         raise EncodingError("agent has no observations to encode")
     dm = config.d_model
+    valid = np.arange(m)[None, :] < n_valid[:, None]  # (A, m)
 
-    X = tape.const(feats)
-    ones_m = _ones_const(tape, m)
-    H = _linear(X, leaves["enc.embed.W"], leaves["enc.embed.b"], ones_m)
-    H = ad.add(H, tape.const(temporal_encoding(rel_times, dm, config.te_base)))
+    X = tape.const(feats.reshape(n_agents * m, -1))
+    H = _linear(X, leaves["enc.embed.W"], leaves["enc.embed.b"])
+    H = ad.add(H, tape.const(temporal_encoding(rel_times.reshape(-1), dm, config.te_base)))
 
-    Q = ad.matmul(H, leaves["enc.attn.Wq"])
-    K = ad.matmul(H, leaves["enc.attn.Wk"])
-    V = ad.matmul(H, leaves["enc.attn.Wv"])
+    def per_agent(t: Tensor) -> Tensor:
+        return ad.reshape(t, (n_agents, m, dm))
+
+    Q = per_agent(ad.matmul(H, leaves["enc.attn.Wq"]))
+    K = per_agent(ad.matmul(H, leaves["enc.attn.Wk"]))
+    V = per_agent(ad.matmul(H, leaves["enc.attn.Wv"]))
     S = ad.smul(ad.matmul(Q, ad.transpose(K)), 1.0 / np.sqrt(dm))
-    if n_valid < m:
-        mask = np.zeros((m, m))
-        mask[:, n_valid:] = -1e30
-        S = ad.add(S, tape.const(mask))
+    if not valid.all():
+        S = ad.add(S, tape.const(np.broadcast_to(
+            np.where(valid, 0.0, -1e30)[:, None, :], S.shape)))
     A = ad.softmax(S, axis=-1)
-    H2 = ad.add(H, ad.relu(ad.matmul(A, V)))
-    if n_valid < m:
-        H2 = H2[0:n_valid, :]
+    H2 = ad.add(per_agent(H), ad.relu(ad.matmul(A, V)))  # (A, m, dm)
 
-    pool_ones = tape.const(np.full((1, n_valid), 1.0 / n_valid))
-    mean_row = ad.matmul(pool_ones, H2)
+    pool = tape.const((valid / n_valid[:, None])[:, None, :])  # (A, 1, m)
+    mean_row = ad.reshape(ad.matmul(pool, H2), (n_agents, dm))
     a = ad.tanh(ad.matmul(mean_row, leaves["enc.pool.Wa"]))
-    scores = ad.tanh(ad.matmul(H2, ad.transpose(a)))
-    u = ad.smul(ad.matmul(ad.transpose(scores), H2), 1.0 / n_valid)
-    return u
+    scores = ad.tanh(ad.matmul(ad.reshape(a, (n_agents, 1, dm)), ad.transpose(H2)))
+    u = ad.matmul(ad.mul(scores, pool), H2)
+    return ad.reshape(u, (n_agents, dm))
 
 
 def encode_initial_states(
     tape: Tape,
     leaves: dict[str, Tensor],
     config: ModelConfig,
-    obs: ObservationSet,
+    obs_list: list[ObservationSet],
 ) -> Tensor:
-    """Latent initial states for all agents of one sample -> (N, d_z)."""
-    rows = []
-    for i in range(obs.n_agents):
-        if obs.cond_feats[i].shape[0] == 0:
-            raise EncodingError(f"agent {i} has no condition observations")
-        rows.append(
-            encode_agent(tape, leaves, config, obs.cond_times[i], obs.cond_feats[i])
-        )
-    U = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    """Latent initial states of every agent of every sample, stacked
+    sample-major like the batch's nodes -> (sum of n_agents, d_z)."""
+    agents = [(t, f) for obs in obs_list for t, f in zip(obs.cond_times, obs.cond_feats)]
+    n_valid = np.array([len(t) for t, _ in agents], dtype=np.int64)
+    n_rows, m = len(agents), int(n_valid.max())
+    rel_times = np.zeros((n_rows, m))
+    feats = np.zeros((n_rows, m, config.d_obs))
+    for a, (t, f) in enumerate(agents):
+        rel_times[a, : len(t)] = t
+        feats[a, : len(t)] = f
+    U = encode_agent(tape, leaves, config, rel_times, feats, n_valid)
 
-    if config.spatial_round and obs.graph is not None and obs.graph.n_edges > 0:
-        adj = obs.graph.adjacency.astype(np.float64)
-        deg = np.maximum(adj.sum(axis=1, keepdims=True), 1.0)
-        ones_n = _ones_const(tape, obs.n_agents)
-        msg = ad.matmul(tape.const(adj / deg), U)
-        U = ad.add(U, ad.relu(_linear(msg, leaves["enc.spatial.W"],
-                                      leaves["enc.spatial.b"], ones_n)))
+    if config.spatial_round:
+        # one round of mean aggregation within each sample that has edges;
+        # a sample without edges keeps its encodings unchanged
+        mixing = np.zeros((n_rows, n_rows))
+        updated = np.zeros((n_rows, config.d_model))
+        lo = 0
+        for obs in obs_list:
+            hi = lo + obs.n_agents
+            if obs.graph is not None and obs.graph.n_edges > 0:
+                adj = obs.graph.adjacency.astype(np.float64)
+                mixing[lo:hi, lo:hi] = adj / np.maximum(adj.sum(axis=1, keepdims=True), 1.0)
+                updated[lo:hi] = 1.0
+            lo = hi
+        if updated.any():
+            msg = ad.matmul(tape.const(mixing), U)
+            upd = ad.relu(_linear(msg, leaves["enc.spatial.W"], leaves["enc.spatial.b"]))
+            U = ad.add(U, ad.mul(upd, tape.const(updated)))
 
-    ones_n = _ones_const(tape, obs.n_agents)
-    z_enc = _linear(U, leaves["enc.out.W"], leaves["enc.out.b"], ones_n)
+    z_enc = _linear(U, leaves["enc.out.W"], leaves["enc.out.b"])
     if config.d_aug == 0:
         return z_enc
-    zeros_aug = tape.const(np.zeros((obs.n_agents, config.d_aug)))
-    return ad.concat([z_enc, zeros_aug], axis=1)
+    return ad.concat([z_enc, tape.const(np.zeros((n_rows, config.d_aug)))], axis=1)
 
 
 def directed_edges(graph, n_agents: int, offset: int = 0) -> list[tuple[int, int]]:
@@ -232,29 +237,20 @@ def make_ode_func(
     """Message-passing vector field g over n_nodes stacked latent rows.
 
     `edges` are directed (src, tgt) pairs; messages m_e = MLP([z_tgt, z_src])
-    are summed per target and fed with z into the update MLP.
+    are summed per target and fed with z into the update MLP.  One gather of
+    the interleaved (tgt, src) rows reshapes into the message inputs.
     """
-    n_e = len(edges)
-    s_src = np.zeros((n_e, n_nodes))
-    s_tgt = np.zeros((n_e, n_nodes))
-    for e, (src, tgt) in enumerate(edges):
-        s_src[e, src] = 1.0
-        s_tgt[e, tgt] = 1.0
-    src_sel = tape.const(s_src)
-    tgt_sel = tape.const(s_tgt)
-    scatter = tape.const(s_tgt.T.copy())
-    ones_e = _ones_const(tape, n_e)
-    ones_n = _ones_const(tape, n_nodes)
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    pair_rows = ad.RowIndex(pairs[:, ::-1].reshape(-1), n_nodes)
+    targets = ad.RowIndex(pairs[:, 1], n_nodes)
+    pair_shape = (len(pairs), 2 * config.d_z)
 
     def g(z: Tensor) -> Tensor:
-        zi = ad.matmul(tgt_sel, z)
-        zj = ad.matmul(src_sel, z)
-        pair = ad.concat([zi, zj], axis=1)
-        msg = ad.relu(_linear(pair, leaves["ode.msg.W"], leaves["ode.msg.b"], ones_e))
-        agg = ad.matmul(scatter, msg)
-        upd_in = ad.concat([z, agg], axis=1)
-        hidden = ad.relu(_linear(upd_in, leaves["ode.upd1.W"], leaves["ode.upd1.b"], ones_n))
-        return _linear(hidden, leaves["ode.upd2.W"], leaves["ode.upd2.b"], ones_n)
+        pair = ad.reshape(ad.gather_rows(z, pair_rows), pair_shape)
+        msg = ad.relu(_linear(pair, leaves["ode.msg.W"], leaves["ode.msg.b"]))
+        upd_in = ad.concat([z, ad.scatter_rows(msg, targets, n_nodes)], axis=1)
+        hidden = ad.relu(_linear(upd_in, leaves["ode.upd1.W"], leaves["ode.upd1.b"]))
+        return _linear(hidden, leaves["ode.upd2.W"], leaves["ode.upd2.b"])
 
     return g
 
@@ -293,13 +289,13 @@ def rollout_forward(z0: Tensor, g, n_steps: int, dt: float, scheme: str = "rk4")
 
 
 def rollout_reverse(z_end: Tensor, g, n_steps: int, dt: float, scheme: str = "rk4") -> list[Tensor]:
-    """Integrate -g from the forward endpoint.
+    """Integrate -g from the forward endpoint, as g with step -dt (bitwise
+    the same: every scheme here scales each field value by a step).
 
     Element j of the result sits at reverse index t'_j, so it pairs with
     forward index K - j.
     """
-    neg_g = lambda z: ad.smul(g(z), -1.0)
-    return _rollout(z_end, neg_g, n_steps, dt, scheme, "reverse")
+    return _rollout(z_end, g, n_steps, -dt, scheme, "reverse")
 
 
 def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig,
@@ -309,9 +305,8 @@ def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig,
     Returns ((K+1)*n_rows, d_out); row k*n_rows + r is time index k, row r.
     """
     Z = z_states[0] if len(z_states) == 1 else ad.concat(z_states, axis=0)
-    ones = _ones_const(tape, Z.value.shape[0])
-    hidden = ad.relu(_linear(Z, leaves["dec.W1"], leaves["dec.b1"], ones))
-    return _linear(hidden, leaves["dec.W2"], leaves["dec.b2"], ones)
+    hidden = ad.relu(_linear(Z, leaves["dec.W1"], leaves["dec.b1"]))
+    return _linear(hidden, leaves["dec.W2"], leaves["dec.b2"])
 
 
 # ------------------------------------------------------------ checkpoints

@@ -47,7 +47,6 @@ class Batch:
     n_nodes: int
     rows: np.ndarray         # (n_targets,) row k * n_nodes + node in decode()'s stack
     spans: list              # per sample, per agent: (start, stop) into rows
-    sel_matrix: np.ndarray   # (n_targets, (K+1) * n_nodes), one-hot at rows
     targets: np.ndarray      # (n_targets, d)
 
 
@@ -69,9 +68,6 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
             rows.append(idx * n_nodes + b * n + i)
             start, stop = stop, stop + len(idx)
             spans[-1].append((start, stop))
-    rows = np.concatenate(rows)
-    sel = np.zeros((len(rows), (K + 1) * n_nodes))
-    sel[np.arange(len(rows)), rows] = 1.0
     return Batch(
         obs_list=obs_list,
         n_agents=n,
@@ -79,9 +75,8 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
         dt=dt,
         edges=edges,
         n_nodes=n_nodes,
-        rows=rows,
+        rows=np.concatenate(rows),
         spans=spans,
-        sel_matrix=sel,
         targets=np.concatenate([f for obs in obs_list for f in obs.pred_feats], axis=0),
     )
 
@@ -117,15 +112,13 @@ def batch_forward(
     def mean_sq(a: Tensor, b: Tensor) -> Tensor:
         return ad.smul(ad.l2_norm_sq(ad.sub(a, b)), per_sample)
 
-    z_rows = [encode_initial_states(tape, leaves, config, o) for o in batch.obs_list]
-    z0 = z_rows[0] if len(z_rows) == 1 else ad.concat(z_rows, axis=0)
+    z0 = encode_initial_states(tape, leaves, config, batch.obs_list)
     g = make_ode_func(tape, leaves, config, batch.edges, batch.n_nodes)
     fwd = rollout_forward(z0, g, batch.K, batch.dt, config.scheme)
     yhat = decode(tape, leaves, config, fwd)
 
-    sel = tape.const(batch.sel_matrix)
     y = tape.const(batch.targets)
-    l_pred = mean_sq(ad.matmul(sel, yhat), y)
+    l_pred = mean_sq(ad.gather_rows(yhat, batch.rows), y)
     l_rev = None
     if variant == "rev2":
         rev = rollout_reverse(fwd[0], g, batch.K, batch.dt, config.scheme)
@@ -135,7 +128,7 @@ def batch_forward(
         rev = rollout_reverse(fwd[-1], g, batch.K, batch.dt, config.scheme)
         yrev = decode(tape, leaves, config, list(reversed(rev)))
         if variant == "gt_rev":
-            l_rev = mean_sq(ad.matmul(sel, yrev), y)
+            l_rev = mean_sq(ad.gather_rows(yrev, batch.rows), y)
         else:
             l_rev = mean_sq(yhat, yrev)
     no_rev = l_rev is None

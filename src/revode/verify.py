@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,35 +122,17 @@ class ScalingReport:
     rev_fit_reliable: bool = True
 
     def to_jsonable(self) -> dict:
-        def keyed(d):
-            return {f"T={t}|dt={dt}": v for (t, dt), v in sorted(d.items())}
-
-        return {
-            "scheme": self.scheme,
-            "dt_list": list(self.dt_list),
-            "t_list": list(self.t_list),
-            "eval_spacing": self.eval_spacing,
-            "l_pred": keyed(self.l_pred),
-            "l_rev": keyed(self.l_rev),
-            "fit_span": self.fit_span,
-            "s_pred": self.s_pred,
-            "s_pred_r2": self.s_pred_r2,
-            "s_rev": self.s_rev,
-            "s_rev_r2": self.s_rev_r2,
-            "slopes_by_span": {str(t): v for t, v in self.slopes_by_span.items()},
-            "t_slope_pred": self.t_slope_pred,
-            "t_slope_rev": self.t_slope_rev,
-            "fit_dt": self.fit_dt,
-            "rev_ratio": keyed(self.rev_ratio),
-            "ratio_spread_by_span": {
-                str(t): v for t, v in self.ratio_spread_by_span.items()
-            },
-            "ratio_growth_by_span": {
-                str(t): v for t, v in self.ratio_growth_by_span.items()
-            },
-            "pred_fit_reliable": self.pred_fit_reliable,
-            "rev_fit_reliable": self.rev_fit_reliable,
-        }
+        """Fields as JSON: tuples become lists, (T, dt) keys read "T=..|dt=.."."""
+        doc = asdict(self)
+        for name, value in doc.items():
+            if isinstance(value, tuple):
+                doc[name] = list(value)
+            elif isinstance(value, dict):
+                doc[name] = {
+                    f"T={k[0]}|dt={k[1]}" if isinstance(k, tuple) else str(k): v
+                    for k, v in sorted(value.items())
+                }
+        return doc
 
 
 DEFAULT_SCALING_DTS = (0.05, 0.025, 0.0125, 0.00625)
@@ -542,20 +524,7 @@ class SuiteResult:
     data: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "assertions": [
-                {
-                    "name": a.name,
-                    "passed": a.passed,
-                    "value": a.value,
-                    "detail": a.detail,
-                }
-                for a in self.assertions
-            ],
-            "data": self.data,
-        }
+        return asdict(self)
 
 
 ROUNDTRIP_DTS = (1e-3, 5e-4, 2.5e-4)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from revode import autodiff as ad
-from revode.autodiff import Tape, Tensor, backward, check_finite_grads, grad_check
+from revode.autodiff import Tape, backward, check_finite_grads, grad_check
 from revode.errors import NonFiniteGradientError, ShapeError
 
 
@@ -123,6 +123,65 @@ def test_concat_splits_gradient_between_parents():
     assert np.array_equal(grads["b"], w.value[2:])
 
 
+def test_add_bias_gradient_by_hand():
+    """x + 1 b: d/dx is the upstream weight, d/db its sum over rows."""
+    tape = Tape()
+    x = tape.leaf(np.arange(6.0).reshape(3, 2), "x")
+    b = tape.leaf(np.array([[10.0, -1.0]]), "b")
+    y = ad.add_bias(x, b)
+    assert np.array_equal(y.value, x.value + b.value)
+    w = tape.const(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    grads = backward(tape, ad.tsum(ad.mul(y, w)))
+    assert np.array_equal(grads["x"], w.value)
+    assert np.array_equal(grads["b"], np.array([[9.0, 12.0]]))
+
+
+def test_gather_scatter_rows_gradient_by_hand():
+    """Repeated indices sum their gradients; rows never indexed get zero."""
+    tape = Tape()
+    x = tape.leaf(np.arange(8.0).reshape(4, 2), "x")
+    idx = np.array([2, 0, 2])  # row 0 once, row 2 twice, rows 1 and 3 never
+    gathered = ad.gather_rows(x, idx)
+    assert np.array_equal(gathered.value, x.value[idx])
+    w = tape.const(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    grads = backward(tape, ad.tsum(ad.mul(gathered, w)))
+    assert np.array_equal(grads["x"], [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
+
+    tape = Tape()
+    m = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), "m")
+    summed = ad.scatter_rows(m, idx, 4)
+    assert np.array_equal(summed.value, [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
+    w = tape.const(np.arange(8.0).reshape(4, 2))
+    grads = backward(tape, ad.tsum(ad.mul(summed, w)))
+    assert np.array_equal(grads["m"], w.value[idx])
+
+
+def test_row_index_reused_across_widths():
+    rows = ad.RowIndex([1, 1, 0], 3)
+    for width in (2, 5, 2):
+        x = np.arange(3.0 * width).reshape(3, width)
+        expected = np.zeros((3, width))
+        np.add.at(expected, rows.idx, x)
+        assert np.array_equal(rows.segment_sum(x), expected)
+
+
+def test_batched_matmul_transpose_gradient_by_hand():
+    """Per batch entry: d/dA sum(A @ B^T) = ones @ B and d/dB = ones^T @ A."""
+    rng = np.random.default_rng(3)
+    tape = Tape()
+    A = tape.leaf(rng.standard_normal((2, 3, 4)), "A")
+    B = tape.leaf(rng.standard_normal((2, 5, 4)), "B")
+    Bt = ad.transpose(B)
+    assert Bt.shape == (2, 4, 5)
+    C = ad.matmul(A, Bt)
+    for k in range(2):
+        assert np.allclose(C.value[k], A.value[k] @ B.value[k].T, atol=1e-14)
+    grads = backward(tape, ad.tsum(C))
+    for k in range(2):
+        assert np.allclose(grads["A"][k], np.ones((3, 5)) @ B.value[k], atol=1e-14)
+        assert np.allclose(grads["B"][k], np.ones((5, 3)) @ A.value[k], atol=1e-14)
+
+
 # ------------------------------------------------- finite-difference sweep
 
 def test_grad_check_elementwise_chain():
@@ -184,6 +243,47 @@ def test_grad_check_mean_concat_reshape():
     assert report.passed
 
 
+def test_grad_check_add_bias():
+    def f(tape, leaves):
+        return ad.l2_norm_sq(ad.tanh(ad.add_bias(leaves["x"], leaves["b"])))
+
+    rng = np.random.default_rng(13)
+    report = grad_check(f, {"x": rng.standard_normal((4, 3)), "b": rng.standard_normal((1, 3))})
+    assert report.passed, report.max_rel_err
+
+
+def test_grad_check_gather_scatter_rows():
+    """A message-passing round: gather with repeats, scatter onto 5 rows of
+    which rows 1 and 4 receive nothing."""
+    src = np.array([0, 2, 2, 3, 0])
+    tgt = np.array([2, 0, 3, 3, 2])
+
+    def f(tape, leaves):
+        msg = ad.tanh(ad.matmul(ad.gather_rows(leaves["z"], src), leaves["W"]))
+        return ad.l2_norm_sq(ad.scatter_rows(msg, ad.RowIndex(tgt, 5), 5))
+
+    rng = np.random.default_rng(14)
+    report = grad_check(f, {"z": rng.standard_normal((4, 3)), "W": rng.standard_normal((3, 2))})
+    assert report.passed, report.max_rel_err
+
+
+def test_grad_check_batched_attention():
+    """3-D matmul and transpose in a batch of attention passes."""
+
+    def f(tape, leaves):
+        scores = ad.matmul(leaves["Q"], ad.transpose(leaves["K"]))
+        return ad.l2_norm_sq(ad.matmul(ad.softmax(scores, axis=-1), leaves["V"]))
+
+    rng = np.random.default_rng(15)
+    params = {
+        "Q": rng.standard_normal((2, 3, 4)),
+        "K": rng.standard_normal((2, 3, 4)),
+        "V": rng.standard_normal((2, 3, 2)),
+    }
+    report = grad_check(f, params)
+    assert report.passed, report.max_rel_err
+
+
 def test_grad_check_reports_failure_when_ad_and_fd_disagree():
     """grad_check must be able to fail: FD straddling relu's kink at 0
     measures slope 1/2 while the tape reports 0."""
@@ -242,3 +342,35 @@ def test_matmul_rejects_vector_operands():
     b = tape.leaf(np.zeros((3, 2)), "b")
     with pytest.raises(ShapeError):
         ad.matmul(a, b)
+
+
+def test_add_bias_rejects_non_row_bias():
+    tape = Tape()
+    x = tape.leaf(np.zeros((3, 2)), "x")
+    for shape in ((2,), (3, 2), (1, 3), (2, 1)):
+        with pytest.raises(ShapeError):
+            ad.add_bias(x, tape.leaf(np.zeros(shape), "b"))
+
+
+def test_batched_matmul_rejects_mismatched_batch_axes():
+    tape = Tape()
+    a = tape.leaf(np.zeros((2, 3, 4)), "a")
+    with pytest.raises(ShapeError):
+        ad.matmul(a, tape.leaf(np.zeros((3, 4, 2)), "b"))
+    with pytest.raises(ShapeError):
+        ad.matmul(a, tape.leaf(np.zeros((4, 2)), "c"))  # no implicit broadcast
+    with pytest.raises(ShapeError):
+        ad.matmul(a, tape.leaf(np.zeros(4), "d"))
+    with pytest.raises(ShapeError):
+        ad.transpose(tape.leaf(np.zeros(4), "e"))
+
+
+def test_gather_scatter_reject_bad_indices():
+    tape = Tape()
+    x = tape.leaf(np.zeros((3, 2)), "x")
+    with pytest.raises(ShapeError):
+        ad.gather_rows(x, [0, 3])
+    with pytest.raises(ShapeError):
+        ad.scatter_rows(x, [0, 1], 4)  # one index per row
+    with pytest.raises(ShapeError):
+        ad.scatter_rows(x, ad.RowIndex([0, 1, 2], 3), 4)

@@ -121,6 +121,16 @@ def test_simulate_rejects_test_without_out(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["--trajectories", "--test-trajectories"])
+def test_simulate_rejects_more_trajectories_than_a_seed_holds(tmp_path, capsys, flag):
+    args = ["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
+            "--trajectories", "2", "--out", str(tmp_path / "t.jsonl"),
+            "--test-out", str(tmp_path / "v.jsonl"), flag, "65537"]
+    assert main(args) == 2
+    assert "65536 trajectories per seed" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 # ------------------------------------------------------------------- train
 
 def test_train_writes_all_artifacts(tmp_path):

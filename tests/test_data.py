@@ -6,8 +6,8 @@ import pytest
 from revode.data import (
     PURPOSE_INIT,
     PURPOSE_NOISE,
-    PURPOSE_OBS,
     SIM_DEFAULTS,
+    TRAJECTORIES_PER_SEED,
     ObservationSet,
     add_gaussian_noise,
     build_observation_sets,
@@ -19,8 +19,8 @@ from revode.data import (
     write_dataset,
 )
 from revode.errors import ConfigurationError, DatasetFormatError
-from revode.integrators import StateVector, TimeGrid, Trajectory, integrate
-from revode.systems import SYSTEM_KINDS, InteractionGraph, SystemSpec, make_derivative
+from revode.integrators import Trajectory
+from revode.systems import SYSTEM_KINDS, SystemSpec
 
 
 # ------------------------------------------------------------------- rng
@@ -60,6 +60,18 @@ def test_build_trajectory_varies_with_index():
     a = build_trajectory(spec, seed=1, index=0, raw_steps=300)
     b = build_trajectory(spec, seed=1, index=1, raw_steps=300)
     assert not np.array_equal(a.q, b.q)
+
+
+def test_build_trajectory_rejects_index_outside_its_16_bits():
+    """The index sits below the seed in (seed << 16) + index, so index 2**16
+    under seed s would share its tag and noise stream with index 0 under s + 1."""
+    spec = SystemSpec(kind="simple_spring", n_agents=1, dim=1)
+    last = build_trajectory(spec, seed=2, index=TRAJECTORIES_PER_SEED - 1, raw_steps=200,
+                            noise_sigma=0.01)
+    assert last.seed == (2 << 16) + TRAJECTORIES_PER_SEED - 1
+    for index in (TRAJECTORIES_PER_SEED, TRAJECTORIES_PER_SEED + 5, -1):
+        with pytest.raises(ConfigurationError, match="trajectory index"):
+            build_trajectory(spec, seed=1, index=index, raw_steps=200, noise_sigma=0.01)
 
 
 def test_build_trajectory_subsampling_count():

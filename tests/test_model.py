@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from revode import autodiff as ad
-from revode.autodiff import Tape, backward
+from revode.autodiff import Tape, backward, grad_check
 from revode.data import ObservationSet
-from revode.errors import ArtifactMismatchError, ConfigurationError, RolloutDivergedError
+from revode.errors import (
+    ArtifactMismatchError, ConfigurationError, EncodingError, RolloutDivergedError,
+)
 from revode.model import (
     ModelConfig,
     decode,
     directed_edges,
+    encode_agent,
     encode_initial_states,
     init_params,
     load_checkpoint,
@@ -30,21 +33,27 @@ from revode.systems import InteractionGraph
 TINY = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8)
 
 
-def tiny_obs(seed=0, n_agents=2, K=4, d=2):
+def tiny_obs(seed=0, n_agents=2, K=4, d=2, n_cond=4, graph=None):
+    """n_cond condition observations per agent: an int, or one per agent."""
     rng = np.random.default_rng(seed)
+    counts = [n_cond] * n_agents if np.isscalar(n_cond) else n_cond
     cond_times, cond_feats, pred_idx, pred_feats = [], [], [], []
-    for _ in range(n_agents):
-        ct = np.sort(rng.uniform(-1.0, -0.01, 3))
+    for m in counts:
+        ct = np.sort(rng.uniform(-1.0, -0.01, m - 1))
         cond_times.append(np.append(ct, 0.0))
-        cond_feats.append(rng.standard_normal((4, d)))
+        cond_feats.append(rng.standard_normal((m, d)))
         pred_idx.append(np.arange(1, K + 1, dtype=np.int64))
         pred_feats.append(rng.standard_normal((K, d)))
     return ObservationSet(
         n_agents=n_agents, d=d, t0=0.0, dt=0.1, n_rollout_steps=K,
         cond_times=cond_times, cond_feats=cond_feats,
         pred_idx=pred_idx, pred_feats=pred_feats,
-        graph=InteractionGraph.complete(n_agents),
+        graph=InteractionGraph.complete(n_agents) if graph is None else graph,
     )
+
+
+def leaves_of(tape, params):
+    return {k: tape.leaf(v, k) for k, v in params.items()}
 
 
 # ------------------------------------------------------------------ config
@@ -109,8 +118,7 @@ def test_encode_initial_states_shape_and_determinism():
 
     def run():
         tape = Tape()
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        return encode_initial_states(tape, leaves, TINY, obs).value
+        return encode_initial_states(tape, leaves_of(tape, params), TINY, [obs]).value
 
     z0_a, z0_b = run(), run()
     assert z0_a.shape == (2, TINY.d_z)
@@ -123,11 +131,102 @@ def test_encoder_gradients_reach_attention_weights():
     obs = tiny_obs(seed=6)
     params = init_params(TINY, seed=1)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-    z0 = encode_initial_states(tape, leaves, TINY, obs)
+    z0 = encode_initial_states(tape, leaves_of(tape, params), TINY, [obs])
     grads = backward(tape, ad.l2_norm_sq(z0))
     for key in ("enc.embed.W", "enc.attn.Wq", "enc.attn.Wk", "enc.attn.Wv", "enc.out.W"):
         assert key in grads and np.any(grads[key] != 0.0), key
+
+
+def test_padded_encoder_pass_matches_each_agent_alone():
+    """Agents with 1, 5 and 3 observations in one masked pass encode as
+    they do on their own, and so do samples batched with others."""
+    params = init_params(TINY, seed=2)
+    rng = np.random.default_rng(11)
+    counts = np.array([1, 5, 3])
+    m = counts.max()
+    times = np.zeros((3, m))
+    feats = np.zeros((3, m, TINY.d_obs))
+    alone = []
+    for a, n in enumerate(counts):
+        times[a, :n] = np.append(np.sort(rng.uniform(-1.0, -0.01, n - 1)), 0.0)
+        feats[a, :n] = rng.standard_normal((n, TINY.d_obs))
+        tape = Tape()
+        alone.append(encode_agent(tape, leaves_of(tape, params), TINY,
+                                  times[a:a + 1, :n], feats[a:a + 1, :n], [n]).value[0])
+    tape = Tape()
+    padded = encode_agent(tape, leaves_of(tape, params), TINY, times, feats, counts).value
+    assert padded.shape == (3, TINY.d_model)
+    assert np.allclose(padded, np.stack(alone), rtol=1e-12, atol=1e-12)
+
+    samples = [tiny_obs(seed=s, n_cond=c) for s, c in ((7, [2, 6]), (8, [4, 1]))]
+    tape = Tape()
+    batched = encode_initial_states(tape, leaves_of(tape, params), TINY, samples).value
+    for b, obs in enumerate(samples):
+        tape = Tape()
+        own = encode_initial_states(tape, leaves_of(tape, params), TINY, [obs]).value
+        assert np.allclose(batched[2 * b:2 * b + 2], own, rtol=1e-12, atol=1e-12)
+
+
+def test_encoder_rejects_agent_without_observations():
+    params = init_params(TINY, seed=0)
+    tape = Tape()
+    with pytest.raises(EncodingError):
+        encode_agent(tape, leaves_of(tape, params), TINY,
+                     np.zeros((2, 3)), np.zeros((2, 3, TINY.d_obs)), [3, 0])
+
+
+SPATIAL = ModelConfig(d_obs=2, d_enc=4, d_aug=2, d_model=8, ode_hidden=8,
+                      dec_hidden=8, spatial_round=True)
+
+
+def spatial_batch():
+    """A 3-agent sample with one edge (agent 2 isolated) and one without edges."""
+    with_edges = tiny_obs(seed=9, n_agents=3, n_cond=[3, 4, 2],
+                          graph=InteractionGraph.from_edges(3, [(0, 1)]))
+    no_edges = tiny_obs(seed=10, n_agents=3, graph=InteractionGraph.empty(3))
+    params = init_params(SPATIAL, seed=3)
+    rng = np.random.default_rng(12)
+    params["enc.spatial.b"] = rng.uniform(0.1, 0.5, params["enc.spatial.b"].shape)
+    params["enc.out.b"] = rng.standard_normal(params["enc.out.b"].shape)
+    return [with_edges, no_edges], params
+
+
+def test_spatial_round_updates_only_samples_with_edges():
+    """Per sample: U + relu(mean over neighbours of U, W, b) where the sample
+    has edges, U unchanged where it has none; recomputed here in NumPy."""
+    samples, params = spatial_batch()
+    tape = Tape()
+    z0 = encode_initial_states(tape, leaves_of(tape, params), SPATIAL, samples).value
+
+    expected = []
+    for obs in samples:
+        tape = Tape()
+        leaves = leaves_of(tape, params)
+        U = np.stack([
+            encode_agent(tape, leaves, SPATIAL, t[None, :], f[None, :, :], [len(t)]).value[0]
+            for t, f in zip(obs.cond_times, obs.cond_feats)
+        ])
+        if obs.graph.n_edges > 0:
+            adj = obs.graph.adjacency.astype(float)
+            msg = adj / np.maximum(adj.sum(axis=1, keepdims=True), 1.0) @ U
+            U = U + np.maximum(msg @ params["enc.spatial.W"] + params["enc.spatial.b"], 0.0)
+        z = U @ params["enc.out.W"] + params["enc.out.b"]
+        expected.append(np.concatenate([z, np.zeros((3, SPATIAL.d_aug))], axis=1))
+    assert np.allclose(z0, np.concatenate(expected), rtol=1e-12, atol=1e-12)
+
+
+def test_spatial_round_mixed_batch_grad_check():
+    samples, params = spatial_batch()
+    enc_params = {k: v for k, v in params.items() if k.startswith("enc.")}
+
+    def f(tape, leaves):
+        return ad.l2_norm_sq(encode_initial_states(tape, leaves, SPATIAL, samples))
+
+    report = grad_check(f, enc_params, tol=1e-5)
+    assert report.passed, report.max_rel_err
+    tape = Tape()
+    grads = backward(tape, f(tape, leaves_of(tape, enc_params)))
+    assert np.any(grads["enc.spatial.W"] != 0.0) and np.any(grads["enc.spatial.b"] != 0.0)
 
 
 # ------------------------------------------------------------------- edges

@@ -13,7 +13,8 @@ import pytest
 from revode import autodiff as ad
 from revode import training
 from revode.autodiff import Tape
-from revode.data import build_observation_sets, build_trajectory
+from revode.configs import DESK_TRAIN_WINDOW, TRAIN_DEFAULTS, desk_model_config
+from revode.data import ObservationSet, build_observation_sets, build_trajectory
 from revode.errors import ConfigurationError, RolloutDivergedError, TrainingDivergedError
 from revode.model import (
     ModelConfig,
@@ -24,7 +25,7 @@ from revode.model import (
     rollout_forward,
     rollout_reverse,
 )
-from revode.systems import SystemSpec
+from revode.systems import InteractionGraph, SystemSpec
 from revode.training import (
     BUCKETS,
     LOSS_VARIANTS,
@@ -71,7 +72,7 @@ def decoded_rollouts(params, batch):
     tape = Tape()
     leaves = {k: tape.leaf(v, k) for k, v in params.items()}
     z0 = ad.concat(
-        [encode_initial_states(tape, leaves, TINY, o) for o in batch.obs_list], axis=0
+        [encode_initial_states(tape, leaves, TINY, [o]) for o in batch.obs_list], axis=0
     )
     g = make_ode_func(tape, leaves, TINY, batch.edges, batch.n_nodes)
     fwd = rollout_forward(z0, g, batch.K, batch.dt, TINY.scheme)
@@ -167,11 +168,12 @@ def test_build_batch_layout():
     assert batch.edges == [(0, 0), (1, 1), (2, 2)]
     assert batch.K == obs[0].n_rollout_steps
     n_rows = sum(len(ix) for o in obs for ix in o.pred_idx)
-    assert batch.sel_matrix.shape == (n_rows, (batch.K + 1) * batch.n_nodes)
+    assert batch.rows.shape == (n_rows,)
     assert batch.targets.shape == (n_rows, obs[0].d)
-    # every selector row is one-hot on the decoded stack, at the target's row
-    assert np.all(batch.sel_matrix.sum(axis=1) == 1.0)
-    assert np.array_equal(np.argmax(batch.sel_matrix, axis=1), batch.rows)
+    # each target gathers its own row of the decoded stack
+    assert np.unique(batch.rows).size == n_rows
+    assert 0 <= batch.rows.min() and batch.rows.max() < (batch.K + 1) * batch.n_nodes
+    assert not hasattr(batch, "sel_matrix")
 
 
 def test_build_batch_rows_and_spans_per_agent():
@@ -224,6 +226,44 @@ def test_batch_forward_unknown_variant():
     leaves = {k: tape.leaf(v, k) for k, v in params.items()}
     with pytest.raises(ConfigurationError):
         batch_forward(tape, leaves, TINY, batch, "flip", 0.5)
+
+
+def synthetic_obs_sets(n_sets, n_agents, d, K, seed=0):
+    """Random observation sets with 25 condition observations per agent
+    and every rollout step a target; sample b links agents b and b + 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for b in range(n_sets):
+        edges = [(b % n_agents, (b + 1) % n_agents)] if n_agents > 1 else []
+        out.append(ObservationSet(
+            n_agents=n_agents, d=d, t0=0.0, dt=0.1, n_rollout_steps=K,
+            cond_times=[np.linspace(-2.4, 0.0, 25) for _ in range(n_agents)],
+            cond_feats=[rng.standard_normal((25, d)) for _ in range(n_agents)],
+            pred_idx=[np.arange(1, K + 1) for _ in range(n_agents)],
+            pred_feats=[rng.standard_normal((K, d)) for _ in range(n_agents)],
+            graph=InteractionGraph.from_edges(n_agents, edges),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("preset, max_nodes", [("desk", 800), ("graph", 3200)])
+def test_treat_batch_tape_size(preset, max_nodes):
+    """A 32-sample treat batch of the desk preset (one agent, Euler) and of
+    the default five-agent graph model (RK4), both K = 20, stays within its
+    node budget: bias adds, row gathers and one encoder pass per batch."""
+    K = DESK_TRAIN_WINDOW[2] - DESK_TRAIN_WINDOW[1]
+    if preset == "desk":
+        config, n_agents = desk_model_config(), 1
+    else:
+        widths = ("d_enc", "d_aug", "d_model", "ode_hidden", "dec_hidden", "scheme")
+        config = ModelConfig(d_obs=4, **{k: TRAIN_DEFAULTS[k] for k in widths})
+        n_agents = 5
+    batch = build_batch(synthetic_obs_sets(32, n_agents, config.d_obs, K))
+    tape = Tape()
+    leaves = {k: tape.leaf(v, k) for k, v in init_params(config, seed=0).items()}
+    batch_forward(tape, leaves, config, batch, "treat", 0.5)
+    assert len(tape) <= max_nodes
+    assert not hasattr(batch, "sel_matrix")
 
 
 # --------------------------------------------------------------- optimizer
