@@ -46,9 +46,10 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
+from .integrators import SCHEMES
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .systems import SYSTEM_KINDS, SystemSpec
-from .training import TrainSettings, evaluate, train, write_loss_report
+from .training import LOSS_VARIANTS, TrainSettings, evaluate, train, write_loss_report
 from .verify import SUITES, run_suite
 
 _EXIT_BY_ERROR = (
@@ -95,7 +96,7 @@ def _add_simulate_parser(sub):
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--test-steps", type=int, default=None)
     p.add_argument("--subsample", type=int, default=None)
-    p.add_argument("--scheme", choices=("euler", "heun", "rk4"), default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--edge-prob", type=float, default=None)
     p.add_argument("--noise", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -196,8 +197,7 @@ def _add_train_parser(sub):
     p.add_argument("--desk-scale", action="store_true")
     p.add_argument("--data", default=None)
     p.add_argument("--test-data", default=None)
-    p.add_argument("--loss-variant", choices=("treat", "gt_rev", "rev2", "none"),
-                   default=None)
+    p.add_argument("--loss-variant", choices=LOSS_VARIANTS, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -219,7 +219,7 @@ def _add_train_parser(sub):
     p.add_argument("--d-model", type=int, default=None)
     p.add_argument("--ode-hidden", type=int, default=None)
     p.add_argument("--dec-hidden", type=int, default=None)
-    p.add_argument("--scheme", choices=("euler", "heun", "rk4"), default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--outdir", default=None)
 
 

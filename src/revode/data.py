@@ -232,25 +232,33 @@ def _traj_record(traj: Trajectory) -> dict:
     }
 
 
+def _bare_spec(params, lineno: int) -> SystemSpec:
+    """The record's system without its interaction graph, so that the caller
+    can check n_agents against the record's data before the (n, n)
+    adjacency is allocated."""
+    n_agents, dim = params["n_agents"], params.get("dim", 1)
+    if type(n_agents) is not int or type(dim) is not int:
+        raise DatasetFormatError(
+            f"line {lineno}: n_agents and dim must be integers, got {n_agents!r}, {dim!r}"
+        )
+    return SystemSpec(kind=params["kind"], n_agents=n_agents, dim=dim)
+
+
 def _traj_from_record(rec: dict, lineno: int) -> Trajectory:
     params = rec["params"]
-    spec = SystemSpec.from_params_dict(params)
-    try:
-        times = np.asarray(rec["times"], dtype=np.float64)
-        states = np.asarray(rec["states"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged lists, non-numeric entries
-        raise DatasetFormatError(
-            f"line {lineno}: states/times are not numeric arrays ({exc})"
-        ) from None
+    bare = _bare_spec(params, lineno)
+    times = np.asarray(rec["times"], dtype=np.float64)
+    states = np.asarray(rec["states"], dtype=np.float64)
     if times.ndim != 1 or states.ndim != 2 or states.shape[0] != len(times):
         raise DatasetFormatError(f"line {lineno}: states/timestamps shape mismatch")
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise DatasetFormatError(f"line {lineno}: timestamps are not strictly increasing")
-    expected = spec.n_agents * spec.feature_dim
+    expected = bare.n_agents * bare.feature_dim
     if states.shape[1] != expected:
         raise DatasetFormatError(
             f"line {lineno}: state width {states.shape[1]} != n_agents*feature_dim {expected}"
         )
+    spec = SystemSpec.from_params_dict(params)
     mats = states.reshape(len(times), spec.n_agents, spec.feature_dim)
     return Trajectory(
         times=times,
@@ -289,11 +297,10 @@ def _obs_record(obs: ObservationSet) -> dict:
 
 def _obs_from_record(rec: dict, lineno: int) -> ObservationSet:
     params = rec["params"]
-    spec = SystemSpec.from_params_dict(params)
     agents = rec["agents"]
-    if len(agents) != spec.n_agents:
+    if len(agents) != _bare_spec(params, lineno).n_agents:
         raise DatasetFormatError(f"line {lineno}: agent count mismatch")
-    graph = InteractionGraph.from_edges(spec.n_agents, params.get("edges", []))
+    spec = SystemSpec.from_params_dict(params)
     return ObservationSet(
         n_agents=spec.n_agents,
         d=spec.feature_dim,
@@ -304,7 +311,7 @@ def _obs_from_record(rec: dict, lineno: int) -> ObservationSet:
         cond_feats=[np.asarray(a["cond_feats"], dtype=np.float64) for a in agents],
         pred_idx=[np.asarray(a["pred_idx"], dtype=np.int64) for a in agents],
         pred_feats=[np.asarray(a["pred_feats"], dtype=np.float64) for a in agents],
-        graph=graph,
+        graph=spec.graph,
         system=params,
         seed=rec.get("seed"),
         scale=float(rec.get("scale", 1.0)),
@@ -355,6 +362,9 @@ def read_dataset(path) -> list:
                     raise DatasetFormatError(f"line {lineno}: unknown record type {kind!r}")
             except KeyError as exc:
                 raise DatasetFormatError(f"line {lineno}: missing field {exc}") from None
+            except (ConfigurationError, TypeError, ValueError, IndexError, OverflowError) as exc:
+                # wrong types or values inside a field: ragged states, a bad edge
+                raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from None
     return items
 
 

@@ -23,6 +23,7 @@ from .errors import (
     EncodingError,
     RolloutDivergedError,
 )
+from .integrators import SCHEMES
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -42,7 +43,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_model % 2 != 0:
             raise ConfigurationError("d_model must be even for the temporal encoding")
-        if self.scheme not in ("euler", "heun", "rk4"):
+        if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown rollout scheme {self.scheme!r}")
         for name in ("d_obs", "d_enc", "d_aug", "d_model", "ode_hidden", "dec_hidden"):
             if getattr(self, name) < (0 if name == "d_aug" else 1):

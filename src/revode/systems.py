@@ -8,6 +8,7 @@ Every derivative function accepts states with arbitrary leading batch axes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -167,6 +168,14 @@ class SystemSpec:
             return InteractionGraph.chain(3)
         return InteractionGraph.complete(self.n_agents)
 
+    @cached_property
+    def _spring_adjacency(self) -> np.ndarray:
+        """The resolved graph's adjacency as float64, built once per spec:
+        the spring force and potential read it at every evaluation."""
+        adj = self.resolved_graph().adjacency.astype(np.float64)
+        adj.flags.writeable = False
+        return adj
+
     def params_dict(self) -> dict:
         out = {
             "kind": self.kind,
@@ -216,7 +225,7 @@ def _spring_force(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
     if spec.n_agents == 1 or anchored_only:
         force -= spec.anchor_k * q
     if spec.n_agents > 1 and not anchored_only:
-        adj = spec.resolved_graph().adjacency.astype(np.float64)
+        adj = spec._spring_adjacency
         deg = adj.sum(axis=1)
         # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
         force -= spec.k * (deg[:, None] * q - np.matmul(adj, q))
@@ -231,7 +240,7 @@ def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
     if spec.n_agents == 1 or anchored_only:
         pot = pot + 0.5 * spec.anchor_k * np.sum(q * q, axis=(-2, -1))
     if spec.n_agents > 1 and not anchored_only:
-        adj = spec.resolved_graph().adjacency.astype(np.float64)
+        adj = spec._spring_adjacency
         diff = q[..., :, None, :] - q[..., None, :, :]  # (..., n, n, d)
         sq = np.sum(diff * diff, axis=-1)
         # double sum over ordered pairs with the extra 1/2 in front

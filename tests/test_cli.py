@@ -193,6 +193,31 @@ def test_train_ragged_states_is_input_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: line 1:")
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda rec: rec.update(params=[1, 2]),
+    lambda rec: rec["params"].update(edges=[[0]]),
+    lambda rec: rec["params"].update(n_agents="1"),
+    lambda rec: rec["params"].update(n_agents=-1),
+    lambda rec: rec["params"].update(n_agents=10**12),
+    lambda rec: rec.update(scale="big"),
+], ids=["params_list", "short_edge", "n_agents_str", "n_agents_negative",
+        "n_agents_huge", "scale_str"])
+def test_train_malformed_dataset_is_input_error(tmp_path, capsys, mutate):
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    lines = open(train_jl).read().splitlines()
+    rec = json.loads(lines[0])
+    mutate(rec)
+    lines[0] = json.dumps(rec)
+    with open(train_jl, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl] + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 1:")
+
+
 def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise RolloutDivergedError("forward rollout diverged at step 1", step=1)

@@ -1,7 +1,11 @@
 """Dataset pipeline tests: seeding, subsampling, normalization, and I/O."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from revode.data import (
     PURPOSE_INIT,
@@ -9,6 +13,8 @@ from revode.data import (
     SIM_DEFAULTS,
     TRAJECTORIES_PER_SEED,
     ObservationSet,
+    _obs_record,
+    _traj_record,
     add_gaussian_noise,
     build_observation_sets,
     build_trajectory,
@@ -18,9 +24,9 @@ from revode.data import (
     rng_stream,
     write_dataset,
 )
-from revode.errors import ConfigurationError, DatasetFormatError
+from revode.errors import ConfigurationError, DatasetFormatError, RevodeError
 from revode.integrators import Trajectory
-from revode.systems import SYSTEM_KINDS, SystemSpec
+from revode.systems import SYSTEM_KINDS, InteractionGraph, SystemSpec
 
 
 # ------------------------------------------------------------------- rng
@@ -286,6 +292,69 @@ def test_read_dataset_rejects_garbage(tmp_path):
     path.write_text("not json at all\n")
     with pytest.raises(DatasetFormatError):
         read_dataset(path)
+
+
+def _valid_records():
+    """One trajectory and one observation-set record of a two-agent spring."""
+    spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1)
+    traj = build_trajectory(spec, seed=3, index=0, raw_steps=5000)
+    obs = irregular_subsample(traj, 5, 10, (0, 30, 50), rng_seed=2)
+    traj = Trajectory(traj.times[:4], traj.q[:4], traj.p[:4], system=traj.system, seed=0)
+    return [json.loads(json.dumps(rec)) for rec in (_traj_record(traj), _obs_record(obs))]
+
+
+def _field_paths(rec):
+    """Every top-level field, every `params` field and every field of the
+    first agent, as key paths."""
+    paths = [(key,) for key in rec]
+    paths += [("params", key) for key in rec["params"]]
+    if "agents" in rec:
+        paths += [("agents", 0, key) for key in rec["agents"][0]]
+    return paths
+
+
+VALID_RECORDS = _valid_records()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), value=JSON_VALUES)
+def test_read_dataset_field_fuzz_raises_only_revode_errors(tmp_path_factory, data, value):
+    """A valid record with one field replaced by any JSON value either
+    loads or fails with a RevodeError, never another exception (and never
+    allocates a graph for an n_agents its data does not hold)."""
+    rec = json.loads(json.dumps(data.draw(st.sampled_from(VALID_RECORDS))))
+    *parents, key = data.draw(st.sampled_from(_field_paths(rec)))
+    target = rec
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    try:
+        read_dataset(path)
+    except RevodeError:
+        pass
+
+
+def test_read_dataset_checks_n_agents_before_building_the_graph(tmp_path, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("graph built before n_agents was checked")
+
+    monkeypatch.setattr(InteractionGraph, "from_edges", staticmethod(no_graph))
+    for rec in VALID_RECORDS:
+        rec = json.loads(json.dumps(rec))
+        rec["params"]["n_agents"] = 10**12
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 1"):
+            read_dataset(path)
 
 
 def test_float64_payloads_survive_json_exactly(tmp_path):

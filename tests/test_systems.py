@@ -109,6 +109,22 @@ def test_two_body_spring_force_by_hand():
     assert np.allclose(dstate.q, [[0.0], [0.0]])  # dq = p/m with p = 0
 
 
+def test_complete_graph_is_resolved_once_per_spec(monkeypatch):
+    """Every force and potential evaluation of one spec reads one cached
+    adjacency; building the complete graph per call was the waste."""
+    built = []
+    complete = InteractionGraph.complete
+    monkeypatch.setattr(
+        InteractionGraph, "complete", staticmethod(lambda n: built.append(n) or complete(n))
+    )
+    spec = SystemSpec(kind="damped_spring", n_agents=5, dim=2)
+    rng = np.random.default_rng(0)
+    state0 = StateVector(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
+    traj = integrate(make_derivative(spec), state0, TimeGrid(0.0, 1e-3, 50), scheme="rk4")
+    mechanical_energy(spec, StateVector(traj.q, traj.p))
+    assert built == [5]
+
+
 def test_anchored_single_ball_force():
     spec = SystemSpec(kind="simple_spring", n_agents=1, dim=2, k=0.5)
     state = StateVector(np.array([[2.0, -1.0]]), np.array([[0.3, 0.4]]))

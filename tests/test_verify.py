@@ -9,20 +9,31 @@ laws).
 import numpy as np
 import pytest
 
+import revode.verify
+from revode.data import PURPOSE_INIT, SIM_DEFAULTS, draw_initial_state, rng_stream
 from revode.errors import ConfigurationError
-from revode.integrators import StateVector
-from revode.systems import SystemSpec, mechanical_energy_rate
+from revode.integrators import StateVector, TimeGrid, integrate
+from revode.systems import (
+    SystemSpec,
+    make_derivative,
+    mechanical_energy,
+    mechanical_energy_rate,
+)
 from revode.verify import (
     DEFAULT_SCALING_DTS,
+    ENERGY_CASES,
+    ENERGY_SCHEME,
+    SCALING_MIN_R2,
     SUITES,
+    Assertion,
     SuiteResult,
     _loglog_fit,
+    _max_rate_mismatch,
     energy_classification_check,
     lemma1_roundtrip,
     lemma2_construction_check,
     lyapunov_mle,
     mechanical_energy_rate_chain_rule,
-    roundtrip_dt_sweep,
     run_suite,
     run_suite_lemma2,
     theorem1_scaling,
@@ -45,20 +56,20 @@ def test_roundtrip_vanishes_for_reversible_flow():
 
 
 def test_roundtrip_order_for_reversible_flow():
-    sweep = roundtrip_dt_sweep(
-        one_ball(), one_ball_state(), "rk4", (1e-3, 5e-4), span=2.0
+    coarse, fine = (
+        lemma1_roundtrip(one_ball(), one_ball_state(), "rk4", dt, span=2.0)
+        for dt in (1e-3, 5e-4)
     )
-    ratio = sweep[1e-3] / sweep[5e-4]
-    assert ratio >= 12.0  # at least the solver's nominal order
+    assert coarse / fine >= 12.0  # at least the solver's nominal order
 
 
 def test_roundtrip_plateaus_for_damped_flow():
     """Friction is odd under momentum flip, so the gap cannot vanish with dt."""
     spec = SystemSpec(kind="damped_spring", n_agents=1, dim=1, k=1.0, gamma=1.0)
-    sweep = roundtrip_dt_sweep(
-        spec, one_ball_state(), "rk4", (1e-2, 5e-3, 2.5e-3), span=2.0
-    )
-    vals = list(sweep.values())
+    vals = [
+        lemma1_roundtrip(spec, one_ball_state(), "rk4", dt, span=2.0)
+        for dt in (1e-2, 5e-3, 2.5e-3)
+    ]
     assert min(vals) > 1e-3
     # flat, not shrinking: the finest dt keeps most of the coarsest gap
     assert vals[-1] / vals[0] > 0.5
@@ -87,8 +98,7 @@ def test_theorem1_scaling_first_order_solver():
     report = theorem1_scaling(scheme="euler")
     assert report.scheme == "euler"
     assert 1.7 < report.s_pred < 2.3
-    assert report.s_pred_r2 > 0.98
-    assert report.pred_fit_reliable
+    assert report.s_pred_r2 > SCALING_MIN_R2
     # losses recorded for every (span, dt) cell
     assert set(report.l_pred) == {
         (T, dt) for T in report.t_list for dt in report.dt_list
@@ -100,7 +110,7 @@ def test_theorem1_scaling_reverse_slope_outruns_prediction_slope():
     loss once the solver order supports the dt^4 envelope."""
     report = theorem1_scaling(scheme="heun")
     assert report.s_rev - report.s_pred >= 1.0
-    assert report.rev_fit_reliable
+    assert report.s_rev_r2 > SCALING_MIN_R2
 
 
 def test_theorem1_scaling_requires_enough_dts():
@@ -135,6 +145,16 @@ def test_lemma2_bound_over_random_pairs():
         assert upper == pytest.approx(a + b, abs=1e-9)
 
 
+def test_lemma2_arrays_match_scalar_calls():
+    a, b = np.random.default_rng(7).uniform(0.0, 10.0, size=(2, 50))
+    lower, upper = lemma2_construction_check(a, b)
+    assert lower.shape == upper.shape == (50,)
+    for i in range(50):
+        assert (lower[i], upper[i]) == lemma2_construction_check(a[i], b[i])
+    with pytest.raises(ConfigurationError):
+        lemma2_construction_check(a, -b)
+
+
 # ------------------------------------------------------------ energy rate
 
 def test_chain_rule_rate_agrees_with_closed_form():
@@ -149,6 +169,23 @@ def test_chain_rule_rate_agrees_with_closed_form():
         analytic = mechanical_energy_rate(spec, state, t=0.37)
         chain = mechanical_energy_rate_chain_rule(spec, state, t=0.37)
         assert abs(analytic - chain) < 1e-7, kind
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("simple_spring", {}),
+    ("damped_spring", dict(gamma=2.0)),
+    ("forced_spring", dict(k1=5.0, omega=1.3)),
+])
+def test_chain_rule_rate_on_stacked_states_matches_each_state(kind, kwargs):
+    rng = np.random.default_rng(11)
+    spec = SystemSpec(kind=kind, n_agents=4, dim=2, k=0.7, **kwargs)
+    stacked = StateVector(rng.standard_normal((6, 4, 2)), rng.standard_normal((6, 4, 2)))
+    t = rng.uniform(0.0, 5.0, size=6)
+    rates = mechanical_energy_rate_chain_rule(spec, stacked, t)
+    assert rates.shape == (6,)
+    for i in range(6):
+        one = StateVector(stacked.q[i], stacked.p[i])
+        assert rates[i] == mechanical_energy_rate_chain_rule(spec, one, t[i])
 
 
 def test_energy_classification_simple_spring():
@@ -171,6 +208,66 @@ def test_energy_classification_damped_spring():
 def test_energy_classification_rejects_non_spring():
     with pytest.raises(ConfigurationError):
         energy_classification_check(SystemSpec(kind="triple_pendulum", n_agents=3))
+
+
+@pytest.mark.parametrize("kind", ["simple_spring", "damped_spring"])
+def test_energy_classification_needs_a_trajectory_and_a_rate_state(kind):
+    """With nothing integrated there is nothing to pass on."""
+    spec = SystemSpec(kind=kind, n_agents=2, dim=1)
+    with pytest.raises(ConfigurationError):
+        energy_classification_check(spec, n_trajectories=0, span=0.5)
+    with pytest.raises(ConfigurationError):
+        energy_classification_check(spec, n_trajectories=1, span=0.5, n_rate_states=0)
+
+
+def rate_mismatch_by_state(spec, trajs, n_states):
+    """Reference for _max_rate_mismatch: one rate pair per state, members
+    one after another."""
+    states = [(t.state(i), t.times[i]) for t in trajs for i in range(t.n_points)]
+    stride = max(1, len(states) // n_states)
+    return max(
+        float(abs(
+            mechanical_energy_rate(spec, s, t) - mechanical_energy_rate_chain_rule(spec, s, t)
+        ))
+        for s, t in states[::stride][:n_states]
+    )
+
+
+@pytest.mark.parametrize("label, spec", ENERGY_CASES, ids=[c[0] for c in ENERGY_CASES])
+def test_energy_ensemble_matches_members_integrated_alone(monkeypatch, label, spec):
+    """The check's one ensemble call gives every member bitwise the
+    trajectory and energy trace it has when integrated alone, and its rate
+    mismatch is the per-state loop's."""
+    seen = {}
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] = out = fn(*args, **kwargs)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(revode.verify, "integrate", record("traj", integrate))
+    monkeypatch.setattr(revode.verify, "mechanical_energy", record("energy", mechanical_energy))
+    span, members = 0.5, 3
+    energy_classification_check(spec, n_trajectories=members, seed=4, span=span)
+    ensemble, energy = seen["traj"], seen["energy"]
+    assert ensemble.q.shape[1] == members and energy.shape == (ensemble.n_points, members)
+
+    _, dt, sub = SIM_DEFAULTS[spec.kind]
+    grid = TimeGrid(0.0, dt, int(round(span / dt)))
+    alone = []
+    for i in range(members):
+        start = draw_initial_state(spec, rng_stream(4, i, PURPOSE_INIT))
+        traj = integrate(make_derivative(spec), start, grid, ENERGY_SCHEME, sub)
+        assert np.array_equal(ensemble.q[:, i], traj.q)
+        assert np.array_equal(ensemble.p[:, i], traj.p)
+        assert np.array_equal(energy[:, i], mechanical_energy(spec, StateVector(traj.q, traj.p)))
+        alone.append(traj)
+    if spec.kind != "simple_spring":
+        for n_states in (7, 1000):
+            assert _max_rate_mismatch(spec, ensemble, n_states) == rate_mismatch_by_state(
+                spec, alone, n_states
+            )
 
 
 # ------------------------------------------------------------ chaos probe
@@ -219,3 +316,10 @@ def test_suite_result_jsonable():
 
     result = run_suite_lemma2()
     json.dumps(result.to_jsonable())
+
+
+def test_suite_result_passes_only_when_every_assertion_does():
+    result = SuiteResult("s", [Assertion("a", True, 1.0), Assertion("b", True, 2.0)])
+    assert result.passed and result.to_jsonable()["passed"] is True
+    result.assertions.append(Assertion("c", False, 3.0))
+    assert not result.passed and result.to_jsonable()["passed"] is False
