@@ -3,10 +3,12 @@
 Nodes are appended in creation order, which is already a topological order
 (every parent index is smaller than its child's), so the backward sweep is
 a single reversed loop over the node list.  Values are float64 numpy
-arrays.  Elementwise ops require exactly matching shapes -- the only
-broadcasting allowed anywhere is scalar-times-tensor / scalar-plus-tensor
-and add_bias's (1, c) row, which keeps silent shape bugs out of the
-gradient path.
+arrays, held by the Tensors themselves: a forward-only tape (record=False)
+keeps no nodes, so a pass that never runs backward holds only the values
+its caller still references.  Elementwise ops require exactly matching
+shapes -- the only broadcasting allowed anywhere is scalar-times-tensor /
+scalar-plus-tensor and add_bias's (1, c) row, which keeps silent shape bugs
+out of the gradient path.
 """
 
 from __future__ import annotations
@@ -31,17 +33,15 @@ class Node:
 
 
 class Tensor:
-    """Lightweight handle: a tape plus an index into it."""
+    """Lightweight handle: a tape, an index into it (-1 on a forward-only
+    tape) and the value."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value")
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int, value: np.ndarray):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.idx].value
+        self.value = value
 
     @property
     def shape(self):
@@ -62,20 +62,20 @@ class Tensor:
     def __neg__(self):
         return smul(self, -1.0)
 
-    def __getitem__(self, key):
-        return take(self, key)
-
 
 class Tape:
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Node] = []
 
     def _record(self, op, value, parents, bwd, name=None) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
+        if not self.record:
+            return Tensor(self, -1, value)
         for p in parents:
-            assert p < len(self.nodes)
+            assert 0 <= p < len(self.nodes)
         self.nodes.append(Node(op, value, parents, bwd, name))
-        return Tensor(self, len(self.nodes) - 1)
+        return Tensor(self, len(self.nodes) - 1, value)
 
     def leaf(self, value, name: str) -> Tensor:
         """A named parameter; backward() reports gradients for these."""
@@ -222,21 +222,6 @@ def scatter_rows(a: Tensor, idx, n: int) -> Tensor:
     )
 
 
-def tsum(a: Tensor) -> Tensor:
-    shape = a.value.shape
-    return a.tape._record(
-        "sum", np.sum(a.value), (a.idx,), lambda g: (np.full(shape, float(g)),)
-    )
-
-
-def tmean(a: Tensor) -> Tensor:
-    shape = a.value.shape
-    n = a.value.size
-    return a.tape._record(
-        "mean", np.mean(a.value), (a.idx,), lambda g: (np.full(shape, float(g) / n),)
-    )
-
-
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
@@ -255,19 +240,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return tape._record("concat", out, tuple(t.idx for t in tensors), bwd)
-
-
-def take(a: Tensor, key) -> Tensor:
-    """Basic (non-fancy) slicing; gradients scatter back additively."""
-    shape = a.value.shape
-    out = a.value[key]
-
-    def bwd(g):
-        buf = np.zeros(shape, dtype=np.float64)
-        buf[key] = g
-        return (buf,)
-
-    return a.tape._record("slice", out, (a.idx,), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -298,26 +270,6 @@ def relu(a: Tensor) -> Tensor:
     return a.tape._record("relu", out, (a.idx,), lambda g: (g * mask,))
 
 
-def tsin(a: Tensor) -> Tensor:
-    av = a.value
-    return a.tape._record("sin", np.sin(av), (a.idx,), lambda g: (g * np.cos(av),))
-
-
-def tcos(a: Tensor) -> Tensor:
-    av = a.value
-    return a.tape._record("cos", np.cos(av), (a.idx,), lambda g: (-g * np.sin(av),))
-
-
-def texp(a: Tensor) -> Tensor:
-    out = np.exp(a.value)
-    return a.tape._record("exp", out, (a.idx,), lambda g: (g * out,))
-
-
-def square(a: Tensor) -> Tensor:
-    av = a.value
-    return a.tape._record("square", av * av, (a.idx,), lambda g: (2.0 * g * av,))
-
-
 def l2_norm_sq(a: Tensor) -> Tensor:
     av = a.value
     return a.tape._record(
@@ -344,6 +296,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every named leaf; loss must be scalar."""
     if loss.tape is not tape:
         raise ShapeError("loss does not belong to this tape")
+    if not tape.record:
+        raise ShapeError("backward needs a recording tape; this one is forward-only")
     if loss.value.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
@@ -396,7 +350,7 @@ def grad_check(
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     def run(vals: dict[str, np.ndarray]) -> float:
-        tape = Tape()
+        tape = Tape(record=False)
         leaves = {k: tape.leaf(v, k) for k, v in vals.items()}
         return float(f(tape, leaves).value)
 

@@ -301,16 +301,26 @@ def _obs_from_record(rec: dict, lineno: int) -> ObservationSet:
     if len(agents) != _bare_spec(params, lineno).n_agents:
         raise DatasetFormatError(f"line {lineno}: agent count mismatch")
     spec = SystemSpec.from_params_dict(params)
+    d = spec.feature_dim
+    cond_times = [np.asarray(a["cond_times"], dtype=np.float64) for a in agents]
+    cond_feats = [np.asarray(a["cond_feats"], dtype=np.float64) for a in agents]
+    pred_idx = [np.asarray(a["pred_idx"], dtype=np.int64) for a in agents]
+    pred_feats = [np.asarray(a["pred_feats"], dtype=np.float64) for a in agents]
+    for i, (ct, cf, pi, pf) in enumerate(zip(cond_times, cond_feats, pred_idx, pred_feats)):
+        if ct.ndim != 1 or pi.ndim != 1 or cf.shape != (len(ct), d) or pf.shape != (len(pi), d):
+            raise DatasetFormatError(
+                f"line {lineno}: agent {i} observations are not (count, {d}) arrays "
+                f"for dim {spec.dim}")
     return ObservationSet(
         n_agents=spec.n_agents,
-        d=spec.feature_dim,
+        d=d,
         t0=float(rec["t0"]),
         dt=float(rec["dt"]),
         n_rollout_steps=int(rec["n_rollout_steps"]),
-        cond_times=[np.asarray(a["cond_times"], dtype=np.float64) for a in agents],
-        cond_feats=[np.asarray(a["cond_feats"], dtype=np.float64) for a in agents],
-        pred_idx=[np.asarray(a["pred_idx"], dtype=np.int64) for a in agents],
-        pred_feats=[np.asarray(a["pred_feats"], dtype=np.float64) for a in agents],
+        cond_times=cond_times,
+        cond_feats=cond_feats,
+        pred_idx=pred_idx,
+        pred_feats=pred_feats,
         graph=spec.graph,
         system=params,
         seed=rec.get("seed"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     ConfigurationError,
     EncodingError,
     RolloutDivergedError,
+    ShapeError,
 )
 from .integrators import SCHEMES
 
@@ -41,13 +43,18 @@ class ModelConfig:
     te_base: float = 10000.0
 
     def __post_init__(self):
+        for name in ("d_obs", "d_enc", "d_aug", "d_model", "ode_hidden", "dec_hidden"):
+            value = getattr(self, name)
+            if type(value) is not int or value < (0 if name == "d_aug" else 1):
+                raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % 2 != 0:
             raise ConfigurationError("d_model must be even for the temporal encoding")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown rollout scheme {self.scheme!r}")
-        for name in ("d_obs", "d_enc", "d_aug", "d_model", "ode_hidden", "dec_hidden"):
-            if getattr(self, name) < (0 if name == "d_aug" else 1):
-                raise ConfigurationError(f"{name} must be positive")
+        if type(self.spatial_round) is not bool:
+            raise ConfigurationError("spatial_round must be true or false")
+        if type(self.te_base) not in (int, float) or not self.te_base > 0:
+            raise ConfigurationError("te_base must be a positive number")
 
     @property
     def d_z(self) -> int:
@@ -87,39 +94,36 @@ def temporal_encoding(delta_ts: np.ndarray, d: int, base: float = 10000.0) -> np
     return out
 
 
-def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, in a fixed key order."""
-    rng = rng_stream(seed, 0, 7)
-
-    def glorot(fan_in, fan_out):
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-a, a, size=(fan_in, fan_out))
-
-    dm, dz, h = config.d_model, config.d_z, config.ode_hidden
-    params = {
-        "enc.embed.W": glorot(config.d_obs, dm),
-        "enc.embed.b": np.zeros((1, dm)),
-        "enc.attn.Wq": glorot(dm, dm),
-        "enc.attn.Wk": glorot(dm, dm),
-        "enc.attn.Wv": glorot(dm, dm),
-        "enc.pool.Wa": glorot(dm, dm),
-        "enc.out.W": glorot(dm, config.d_enc),
-        "enc.out.b": np.zeros((1, config.d_enc)),
-        "ode.msg.W": glorot(2 * dz, h),
-        "ode.msg.b": np.zeros((1, h)),
-        "ode.upd1.W": glorot(dz + h, h),
-        "ode.upd1.b": np.zeros((1, h)),
-        "ode.upd2.W": glorot(h, dz),
-        "ode.upd2.b": np.zeros((1, dz)),
-        "dec.W1": glorot(dz, config.dec_hidden),
-        "dec.b1": np.zeros((1, config.dec_hidden)),
-        "dec.W2": glorot(config.dec_hidden, config.d_out),
-        "dec.b2": np.zeros((1, config.d_out)),
+def param_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Every parameter's shape, in init_params' key (and draw) order."""
+    dm, dz, h, dh = config.d_model, config.d_z, config.ode_hidden, config.dec_hidden
+    shapes = {
+        "enc.embed.W": (config.d_obs, dm), "enc.embed.b": (1, dm),
+        "enc.attn.Wq": (dm, dm), "enc.attn.Wk": (dm, dm), "enc.attn.Wv": (dm, dm),
+        "enc.pool.Wa": (dm, dm),
+        "enc.out.W": (dm, config.d_enc), "enc.out.b": (1, config.d_enc),
+        "ode.msg.W": (2 * dz, h), "ode.msg.b": (1, h),
+        "ode.upd1.W": (dz + h, h), "ode.upd1.b": (1, h),
+        "ode.upd2.W": (h, dz), "ode.upd2.b": (1, dz),
+        "dec.W1": (dz, dh), "dec.b1": (1, dh),
+        "dec.W2": (dh, config.d_out), "dec.b2": (1, config.d_out),
     }
     if config.spatial_round:
-        params["enc.spatial.W"] = glorot(dm, dm)
-        params["enc.spatial.b"] = np.zeros((1, dm))
-    return params
+        shapes.update({"enc.spatial.W": (dm, dm), "enc.spatial.b": (1, dm)})
+    return shapes
+
+
+def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights, zero biases, in param_shapes' order."""
+    rng = rng_stream(seed, 0, 7)
+
+    def init(name, shape):
+        if name.rsplit(".", 1)[1].startswith("b"):
+            return np.zeros(shape)
+        a = np.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-a, a, size=shape)
+
+    return {name: init(name, shape) for name, shape in param_shapes(config).items()}
 
 
 def _linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -228,6 +232,9 @@ def directed_edges(graph, n_agents: int, offset: int = 0) -> list[tuple[int, int
     return out
 
 
+FIELD_PARAMS = ("ode.msg.W", "ode.msg.b", "ode.upd1.W", "ode.upd1.b", "ode.upd2.W", "ode.upd2.b")
+
+
 def make_ode_func(
     tape: Tape,
     leaves: dict[str, Tensor],
@@ -239,19 +246,41 @@ def make_ode_func(
 
     `edges` are directed (src, tgt) pairs; messages m_e = MLP([z_tgt, z_src])
     are summed per target and fed with z into the update MLP.  One gather of
-    the interleaved (tgt, src) rows reshapes into the message inputs.
+    the interleaved (tgt, src) rows reshapes into the message inputs.  Each
+    g(z) is one tape node with a hand-written backward that keeps the pair
+    rows, the ReLU masks, the update input and the hidden activations.
     """
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     pair_rows = ad.RowIndex(pairs[:, ::-1].reshape(-1), n_nodes)
     targets = ad.RowIndex(pairs[:, 1], n_nodes)
-    pair_shape = (len(pairs), 2 * config.d_z)
+    dz = config.d_z
+    weights = [leaves[name] for name in FIELD_PARAMS]
+    Wm, bm, W1, b1, W2, b2 = (w.value for w in weights)
 
     def g(z: Tensor) -> Tensor:
-        pair = ad.reshape(ad.gather_rows(z, pair_rows), pair_shape)
-        msg = ad.relu(_linear(pair, leaves["ode.msg.W"], leaves["ode.msg.b"]))
-        upd_in = ad.concat([z, ad.scatter_rows(msg, targets, n_nodes)], axis=1)
-        hidden = ad.relu(_linear(upd_in, leaves["ode.upd1.W"], leaves["ode.upd1.b"]))
-        return _linear(hidden, leaves["ode.upd2.W"], leaves["ode.upd2.b"])
+        if z.tape is not tape or z.value.shape != (n_nodes, dz):
+            raise ShapeError(f"field needs ({n_nodes}, {dz}) latent rows on its own tape")
+        pair = z.value[pair_rows.idx].reshape(len(pairs), 2 * dz)
+        pre_msg = pair @ Wm + bm
+        upd_in = np.concatenate([z.value, targets.segment_sum(np.maximum(pre_msg, 0.0))], axis=1)
+        pre_hid = upd_in @ W1 + b1
+        hidden = np.maximum(pre_hid, 0.0)
+        mask_msg, mask_hid = pre_msg > 0.0, pre_hid > 0.0
+
+        def bwd(go):
+            d_hid = (go @ W2.T) * mask_hid
+            d_upd = d_hid @ W1.T
+            d_msg = d_upd[:, dz:][targets.idx] * mask_msg
+            d_pair = (d_msg @ Wm.T).reshape(-1, dz)
+            return (d_upd[:, :dz], pair_rows.segment_sum(d_pair),
+                    pair.T @ d_msg, d_msg.sum(axis=0, keepdims=True),
+                    upd_in.T @ d_hid, d_hid.sum(axis=0, keepdims=True),
+                    hidden.T @ go, go.sum(axis=0, keepdims=True))
+
+        # z is a parent twice so that its direct and its gathered gradient
+        # add up in the order the equivalent chain of primitives sums them
+        parents = (z.idx, z.idx) + tuple(w.idx for w in weights)
+        return tape._record("field", hidden @ W2 + b2, parents, bwd)
 
     return g
 
@@ -321,16 +350,16 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(blob: dict, name: str) -> np.ndarray:
+def _decode_array(blob: dict, name: str, shape: tuple) -> np.ndarray:
+    what = f"checkpoint param {name!r}"
     if blob.get("dtype") != "float64":
-        raise ArtifactMismatchError(f"param {name!r} has dtype {blob.get('dtype')!r}")
-    raw = base64.b64decode(blob["data"])
-    arr = np.frombuffer(raw, dtype=np.float64).copy()
-    shape = tuple(blob["shape"])
-    expected = int(np.prod(shape)) if shape else 1
-    if arr.size != expected:
-        raise ArtifactMismatchError(f"param {name!r} data does not match shape {shape}")
-    return arr.reshape(shape)
+        raise ArtifactMismatchError(f"{what} has dtype {blob.get('dtype')!r}")
+    if blob["shape"] != list(shape):
+        raise ArtifactMismatchError(f"{what} has shape {blob['shape']!r}, expected {shape}")
+    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype=np.float64)
+    if arr.size != math.prod(shape):
+        raise ArtifactMismatchError(f"{what} data does not match shape {shape}")
+    return arr.reshape(shape).copy()
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
@@ -348,8 +377,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, ModelConfig, extra); validates shapes against the
-    architecture implied by the stored model config."""
+    """Returns (params, ModelConfig, extra); checks every stored shape
+    against param_shapes of the stored model config before decoding it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -362,22 +391,17 @@ def load_checkpoint(path):
         )
     try:
         config = ModelConfig.from_dict(doc["model"])
-        params = {name: _decode_array(blob, name) for name, blob in doc["params"].items()}
+        shapes = param_shapes(config)
+        if set(doc["params"]) != set(shapes):
+            raise ArtifactMismatchError(
+                f"checkpoint params do not match architecture "
+                f"(missing {sorted(set(shapes) - set(doc['params']))}, "
+                f"unexpected {sorted(set(doc['params']) - set(shapes))})"
+            )
+        params = {name: _decode_array(doc["params"][name], name, shape)
+                  for name, shape in shapes.items()}
     except KeyError as exc:
         raise ArtifactMismatchError(f"checkpoint has no {exc} field") from None
     except (AttributeError, TypeError, ValueError, ConfigurationError) as exc:
         raise ArtifactMismatchError(f"checkpoint is malformed: {exc}") from None
-    reference = init_params(config, seed=0)
-    if set(params) != set(reference):
-        missing = sorted(set(reference) - set(params))
-        extra_keys = sorted(set(params) - set(reference))
-        raise ArtifactMismatchError(
-            f"checkpoint params do not match architecture "
-            f"(missing {missing}, unexpected {extra_keys})"
-        )
-    for name, ref in reference.items():
-        if params[name].shape != ref.shape:
-            raise ArtifactMismatchError(
-                f"param {name!r} has shape {params[name].shape}, expected {ref.shape}"
-            )
     return params, config, doc.get("extra", {})

@@ -118,8 +118,9 @@ class SystemSpec:
             raise ConfigurationError("triple_pendulum requires n_agents=3")
         if self.kind == "attractor" and self.n_agents != 1:
             raise ConfigurationError("attractor is a single-agent system")
-        if self.n_agents < 1:
-            raise ConfigurationError("n_agents must be >= 1")
+        if self.n_agents < 1 or self.dim < 1:
+            raise ConfigurationError(
+                f"n_agents and dim must be >= 1, got {self.n_agents} and {self.dim}")
         if self.damped_form not in (None, "anchored", "pairwise"):
             raise ConfigurationError(
                 f"damped_form must be 'anchored' or 'pairwise', got {self.damped_form!r}"

@@ -236,15 +236,16 @@ def diagnostic_reverse_loss(
 ) -> float:
     """Variant-independent reversal gap: mean per-sample treat-style loss.
 
-    Computed outside the optimized graph so baseline runs can report how
-    irreversibly their learned field behaves without training on it.
+    Computed on forward-only tapes, outside the optimized graph, so
+    baseline runs can report how irreversibly their learned field behaves
+    without training on it.
     """
     if not obs_sets:
         return float("nan")
     total = 0.0
     for start in range(0, len(obs_sets), DIAG_CHUNK):
         part = obs_sets[start : start + DIAG_CHUNK]
-        tape = Tape()
+        tape = Tape(record=False)
         leaves = {k: tape.leaf(v, k) for k, v in params.items()}
         batch = build_batch(part)
         out = batch_forward(tape, leaves, config, batch, variant="treat", alpha=0.0)
@@ -377,7 +378,8 @@ def evaluate(
     config: ModelConfig,
     chunk: int = 16,
 ) -> EvalReport:
-    """Forward metrics plus the ground-truth-vs-reverse deviation metric."""
+    """Forward metrics plus the ground-truth-vs-reverse deviation metric,
+    traced on forward-only tapes."""
     if not obs_sets:
         raise ConfigurationError("empty evaluation set")
     sq_sum = 0.0
@@ -390,7 +392,7 @@ def evaluate(
     for start in range(0, len(obs_sets), chunk):
         part = obs_sets[start : start + chunk]
         batch = build_batch(part)
-        tape = Tape()
+        tape = Tape(record=False)
         leaves = {k: tape.leaf(v, k) for k, v in params.items()}
         out = batch_forward(tape, leaves, config, batch, variant="treat", alpha=0.0)
         truth = batch.targets

@@ -121,6 +121,29 @@ def test_simulate_rejects_test_without_out(tmp_path):
     assert rc == 2
 
 
+def test_simulate_rejects_zero_dim(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    rc = main(["simulate", "--system", "simple_spring", "--agents", "2", "--dim", "0",
+               "--trajectories", "2", "--steps", "200", "--subsample", "100",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "dim" in err[0]
+    assert not out.exists()
+
+
+def as_obs_record_with_dim_7(rec):
+    """Turn a 1-D single-agent trajectory record into an observation-set
+    record whose params claim dim 7 (14 features per row, not 2)."""
+    states = rec.pop("states")
+    del rec["times"]
+    rec.update(record="observation_set", t0=0.0, dt=0.1, n_rollout_steps=2, agents=[{
+        "cond_times": [-0.1, 0.0], "cond_feats": states[:2],
+        "pred_idx": [1, 2], "pred_feats": states[2:4],
+    }])
+    rec["params"]["dim"] = 7
+
+
 @pytest.mark.parametrize("flag", ["--trajectories", "--test-trajectories"])
 def test_simulate_rejects_more_trajectories_than_a_seed_holds(tmp_path, capsys, flag):
     args = ["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
@@ -200,8 +223,9 @@ def test_train_ragged_states_is_input_error(tmp_path, capsys):
     lambda rec: rec["params"].update(n_agents=-1),
     lambda rec: rec["params"].update(n_agents=10**12),
     lambda rec: rec.update(scale="big"),
+    as_obs_record_with_dim_7,
 ], ids=["params_list", "short_edge", "n_agents_str", "n_agents_negative",
-        "n_agents_huge", "scale_str"])
+        "n_agents_huge", "scale_str", "obs_dim_7"])
 def test_train_malformed_dataset_is_input_error(tmp_path, capsys, mutate):
     train_jl = str(tmp_path / "train.jsonl")
     main(SIM_BASE + ["--out", train_jl])

@@ -343,6 +343,25 @@ def test_read_dataset_field_fuzz_raises_only_revode_errors(tmp_path_factory, dat
         pass
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda rec: rec["params"].update(dim=7),
+    lambda rec: rec["agents"][0].update(
+        cond_feats=[row[:1] for row in rec["agents"][0]["cond_feats"]]),
+    lambda rec: rec["agents"][0].update(pred_feats=rec["agents"][0]["pred_feats"][1:]),
+    lambda rec: rec["agents"][0].update(pred_idx=[rec["n_rollout_steps"] + 1]),
+    lambda rec: rec["agents"][0].update(pred_idx=[[1]]),
+], ids=["dim_7", "narrow_cond_feats", "short_pred_feats", "pred_idx_past_rollout",
+        "pred_idx_2d"])
+def test_read_dataset_checks_observations_against_dim_and_rollout(tmp_path, mutate):
+    """Feature widths must match params.dim, and target indices the rollout."""
+    rec = json.loads(json.dumps(VALID_RECORDS[1]))
+    mutate(rec)
+    path = tmp_path / "obs.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 1: .*agent 0"):
+        read_dataset(path)
+
+
 def test_read_dataset_checks_n_agents_before_building_the_graph(tmp_path, monkeypatch):
     def no_graph(*args):
         raise AssertionError("graph built before n_agents was checked")

@@ -5,14 +5,21 @@ The latent solver steps are verified against a linear field z' = A z
 whose unrolled update has a closed matrix form.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from revode import model
 
 from revode import autodiff as ad
 from revode.autodiff import Tape, backward, grad_check
 from revode.data import ObservationSet
 from revode.errors import (
-    ArtifactMismatchError, ConfigurationError, EncodingError, RolloutDivergedError,
+    ArtifactMismatchError, ConfigurationError, EncodingError, RevodeError,
+    RolloutDivergedError, ShapeError,
 )
 from revode.model import (
     ModelConfig,
@@ -23,6 +30,7 @@ from revode.model import (
     init_params,
     load_checkpoint,
     make_ode_func,
+    param_shapes,
     rollout_forward,
     rollout_reverse,
     save_checkpoint,
@@ -65,6 +73,10 @@ def test_model_config_validation():
         ModelConfig(d_obs=2, scheme="leapfrog")
     with pytest.raises(ConfigurationError):
         ModelConfig(d_obs=0)
+    for bad in (dict(d_model=8.0), dict(d_enc="4"), dict(te_base="big"),
+                dict(te_base=0.0), dict(spatial_round=1)):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(d_obs=2, **bad)
     cfg = ModelConfig(d_obs=2, d_enc=4, d_aug=0)
     assert cfg.d_z == 4
 
@@ -106,6 +118,7 @@ def test_init_params_deterministic_and_seed_sensitive():
 
 def test_init_params_shapes_compose():
     p = init_params(TINY, seed=0)
+    assert {k: v.shape for k, v in p.items()} == param_shapes(TINY)
     assert p["enc.embed.W"].shape == (TINY.d_obs, TINY.d_model)
     assert p["ode.msg.W"].shape == (2 * TINY.d_z, TINY.ode_hidden)
     assert p["ode.upd2.W"].shape == (TINY.ode_hidden, TINY.d_z)
@@ -353,6 +366,92 @@ def test_message_passing_respects_graph_structure():
     assert not np.array_equal(f_base[3], f_pert[3])  # self-term still moves
 
 
+def composite_field(tape, leaves, config, edges, n_nodes):
+    """The field as a chain of twelve tape ops: the reference that
+    make_ode_func's single node must reproduce."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    pair_rows = ad.RowIndex(pairs[:, ::-1].reshape(-1), n_nodes)
+    targets = ad.RowIndex(pairs[:, 1], n_nodes)
+
+    def linear(x, name):
+        return ad.add_bias(ad.matmul(x, leaves[f"ode.{name}.W"]), leaves[f"ode.{name}.b"])
+
+    def g(z):
+        pair = ad.reshape(ad.gather_rows(z, pair_rows), (len(pairs), 2 * config.d_z))
+        msg = ad.relu(linear(pair, "msg"))
+        upd_in = ad.concat([z, ad.scatter_rows(msg, targets, n_nodes)], axis=1)
+        return linear(ad.relu(linear(upd_in, "upd1")), "upd2")
+
+    return g
+
+
+# (edges, n_nodes): node 2 is the target of three edges and node 3 has
+# none; two chained pairs; a lone agent's self-loop
+FIELD_GRAPHS = {
+    "repeated_targets_isolated_agent": ([(0, 2), (1, 2), (3, 2), (2, 0)], 5),
+    "chain": ([(0, 1), (1, 0), (1, 2), (2, 1)], 3),
+    "self_loop": ([(0, 0)], 1),
+}
+
+
+def field_params(seed):
+    """TINY's field weights with non-zero biases, so that both ReLUs see
+    positive and negative inputs."""
+    rng = np.random.default_rng(seed)
+    params = {k: v for k, v in init_params(TINY, seed).items() if k.startswith("ode.")}
+    for name in ("ode.msg.b", "ode.upd1.b", "ode.upd2.b"):
+        params[name] = 0.3 * rng.standard_normal(params[name].shape)
+    return params
+
+
+@pytest.mark.parametrize("graph", sorted(FIELD_GRAPHS))
+def test_fused_field_matches_composite(graph):
+    """Field values, and the gradients of two RK4 steps through it with
+    respect to z and all six weights, equal the composite's to 1e-12."""
+    edges, n = FIELD_GRAPHS[graph]
+    params = field_params(seed=5)
+    z0 = np.random.default_rng(6).standard_normal((n, TINY.d_z))
+    results = []
+    for make in (make_ode_func, composite_field):
+        tape = Tape()
+        leaves = leaves_of(tape, {**params, "z": z0})
+        g = make(tape, leaves, TINY, edges, n)
+        value = g(leaves["z"]).value
+        states = rollout_forward(leaves["z"], g, 2, 0.1, scheme="rk4")
+        results.append((value, backward(tape, ad.l2_norm_sq(states[-1]))))
+    (fused, fused_grads), (ref, ref_grads) = results
+    assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
+    assert set(fused_grads) == set(ref_grads) == {"z", *model.FIELD_PARAMS}
+    for name, grad in ref_grads.items():
+        assert np.allclose(fused_grads[name], grad, rtol=1e-12, atol=1e-12), name
+
+
+@pytest.mark.parametrize("graph", sorted(FIELD_GRAPHS))
+def test_fused_field_grad_check(graph):
+    edges, n = FIELD_GRAPHS[graph]
+    params = {**field_params(seed=7), "z": np.random.default_rng(8).standard_normal((n, TINY.d_z))}
+
+    def f(tape, leaves):
+        g = make_ode_func(tape, leaves, TINY, edges, n)
+        return ad.l2_norm_sq(g(ad.smul(g(leaves["z"]), 0.5)))
+
+    report = grad_check(f, params, tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def test_field_evaluation_is_one_tape_node():
+    edges, n = FIELD_GRAPHS["chain"]
+    tape = Tape()
+    leaves = leaves_of(tape, init_params(TINY, seed=0))
+    g = make_ode_func(tape, leaves, TINY, edges, n)
+    z = tape.const(np.ones((n, TINY.d_z)))
+    before = len(tape)
+    g(z)
+    assert len(tape) == before + 1 and tape.nodes[-1].op == "field"
+    with pytest.raises(ShapeError):
+        g(tape.const(np.ones((n + 1, TINY.d_z))))
+
+
 # ------------------------------------------------------------------ decode
 
 def test_decode_shape_and_row_layout():
@@ -403,3 +502,60 @@ def test_checkpoint_rejects_corrupt_json(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ArtifactMismatchError):
         load_checkpoint(path)
+
+
+def checkpoint_doc(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_params(TINY, seed=0), TINY, extra={"seed": 0})
+    return json.loads(path.read_text())
+
+
+def test_checkpoint_rejects_huge_width_without_allocating(tmp_path, monkeypatch):
+    """A stored d_model far beyond its blobs fails on the shape table alone."""
+    def no_init(*args, **kwargs):
+        raise AssertionError("parameters allocated for an unchecked config")
+
+    monkeypatch.setattr(model, "init_params", no_init)
+    doc = checkpoint_doc(tmp_path)
+    doc["model"]["d_model"] = 2 * 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactMismatchError, match="shape"):
+        load_checkpoint(path)
+
+
+def _checkpoint_field_paths(doc):
+    """Every top-level field, every model field and every field of the
+    first parameter's blob, as key paths."""
+    first = next(iter(doc["params"]))
+    return ([(key,) for key in doc] + [("model", key) for key in doc["model"]]
+            + [("params", first, key) for key in doc["params"][first]])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), value=JSON_VALUES)
+def test_load_checkpoint_field_fuzz_raises_only_revode_errors(tmp_path_factory, data, value):
+    """A valid checkpoint with one field replaced by any JSON value either
+    loads or fails with a RevodeError, never another exception."""
+    tmp = tmp_path_factory.getbasetemp()
+    doc = checkpoint_doc(tmp)
+    *parents, key = data.draw(st.sampled_from(_checkpoint_field_paths(doc)))
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    path = tmp / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_checkpoint(path)
+    except RevodeError:
+        pass

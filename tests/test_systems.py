@@ -47,6 +47,13 @@ def test_attractor_is_single_agent():
     assert spec.d_q == 3 and spec.d_p == 0
 
 
+@pytest.mark.parametrize("kind", ["simple_spring", "damped_spring", "attractor"])
+def test_spec_rejects_dim_below_one(kind):
+    for dim in (0, -1):
+        with pytest.raises(ConfigurationError, match="dim"):
+            SystemSpec(kind=kind, dim=dim)
+
+
 def test_damped_form_validated():
     with pytest.raises(ConfigurationError):
         SystemSpec(kind="damped_spring", damped_form="frictional")

@@ -246,11 +246,12 @@ def synthetic_obs_sets(n_sets, n_agents, d, K, seed=0):
     return out
 
 
-@pytest.mark.parametrize("preset, max_nodes", [("desk", 800), ("graph", 3200)])
+@pytest.mark.parametrize("preset, max_nodes", [("desk", 400), ("graph", 800)])
 def test_treat_batch_tape_size(preset, max_nodes):
     """A 32-sample treat batch of the desk preset (one agent, Euler) and of
     the default five-agent graph model (RK4), both K = 20, stays within its
-    node budget: bias adds, row gathers and one encoder pass per batch."""
+    node budget: bias adds, row gathers, one encoder pass per batch and one
+    node per field evaluation."""
     K = DESK_TRAIN_WINDOW[2] - DESK_TRAIN_WINDOW[1]
     if preset == "desk":
         config, n_agents = desk_model_config(), 1
@@ -438,6 +439,31 @@ def test_evaluate_chunking_does_not_change_results():
     many = evaluate(params, obs, TINY, chunk=2)
     assert one.mse == pytest.approx(many.mse, rel=1e-12)
     assert one.max_error_gt_rev == pytest.approx(many.max_error_gt_rev, rel=1e-12)
+
+
+def test_forward_only_reports_equal_recorded_ones(monkeypatch):
+    """evaluate and the diagnostic trace on tapes that keep no node, and
+    their results equal, bitwise, those traced on recording tapes."""
+    obs = three_agent_obs_sets(n_sets=3)
+    params = init_params(TINY, seed=4)
+    tapes, asked = [], []
+
+    def run(forced):
+        def make_tape(record=True):
+            asked.append(record)
+            tapes.append(Tape(record=forced))
+            return tapes[-1]
+
+        monkeypatch.setattr(training, "Tape", make_tape)
+        return evaluate(params, obs, TINY, chunk=2), diagnostic_reverse_loss(params, TINY, obs)
+
+    recorded = run(forced=True)
+    assert all(len(tape) > 0 for tape in tapes)
+    tapes.clear()
+    forward_only = run(forced=False)
+    assert len(tapes) == 3 and all(len(tape) == 0 for tape in tapes)  # two chunks, one diagnostic
+    assert asked == [False] * 6
+    assert repr(forward_only) == repr(recorded)
 
 
 def test_evaluate_rejects_empty():
