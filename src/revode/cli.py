@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     if args.desk_scale:
         defaults.update(_DESK_SIMULATE)
     config = (
-        load_config_file(args.config, set(defaults)) if args.config else None
+        load_config_file(args.config, defaults) if args.config else None
     )
     opt = resolve_options(defaults, config, _flags(args, defaults))
     if opt["trajectories"] < 1:
@@ -230,13 +230,14 @@ _DESK_TRAIN = {"scheme": "euler"}
 
 
 def _parse_window(value):
-    if isinstance(value, (list, tuple)):
-        parts = [int(v) for v in value]
-    else:
-        parts = [int(v) for v in str(value).split(",")]
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        parts = tuple(v if type(v) is int else int(str(v)) for v in parts)
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
-        raise ConfigurationError(f"window must be lo,split,hi; got {value!r}")
-    return tuple(parts)
+        raise ConfigurationError(f"window must be lo,split,hi integers; got {value!r}")
+    return parts
 
 
 def _load_trajectories(path) -> list:
@@ -251,7 +252,7 @@ def cmd_train(args) -> int:
     defaults = dict(TRAIN_DEFAULTS)
     if args.desk_scale:
         defaults.update(_DESK_TRAIN)
-    config = load_config_file(args.config, set(defaults)) if args.config else None
+    config = load_config_file(args.config, defaults) if args.config else None
     opt = resolve_options(defaults, config, _flags(args, defaults))
 
     trajs = _load_trajectories(opt["data"])
@@ -345,7 +346,7 @@ def _add_eval_parser(sub):
 
 def cmd_eval(args) -> int:
     defaults = dict(EVAL_DEFAULTS)
-    config = load_config_file(args.config, set(defaults)) if args.config else None
+    config = load_config_file(args.config, defaults) if args.config else None
     opt = resolve_options(defaults, config, _flags(args, defaults))
     params, model, extra = load_checkpoint(opt["checkpoint"])
     trajs = _load_trajectories(opt["data"])

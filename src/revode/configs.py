@@ -2,10 +2,11 @@
 the desk-scale preset the small-budget experiments standardize on.
 
 Every command accepts an optional JSON config whose keys must be a subset
-of that command's known options (unknown keys are rejected, not ignored),
-plus a mandatory schema_version.  Precedence: explicit CLI flag, then
-config file, then built-in default.  Each run writes the fully resolved
-options next to its outputs so it can be reproduced from that file alone.
+of that command's known options (unknown keys are rejected, not ignored)
+and whose values must have those options' types, plus a mandatory
+schema_version.  Precedence: explicit CLI flag, then config file, then
+built-in default.  Each run writes the fully resolved options next to its
+outputs so it can be reproduced from that file alone.
 """
 
 from __future__ import annotations
@@ -21,8 +22,16 @@ from .training import TrainSettings
 CONFIG_SCHEMA_VERSION = 1
 
 
-def load_config_file(path: str, allowed: set) -> dict:
-    """Read a JSON config, enforcing schema_version and the allowed key set."""
+# A config value has its default's type or, where the default is None (and a
+# config may leave it null), the type below, str where unlisted.  A float option
+# takes an int too, and a window list its "lo,split,hi" string form.
+_UNSET_OPTION_TYPES = {"dt": float, "k": float, "gamma": float, "k1": float, "omega": float,
+                       "steps": int, "test_steps": int, "subsample": int}
+_ACCEPTED_TYPES = {float: (int, float), list: (list, str)}
+
+
+def load_config_file(path: str, defaults: dict) -> dict:
+    """Read a JSON config, enforcing schema_version and each option's name and type."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -36,12 +45,19 @@ def load_config_file(path: str, allowed: set) -> dict:
             f"config {path}: schema_version must be {CONFIG_SCHEMA_VERSION}, "
             f"got {version!r}"
         )
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigurationError(
             f"config {path}: unknown fields {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
+            f"allowed: {sorted(defaults)}"
         )
+    for key, value in raw.items():
+        default = defaults[key]
+        if value is None and default is None:
+            continue  # an unset option left unset
+        want = _UNSET_OPTION_TYPES.get(key, str) if default is None else type(default)
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES.get(want, want)):
+            raise ConfigurationError(f"config {path}: {key} must be {want.__name__}, got {value!r}")
     return raw
 
 

@@ -41,24 +41,6 @@ def rng_stream(seed: int, item_index: int = 0, purpose: int = 0) -> np.random.Ge
     return np.random.Generator(np.random.Philox(key=(seed << 64) + stream_index))
 
 
-def generate_trajectory(
-    spec: SystemSpec,
-    initial_state: StateVector,
-    scheme: str,
-    dt: float,
-    raw_steps: int,
-    subsample_every: int = 1,
-) -> Trajectory:
-    """Integrate and record every `subsample_every`-th raw step."""
-    if raw_steps % subsample_every != 0:
-        raise ConfigurationError(
-            f"raw_steps={raw_steps} is not a multiple of subsample_every={subsample_every}"
-        )
-    grid = TimeGrid(0.0, dt, raw_steps)
-    traj = integrate(make_derivative(spec), initial_state, grid, scheme, subsample_every)
-    return traj.with_metadata(system=spec.params_dict(), scale=1.0)
-
-
 def add_gaussian_noise(traj: Trajectory, sigma: float, rng_seed: int) -> Trajectory:
     if sigma < 0:
         raise ConfigurationError(f"noise sigma must be >= 0, got {sigma}")
@@ -439,8 +421,9 @@ def build_trajectory(
         spec = replace(base_spec, graph=graph)
     init_rng = rng_stream(seed, index, PURPOSE_INIT)
     state0 = draw_initial_state(spec, init_rng, init_scale, theta_range)
-    traj = generate_trajectory(spec, state0, scheme, dt, raw_steps, subsample_every)
-    traj = traj.with_metadata(seed=(seed << 16) + index)
+    grid = TimeGrid(0.0, dt, raw_steps)
+    traj = integrate(make_derivative(spec), state0, grid, scheme, subsample_every)
+    traj = replace(traj, system=spec.params_dict(), seed=(seed << 16) + index, scale=1.0)
     if noise_sigma > 0:
         traj = add_gaussian_noise(traj, noise_sigma, (seed << 16) + index)
     return traj

@@ -12,7 +12,7 @@ by integrating the negated field, never by adaptive or implicit tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,15 +33,22 @@ class StateVector:
         self.q = np.asarray(self.q, dtype=np.float64)
         self.p = np.asarray(self.p, dtype=np.float64)
 
+    @classmethod
+    def _of(cls, q: np.ndarray, p: np.ndarray) -> "StateVector":
+        """Wrap float64 arrays as they are, without the constructor's coercion."""
+        state = object.__new__(cls)
+        state.q, state.p = q, p
+        return state
+
     # minimal vector-space algebra so integrator schemes read like math
     def __add__(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.q + other.q, self.p + other.p)
+        return StateVector._of(self.q + other.q, self.p + other.p)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.q - other.q, self.p - other.p)
+        return StateVector._of(self.q - other.q, self.p - other.p)
 
     def scale(self, c: float) -> "StateVector":
-        return StateVector(self.q * c, self.p * c)
+        return StateVector._of(self.q * c, self.p * c)
 
     def __rmul__(self, c: float) -> "StateVector":
         return self.scale(c)
@@ -190,14 +197,6 @@ class Trajectory:
         """(n_points, ..., n_agents, d_q + d_p) observation matrix."""
         return np.concatenate([self.q, self.p], axis=-1)
 
-    def with_metadata(self, system=None, seed=None, scale=None) -> "Trajectory":
-        return replace(
-            self,
-            system=self.system if system is None else system,
-            seed=self.seed if seed is None else seed,
-            scale=self.scale if scale is None else scale,
-        )
-
 
 def _check_finite(state: StateVector, step: int, t: float):
     bad = state.first_nonfinite()
@@ -208,6 +207,17 @@ def _check_finite(state: StateVector, step: int, t: float):
             step=step,
             time=t,
         )
+
+
+def _march(step_fn, deriv, state, grid: TimeGrid, start: int, stop: int, check: bool):
+    """Steps start..stop-1 of `grid` from `state`, with `check` after each one."""
+    t0, dt = grid.t0, grid.dt
+    for k in range(start, stop):
+        t = t0 + k * dt
+        state = step_fn(deriv, state, t, dt)
+        if check:
+            _check_finite(state, k, t + dt)
+    return state
 
 
 def integrate(
@@ -222,8 +232,13 @@ def integrate(
     Returns n_steps//record_every + 1 states including the initial one.
     Raises IntegrationError naming the offending component and step if the
     state leaves the finite range.
+
+    Finiteness is checked once per recorded state: a non-finite entry stays
+    non-finite under `state + increment`.  A span that ends non-finite, or
+    whose derivative raises, is replayed with a check after every step, so
+    the first error, and NumPy's warnings, come in step order.
     """
-    if grid.n_steps % record_every != 0:
+    if record_every < 1 or grid.n_steps % record_every != 0:
         raise ConfigurationError(
             f"record_every={record_every} does not divide n_steps={grid.n_steps}"
         )
@@ -233,18 +248,19 @@ def integrate(
     state = state0.copy()
     rec_q = [state.q.copy()]
     rec_p = [state.p.copy()]
-    times = [grid.t0]
-    t = grid.t0
-    for k in range(grid.n_steps):
-        t = grid.t0 + k * grid.dt
-        state = step_fn(deriv, state, t, grid.dt)
-        _check_finite(state, k, t + grid.dt)
-        if (k + 1) % record_every == 0:
-            rec_q.append(state.q.copy())
-            rec_p.append(state.p.copy())
-            times.append(grid.t0 + (k + 1) * grid.dt)
+    for start in range(0, grid.n_steps, record_every):
+        stop = start + record_every
+        try:
+            with np.errstate(all="ignore"):  # the replay warns as each step would
+                end = _march(step_fn, deriv, state, grid, start, stop, check=False)
+            ok = end.first_nonfinite() is None
+        except Exception:  # the replay raises it again, after any earlier bad step
+            ok = False
+        state = end if ok else _march(step_fn, deriv, state, grid, start, stop, check=True)
+        rec_q.append(state.q.copy())
+        rec_p.append(state.p.copy())
     return Trajectory(
-        times=np.array(times), q=np.stack(rec_q), p=np.stack(rec_p)
+        times=grid.times()[::record_every].copy(), q=np.stack(rec_q), p=np.stack(rec_p)
     )
 
 

@@ -177,6 +177,17 @@ class SystemSpec:
         adj.flags.writeable = False
         return adj
 
+    @cached_property
+    def _spring_terms(self):
+        """(k, degree column, adjacency), resolved once per spec; anchored
+        systems pull each agent to the origin and have neither of the last two."""
+        if self.n_agents == 1 or (
+            self.kind == "damped_spring" and self.effective_damped_form == "anchored"
+        ):
+            return self.anchor_k, None, None
+        adj = self._spring_adjacency
+        return self.k, adj.sum(axis=1)[:, None], adj
+
     def params_dict(self) -> dict:
         out = {
             "kind": self.kind,
@@ -219,34 +230,21 @@ class SystemSpec:
 
 def _spring_force(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
     """Net spring force on each agent (shape like q)."""
-    force = np.zeros_like(q)
-    anchored_only = (
-        spec.kind == "damped_spring" and spec.effective_damped_form == "anchored"
-    )
-    if spec.n_agents == 1 or anchored_only:
-        force -= spec.anchor_k * q
-    if spec.n_agents > 1 and not anchored_only:
-        adj = spec._spring_adjacency
-        deg = adj.sum(axis=1)
-        # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
-        force -= spec.k * (deg[:, None] * q - np.matmul(adj, q))
-    return force
+    k, deg, adj = spec._spring_terms
+    if deg is None:
+        return 0.0 - k * q  # not -(k * q): a zero force is +0.0, as 0.0 - 0.0 is
+    # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
+    return 0.0 - k * (deg * q - np.matmul(adj, q))
 
 
 def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
-    anchored_only = (
-        spec.kind == "damped_spring" and spec.effective_damped_form == "anchored"
-    )
-    pot = np.zeros(q.shape[:-2], dtype=np.float64)
-    if spec.n_agents == 1 or anchored_only:
-        pot = pot + 0.5 * spec.anchor_k * np.sum(q * q, axis=(-2, -1))
-    if spec.n_agents > 1 and not anchored_only:
-        adj = spec._spring_adjacency
-        diff = q[..., :, None, :] - q[..., None, :, :]  # (..., n, n, d)
-        sq = np.sum(diff * diff, axis=-1)
-        # double sum over ordered pairs with the extra 1/2 in front
-        pot = pot + 0.5 * 0.5 * spec.k * np.sum(adj * sq, axis=(-2, -1))
-    return pot
+    k, deg, adj = spec._spring_terms
+    if deg is None:
+        return 0.0 + 0.5 * k * np.sum(q * q, axis=(-2, -1))
+    diff = q[..., :, None, :] - q[..., None, :, :]  # (..., n, n, d)
+    sq = np.sum(diff * diff, axis=-1)
+    # double sum over ordered pairs with the extra 1/2 in front
+    return 0.0 + 0.5 * 0.5 * k * np.sum(adj * sq, axis=(-2, -1))
 
 
 def _spring_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateVector:
@@ -256,7 +254,7 @@ def _spring_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateV
         dp = dp - spec.gamma * state.p / spec.m
     elif spec.kind == "forced_spring":
         dp = dp - spec.k1 * np.cos(spec.omega * t)
-    return StateVector(dq, dp)
+    return StateVector._of(dq, dp)
 
 
 # ------------------------------------------------------------- pendulum
@@ -310,14 +308,20 @@ def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> Stat
             "pendulum angular-velocity solve hit a singular mass matrix"
         )
 
+    c12 = np.cos(th1 - th2)
+    c13 = np.cos(th1 - th3)
+    c23 = np.cos(th2 - th3)
+    c_12_3 = np.cos(th1 + th2 - 2.0 * th3)
+    c_13_2 = np.cos(th1 - 2.0 * th2 + th3)
+    c_1_23 = np.cos(2.0 * th1 - th2 - th3)
     th1d = (
         6.0
         * (
             9.0 * p1 * np.cos(2.0 * (th2 - th3))
-            + 27.0 * p2 * np.cos(th1 - th2)
-            - 9.0 * p2 * np.cos(th1 + th2 - 2.0 * th3)
-            + 21.0 * p3 * np.cos(th1 - th3)
-            - 27.0 * p3 * np.cos(th1 - 2.0 * th2 + th3)
+            + 27.0 * p2 * c12
+            - 9.0 * p2 * c_12_3
+            + 21.0 * p3 * c13
+            - 27.0 * p3 * c_13_2
             - 23.0 * p1
         )
         / den
@@ -325,11 +329,11 @@ def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> Stat
     th2d = (
         6.0
         * (
-            27.0 * p1 * np.cos(th1 - th2)
-            - 9.0 * p1 * np.cos(th1 + th2 - 2.0 * th3)
+            27.0 * p1 * c12
+            - 9.0 * p1 * c_12_3
             + 9.0 * p2 * np.cos(2.0 * (th1 - th3))
-            - 27.0 * p3 * np.cos(2.0 * th1 - th2 - th3)
-            + 57.0 * p3 * np.cos(th2 - th3)
+            - 27.0 * p3 * c_1_23
+            + 57.0 * p3 * c23
             - 47.0 * p2
         )
         / den
@@ -337,10 +341,10 @@ def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> Stat
     th3d = (
         6.0
         * (
-            21.0 * p1 * np.cos(th1 - th3)
-            - 27.0 * p1 * np.cos(th1 - 2.0 * th2 + th3)
-            - 27.0 * p2 * np.cos(2.0 * th1 - th2 - th3)
-            + 57.0 * p2 * np.cos(th2 - th3)
+            21.0 * p1 * c13
+            - 27.0 * p1 * c_13_2
+            - 27.0 * p2 * c_1_23
+            + 57.0 * p2 * c23
             + 81.0 * p3 * np.cos(2.0 * (th1 - th2))
             - 143.0 * p3
         )
@@ -367,7 +371,7 @@ def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> Stat
 
     dq = np.stack([th1d, th2d, th3d], axis=-1)[..., None]
     dp = np.stack([pd1, pd2, pd3], axis=-1)[..., None]
-    return StateVector(dq, dp)
+    return StateVector._of(dq, dp)
 
 
 def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
@@ -402,7 +406,7 @@ def _attractor_derivative(spec: SystemSpec, state: StateVector, t: float) -> Sta
     dy = -x * z
     dz = y * y + 2.0 * y * z
     dq = np.stack([dx, dy, dz], axis=-1)[..., None, :]
-    return StateVector(dq, np.zeros_like(state.p))
+    return StateVector._of(dq, np.zeros_like(state.p))
 
 
 # ------------------------------------------------------------- public API

@@ -371,3 +371,47 @@ def test_config_file_wrong_schema_version(tmp_path):
     cfg.write_text(json.dumps({"schema_version": 0, "epochs": 2}))
     rc = main(["train", "--config", str(cfg)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, field", [
+    ("simulate", {"dim": "2"}),
+    ("simulate", {"trajectories": 2.5}),
+    ("simulate", {"agents": True}),
+    ("simulate", {"dt": "0.01"}),
+    ("simulate", {"out": None}),
+    ("train", {"epochs": "3"}),
+    ("train", {"alpha": [0.5]}),
+    ("train", {"test_data": 3}),
+    ("train", {"window": {"lo": 0}}),
+    ("train", {"window": [0, 10.5, 25]}),
+    ("train", {"window": "0,ten,25"}),
+    ("eval", {"n_obs_min": 4.0}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_config_file_value_of_wrong_type_is_input_error(tmp_path, capsys, command, field):
+    """A config value of the wrong type exits 2 with one `error:` line naming
+    the option and the value, never a traceback from deep inside the command."""
+    data = str(tmp_path / "train.jsonl")
+    assert main(SIM_BASE + ["--out", data]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    inputs = {"simulate": {}, "train": {"data": data}, "eval": {"data": data}}[command]
+    cfg.write_text(json.dumps({"schema_version": 1, **inputs, **field}))
+    rc = main([command, "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    (name, value), = field.items()
+    assert name in err[0] and repr(value) in err[0]
+
+
+def test_config_file_takes_null_for_unset_options_and_ints_for_floats(tmp_path):
+    out = str(tmp_path / "train.jsonl")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "system": "damped_spring", "agents": 2, "dim": 1,
+        "trajectories": 2, "steps": 200, "subsample": 100, "dt": None,
+        "k": 1, "gamma": 2, "edge_prob": 1, "test_out": None, "out": out,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    trajs = read_dataset(out)
+    assert len(trajs) == 2 and trajs[0].system["k"] == 1 and trajs[0].system["gamma"] == 2

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from revode.data import (
+    PURPOSE_GRAPH,
     PURPOSE_INIT,
     PURPOSE_NOISE,
     SIM_DEFAULTS,
@@ -18,15 +19,17 @@ from revode.data import (
     add_gaussian_noise,
     build_observation_sets,
     build_trajectory,
+    draw_initial_state,
     irregular_subsample,
     normalize_trajectories,
     read_dataset,
     rng_stream,
+    sample_graph_with_rng,
     write_dataset,
 )
 from revode.errors import ConfigurationError, DatasetFormatError, RevodeError
-from revode.integrators import Trajectory
-from revode.systems import SYSTEM_KINDS, InteractionGraph, SystemSpec
+from revode.integrators import TimeGrid, Trajectory, integrate
+from revode.systems import SYSTEM_KINDS, InteractionGraph, SystemSpec, make_derivative
 
 
 # ------------------------------------------------------------------- rng
@@ -66,6 +69,27 @@ def test_build_trajectory_varies_with_index():
     a = build_trajectory(spec, seed=1, index=0, raw_steps=300)
     b = build_trajectory(spec, seed=1, index=1, raw_steps=300)
     assert not np.array_equal(a.q, b.q)
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_build_trajectory_is_its_sampled_system_integrated(kind):
+    """A trajectory is its own sampled system integrated from its own start,
+    bit for bit, and records that system, its tag and a unit scale."""
+    n_agents = {"triple_pendulum": 3, "attractor": 1}.get(kind, 4)
+    base = SystemSpec(kind=kind, n_agents=n_agents, dim=2)
+    traj = build_trajectory(base, seed=9, index=3, raw_steps=40, subsample_every=10,
+                            edge_prob=0.5)
+    spec = base
+    if base.is_spring:
+        graph = sample_graph_with_rng(n_agents, 0.5, rng_stream(9, 3, PURPOSE_GRAPH))
+        spec = SystemSpec(kind=kind, n_agents=n_agents, dim=2, graph=graph)
+    assert traj.system == spec.params_dict()
+    assert (traj.seed, traj.scale) == ((9 << 16) + 3, 1.0)
+    scheme, dt, _ = SIM_DEFAULTS[kind]
+    state0 = draw_initial_state(spec, rng_stream(9, 3, PURPOSE_INIT))
+    want = integrate(make_derivative(spec), state0, TimeGrid(0.0, dt, 40), scheme, 10)
+    for name in ("times", "q", "p"):
+        assert getattr(traj, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_build_trajectory_rejects_index_outside_its_16_bits():

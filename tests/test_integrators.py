@@ -5,9 +5,12 @@ q(t) = cos t, p(t) = -sin t, computed inline so the integrators are
 checked against trigonometry rather than against themselves.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from revode.data import sample_graph_with_rng
 from revode.errors import ConfigurationError, IntegrationError
 from revode.integrators import (
     StateVector,
@@ -21,6 +24,7 @@ from revode.integrators import (
     reverse_state,
     rk4_step,
 )
+from revode.systems import SystemSpec, make_derivative
 
 
 def sho_deriv(state, t):
@@ -176,6 +180,13 @@ def test_record_every_must_divide_n_steps():
         integrate(sho_deriv, unit_state(), grid, record_every=7)
 
 
+@pytest.mark.parametrize("record_every", [0, -4])
+def test_record_every_must_be_positive(record_every):
+    """-4 divides 100, but there is no span of -4 steps to record after."""
+    with pytest.raises(ConfigurationError):
+        integrate(sho_deriv, unit_state(), TimeGrid(0.0, 0.01, 100), record_every=record_every)
+
+
 def test_trajectory_length_mismatch_rejected():
     with pytest.raises(ConfigurationError):
         Trajectory(times=np.zeros(3), q=np.zeros((2, 1, 1)), p=np.zeros((2, 1, 1)))
@@ -222,6 +233,132 @@ def test_integration_error_reports_step():
 
 
 def test_integration_rejects_nonfinite_start():
-    bad = StateVector(np.array([[np.inf]]), np.array([[0.0]]))
-    with pytest.raises(IntegrationError):
-        integrate(sho_deriv, bad, TimeGrid(0.0, 0.1, 1))
+    bad = StateVector(np.array([[0.0, 1.0]]), np.array([[0.0, np.inf]]))
+    with pytest.raises(IntegrationError) as exc:
+        integrate(sho_deriv, bad, TimeGrid(0.5, 0.1, 14), record_every=7)
+    assert (exc.value.step, exc.value.time) == (-1, 0.5)
+    assert str(exc.value) == "non-finite value in p[1] after step -1 (t=0.5)"
+
+
+# --------------------------------------- one finite check per recorded state
+
+def reference_integrate(deriv, state0, grid, scheme, record_every):
+    """The integration loop as first written: a finiteness check after every
+    step.  `integrate` checks once per recorded state and must give the same
+    bits, and raise the same error at the same step."""
+
+    def check(state, step, t):
+        bad = state.first_nonfinite()
+        if bad is not None:
+            raise IntegrationError(
+                f"non-finite value in {bad[0]}[{bad[1]}] after step {step} (t={t:.6g})",
+                step=step, time=t,
+            )
+
+    step_fn = get_step_fn(scheme)
+    check(state0, -1, grid.t0)
+    state = state0.copy()
+    rec_q, rec_p, times = [state.q.copy()], [state.p.copy()], [grid.t0]
+    for k in range(grid.n_steps):
+        t = grid.t0 + k * grid.dt
+        state = step_fn(deriv, state, t, grid.dt)
+        check(state, k, t + grid.dt)
+        if (k + 1) % record_every == 0:
+            rec_q.append(state.q.copy())
+            rec_p.append(state.p.copy())
+            times.append(grid.t0 + (k + 1) * grid.dt)
+    return Trajectory(times=np.array(times), q=np.stack(rec_q), p=np.stack(rec_p))
+
+
+LOOP_SPECS = {
+    "simple_anchored": SystemSpec(kind="simple_spring", n_agents=1, dim=2),
+    "damped_anchored": SystemSpec(kind="damped_spring", n_agents=3, dim=2, damped_form="anchored"),
+    "damped_pairwise": SystemSpec(kind="damped_spring", n_agents=4, dim=2),
+    "forced": SystemSpec(kind="forced_spring", n_agents=3, dim=1),
+    "sampled_graph": SystemSpec(
+        kind="damped_spring", n_agents=5, dim=2,
+        graph=sample_graph_with_rng(5, 0.5, np.random.default_rng(2)),
+    ),
+    "pendulum": SystemSpec(kind="triple_pendulum", n_agents=3),
+    "attractor": SystemSpec(kind="attractor"),
+}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("label", sorted(LOOP_SPECS))
+def test_integrate_is_bitwise_the_per_step_loop(label, scheme):
+    spec = LOOP_SPECS[label]
+    rng = np.random.default_rng(7)
+    q = rng.uniform(0.2, 1.5, (3, spec.n_agents, spec.d_q))
+    p = rng.standard_normal((3, spec.n_agents, spec.d_p))
+    q[0, 0, 0] = 0.0  # signed zeros must come out the same too
+    grid = TimeGrid(0.25, 0.02, 21)
+    for record_every in (1, 7, grid.n_steps):
+        got = integrate(make_derivative(spec), StateVector(q, p), grid, scheme, record_every)
+        want = reference_integrate(make_derivative(spec), StateVector(q, p), grid, scheme, record_every)
+        for name in ("times", "q", "p"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (record_every, name)
+        assert got.q.shape == want.q.shape
+
+
+def goes_nonfinite_from(t_bad):
+    """The unit oscillator until time `t_bad`, then an infinite q rate."""
+
+    def deriv(state, t):
+        d = sho_deriv(state, t)
+        return StateVector(d.q + np.inf, d.p) if t >= t_bad else d
+
+    return deriv
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("t_bad", [0.0, 0.3, 0.95, 2.0])
+def test_nonfinite_step_inside_a_recorded_span_is_named_like_the_loop(scheme, t_bad):
+    """The first bad step, inside a span of 7 or at its edge, raises the
+    loop's error: same step, time and message."""
+    grid = TimeGrid(0.0, 0.1, 21)
+    deriv = goes_nonfinite_from(t_bad)
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationError) as want:
+            reference_integrate(deriv, unit_state(), grid, scheme, 7)
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationError) as got:
+            integrate(deriv, unit_state(), grid, scheme, record_every=7)
+    assert (got.value.step, got.value.time) == (want.value.step, want.value.time)
+    assert str(got.value) == str(want.value)
+    # steps past the bad one warn nothing: the warnings are the loop's
+    assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+
+
+class DerivativeFailed(Exception):
+    pass
+
+
+def test_derivative_error_inside_a_recorded_span_propagates():
+    def deriv(state, t):
+        if t >= 0.95:
+            raise DerivativeFailed(f"no rate at t={t}")
+        return sho_deriv(state, t)
+
+    with pytest.raises(DerivativeFailed, match="no rate at t=1.0"):
+        integrate(deriv, unit_state(), TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
+
+
+def test_bad_step_before_a_derivative_error_is_reported_first():
+    """A derivative that fails on the non-finite state an earlier step left
+    must not hide that step: the loop stops at the bad step first."""
+
+    def deriv(state, t):
+        if state.first_nonfinite() is not None:
+            raise DerivativeFailed("rate of a non-finite state")
+        return goes_nonfinite_from(0.75)(state, t)
+
+    grid = TimeGrid(0.0, 0.1, 21)
+    with pytest.raises(IntegrationError) as want:
+        reference_integrate(deriv, unit_state(), grid, "euler", 7)
+    with pytest.raises(IntegrationError) as got:
+        integrate(deriv, unit_state(), grid, "euler", record_every=7)
+    assert want.value.step == 8
+    assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))

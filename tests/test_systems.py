@@ -15,6 +15,7 @@ from revode.systems import (
     SYSTEM_KINDS,
     InteractionGraph,
     SystemSpec,
+    _spring_force,
     analytic_solution_simple_spring_1d,
     classify_reversibility,
     eval_derivative,
@@ -130,6 +131,41 @@ def test_complete_graph_is_resolved_once_per_spec(monkeypatch):
     traj = integrate(make_derivative(spec), state0, TimeGrid(0.0, 1e-3, 50), scheme="rk4")
     mechanical_energy(spec, StateVector(traj.q, traj.p))
     assert built == [5]
+
+
+def reference_spring_force(spec, q):
+    """The force as first written: every term re-derived at every call."""
+    force = np.zeros_like(q)
+    anchored_only = (
+        spec.kind == "damped_spring" and spec.effective_damped_form == "anchored"
+    )
+    if spec.n_agents == 1 or anchored_only:
+        force -= spec.anchor_k * q
+    if spec.n_agents > 1 and not anchored_only:
+        adj = spec.resolved_graph().adjacency.astype(np.float64)
+        deg = adj.sum(axis=1)
+        force -= spec.k * (deg[:, None] * q - np.matmul(adj, q))
+    return force
+
+
+@pytest.mark.parametrize("spec", [
+    SystemSpec(kind="simple_spring", n_agents=1, dim=2, k0=0.3),
+    SystemSpec(kind="damped_spring", n_agents=1, dim=1),
+    SystemSpec(kind="damped_spring", n_agents=4, dim=2, damped_form="anchored", k0=2.0),
+    SystemSpec(kind="damped_spring", n_agents=5, dim=2),
+    SystemSpec(kind="forced_spring", n_agents=3, dim=3),
+    SystemSpec(kind="simple_spring", n_agents=5, dim=2,
+               graph=InteractionGraph.from_edges(5, [(0, 1), (1, 3), (2, 4)])),
+], ids=["anchored", "damped_one", "damped_anchored", "pairwise", "forced", "sampled_graph"])
+def test_spring_force_resolved_once_is_bitwise_the_per_call_force(spec):
+    """The force from terms resolved once per spec equals the per-call
+    derivation bit for bit, signed zeros included, on a batch of states."""
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal((6, spec.n_agents, spec.dim))
+    q[0] = 0.0
+    q[1, 0] = -0.0
+    for _ in range(2):  # the second call reads the cached terms
+        assert _spring_force(spec, q).tobytes() == reference_spring_force(spec, q).tobytes()
 
 
 def test_anchored_single_ball_force():
@@ -248,6 +284,43 @@ def test_pendulum_energy_conserved_under_rk4():
     traj = integrate(make_derivative(spec), state0, TimeGrid(0.0, 1e-4, 5000), scheme="rk4")
     E = np.array([mechanical_energy(spec, traj.state(k)) for k in range(traj.n_points)])
     assert np.max(np.abs(E - E[0])) < 1e-8
+
+
+def reference_pendulum_angle_rates(spec, state):
+    """The angular velocities as first written, each cosine computed in
+    every rate that uses it."""
+    th1, th2, th3 = (state.q[..., i, 0] for i in range(3))
+    p1, p2, p3 = (state.p[..., i, 0] for i in range(3))
+    den = spec.m * spec.length**2 * (
+        81.0 * np.cos(2.0 * (th1 - th2)) - 9.0 * np.cos(2.0 * (th1 - th3))
+        + 45.0 * np.cos(2.0 * (th2 - th3)) - 169.0
+    )
+    th1d = 6.0 * (
+        9.0 * p1 * np.cos(2.0 * (th2 - th3)) + 27.0 * p2 * np.cos(th1 - th2)
+        - 9.0 * p2 * np.cos(th1 + th2 - 2.0 * th3) + 21.0 * p3 * np.cos(th1 - th3)
+        - 27.0 * p3 * np.cos(th1 - 2.0 * th2 + th3) - 23.0 * p1
+    ) / den
+    th2d = 6.0 * (
+        27.0 * p1 * np.cos(th1 - th2) - 9.0 * p1 * np.cos(th1 + th2 - 2.0 * th3)
+        + 9.0 * p2 * np.cos(2.0 * (th1 - th3)) - 27.0 * p3 * np.cos(2.0 * th1 - th2 - th3)
+        + 57.0 * p3 * np.cos(th2 - th3) - 47.0 * p2
+    ) / den
+    th3d = 6.0 * (
+        21.0 * p1 * np.cos(th1 - th3) - 27.0 * p1 * np.cos(th1 - 2.0 * th2 + th3)
+        - 27.0 * p2 * np.cos(2.0 * th1 - th2 - th3) + 57.0 * p2 * np.cos(th2 - th3)
+        + 81.0 * p3 * np.cos(2.0 * (th1 - th2)) - 143.0 * p3
+    ) / den
+    return np.stack([th1d, th2d, th3d], axis=-1)[..., None]
+
+
+def test_pendulum_angle_rates_bitwise_match_per_term_cosines():
+    """Sharing each distinct cosine between the rates changes no bit."""
+    spec = SystemSpec(kind="triple_pendulum", n_agents=3, m=1.3, length=0.7)
+    rng = np.random.default_rng(4)
+    state = StateVector(rng.uniform(-3.0, 3.0, (4, 5, 3, 1)), rng.standard_normal((4, 5, 3, 1)))
+    rates = eval_derivative(spec, state).q
+    assert rates.shape == (4, 5, 3, 1)
+    assert rates.tobytes() == reference_pendulum_angle_rates(spec, state).tobytes()
 
 
 def test_pendulum_momentum_rate_is_minus_gravity_torque_at_rest():
