@@ -69,9 +69,6 @@ def resolve_options(defaults: dict, config: dict | None, cli: dict) -> dict:
     for key, value in cli.items():
         if value is not None:
             out[key] = value
-    extra = set(out) - set(defaults)
-    if extra:
-        raise ConfigurationError(f"unknown options {sorted(extra)}")
     return out
 
 

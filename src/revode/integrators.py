@@ -220,6 +220,18 @@ def _march(step_fn, deriv, state, grid: TimeGrid, start: int, stop: int, check: 
     return state
 
 
+def _escape_nonfinite(state: StateVector) -> StateVector:
+    """Set every member of a stacked state that has a non-finite entry to
+    NaN, in place; the other members keep their bits."""
+    bad = ~(
+        np.isfinite(state.q).all(axis=(-2, -1)) & np.isfinite(state.p).all(axis=(-2, -1))
+    )
+    if bad.any():
+        state.q[bad] = np.nan
+        state.p[bad] = np.nan
+    return state
+
+
 def integrate(
     deriv: Derivative,
     state0: StateVector,
@@ -230,13 +242,21 @@ def integrate(
     """March `state0` across `grid`, recording every `record_every`-th step.
 
     Returns n_steps//record_every + 1 states including the initial one.
-    Raises IntegrationError naming the offending component and step if the
-    state leaves the finite range.
+    A non-finite start raises IntegrationError naming the offending entry.
 
+    A start of one trajectory, (n_agents, d), raises IntegrationError naming
+    the offending component and step when the state leaves the finite range.
     Finiteness is checked once per recorded state: a non-finite entry stays
     non-finite under `state + increment`.  A span that ends non-finite, or
     whose derivative raises, is replayed with a check after every step, so
     the first error, and NumPy's warnings, come in step order.
+
+    A stacked start, (..., n_agents, d), is an ensemble whose members escape
+    one by one.  A member non-finite at the end of a recorded span went bad
+    at a step inside it; its points from that one on are NaN, and the other
+    members keep the bits they have when integrated alone.  NumPy's
+    floating-point warnings are silenced there; a derivative that raises
+    still ends the whole call.
     """
     if record_every < 1 or grid.n_steps % record_every != 0:
         raise ConfigurationError(
@@ -245,18 +265,24 @@ def integrate(
     step_fn = get_step_fn(scheme)
     _check_finite(state0, -1, grid.t0)
 
+    batched = state0.q.ndim > 2
     state = state0.copy()
     rec_q = [state.q.copy()]
     rec_p = [state.p.copy()]
     for start in range(0, grid.n_steps, record_every):
         stop = start + record_every
-        try:
-            with np.errstate(all="ignore"):  # the replay warns as each step would
+        if batched:
+            with np.errstate(all="ignore"):
                 end = _march(step_fn, deriv, state, grid, start, stop, check=False)
-            ok = end.first_nonfinite() is None
-        except Exception:  # the replay raises it again, after any earlier bad step
-            ok = False
-        state = end if ok else _march(step_fn, deriv, state, grid, start, stop, check=True)
+            state = _escape_nonfinite(end)
+        else:
+            try:
+                with np.errstate(all="ignore"):  # the replay warns as each step would
+                    end = _march(step_fn, deriv, state, grid, start, stop, check=False)
+                ok = end.first_nonfinite() is None
+            except Exception:  # the replay raises it again, after any earlier bad step
+                ok = False
+            state = end if ok else _march(step_fn, deriv, state, grid, start, stop, check=True)
         rec_q.append(state.q.copy())
         rec_p.append(state.p.copy())
     return Trajectory(

@@ -178,6 +178,17 @@ class SystemSpec:
         return adj
 
     @cached_property
+    def _pendulum_terms(self):
+        """(gravity coefficients, prefactors) of the pendulum's three
+        momentum rates, built once per spec.  The third stick's dL/dtheta3
+        carries a positive prefactor (all theta3 terms enter the Lagrangian
+        through +cos(theta_i - theta_3) and +cos(theta_3)); the small-angle
+        limit must be restoring, pd3 ~ -(1/2) m l g theta3."""
+        half_ml = 0.5 * self.m * self.length
+        g = self.g
+        return np.array([5.0 * g, 3.0 * g, -g]), np.array([-half_ml, -half_ml, half_ml])
+
+    @cached_property
     def _spring_terms(self):
         """(k, degree column, adjacency), resolved once per spec; anchored
         systems pull each agent to the origin and have neither of the last two."""
@@ -298,80 +309,60 @@ def _pendulum_denominator(spec: SystemSpec, th1, th2, th3) -> np.ndarray:
     )
 
 
-def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateVector:
-    (th1, th2, th3), (p1, p2, p3) = _pendulum_angles(state)
-    m, length, g = spec.m, spec.length, spec.g
+# The pendulum's rates in stacked form.  Every entry takes the float
+# operations of the per-term formula in its order, so each bit matches:
+# x - c y is taken as x + (-c) y and 1 y as y, both exact, and a sum along
+# a last axis of five, three or two terms adds left to right.
+#
+# Cosine arguments: 2(th_i - th_j) for ij = 12, 13, 23, then th_i - th_j,
+# then th1 + th2 - 2 th3, th1 - 2 th2 + th3 and 2 th1 - th2 - th3.
+_PEND_DIFF_I, _PEND_DIFF_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+_PEND_TRI = np.array([[1.0, 1.0, -2.0], [1.0, -2.0, 1.0], [2.0, -1.0, -1.0]])
+# Angle-rate numerator r: sum over n of (coef * p[mom]) * cos[arg], then
+# _PEND_LAST[r] * p[r].  Args: 0-2 the doubled differences, 3-5 the
+# differences, 6-8 the three-angle combinations.
+_PEND_NUM_COEF = np.array([
+    [9.0, 27.0, -9.0, 21.0, -27.0],
+    [27.0, -9.0, 9.0, -27.0, 57.0],
+    [21.0, -27.0, -27.0, 57.0, 81.0],
+])
+_PEND_NUM_MOM = np.array([[0, 1, 1, 2, 2], [0, 0, 1, 2, 2], [0, 0, 1, 1, 2]])
+_PEND_NUM_ARG = np.array([[2, 3, 6, 4, 7], [3, 6, 1, 8, 5], [4, 7, 8, 5, 0]])
+_PEND_LAST = np.array([-23.0, -47.0, -143.0])
+# Momentum rate r: prefactor * ((sum over n of ((coef * w[a]) * w[b]) * l * s[arg])
+# + gravity coefficient * sin(th_r)), with sines of (th1 - th2, th1 - th3,
+# th2 - th3).
+_PEND_MOM_COEF = np.array([[3.0, 1.0], [-3.0, 1.0], [1.0, 1.0]])
+_PEND_MOM_A = np.array([[0, 0], [0, 1], [0, 1]])
+_PEND_MOM_B = np.array([[1, 2], [1, 2], [2, 2]])
+_PEND_MOM_ARG = np.array([[0, 1], [0, 2], [1, 2]])
 
-    den = _pendulum_denominator(spec, th1, th2, th3)
-    if np.any(np.abs(den) < PENDULUM_SINGULARITY_EPS):
+
+def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateVector:
+    """Angular velocities from the inverted mass matrix, and the momentum
+    rates dL/dtheta, for states with any leading axes: one np.cos call on
+    the nine distinct cosine arguments and one np.sin call on six sines."""
+    th, p = state.q[..., 0], state.p[..., 0]
+    diff = th[..., _PEND_DIFF_I] - th[..., _PEND_DIFF_J]
+    tri = np.add.reduce(th[..., None, :] * _PEND_TRI, axis=-1)
+    cos = np.cos(np.concatenate([2.0 * diff, diff, tri], axis=-1))
+    sin = np.sin(np.concatenate([diff, th], axis=-1))
+
+    den = spec.m * spec.length**2 * (
+        81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0
+    )
+    if (np.abs(den) < PENDULUM_SINGULARITY_EPS).any():
         raise IntegrationError(
             "pendulum angular-velocity solve hit a singular mass matrix"
         )
+    num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
+    w = 6.0 * (num + _PEND_LAST * p) / den[..., None]
 
-    c12 = np.cos(th1 - th2)
-    c13 = np.cos(th1 - th3)
-    c23 = np.cos(th2 - th3)
-    c_12_3 = np.cos(th1 + th2 - 2.0 * th3)
-    c_13_2 = np.cos(th1 - 2.0 * th2 + th3)
-    c_1_23 = np.cos(2.0 * th1 - th2 - th3)
-    th1d = (
-        6.0
-        * (
-            9.0 * p1 * np.cos(2.0 * (th2 - th3))
-            + 27.0 * p2 * c12
-            - 9.0 * p2 * c_12_3
-            + 21.0 * p3 * c13
-            - 27.0 * p3 * c_13_2
-            - 23.0 * p1
-        )
-        / den
-    )
-    th2d = (
-        6.0
-        * (
-            27.0 * p1 * c12
-            - 9.0 * p1 * c_12_3
-            + 9.0 * p2 * np.cos(2.0 * (th1 - th3))
-            - 27.0 * p3 * c_1_23
-            + 57.0 * p3 * c23
-            - 47.0 * p2
-        )
-        / den
-    )
-    th3d = (
-        6.0
-        * (
-            21.0 * p1 * c13
-            - 27.0 * p1 * c_13_2
-            - 27.0 * p2 * c_1_23
-            + 57.0 * p2 * c23
-            + 81.0 * p3 * np.cos(2.0 * (th1 - th2))
-            - 143.0 * p3
-        )
-        / den
-    )
-
-    s12 = np.sin(th1 - th2)
-    s13 = np.sin(th1 - th3)
-    s23 = np.sin(th2 - th3)
-    half_ml = 0.5 * m * length
-    pd1 = -half_ml * (
-        3.0 * th1d * th2d * length * s12 + th1d * th3d * length * s13 + 5.0 * g * np.sin(th1)
-    )
-    pd2 = -half_ml * (
-        -3.0 * th1d * th2d * length * s12 + th2d * th3d * length * s23 + 3.0 * g * np.sin(th2)
-    )
-    # Third stick: dL/dtheta3 carries a positive overall prefactor (all
-    # theta3 terms enter the Lagrangian through +cos(theta_i - theta_3)
-    # and +cos(theta_3)); the small-angle limit must be restoring,
-    # pd3 ~ -(1/2) m l g theta3.
-    pd3 = +half_ml * (
-        th1d * th3d * length * s13 + th2d * th3d * length * s23 - g * np.sin(th3)
-    )
-
-    dq = np.stack([th1d, th2d, th3d], axis=-1)[..., None]
-    dp = np.stack([pd1, pd2, pd3], axis=-1)[..., None]
-    return StateVector._of(dq, dp)
+    gravity, prefactor = spec._pendulum_terms
+    coupling = ((_PEND_MOM_COEF * w[..., _PEND_MOM_A]) * w[..., _PEND_MOM_B]) * spec.length
+    torque = np.add.reduce(coupling * sin[..., _PEND_MOM_ARG], axis=-1)
+    dp = prefactor * (torque + gravity * sin[..., 3:])
+    return StateVector._of(w[..., None], dp[..., None])
 
 
 def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:

@@ -191,6 +191,7 @@ def optimizer_step(
 
 DIAG_SAMPLES = 32  # training samples the reversal-gap diagnostic reads
 DIAG_CHUNK = 16    # of those per tape
+VAL_CHUNK = 32     # validation samples per tape
 
 
 @dataclass
@@ -318,9 +319,7 @@ def train(
                 l_rev_epoch = diagnostic_reverse_loss(params, settings.model, diag_sets)
             total_epoch = l_pred_epoch + settings.alpha * l_rev_epoch
 
-            val_mse = np.nan
-            if val_sets:
-                val_mse = evaluate(params, val_sets, settings.model, chunk=32).mse
+            val_mse = validation_mse(params, val_sets, settings.model) if val_sets else np.nan
             history.append(
                 {
                     "epoch": epoch,
@@ -372,6 +371,46 @@ class EvalReport:
 BUCKETS = (20, 40, 60)
 
 
+def _forward_chunks(params, obs_sets, config: ModelConfig, chunk: int, variant: str):
+    """Forward-only passes over `obs_sets`, `chunk` samples a tape: yields
+    each chunk, its batch, its BatchForward and the squared error of every
+    target row."""
+    for start in range(0, len(obs_sets), chunk):
+        part = obs_sets[start : start + chunk]
+        batch = build_batch(part)
+        tape = Tape(record=False)
+        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        out = batch_forward(tape, leaves, config, batch, variant=variant, alpha=0.0)
+        err_sq = np.sum((out.yhat_values[batch.rows] - batch.targets) ** 2, axis=1)
+        yield part, batch, out, err_sq
+
+
+def _sample_sums(batch: Batch, err_sq: np.ndarray):
+    """(summed squared error, target count) of each sample, agent by agent."""
+    d = batch.targets.shape[1]
+    for spans in batch.spans:
+        samp_sq = 0.0
+        samp_n = 0
+        for lo, hi in spans:
+            samp_sq += float(err_sq[lo:hi].sum())
+            samp_n += (hi - lo) * d
+        yield samp_sq, samp_n
+
+
+def validation_mse(
+    params: dict[str, np.ndarray], obs_sets: list[ObservationSet], config: ModelConfig
+) -> float:
+    """evaluate(params, obs_sets, config, chunk=VAL_CHUNK).mse, bitwise, from
+    the forward rollout alone: no reverse rollout is traced or decoded."""
+    sq_sum = 0.0
+    n_tot = 0
+    for _, batch, _, err_sq in _forward_chunks(params, obs_sets, config, VAL_CHUNK, "none"):
+        for samp_sq, samp_n in _sample_sums(batch, err_sq):
+            sq_sum += samp_sq
+            n_tot += samp_n
+    return sq_sum / n_tot
+
+
 def evaluate(
     params: dict[str, np.ndarray],
     obs_sets: list[ObservationSet],
@@ -389,23 +428,14 @@ def evaluate(
     max_errs = []
     per_sample = []
 
-    for start in range(0, len(obs_sets), chunk):
-        part = obs_sets[start : start + chunk]
-        batch = build_batch(part)
-        tape = Tape(record=False)
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        out = batch_forward(tape, leaves, config, batch, variant="treat", alpha=0.0)
+    for part, batch, out, err_sq in _forward_chunks(params, obs_sets, config, chunk, "treat"):
         truth = batch.targets
-        err_sq = np.sum((out.yhat_values[batch.rows] - truth) ** 2, axis=1)
         dist = np.sqrt(np.sum((out.rev_paired_values[batch.rows] - truth) ** 2, axis=1))
         d = truth.shape[1]
-        for obs, spans in zip(part, batch.spans):
-            samp_sq = 0.0
-            samp_n = 0
+        sums = _sample_sums(batch, err_sq)
+        for obs, spans, (samp_sq, samp_n) in zip(part, batch.spans, sums):
             for idxs, (lo, hi) in zip(obs.pred_idx, spans):
                 agent_sq = err_sq[lo:hi]
-                samp_sq += float(agent_sq.sum())
-                samp_n += (hi - lo) * d
                 for bk in BUCKETS:
                     if bk <= batch.K:
                         mask = idxs <= bk

@@ -312,7 +312,8 @@ def energy_classification_check(
         sampled states, and the energy genuinely moves.
 
     The members integrate as one ensemble; member i starts from the
-    PURPOSE_INIT draw of item i of `seed`.
+    PURPOSE_INIT draw of item i of `seed`.  A member that leaves the finite
+    range raises IntegrationError for the whole check.
     """
     if not spec.is_spring:
         raise ConfigurationError("energy classification applies to spring systems")
@@ -330,6 +331,13 @@ def energy_classification_check(
         np.stack([s.q for s in starts]), np.stack([s.p for s in starts])
     )
     traj = integrate(make_derivative(spec), state0, grid, ENERGY_SCHEME, sub)
+    escaped = np.argwhere(~np.isfinite(traj.q).all(axis=(-2, -1)))  # (point, member) rows
+    if len(escaped):
+        k, i = escaped[0]
+        raise IntegrationError(
+            f"energy check member {i} left the finite range by t={traj.times[k]:.6g}",
+            time=float(traj.times[k]),
+        )
     energy = mechanical_energy(spec, StateVector(traj.q, traj.p))  # (points, members)
     if spec.kind == "simple_spring":
         worst = float(np.max(np.abs(energy - energy[0]) / np.abs(energy[0])))
@@ -404,9 +412,11 @@ def lyapunov_mle(
     are excluded and counted.  The base state is the pendulum's horizontal
     rest pose, or the PURPOSE_INIT draw of item 0 of `seed` for other systems.
 
-    Members integrate one at a time: an ensemble `integrate` call raises one
-    IntegrationError for all of them, which would leave the escaped pairs
-    uncounted.
+    The whole cloud integrates as one ensemble, in which a member that
+    blows up escapes alone: its recorded points turn NaN from the span it
+    left the finite range in, so every pair touching it has a non-finite
+    separation and is counted as escaped, and each other pair keeps the
+    exponent it has with both members integrated alone.
     """
     if perturbation_sigma <= 0:
         raise ConfigurationError("perturbation_sigma must be positive")
@@ -415,7 +425,6 @@ def lyapunov_mle(
     scheme, dt, sub = SIM_DEFAULTS[spec.kind]
     n_steps = int(round(horizon / dt))
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
-    deriv = make_derivative(spec)
 
     n_traj = 2
     while n_traj * (n_traj - 1) // 2 < n_pairs:
@@ -426,37 +435,23 @@ def lyapunov_mle(
     else:
         state0 = draw_initial_state(spec, rng_stream(seed, 0, PURPOSE_INIT))
 
-    trajs = []
+    dq, dp = [], []
     for j in range(n_traj):
         rng = rng_stream(seed, j, PURPOSE_NOISE)
-        dq = rng.normal(0.0, perturbation_sigma, size=state0.q.shape)
-        dp = rng.normal(0.0, perturbation_sigma, size=state0.p.shape)
-        start = StateVector(q=state0.q + dq, p=state0.p + dp)
-        try:
-            trajs.append(integrate(deriv, start, grid, scheme=scheme, record_every=sub))
-        except IntegrationError:
-            trajs.append(None)
+        dq.append(rng.normal(0.0, perturbation_sigma, size=state0.q.shape))
+        dp.append(rng.normal(0.0, perturbation_sigma, size=state0.p.shape))
+    cloud = StateVector(q=state0.q + np.stack(dq), p=state0.p + np.stack(dp))
+    traj = integrate(make_derivative(spec), cloud, grid, scheme=scheme, record_every=sub)
 
-    per_pair = []
-    escaped = 0
     pairs = list(itertools.combinations(range(n_traj), 2))[:n_pairs]
-    for ia, ib in pairs:
-        ta, tb = trajs[ia], trajs[ib]
-        if ta is None or tb is None:
-            escaped += 1
-            continue
-        diff_q = ta.q - tb.q
-        diff_p = ta.p - tb.p
-        delta = np.sqrt(
-            np.sum(diff_q.reshape(ta.n_points, -1) ** 2, axis=1)
-            + np.sum(diff_p.reshape(ta.n_points, -1) ** 2, axis=1)
-        )
-        if not np.all(np.isfinite(delta)) or delta[0] == 0.0:
-            escaped += 1
-            continue
-        t = ta.times
-        lam = float(np.max(np.log(delta[1:] / delta[0]) / t[1:]))
-        per_pair.append(lam)
+    ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    diff_q = (traj.q[:, ia] - traj.q[:, ib]).reshape(traj.n_points, len(pairs), state0.q.size)
+    diff_p = (traj.p[:, ia] - traj.p[:, ib]).reshape(traj.n_points, len(pairs), state0.p.size)
+    delta = np.sqrt(np.sum(diff_q**2, axis=-1) + np.sum(diff_p**2, axis=-1))  # (points, pairs)
+    usable = delta[:, np.isfinite(delta).all(axis=0) & (delta[0] != 0.0)]
+    lam = np.max(np.log(usable[1:] / usable[0]) / traj.times[1:, None], axis=0)
+    per_pair = lam.tolist()
+    escaped = len(pairs) - len(per_pair)
 
     if not per_pair:
         raise ConfigurationError("every trajectory pair escaped; nothing to report")

@@ -362,3 +362,118 @@ def test_bad_step_before_a_derivative_error_is_reported_first():
         integrate(deriv, unit_state(), grid, "euler", record_every=7)
     assert want.value.step == 8
     assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
+
+
+# ------------------------------------------------ ensembles, member by member
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("label", sorted(LOOP_SPECS))
+def test_ensemble_members_are_bitwise_their_own_integration(label, scheme):
+    spec = LOOP_SPECS[label]
+    rng = np.random.default_rng(8)
+    q = rng.uniform(0.2, 1.5, (2, 3, spec.n_agents, spec.d_q))
+    p = rng.standard_normal((2, 3, spec.n_agents, spec.d_p))
+    grid = TimeGrid(0.25, 0.02, 21)
+    got = integrate(make_derivative(spec), StateVector(q, p), grid, scheme, 7)
+    assert got.q.shape == (4, 2, 3, spec.n_agents, spec.d_q)
+    for i, j in np.ndindex(2, 3):
+        alone = integrate(make_derivative(spec), StateVector(q[i, j], p[i, j]), grid, scheme, 7)
+        assert got.q[:, i, j].tobytes() == alone.q.tobytes(), (i, j)
+        assert got.p[:, i, j].tobytes() == alone.p.tobytes(), (i, j)
+
+
+def member_goes_nonfinite_from(t_bad, member):
+    """The unit oscillator on a stack of starts, with member `member`'s q
+    rate infinite from time `t_bad` on."""
+
+    def deriv(state, t):
+        d = sho_deriv(state, t)
+        if t < t_bad:
+            return d
+        q = d.q.copy()
+        q[member] = np.inf
+        return StateVector(q, d.p)
+
+    return deriv
+
+
+def check_escaped_member(got, alone_deriv, start, grid, scheme, record_every, member):
+    """The escaped member of `got` is its own trajectory up to the recorded
+    point before its first bad step, and NaN from the first point after it."""
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError) as exc:
+        reference_integrate(alone_deriv, start, grid, scheme, record_every)
+    first_nan = exc.value.step // record_every + 1  # the point that holds the bad step
+    assert np.isnan(got.q[first_nan:, member]).all() and np.isnan(got.p[first_nan:, member]).all()
+    assert np.isfinite(got.q[:first_nan, member]).all()
+    if first_nan > 1:
+        short = TimeGrid(grid.t0, grid.dt, (first_nan - 1) * record_every)
+        before = integrate(alone_deriv, start, short, scheme, record_every)
+        assert got.q[:first_nan, member].tobytes() == before.q.tobytes()
+        assert got.p[:first_nan, member].tobytes() == before.p.tobytes()
+    return first_nan
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("t_bad", [0.0, 0.3, 0.95, 2.0])
+def test_ensemble_member_that_goes_nonfinite_escapes_alone(scheme, t_bad):
+    """No error for the stack: the bad member turns NaN from the recorded
+    point after its first bad step, the others keep every bit, and nothing
+    warns."""
+    q = np.array([[[1.0]], [[0.5]], [[-0.8]]])
+    p = np.array([[[0.0]], [[0.3]], [[0.2]]])
+    grid = TimeGrid(0.0, 0.1, 21)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        got = integrate(member_goes_nonfinite_from(t_bad, 1), StateVector(q, p), grid, scheme, 7)
+    assert warned == []
+    for i in (0, 2):
+        alone = integrate(sho_deriv, StateVector(q[i], p[i]), grid, scheme, 7)
+        assert got.q[:, i].tobytes() == alone.q.tobytes()
+        assert got.p[:, i].tobytes() == alone.p.tobytes()
+    first_nan = check_escaped_member(
+        got, goes_nonfinite_from(t_bad), StateVector(q[1], p[1]), grid, scheme, 7, 1
+    )
+    assert first_nan == {0.0: 1, 0.3: 1, 0.95: 2, 2.0: 3}[t_bad]
+
+
+def test_attractor_members_that_blow_up_escape_alone():
+    """Real dynamics: two of six wide starts around the attractor's base
+    state leave the finite range within the horizon."""
+    spec = SystemSpec(kind="attractor")
+    rng = np.random.default_rng(0)
+    q = np.array([0.0, 0.0, 1.6]) + rng.normal(0.0, 10.0, (6, 1, 3))
+    p = np.zeros((6, 1, 0))
+    grid = TimeGrid(0.0, 0.03, 200)
+    deriv = make_derivative(spec)
+    got = integrate(deriv, StateVector(q, p), grid, "rk4", 10)
+    escaped = []
+    for i in range(6):
+        start = StateVector(q[i], p[i])
+        try:
+            with np.errstate(all="ignore"):
+                alone = integrate(deriv, start, grid, "rk4", 10)
+        except IntegrationError:
+            check_escaped_member(got, deriv, start, grid, "rk4", 10, i)
+            escaped.append(i)
+            continue
+        assert got.q[:, i].tobytes() == alone.q.tobytes()
+    assert 0 < len(escaped) < 6
+
+
+def test_ensemble_derivative_error_ends_the_whole_call():
+    def deriv(state, t):
+        if t >= 0.95:
+            raise DerivativeFailed(f"no rate at t={t}")
+        return sho_deriv(state, t)
+
+    stack = StateVector(np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
+    with pytest.raises(DerivativeFailed, match="no rate at t=1.0"):
+        integrate(deriv, stack, TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
+
+
+def test_ensemble_with_a_nonfinite_start_raises():
+    stack = StateVector(np.ones((2, 1, 2)), np.zeros((2, 1, 2)))
+    stack.p[1, 0, 1] = np.nan
+    with pytest.raises(IntegrationError) as exc:
+        integrate(sho_deriv, stack, TimeGrid(0.0, 0.1, 7))
+    assert exc.value.step == -1

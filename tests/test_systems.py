@@ -323,6 +323,47 @@ def test_pendulum_angle_rates_bitwise_match_per_term_cosines():
     assert rates.tobytes() == reference_pendulum_angle_rates(spec, state).tobytes()
 
 
+def reference_pendulum_momentum_rates(spec, state):
+    """The momentum rates as first written, one term at a time on top of the
+    reference angular velocities."""
+    th1, th2, th3 = (state.q[..., i, 0] for i in range(3))
+    th1d, th2d, th3d = (reference_pendulum_angle_rates(spec, state)[..., i, 0] for i in range(3))
+    m, length, g = spec.m, spec.length, spec.g
+    half_ml = 0.5 * m * length
+    pd1 = -half_ml * (
+        3.0 * th1d * th2d * length * np.sin(th1 - th2)
+        + th1d * th3d * length * np.sin(th1 - th3) + 5.0 * g * np.sin(th1)
+    )
+    pd2 = -half_ml * (
+        -3.0 * th1d * th2d * length * np.sin(th1 - th2)
+        + th2d * th3d * length * np.sin(th2 - th3) + 3.0 * g * np.sin(th2)
+    )
+    pd3 = +half_ml * (
+        th1d * th3d * length * np.sin(th1 - th3)
+        + th2d * th3d * length * np.sin(th2 - th3) - g * np.sin(th3)
+    )
+    return np.stack([pd1, pd2, pd3], axis=-1)[..., None]
+
+
+def test_pendulum_momentum_rates_bitwise_match_per_term_formula():
+    """Batched states, m and length off one, and poses where angles coincide
+    (zero differences, of either sign) keep every bit of the momentum rates."""
+    spec = SystemSpec(kind="triple_pendulum", n_agents=3, m=1.3, length=0.7, g=9.81)
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-3.0, 3.0, (6, 4, 3, 1))
+    p = rng.standard_normal((6, 4, 3, 1))
+    q[0, :, 1] = q[0, :, 0]          # th1 == th2
+    q[1, :, 2] = q[1, :, 1]          # th2 == th3
+    q[2, :, :] = q[2, :, :1]         # all three equal
+    q[3, 0] = [[0.0], [-0.0], [0.0]]  # signed zeros
+    p[3, 1] = 0.0                    # at rest
+    d = eval_derivative(spec, StateVector(q, p))
+    assert d.p.shape == (6, 4, 3, 1)
+    assert d.p.tobytes() == reference_pendulum_momentum_rates(spec, StateVector(q, p)).tobytes()
+    one = StateVector(q[4, 2], p[4, 2])
+    assert eval_derivative(spec, one).p.tobytes() == reference_pendulum_momentum_rates(spec, one).tobytes()
+
+
 def test_pendulum_momentum_rate_is_minus_gravity_torque_at_rest():
     """With p = 0 the momentum rates reduce to the gravity torques.
 

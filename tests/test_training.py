@@ -34,10 +34,12 @@ from revode.training import (
     TrainSettings,
     batch_forward,
     build_batch,
+    VAL_CHUNK,
     diagnostic_reverse_loss,
     evaluate,
     optimizer_step,
     train,
+    validation_mse,
     write_loss_report,
 )
 
@@ -379,7 +381,7 @@ def test_train_baseline_logs_diagnostic_l_reverse():
     assert np.isfinite(result.final_diag_l_reverse)
 
 
-@pytest.mark.parametrize("stage", ["rollout_forward", "evaluate"])
+@pytest.mark.parametrize("stage", ["rollout_forward", "validation_mse"])
 def test_train_reports_latent_divergence_as_training_divergence(monkeypatch, stage):
     """A rollout leaving the finite range, in a training batch or in validation,
     is a training divergence (the CLI retries it), not a configuration error."""
@@ -464,6 +466,33 @@ def test_forward_only_reports_equal_recorded_ones(monkeypatch):
     assert len(tapes) == 3 and all(len(tape) == 0 for tape in tapes)  # two chunks, one diagnostic
     assert asked == [False] * 6
     assert repr(forward_only) == repr(recorded)
+
+
+def test_validation_mse_is_bitwise_evaluate_mse_without_a_reverse_rollout(monkeypatch):
+    """Validation traces the forward rollout alone, in chunks of VAL_CHUNK,
+    and its MSE keeps every bit of evaluate's."""
+    obs = small_obs_sets(n_sets=VAL_CHUNK + 5)
+    for seed in (0, 5):
+        params = init_params(TINY, seed=seed)
+        want = evaluate(params, obs, TINY, chunk=VAL_CHUNK).mse
+        assert validation_mse(params, obs, TINY) == want
+        assert validation_mse(params, obs[:4], TINY) == evaluate(params, obs[:4], TINY, chunk=VAL_CHUNK).mse
+
+    def no_reverse(*args, **kwargs):
+        raise AssertionError("validation ran the reverse rollout")
+
+    monkeypatch.setattr(training, "rollout_reverse", no_reverse)
+    validation_mse(params, obs, TINY)
+
+
+def test_train_val_mse_is_evaluate_mse():
+    obs = small_obs_sets(n_sets=20)
+    settings = TrainSettings(model=TINY, epochs=1, batch_size=4, seed=1, val_fraction=0.25)
+    result = train(obs, settings)
+    perm = training.rng_stream(settings.seed, 0, training.PURPOSE_SPLIT).permutation(20)
+    val_sets = [obs[i] for i in perm[:5]]
+    assert result.n_val == 5 and result.best_epoch == 0
+    assert result.history[0]["val_mse"] == evaluate(result.params, val_sets, TINY, chunk=VAL_CHUNK).mse
 
 
 def test_evaluate_rejects_empty():

@@ -6,12 +6,14 @@ derived independently (closed forms, hand constructions, synthetic power
 laws).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 import revode.verify
-from revode.data import PURPOSE_INIT, SIM_DEFAULTS, draw_initial_state, rng_stream
-from revode.errors import ConfigurationError
+from revode.data import PURPOSE_INIT, PURPOSE_NOISE, SIM_DEFAULTS, draw_initial_state, rng_stream
+from revode.errors import ConfigurationError, IntegrationError
 from revode.integrators import StateVector, TimeGrid, integrate
 from revode.systems import (
     SystemSpec,
@@ -292,6 +294,52 @@ def test_lyapunov_mle_deterministic():
     assert a.per_pair == b.per_pair
 
 
+def reference_pair_exponents(spec, n_traj, n_pairs, sigma, horizon, seed):
+    """The probe as first written: each member integrated alone, a member
+    whose integration raises escapes, and every pair touching it is skipped."""
+    scheme, dt, sub = SIM_DEFAULTS[spec.kind]
+    grid = TimeGrid(0.0, dt, int(round(horizon / dt)))
+    base = draw_initial_state(spec, rng_stream(seed, 0, PURPOSE_INIT))
+    trajs = []
+    for j in range(n_traj):
+        rng = rng_stream(seed, j, PURPOSE_NOISE)
+        dq = rng.normal(0.0, sigma, size=base.q.shape)
+        dp = rng.normal(0.0, sigma, size=base.p.shape)
+        try:
+            trajs.append(integrate(make_derivative(spec), StateVector(base.q + dq, base.p + dp),
+                                   grid, scheme, sub))
+        except IntegrationError:
+            trajs.append(None)
+    per_pair, escaped = [], 0
+    for ia, ib in list(itertools.combinations(range(n_traj), 2))[:n_pairs]:
+        ta, tb = trajs[ia], trajs[ib]
+        if ta is None or tb is None:
+            escaped += 1
+            continue
+        delta = np.sqrt(
+            np.sum((ta.q - tb.q).reshape(ta.n_points, -1) ** 2, axis=1)
+            + np.sum((ta.p - tb.p).reshape(ta.n_points, -1) ** 2, axis=1)
+        )
+        per_pair.append(float(np.max(np.log(delta[1:] / delta[0]) / ta.times[1:])))
+    return per_pair, escaped
+
+
+def test_lyapunov_mle_counts_escaped_pairs():
+    """A wide cloud around the attractor's start sends members 4 and 5 of six
+    to infinity within the horizon: the nine pairs touching them are counted
+    as escaped, and the other six pairs keep the exponents they have with
+    each member integrated alone."""
+    spec = SystemSpec(kind="attractor")
+    with np.errstate(all="ignore"):
+        report = lyapunov_mle(spec, n_pairs=15, perturbation_sigma=10.0, horizon=6.0, seed=0)
+        want, want_escaped = reference_pair_exponents(spec, 6, 15, 10.0, 6.0, 0)
+    assert (report.n_escaped, report.n_pairs_used) == (9, 6) == (want_escaped, len(want))
+    assert report.per_pair == want
+    assert report.per_pair == pytest.approx(
+        [0.7641317304932068, 0.11293130740265514, 0.8328279004754039,
+         3.255082343168327, 0.2110627893476245, 0.3225373440648331], rel=1e-12)
+
+
 # ----------------------------------------------------------------- suites
 
 def test_run_suite_lemma2_passes_and_reports():
@@ -323,3 +371,19 @@ def test_suite_result_passes_only_when_every_assertion_does():
     assert result.passed and result.to_jsonable()["passed"] is True
     result.assertions.append(Assertion("c", False, 3.0))
     assert not result.passed and result.to_jsonable()["passed"] is False
+
+
+def test_lyapunov_mle_pairs_of_one_ensemble_match_members_integrated_alone():
+    spec = SystemSpec(kind="simple_spring", n_agents=5, dim=2)
+    report = lyapunov_mle(spec, n_pairs=6, horizon=1.0, seed=2)
+    want, want_escaped = reference_pair_exponents(spec, 4, 6, 1e-4, 1.0, 2)
+    assert (report.n_escaped, want_escaped) == (0, 0)
+    assert report.per_pair == want
+
+
+def test_energy_check_raises_when_a_member_blows_up():
+    """A spring far too stiff for the protocol's step sends the ensemble to
+    infinity; the check stops with IntegrationError (exit 3 on the CLI)."""
+    spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1, k=1e9)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+        energy_classification_check(spec, n_trajectories=2, span=1.0)
