@@ -6,129 +6,4 @@ time-reversal regularizer, and empirical verification of the convergence
 and reversibility claims the approach is built on.
 """
 
-from .autodiff import GradCheckReport, Tape, Tensor, backward, grad_check
-from .errors import (
-    ArtifactMismatchError,
-    ConfigurationError,
-    DatasetFormatError,
-    EncodingError,
-    IntegrationError,
-    NonFiniteGradientError,
-    RevodeError,
-    RolloutDivergedError,
-    ShapeError,
-    TrainingDivergedError,
-    UnsupportedSystemError,
-)
-from .integrators import (
-    SCHEMES,
-    StateVector,
-    TimeGrid,
-    Trajectory,
-    integrate,
-    integrate_reversed,
-    reverse_state,
-)
-from .model import (
-    ModelConfig,
-    init_params,
-    load_checkpoint,
-    rollout_forward,
-    rollout_reverse,
-    save_checkpoint,
-)
-from .systems import (
-    SYSTEM_KINDS,
-    InteractionGraph,
-    SystemSpec,
-    analytic_solution_simple_spring_1d,
-    classify_reversibility,
-    eval_derivative,
-    hamiltonian,
-    make_derivative,
-    mechanical_energy,
-    mechanical_energy_rate,
-    pendulum_energy,
-)
-from .training import (
-    AdamWState,
-    EvalReport,
-    TrainResult,
-    TrainSettings,
-    evaluate,
-    optimizer_step,
-    train,
-)
-from .verify import (
-    LyapunovReport,
-    ScalingReport,
-    SuiteResult,
-    energy_classification_check,
-    lemma1_roundtrip,
-    lemma2_construction_check,
-    lyapunov_mle,
-    run_suite,
-    theorem1_scaling,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArtifactMismatchError",
-    "AdamWState",
-    "ConfigurationError",
-    "DatasetFormatError",
-    "EncodingError",
-    "EvalReport",
-    "GradCheckReport",
-    "InteractionGraph",
-    "IntegrationError",
-    "LyapunovReport",
-    "ModelConfig",
-    "NonFiniteGradientError",
-    "RevodeError",
-    "RolloutDivergedError",
-    "SCHEMES",
-    "SYSTEM_KINDS",
-    "ScalingReport",
-    "ShapeError",
-    "StateVector",
-    "SuiteResult",
-    "SystemSpec",
-    "Tape",
-    "Tensor",
-    "TimeGrid",
-    "TrainResult",
-    "TrainSettings",
-    "TrainingDivergedError",
-    "Trajectory",
-    "UnsupportedSystemError",
-    "analytic_solution_simple_spring_1d",
-    "backward",
-    "classify_reversibility",
-    "energy_classification_check",
-    "eval_derivative",
-    "evaluate",
-    "grad_check",
-    "hamiltonian",
-    "init_params",
-    "integrate",
-    "integrate_reversed",
-    "lemma1_roundtrip",
-    "lemma2_construction_check",
-    "load_checkpoint",
-    "lyapunov_mle",
-    "make_derivative",
-    "mechanical_energy",
-    "mechanical_energy_rate",
-    "optimizer_step",
-    "pendulum_energy",
-    "reverse_state",
-    "rollout_forward",
-    "rollout_reverse",
-    "run_suite",
-    "save_checkpoint",
-    "theorem1_scaling",
-    "train",
-    "__version__",
-]

@@ -6,9 +6,9 @@ a single reversed loop over the node list.  Values are float64 numpy
 arrays, held by the Tensors themselves: a forward-only tape (record=False)
 keeps no nodes, so a pass that never runs backward holds only the values
 its caller still references.  Elementwise ops require exactly matching
-shapes -- the only broadcasting allowed anywhere is scalar-times-tensor /
-scalar-plus-tensor and add_bias's (1, c) row, which keeps silent shape bugs
-out of the gradient path.
+shapes -- the only broadcasting allowed anywhere is smul's scalar-times-tensor
+and add_bias's (1, c) row, which keeps silent shape bugs out of the gradient
+path.
 """
 
 from __future__ import annotations
@@ -46,21 +46,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return smul(self, float(other))
-
-    def __neg__(self):
-        return smul(self, -1.0)
 
 
 class Tape:
@@ -101,15 +86,13 @@ def _same_shape(op, a, b):
     if a.value.shape != b.value.shape:
         raise ShapeError(
             f"{op}: operand shapes {a.value.shape} and {b.value.shape} differ "
-            "(only scalar broadcast is supported; see smul/sadd)"
+            "(only scalar broadcast is supported; see smul)"
         )
 
 
 # ----------------------------------------------------------- primitives
 
 def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return sadd(a, float(b))
     b = _lift(a.tape, b)
     _same_shape("add", a, b)
     return a.tape._record(
@@ -118,8 +101,6 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return sadd(a, -float(b))
     b = _lift(a.tape, b)
     _same_shape("sub", a, b)
     return a.tape._record(
@@ -128,8 +109,6 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return smul(a, float(b))
     b = _lift(a.tape, b)
     _same_shape("mul", a, b)
     av, bv = a.value, b.value
@@ -141,11 +120,6 @@ def mul(a: Tensor, b) -> Tensor:
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return a.tape._record("smul", a.value * c, (a.idx,), lambda g: (g * c,))
-
-
-def sadd(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return a.tape._record("sadd", a.value + c, (a.idx,), lambda g: (g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -21,10 +21,12 @@ from .configs import (
     DESK_TRAIN_RAW_STEPS,
     DESK_TRAIN_TRAJECTORIES,
     EVAL_DEFAULTS,
+    OPTION_CHOICES,
     SIMULATE_DEFAULTS,
     TRAIN_DEFAULTS,
     VERIFY_DEFAULTS,
     load_config_file,
+    option_type,
     resolve_options,
     write_resolved_config,
 )
@@ -46,11 +48,10 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .integrators import SCHEMES
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .systems import SYSTEM_KINDS, SystemSpec
-from .training import LOSS_VARIANTS, TrainSettings, evaluate, train, write_loss_report
-from .verify import SUITES, run_suite
+from .systems import SystemSpec
+from .training import TrainSettings, evaluate, train, write_loss_report
+from .verify import run_suite
 
 _EXIT_BY_ERROR = (
     (TrainingDivergedError, 4),
@@ -69,10 +70,15 @@ def _exit_code_for(exc: RevodeError) -> int:
     return 2
 
 
-def _flags(args, defaults: dict) -> dict:
-    """The command's flags by option name (None where a flag was not given);
-    every option of a command has a flag of the same name."""
-    return {key: getattr(args, key) for key in defaults}
+def _options(args) -> dict:
+    """The command's resolved options: its flags (each option has one), then its
+    --config file, then its catalog defaults with the desk preset laid over
+    them under --desk-scale."""
+    _, defaults, desk, _ = _COMMANDS[args.command]
+    if getattr(args, "desk_scale", False):
+        defaults = {**defaults, **desk}
+    config = load_config_file(args.config, defaults) if getattr(args, "config", None) else None
+    return resolve_options(defaults, config, {key: getattr(args, key) for key in defaults})
 
 
 def _json_dump(path, doc):
@@ -82,32 +88,6 @@ def _json_dump(path, doc):
 
 
 # ---------------------------------------------------------------- simulate
-
-def _add_simulate_parser(sub):
-    p = sub.add_parser("simulate", help="generate trajectory datasets")
-    p.add_argument("--config", default=None)
-    p.add_argument("--desk-scale", action="store_true")
-    p.add_argument("--system", choices=SYSTEM_KINDS, default=None)
-    p.add_argument("--agents", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--trajectories", type=int, default=None)
-    p.add_argument("--test-trajectories", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--test-steps", type=int, default=None)
-    p.add_argument("--subsample", type=int, default=None)
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--damped-form", choices=("anchored", "pairwise"), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--test-out", default=None)
-
 
 _DESK_SIMULATE = {
     "system": "simple_spring",
@@ -124,16 +104,12 @@ _DESK_SIMULATE = {
 
 
 def cmd_simulate(args) -> int:
-    defaults = dict(SIMULATE_DEFAULTS)
-    if args.desk_scale:
-        defaults.update(_DESK_SIMULATE)
-    config = (
-        load_config_file(args.config, defaults) if args.config else None
-    )
-    opt = resolve_options(defaults, config, _flags(args, defaults))
+    opt = _options(args)
     if opt["trajectories"] < 1:
         raise ConfigurationError("--trajectories must be at least 1")
-    if max(opt["trajectories"], opt["test_trajectories"] or 0) > TRAJECTORIES_PER_SEED:
+    if opt["test_trajectories"] < 0:
+        raise ConfigurationError("--test-trajectories must be at least 0")
+    if max(opt["trajectories"], opt["test_trajectories"]) > TRAJECTORIES_PER_SEED:
         raise ConfigurationError(
             f"at most {TRAJECTORIES_PER_SEED} trajectories per seed (set and test set each)"
         )
@@ -191,38 +167,6 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------- train
 
-def _add_train_parser(sub):
-    p = sub.add_parser("train", help="fit a model on a trajectory dataset")
-    p.add_argument("--config", default=None)
-    p.add_argument("--desk-scale", action="store_true")
-    p.add_argument("--data", default=None)
-    p.add_argument("--test-data", default=None)
-    p.add_argument("--loss-variant", choices=LOSS_VARIANTS, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--val-fraction", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--window", default=None, help="lo,split,hi recorded indices")
-    p.add_argument("--test-window", default=None)
-    p.add_argument("--n-obs-min", type=int, default=None)
-    p.add_argument("--n-obs-max", type=int, default=None)
-    p.add_argument("--test-n-obs-min", type=int, default=None)
-    p.add_argument("--test-n-obs-max", type=int, default=None)
-    p.add_argument("--obs-seed", type=int, default=None)
-    p.add_argument("--test-obs-seed", type=int, default=None)
-    p.add_argument("--d-enc", type=int, default=None)
-    p.add_argument("--d-aug", type=int, default=None)
-    p.add_argument("--d-model", type=int, default=None)
-    p.add_argument("--ode-hidden", type=int, default=None)
-    p.add_argument("--dec-hidden", type=int, default=None)
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("--outdir", default=None)
-
-
 # The generic default keeps the classical latent solver; the desk preset
 # swaps in the first-order one so the reverse-rollout penalty carries a
 # usable signal at desk step sizes (see configs.desk_model_config).
@@ -249,11 +193,7 @@ def _load_trajectories(path) -> list:
 
 
 def cmd_train(args) -> int:
-    defaults = dict(TRAIN_DEFAULTS)
-    if args.desk_scale:
-        defaults.update(_DESK_TRAIN)
-    config = load_config_file(args.config, defaults) if args.config else None
-    opt = resolve_options(defaults, config, _flags(args, defaults))
+    opt = _options(args)
 
     trajs = _load_trajectories(opt["data"])
     window = _parse_window(opt["window"])
@@ -332,22 +272,8 @@ def cmd_train(args) -> int:
 
 # -------------------------------------------------------------------- eval
 
-def _add_eval_parser(sub):
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--config", default=None)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--window", default=None)
-    p.add_argument("--n-obs-min", type=int, default=None)
-    p.add_argument("--n-obs-max", type=int, default=None)
-    p.add_argument("--obs-seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-
 def cmd_eval(args) -> int:
-    defaults = dict(EVAL_DEFAULTS)
-    config = load_config_file(args.config, defaults) if args.config else None
-    opt = resolve_options(defaults, config, _flags(args, defaults))
+    opt = _options(args)
     params, model, extra = load_checkpoint(opt["checkpoint"])
     trajs = _load_trajectories(opt["data"])
     obs = build_observation_sets(
@@ -377,14 +303,8 @@ def cmd_eval(args) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def _add_verify_parser(sub):
-    p = sub.add_parser("verify", help="run the theory verification suites")
-    p.add_argument("--suite", choices=SUITES + ("all",), default=None)
-    p.add_argument("--json", dest="out", default=None)
-
-
 def cmd_verify(args) -> int:
-    opt = resolve_options(VERIFY_DEFAULTS, None, _flags(args, VERIFY_DEFAULTS))
+    opt = _options(args)
     results = run_suite(opt["suite"])
     all_passed = True
     for result in results:
@@ -395,13 +315,23 @@ def cmd_verify(args) -> int:
                 f"{assertion.value:.6g}  ({assertion.detail})"
             )
         all_passed &= result.passed
-    if opt["out"]:
-        _json_dump(opt["out"], {"results": [r.to_jsonable() for r in results]})
+    if opt["json"]:
+        _json_dump(opt["json"], {"results": [r.to_jsonable() for r in results]})
     print("verification:", "PASS" if all_passed else "FAIL")
     return 0 if all_passed else 1
 
 
 # -------------------------------------------------------------------- main
+
+# command -> (help, option catalog, desk preset or None without --desk-scale,
+# handler); every catalog option is a flag, and all but verify take --config
+_COMMANDS = {
+    "simulate": ("generate trajectory datasets", SIMULATE_DEFAULTS, _DESK_SIMULATE, cmd_simulate),
+    "train": ("fit a model on a trajectory dataset", TRAIN_DEFAULTS, _DESK_TRAIN, cmd_train),
+    "eval": ("evaluate a checkpoint on a dataset", EVAL_DEFAULTS, None, cmd_eval),
+    "verify": ("run the theory verification suites", VERIFY_DEFAULTS, None, cmd_verify),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -410,25 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
         "training with reversal regularization, and theory checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_simulate_parser(sub)
-    _add_train_parser(sub)
-    _add_eval_parser(sub)
-    _add_verify_parser(sub)
+    for name, (help_text, defaults, desk, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "verify":
+            p.add_argument("--config", default=None)
+        if desk is not None:
+            p.add_argument("--desk-scale", action="store_true")
+        for key, default in defaults.items():
+            kind = option_type(key, default)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           type=kind if kind in (int, float) else None,
+                           choices=OPTION_CHOICES.get(key))
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][3](args)
     except RevodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

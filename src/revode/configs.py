@@ -1,5 +1,10 @@
-"""Run-configuration plumbing: JSON configs, resolved-config copies, and
-the desk-scale preset the small-budget experiments standardize on.
+"""The option table, run-configuration plumbing (JSON configs and
+resolved-config copies), and the desk-scale preset the small-budget
+experiments standardize on.
+
+Every CLI flag and config key comes from the option table: each command's
+`*_DEFAULTS` catalog names its options and defaults, and `option_type` and
+`OPTION_CHOICES` give each option's type and allowed values.
 
 Every command accepts an optional JSON config whose keys must be a subset
 of that command's known options (unknown keys are rejected, not ignored)
@@ -15,23 +20,32 @@ import json
 
 from .data import build_observation_sets, build_trajectory, normalize_trajectories
 from .errors import ConfigurationError
+from .integrators import SCHEMES
 from .model import ModelConfig
-from .systems import SystemSpec
-from .training import TrainSettings
+from .systems import DAMPED_FORMS, SYSTEM_KINDS, SystemSpec
+from .training import LOSS_VARIANTS, TrainSettings
+from .verify import SUITES
 
 CONFIG_SCHEMA_VERSION = 1
 
 
-# A config value has its default's type or, where the default is None (and a
-# config may leave it null), the type below, str where unlisted.  A float option
-# takes an int too, and a window list its "lo,split,hi" string form.
+# An option has its default's type or, where the default is None (and a config
+# may leave it null), the type below, str where unlisted; one in OPTION_CHOICES
+# takes only those values.  In a config, a float option also takes an int, and a
+# window list its "lo,split,hi" string form.
 _UNSET_OPTION_TYPES = {"dt": float, "k": float, "gamma": float, "k1": float, "omega": float,
                        "steps": int, "test_steps": int, "subsample": int}
 _ACCEPTED_TYPES = {float: (int, float), list: (list, str)}
+OPTION_CHOICES = {"system": SYSTEM_KINDS, "scheme": SCHEMES, "damped_form": DAMPED_FORMS,
+                  "loss_variant": LOSS_VARIANTS, "suite": SUITES + ("all",)}
+
+
+def option_type(key: str, default) -> type:
+    return _UNSET_OPTION_TYPES.get(key, str) if default is None else type(default)
 
 
 def load_config_file(path: str, defaults: dict) -> dict:
-    """Read a JSON config, enforcing schema_version and each option's name and type."""
+    """Read a JSON config, enforcing schema_version and each option's name, type and choices."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -55,9 +69,12 @@ def load_config_file(path: str, defaults: dict) -> dict:
         default = defaults[key]
         if value is None and default is None:
             continue  # an unset option left unset
-        want = _UNSET_OPTION_TYPES.get(key, str) if default is None else type(default)
+        want = option_type(key, default)
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES.get(want, want)):
             raise ConfigurationError(f"config {path}: {key} must be {want.__name__}, got {value!r}")
+        choices = OPTION_CHOICES.get(key)
+        if choices and value not in choices:
+            raise ConfigurationError(f"config {path}: {key} must be one of {list(choices)}, got {value!r}")
     return raw
 
 
@@ -227,5 +244,5 @@ EVAL_DEFAULTS = {
 
 VERIFY_DEFAULTS = {
     "suite": "all",
-    "out": None,
+    "json": None,
 }

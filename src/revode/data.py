@@ -42,7 +42,7 @@ def rng_stream(seed: int, item_index: int = 0, purpose: int = 0) -> np.random.Ge
 
 
 def add_gaussian_noise(traj: Trajectory, sigma: float, rng_seed: int) -> Trajectory:
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigurationError(f"noise sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return Trajectory(
@@ -424,7 +424,7 @@ def build_trajectory(
     grid = TimeGrid(0.0, dt, raw_steps)
     traj = integrate(make_derivative(spec), state0, grid, scheme, subsample_every)
     traj = replace(traj, system=spec.params_dict(), seed=(seed << 16) + index, scale=1.0)
-    if noise_sigma > 0:
+    if noise_sigma != 0:  # add_gaussian_noise rejects a negative sigma
         traj = add_gaussian_noise(traj, noise_sigma, (seed << 16) + index)
     return traj
 

@@ -60,24 +60,6 @@ class StateVector:
     def n_agents(self) -> int:
         return self.q.shape[-2]
 
-    def flat(self) -> np.ndarray:
-        """Agent-major flat layout: [q_0, p_0, q_1, p_1, ...]."""
-        return np.concatenate([self.q, self.p], axis=-1).reshape(
-            self.q.shape[:-2] + (-1,)
-        )
-
-    @staticmethod
-    def from_flat(vec: np.ndarray, n_agents: int, d_q: int, d_p: int) -> "StateVector":
-        vec = np.asarray(vec, dtype=np.float64)
-        per_agent = d_q + d_p
-        if vec.shape[-1] != n_agents * per_agent:
-            raise ConfigurationError(
-                f"flat state has {vec.shape[-1]} entries, expected "
-                f"{n_agents}*({d_q}+{d_p})"
-            )
-        mat = vec.reshape(vec.shape[:-1] + (n_agents, per_agent))
-        return StateVector(mat[..., :d_q], mat[..., d_q:])
-
     def first_nonfinite(self):
         """Return ('q'|'p', flat index) of the first bad entry, or None."""
         for name, arr in (("q", self.q), ("p", self.p)):

@@ -23,6 +23,7 @@ SYSTEM_KINDS = (
     "triple_pendulum",
     "attractor",
 )
+DAMPED_FORMS = ("anchored", "pairwise")
 
 # Smaller |denominator| than this in the pendulum's angular-velocity solve
 # is treated as a mass-matrix singularity.  (For uniform sticks the
@@ -55,10 +56,6 @@ class InteractionGraph:
         adj = np.ones((n, n), dtype=bool)
         np.fill_diagonal(adj, False)
         return InteractionGraph(n, adj)
-
-    @staticmethod
-    def empty(n: int) -> "InteractionGraph":
-        return InteractionGraph(n, np.zeros((n, n), dtype=bool))
 
     @staticmethod
     def chain(n: int) -> "InteractionGraph":
@@ -121,7 +118,7 @@ class SystemSpec:
         if self.n_agents < 1 or self.dim < 1:
             raise ConfigurationError(
                 f"n_agents and dim must be >= 1, got {self.n_agents} and {self.dim}")
-        if self.damped_form not in (None, "anchored", "pairwise"):
+        if self.damped_form not in (None, *DAMPED_FORMS):
             raise ConfigurationError(
                 f"damped_form must be 'anchored' or 'pairwise', got {self.damped_form!r}"
             )
@@ -418,44 +415,11 @@ def make_derivative(spec: SystemSpec):
     return lambda state, t: eval_derivative(spec, state, t)
 
 
-@dataclass(frozen=True)
-class Energy:
-    mechanical: np.ndarray
-    time_term: np.ndarray
-    total: np.ndarray
-
-
-def hamiltonian(
-    spec: SystemSpec,
-    state: StateVector,
-    t: float = 0.0,
-    accumulated_work: float | np.ndarray = 0.0,
-) -> Energy:
-    """Energy bookkeeping for spring systems.
-
-    mechanical = kinetic + spring potential.  The time/work term is the
-    explicitly time-dependent part: q-coupled drive for the forced system,
-    caller-integrated friction work for the damped one, zero otherwise.
-    """
-    if not spec.is_spring:
-        raise UnsupportedSystemError(
-            f"hamiltonian is defined for spring systems only, not {spec.kind!r}"
-        )
-    kinetic = np.sum(state.p * state.p, axis=(-2, -1)) / (2.0 * spec.m)
-    mechanical = kinetic + _spring_potential(spec, state.q)
-    if spec.kind == "forced_spring":
-        time_term = spec.k1 * np.cos(spec.omega * t) * np.sum(state.q, axis=(-2, -1))
-    elif spec.kind == "damped_spring":
-        time_term = np.asarray(accumulated_work, dtype=np.float64)
-    else:
-        time_term = np.zeros_like(mechanical)
-    return Energy(mechanical=mechanical, time_term=time_term, total=mechanical + time_term)
-
-
 def mechanical_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
     """Kinetic + potential for any system that has one."""
     if spec.is_spring:
-        return hamiltonian(spec, state).mechanical
+        kinetic = np.sum(state.p * state.p, axis=(-2, -1)) / (2.0 * spec.m)
+        return kinetic + _spring_potential(spec, state.q)
     if spec.kind == "triple_pendulum":
         return pendulum_energy(spec, state)
     raise UnsupportedSystemError(f"{spec.kind!r} has no mechanical energy")

@@ -218,6 +218,10 @@ class TrainSettings:
             raise ConfigurationError("alpha must be >= 0")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigurationError("val_fraction must lie in [0, 1)")
+        if self.epochs < 1 or self.batch_size < 1 or not self.lr > 0:
+            raise ConfigurationError(
+                f"epochs and batch_size must be >= 1 and lr > 0, got epochs={self.epochs}, "
+                f"batch_size={self.batch_size}, lr={self.lr}")
 
 
 @dataclass

@@ -14,7 +14,6 @@ artifacts.
 """
 
 import filecmp
-import json
 import os
 import subprocess
 import sys

@@ -32,12 +32,13 @@ def leaf_pair(shape=(2, 3), seed=0):
 
 def test_basic_values():
     tape, a, b = leaf_pair()
-    assert np.array_equal((a + b).value, a.value + b.value)
-    assert np.array_equal((a - b).value, a.value - b.value)
-    assert np.array_equal((a * b).value, a.value * b.value)
-    assert np.array_equal((3.0 * a).value, 3.0 * a.value)
-    assert np.array_equal((-a).value, -a.value)
-    assert np.array_equal(ad.sadd(a, 1.5).value, a.value + 1.5)
+    assert np.array_equal(ad.add(a, b).value, a.value + b.value)
+    assert np.array_equal(ad.sub(a, b).value, a.value - b.value)
+    assert np.array_equal(ad.mul(a, b).value, a.value * b.value)
+    assert np.array_equal(ad.smul(a, 3.0).value, 3.0 * a.value)
+    assert np.array_equal(ad.smul(a, -1.0).value, -a.value)
+    shift = tape.const(np.full(a.shape, 1.5))
+    assert np.array_equal(ad.add(a, shift).value, a.value + 1.5)
 
 
 def test_matmul_value_and_shape():
@@ -191,12 +192,12 @@ def test_batched_matmul_transpose_gradient_by_hand():
 # ------------------------------------------------- finite-difference sweep
 
 def test_grad_check_elementwise_chain():
-    """tanh/relu/mul/sub/sadd/smul composed into one scalar."""
+    """tanh/relu/add/mul/sub/smul, with a constant operand, composed into one scalar."""
 
     def f(tape, leaves):
         x = leaves["x"]
         y = ad.tanh(x)
-        y = ad.add(y, ad.relu(ad.sadd(x, -0.5)))
+        y = ad.add(y, ad.relu(ad.sub(x, tape.const(np.full(x.shape, 0.5)))))
         y = ad.sub(y, ad.smul(ad.mul(x, x), 0.3))
         y = ad.add(y, ad.mul(ad.tanh(ad.smul(x, 0.1)), x))
         return tape_sum(ad.mul(y, y))

@@ -4,16 +4,28 @@ A tiny end-to-end pipeline (simulate -> train -> eval) runs in a temp
 directory; exit-code contracts are checked by provoking each error class.
 """
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revode.training
 from revode.cli import build_parser, main
+from revode.configs import (
+    EVAL_DEFAULTS,
+    OPTION_CHOICES,
+    SIMULATE_DEFAULTS,
+    TRAIN_DEFAULTS,
+    VERIFY_DEFAULTS,
+    load_config_file,
+    option_type,
+)
 from revode.data import read_dataset
-from revode.errors import RolloutDivergedError
+from revode.errors import ConfigurationError, RolloutDivergedError
 from revode.model import ModelConfig, init_params, save_checkpoint
 
 # small but structurally faithful: 1-body 1-D spring, 41 grid points
@@ -69,6 +81,73 @@ def test_parser_rejects_unknown_suite():
         build_parser().parse_args(["verify", "--suite", "lemma9"])
 
 
+CATALOGS = {"simulate": SIMULATE_DEFAULTS, "train": TRAIN_DEFAULTS,
+            "eval": EVAL_DEFAULTS, "verify": VERIFY_DEFAULTS}
+# what each option type parses from a sample flag value; a window keeps its
+# "lo,split,hi" string form until the command parses it
+FLAG_SAMPLES = {int: ("3", int), float: ("0.25", float), str: ("x", str), list: ("0,10,25", str)}
+
+
+def subcommand_parsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+# the only hand-written flags, by command
+HAND_WRITTEN = {"simulate": {"config", "desk_scale"}, "train": {"config", "desk_scale"},
+                "eval": {"config"}, "verify": set()}
+
+
+@pytest.mark.parametrize("command", sorted(CATALOGS))
+def test_each_catalog_option_is_a_flag_of_its_type(command):
+    defaults = CATALOGS[command]
+    actions = [a for a in subcommand_parsers()[command]._actions if a.dest != "help"]
+    assert {a.dest for a in actions} == set(defaults) | HAND_WRITTEN[command]
+    flags = {a.dest: a.option_strings for a in actions if a.dest in defaults}
+    assert flags == {key: ["--" + key.replace("_", "-")] for key in defaults}
+    parser = build_parser()
+    for key, default in defaults.items():
+        text, kind = FLAG_SAMPLES[option_type(key, default)]
+        choices = OPTION_CHOICES.get(key)
+        if choices:
+            text, kind = choices[-1], str
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, flags[key][0], "not-a-choice"])
+        value = getattr(parser.parse_args([command, flags[key][0], text]), key)
+        assert type(value) is kind and str(value) == text, key
+
+
+# JSON value kinds by the option types that accept them: a float option takes
+# an int too, and a window list its string form
+JSON_KINDS = {
+    "bool": (st.booleans(), ()),
+    "int": (st.integers(), (int, float)),
+    "float": (st.floats(allow_nan=False, allow_infinity=False), (float,)),
+    "str": (st.text(max_size=8), (str, list)),
+    "list": (st.lists(st.integers(), max_size=3), (list,)),
+    "dict": (st.dictionaries(st.text(max_size=3), st.integers(), max_size=2), ()),
+}
+CONFIG_OPTIONS = [(command, key) for command in ("simulate", "train", "eval") for key in CATALOGS[command]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_value_of_another_type_or_outside_choices_names_the_option(tmp_path_factory, data):
+    command, key = data.draw(st.sampled_from(CONFIG_OPTIONS))
+    defaults = CATALOGS[command]
+    want = option_type(key, defaults[key])
+    wrong = [values for values, takers in JSON_KINDS.values() if want not in takers]
+    if defaults[key] is not None:
+        wrong.append(st.none())  # only an option that defaults to unset takes null
+    if key in OPTION_CHOICES:
+        wrong.append(st.text(max_size=16).filter(lambda v: v not in OPTION_CHOICES[key]))
+    value = data.draw(st.one_of(wrong))
+    path = tmp_path_factory.getbasetemp() / "option_table.json"
+    path.write_text(json.dumps({"schema_version": 1, key: value}))
+    with pytest.raises(ConfigurationError, match=f": {key} must be"):
+        load_config_file(str(path), defaults)
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_writes_datasets_and_config(tmp_path):
@@ -119,6 +198,21 @@ def test_simulate_rejects_test_without_out(tmp_path):
          "--out", str(tmp_path / "t.jsonl")]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--noise", "-0.5"],
+    ["--test-trajectories", "-2", "--test-out", "v.jsonl"],
+], ids=["negative_noise", "negative_test_trajectories"])
+def test_simulate_rejects_negative_counts_and_noise(tmp_path, capsys, extra):
+    out = tmp_path / "t.jsonl"
+    extra = [str(tmp_path / v) if v.endswith(".jsonl") else v for v in extra]
+    rc = main(["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
+               "--trajectories", "2", "--steps", "200", "--out", str(out)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists() and not (tmp_path / "v.jsonl").exists()
 
 
 def test_simulate_rejects_zero_dim(tmp_path, capsys):
@@ -260,6 +354,21 @@ def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypa
     assert err[1:] == ["error: forward rollout diverged at step 1"]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--batch-size", "0"], ["--epochs", "0"], ["--lr", "-1"],
+], ids=["batch_size_0", "epochs_0", "lr_negative"])
+def test_train_rejects_bad_settings(tmp_path, capsys, extra):
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl, "--outdir", str(tmp_path / "run")]
+              + WINDOW_ARGS + MODEL_ARGS + extra)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and extra[0][2:].replace("-", "_") in err[0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_malformed_window(tmp_path):
     train_jl = str(tmp_path / "train.jsonl")
     main(SIM_BASE + ["--out", train_jl])
@@ -386,10 +495,13 @@ def test_config_file_wrong_schema_version(tmp_path):
     ("train", {"window": [0, 10.5, 25]}),
     ("train", {"window": "0,ten,25"}),
     ("eval", {"n_obs_min": 4.0}),
+    ("simulate", {"system": "spring"}),
+    ("train", {"loss_variant": "both"}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_config_file_value_of_wrong_type_is_input_error(tmp_path, capsys, command, field):
-    """A config value of the wrong type exits 2 with one `error:` line naming
-    the option and the value, never a traceback from deep inside the command."""
+    """A config value of the wrong type, or outside its option's choices, exits
+    2 with one `error:` line naming the option and the value, never a traceback
+    from deep inside the command."""
     data = str(tmp_path / "train.jsonl")
     assert main(SIM_BASE + ["--out", data]) == 0
     capsys.readouterr()

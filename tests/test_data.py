@@ -131,6 +131,13 @@ def test_add_gaussian_noise_leaves_times_alone():
     assert noised.q.shape == traj.q.shape
 
 
+@pytest.mark.parametrize("sigma", [-0.5, float("nan")])
+def test_build_trajectory_rejects_bad_noise_sigma(sigma):
+    spec = SystemSpec(kind="simple_spring", n_agents=1, dim=1)
+    with pytest.raises(ConfigurationError, match="noise sigma"):
+        build_trajectory(spec, seed=0, index=0, raw_steps=200, noise_sigma=sigma)
+
+
 def test_trajectory_metadata_records_system():
     spec = SystemSpec(kind="damped_spring", n_agents=2, dim=1, gamma=0.5)
     traj = build_trajectory(spec, seed=5, index=2, raw_steps=300)

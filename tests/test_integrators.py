@@ -53,23 +53,6 @@ def test_state_vector_algebra():
     assert a.n_agents == 1
 
 
-def test_state_vector_flat_roundtrip():
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((4, 2))
-    p = rng.standard_normal((4, 2))
-    sv = StateVector(q, p)
-    flat = sv.flat()
-    assert flat.shape == (16,)
-    back = StateVector.from_flat(flat, n_agents=4, d_q=2, d_p=2)
-    assert np.array_equal(back.q, q)
-    assert np.array_equal(back.p, p)
-
-
-def test_from_flat_rejects_wrong_length():
-    with pytest.raises(ConfigurationError):
-        StateVector.from_flat(np.zeros(7), n_agents=2, d_q=2, d_p=2)
-
-
 def test_first_nonfinite_locates_bad_entry():
     sv = StateVector(np.array([[0.0, np.nan]]), np.array([[1.0, 2.0]]))
     assert sv.first_nonfinite() == ("q", 1)

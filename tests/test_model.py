@@ -196,7 +196,7 @@ def spatial_batch():
     """A 3-agent sample with one edge (agent 2 isolated) and one without edges."""
     with_edges = tiny_obs(seed=9, n_agents=3, n_cond=[3, 4, 2],
                           graph=InteractionGraph.from_edges(3, [(0, 1)]))
-    no_edges = tiny_obs(seed=10, n_agents=3, graph=InteractionGraph.empty(3))
+    no_edges = tiny_obs(seed=10, n_agents=3, graph=InteractionGraph.from_edges(3, []))
     params = init_params(SPATIAL, seed=3)
     rng = np.random.default_rng(12)
     params["enc.spatial.b"] = rng.uniform(0.1, 0.5, params["enc.spatial.b"].shape)
@@ -256,7 +256,7 @@ def test_directed_edges_offset_for_batching():
 
 
 def test_lone_agent_gets_self_loop():
-    g = InteractionGraph.empty(1)
+    g = InteractionGraph.from_edges(1, [])
     assert directed_edges(g, 1) == [(0, 0)]
     assert directed_edges(None, 1, offset=3) == [(3, 3)]
 
