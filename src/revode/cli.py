@@ -34,7 +34,7 @@ from .data import (
     TRAJECTORIES_PER_SEED,
     Trajectory,
     build_observation_sets,
-    build_trajectory,
+    build_trajectories,
     normalize_trajectories,
     read_dataset,
     write_dataset,
@@ -130,14 +130,8 @@ def cmd_simulate(args) -> int:
         dt=opt["dt"], subsample_every=opt["subsample"], scheme=opt["scheme"],
         edge_prob=opt["edge_prob"],
     )
-    train_trajs = [
-        build_trajectory(
-            spec, seed=opt["seed"], index=i, raw_steps=steps,
-            noise_sigma=opt["noise"], **common,
-        )
-        for i in range(opt["trajectories"])
-    ]
-    groups = [train_trajs]
+    groups = [build_trajectories(spec, opt["seed"], range(opt["trajectories"]), steps,
+                                 noise_sigma=opt["noise"], **common)]
     if opt["test_trajectories"]:
         test_seed = (
             DESK_DATA_SEED_TEST
@@ -147,13 +141,8 @@ def cmd_simulate(args) -> int:
         test_steps = opt["test_steps"] or steps
         # held-out trajectories are clean: observation noise is a training
         # corruption, not part of the target signal
-        test_trajs = [
-            build_trajectory(
-                spec, seed=test_seed, index=i, raw_steps=test_steps, **common
-            )
-            for i in range(opt["test_trajectories"])
-        ]
-        groups.append(test_trajs)
+        groups.append(build_trajectories(
+            spec, test_seed, range(opt["test_trajectories"]), test_steps, **common))
 
     groups, scale = normalize_trajectories(groups)
     n = write_dataset(opt["out"], groups[0])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .data import build_observation_sets, build_trajectory, normalize_trajectories
+from .data import build_observation_sets, build_trajectories, normalize_trajectories
 from .errors import ConfigurationError
 from .integrators import SCHEMES
 from .model import ModelConfig
@@ -135,16 +135,10 @@ def desk_model_config(**overrides) -> ModelConfig:
 def build_desk_dataset():
     """Deterministic desk corpus: (train obs sets, test obs sets, scale)."""
     spec = desk_system_spec()
-    train_trajs = [
-        build_trajectory(spec, seed=DESK_DATA_SEED_TRAIN, index=i,
-                         raw_steps=DESK_TRAIN_RAW_STEPS)
-        for i in range(DESK_TRAIN_TRAJECTORIES)
-    ]
-    test_trajs = [
-        build_trajectory(spec, seed=DESK_DATA_SEED_TEST, index=i,
-                         raw_steps=DESK_TEST_RAW_STEPS)
-        for i in range(DESK_TEST_TRAJECTORIES)
-    ]
+    train_trajs = build_trajectories(
+        spec, DESK_DATA_SEED_TRAIN, range(DESK_TRAIN_TRAJECTORIES), DESK_TRAIN_RAW_STEPS)
+    test_trajs = build_trajectories(
+        spec, DESK_DATA_SEED_TEST, range(DESK_TEST_TRAJECTORIES), DESK_TEST_RAW_STEPS)
     (train_n, test_n), scale = normalize_trajectories([train_trajs, test_trajs])
     obs_train = build_observation_sets(
         train_n, window=DESK_TRAIN_WINDOW,

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError
+from .errors import ConfigurationError, DatasetFormatError, IntegrationError
 from .integrators import StateVector, TimeGrid, Trajectory, integrate
 from .systems import InteractionGraph, SystemSpec, make_derivative
 
@@ -44,15 +44,12 @@ def rng_stream(seed: int, item_index: int = 0, purpose: int = 0) -> np.random.Ge
 def add_gaussian_noise(traj: Trajectory, sigma: float, rng_seed: int) -> Trajectory:
     if not sigma >= 0:
         raise ConfigurationError(f"noise sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return Trajectory(
-            traj.times.copy(), traj.q.copy(), traj.p.copy(),
-            system=traj.system, seed=traj.seed, scale=traj.scale,
-        )
     rng = rng_stream(rng_seed, 0, PURPOSE_NOISE)
-    q = traj.q + sigma * rng.standard_normal(traj.q.shape)
-    p = traj.p + sigma * rng.standard_normal(traj.p.shape)
-    return Trajectory(traj.times.copy(), q, p, system=traj.system, seed=traj.seed, scale=traj.scale)
+    return replace(
+        traj,
+        q=traj.q + sigma * rng.standard_normal(traj.q.shape),
+        p=traj.p + sigma * rng.standard_normal(traj.p.shape),
+    )
 
 
 @dataclass
@@ -183,18 +180,8 @@ def normalize_trajectories(
             if feats.size:
                 peak = max(peak, float(np.max(np.abs(feats))))
     scale = peak if peak > 0 else 1.0
-    out = []
-    for group in groups:
-        out.append(
-            [
-                Trajectory(
-                    t.times.copy(), t.q / scale, t.p / scale,
-                    system=t.system, seed=t.seed, scale=scale,
-                )
-                for t in group
-            ]
-        )
-    return out, scale
+    return [[replace(t, q=t.q / scale, p=t.p / scale, scale=scale) for t in group]
+            for group in groups], scale
 
 
 # ------------------------------------------------------------------ I/O
@@ -373,17 +360,14 @@ SIM_DEFAULTS = {
 }
 
 
-def draw_initial_state(
-    spec: SystemSpec, rng: np.random.Generator, init_scale: float = 1.0,
-    theta_range: float = np.pi / 2,
-) -> StateVector:
+def draw_initial_state(spec: SystemSpec, rng: np.random.Generator) -> StateVector:
     """Seeded initial conditions per system family."""
     if spec.is_spring:
-        q = init_scale * rng.standard_normal((spec.n_agents, spec.d_q))
-        p = init_scale * rng.standard_normal((spec.n_agents, spec.d_p))
+        q = rng.standard_normal((spec.n_agents, spec.d_q))
+        p = rng.standard_normal((spec.n_agents, spec.d_p))
         return StateVector(q, p)
     if spec.kind == "triple_pendulum":
-        theta = rng.uniform(-theta_range, theta_range, size=(3, 1))
+        theta = rng.uniform(-np.pi / 2, np.pi / 2, size=(3, 1))
         return StateVector(theta, np.zeros((3, 1)))
     if spec.kind == "attractor":
         z0 = rng.uniform(1.0, 3.0)
@@ -391,53 +375,80 @@ def draw_initial_state(
     raise ConfigurationError(f"no initial-state sampler for {spec.kind!r}")
 
 
-def build_trajectory(
+def build_trajectories(
     base_spec: SystemSpec,
     seed: int,
-    index: int,
+    indices: Iterable[int],
     raw_steps: int,
     dt: float | None = None,
     subsample_every: int | None = None,
     scheme: str | None = None,
     edge_prob: float = 1.0,
     noise_sigma: float = 0.0,
-    init_scale: float = 1.0,
-    theta_range: float = np.pi / 2,
-) -> Trajectory:
-    """One dataset trajectory: sampled graph, sampled start, integrated, noised."""
-    if not 0 <= index < TRAJECTORIES_PER_SEED:
-        raise ConfigurationError(
-            f"trajectory index must lie in [0, {TRAJECTORIES_PER_SEED}), got {index}"
-        )
+) -> list[Trajectory]:
+    """Dataset trajectories for `indices` of `seed`: each item's start and
+    noise, and its graph where a spring spec has none, come from its own
+    streams, and all starts integrate as one ensemble in which each sampled
+    graph drives its own member's springs.  An item that leaves the finite
+    range raises IntegrationError naming it."""
+    indices = list(indices)
+    for index in indices:
+        if not 0 <= index < TRAJECTORIES_PER_SEED:
+            raise ConfigurationError(
+                f"trajectory index must lie in [0, {TRAJECTORIES_PER_SEED}), got {index}"
+            )
     default_scheme, default_dt, default_sub = SIM_DEFAULTS[base_spec.kind]
     scheme = scheme or default_scheme
     dt = default_dt if dt is None else dt
     subsample_every = default_sub if subsample_every is None else subsample_every
 
-    spec = base_spec
-    if base_spec.is_spring and base_spec.n_agents > 1:
-        graph_rng = rng_stream(seed, index, PURPOSE_GRAPH)
-        graph = sample_graph_with_rng(base_spec.n_agents, edge_prob, graph_rng)
-        spec = replace(base_spec, graph=graph)
-    init_rng = rng_stream(seed, index, PURPOSE_INIT)
-    state0 = draw_initial_state(spec, init_rng, init_scale, theta_range)
+    ensemble, specs = base_spec, [base_spec] * len(indices)
+    if base_spec.is_spring and base_spec.n_agents > 1 and base_spec.graph is None:
+        specs = [
+            replace(base_spec, graph=sample_graph_with_rng(
+                base_spec.n_agents, edge_prob, rng_stream(seed, index, PURPOSE_GRAPH)))
+            for index in indices
+        ]
+        stacked = np.stack([spec.graph.adjacency for spec in specs])
+        ensemble = replace(base_spec, graph=InteractionGraph(base_spec.n_agents, stacked))
+    starts = [
+        draw_initial_state(spec, rng_stream(seed, index, PURPOSE_INIT))
+        for spec, index in zip(specs, indices)
+    ]
+    state0 = StateVector(np.stack([s.q for s in starts]), np.stack([s.p for s in starts]))
     grid = TimeGrid(0.0, dt, raw_steps)
-    traj = integrate(make_derivative(spec), state0, grid, scheme, subsample_every)
-    traj = replace(traj, system=spec.params_dict(), seed=(seed << 16) + index, scale=1.0)
-    if noise_sigma != 0:  # add_gaussian_noise rejects a negative sigma
-        traj = add_gaussian_noise(traj, noise_sigma, (seed << 16) + index)
-    return traj
+    traj = integrate(make_derivative(ensemble), state0, grid, scheme, subsample_every)
+    escaped = np.argwhere(~np.isfinite(traj.q).all(axis=(-2, -1)))  # (point, member) rows
+    if len(escaped):
+        k, b = escaped[0]
+        raise IntegrationError(
+            f"trajectory {indices[b]} left the finite range by t={traj.times[k]:.6g}",
+            time=float(traj.times[k]),
+        )
+    out = []
+    for b, (spec, index) in enumerate(zip(specs, indices)):
+        tag = (seed << 16) + index
+        item = Trajectory(traj.times, traj.q[:, b], traj.p[:, b],
+                          system=spec.params_dict(), seed=tag)
+        if noise_sigma != 0:  # add_gaussian_noise rejects a negative sigma
+            item = add_gaussian_noise(item, noise_sigma, tag)
+        out.append(item)
+    return out
+
+
+def build_trajectory(base_spec: SystemSpec, seed: int, index: int, raw_steps: int,
+                     **options) -> Trajectory:
+    """One dataset trajectory: build_trajectories over the one index."""
+    return build_trajectories(base_spec, seed, [index], raw_steps, **options)[0]
 
 
 def sample_graph_with_rng(n: int, edge_prob: float, rng: np.random.Generator) -> InteractionGraph:
-    """Bernoulli graph over unordered pairs in fixed (i, j) iteration order."""
+    """Bernoulli graph over unordered pairs, drawn in row-major (i, j) order."""
     if not (0.0 <= edge_prob <= 1.0):
         raise ConfigurationError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                adj[i, j] = adj[j, i] = True
+    ii, jj = np.triu_indices(n, 1)
+    adj[ii, jj] = adj[jj, ii] = rng.random(n * (n - 1) // 2) < edge_prob
     return InteractionGraph(n, adj)
 
 

@@ -34,20 +34,21 @@ PENDULUM_SINGULARITY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Undirected interaction structure between agents."""
+    """Undirected interaction structure between agents; leading axes of the
+    adjacency stack one graph per member of an ensemble."""
 
     n: int
-    adjacency: np.ndarray  # (n, n) bool, symmetric, zero diagonal
+    adjacency: np.ndarray  # (..., n, n) bool, symmetric, zero diagonal
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
-        if adj.shape != (self.n, self.n):
+        if adj.shape[-2:] != (self.n, self.n):
             raise ConfigurationError(
                 f"adjacency shape {adj.shape} does not match n={self.n}"
             )
-        if adj.diagonal().any():
+        if adj.diagonal(axis1=-2, axis2=-1).any():
             raise ConfigurationError("adjacency has self-loops")
-        if not np.array_equal(adj, adj.T):
+        if not np.array_equal(adj, np.swapaxes(adj, -2, -1)):
             raise ConfigurationError("adjacency is not symmetric")
         object.__setattr__(self, "adjacency", adj)
 
@@ -122,6 +123,12 @@ class SystemSpec:
             raise ConfigurationError(
                 f"damped_form must be 'anchored' or 'pairwise', got {self.damped_form!r}"
             )
+        for name, value in [("m", self.m), ("k", self.k), ("k0", self.anchor_k),
+                            ("length", self.length)]:
+            if not value > 0:  # NaN fails too
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        if not self.gamma >= 0:
+            raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
         if self.graph is not None and self.graph.n != self.n_agents:
             raise ConfigurationError(
                 f"graph has {self.graph.n} nodes but spec has {self.n_agents} agents"
@@ -194,7 +201,7 @@ class SystemSpec:
         ):
             return self.anchor_k, None, None
         adj = self._spring_adjacency
-        return self.k, adj.sum(axis=1)[:, None], adj
+        return self.k, adj.sum(axis=-1)[..., None], adj
 
     def params_dict(self) -> dict:
         out = {

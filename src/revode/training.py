@@ -248,12 +248,7 @@ def diagnostic_reverse_loss(
     if not obs_sets:
         return float("nan")
     total = 0.0
-    for start in range(0, len(obs_sets), DIAG_CHUNK):
-        part = obs_sets[start : start + DIAG_CHUNK]
-        tape = Tape(record=False)
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        batch = build_batch(part)
-        out = batch_forward(tape, leaves, config, batch, variant="treat", alpha=0.0)
+    for part, _, out, _ in _forward_chunks(params, obs_sets, config, DIAG_CHUNK, "treat"):
         total += out.l_rev * len(part)
     return total / len(obs_sets)
 

@@ -28,11 +28,12 @@ from .data import (
     PURPOSE_NOISE,
     PURPOSE_PARAMS,
     SIM_DEFAULTS,
+    build_trajectories,
     draw_initial_state,
     rng_stream,
 )
-from .errors import ConfigurationError, IntegrationError
-from .integrators import StateVector, TimeGrid, integrate, integrate_reversed, reverse_state
+from .errors import ConfigurationError
+from .integrators import StateVector, TimeGrid, Trajectory, integrate, integrate_reversed, reverse_state
 from .systems import (
     SystemSpec,
     _spring_potential,
@@ -311,9 +312,9 @@ def energy_classification_check(
     forced: the chain-rule rate matches the closed-form driven-work rate at
         sampled states, and the energy genuinely moves.
 
-    The members integrate as one ensemble; member i starts from the
-    PURPOSE_INIT draw of item i of `seed`.  A member that leaves the finite
-    range raises IntegrationError for the whole check.
+    The members are items 0.. of `seed` from build_trajectories, integrated
+    as one ensemble; one that leaves the finite range raises IntegrationError
+    for the whole check.
     """
     if not spec.is_spring:
         raise ConfigurationError("energy classification applies to spring systems")
@@ -321,23 +322,11 @@ def energy_classification_check(
         raise ConfigurationError(
             "energy classification needs at least one trajectory and one rate state"
         )
-    _, dt, sub = SIM_DEFAULTS[spec.kind]
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=int(round(span / dt)))
-    starts = [
-        draw_initial_state(spec, rng_stream(seed, i, PURPOSE_INIT))
-        for i in range(n_trajectories)
-    ]
-    state0 = StateVector(
-        np.stack([s.q for s in starts]), np.stack([s.p for s in starts])
-    )
-    traj = integrate(make_derivative(spec), state0, grid, ENERGY_SCHEME, sub)
-    escaped = np.argwhere(~np.isfinite(traj.q).all(axis=(-2, -1)))  # (point, member) rows
-    if len(escaped):
-        k, i = escaped[0]
-        raise IntegrationError(
-            f"energy check member {i} left the finite range by t={traj.times[k]:.6g}",
-            time=float(traj.times[k]),
-        )
+    dt = SIM_DEFAULTS[spec.kind][1]
+    members = build_trajectories(spec, seed, range(n_trajectories), int(round(span / dt)),
+                                 scheme=ENERGY_SCHEME)
+    traj = Trajectory(members[0].times, np.stack([m.q for m in members], axis=1),
+                      np.stack([m.p for m in members], axis=1))
     energy = mechanical_energy(spec, StateVector(traj.q, traj.p))  # (points, members)
     if spec.kind == "simple_spring":
         worst = float(np.max(np.abs(energy - energy[0]) / np.abs(energy[0])))

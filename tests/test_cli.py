@@ -7,12 +7,15 @@ directory; exit-code contracts are checked by provoking each error class.
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revode
 import revode.training
 from revode.cli import build_parser, main
 from revode.configs import (
@@ -224,6 +227,35 @@ def test_simulate_rejects_zero_dim(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "dim" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--gamma", "-1"], ["--k", "-1"], ["--k", "0"]],
+                         ids=["negative_gamma", "negative_k", "zero_k"])
+def test_simulate_rejects_non_physical_constants(tmp_path, capsys, extra):
+    out = tmp_path / "t.jsonl"
+    rc = main(["simulate", "--system", "damped_spring", "--agents", "3", "--dim", "1",
+               "--trajectories", "2", "--steps", "200", "--subsample", "100",
+               "--out", str(out)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {extra[0][2:]} must be")
+    assert not out.exists()
+
+
+def test_simulate_diverging_trajectory_exits_3_with_one_line(tmp_path):
+    """Run as a subprocess, so that any NumPy warning would reach stderr too."""
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(revode.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "revode.cli", "simulate", "--system", "simple_spring",
+         "--agents", "1", "--dim", "1", "--k", "1e6", "--dt", "1", "--steps", "200",
+         "--subsample", "100", "--trajectories", "2"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_parent},
+    )
+    assert proc.returncode == 3
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: trajectory 0 ")
+    assert not (tmp_path / "train.jsonl").exists()
 
 
 def as_obs_record_with_dim_7(rec):

@@ -18,6 +18,7 @@ from revode.data import (
     _traj_record,
     add_gaussian_noise,
     build_observation_sets,
+    build_trajectories,
     build_trajectory,
     draw_initial_state,
     irregular_subsample,
@@ -27,7 +28,7 @@ from revode.data import (
     sample_graph_with_rng,
     write_dataset,
 )
-from revode.errors import ConfigurationError, DatasetFormatError, RevodeError
+from revode.errors import ConfigurationError, DatasetFormatError, IntegrationError, RevodeError
 from revode.integrators import TimeGrid, Trajectory, integrate
 from revode.systems import SYSTEM_KINDS, InteractionGraph, SystemSpec, make_derivative
 
@@ -73,23 +74,50 @@ def test_build_trajectory_varies_with_index():
 
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
 def test_build_trajectory_is_its_sampled_system_integrated(kind):
-    """A trajectory is its own sampled system integrated from its own start,
-    bit for bit, and records that system, its tag and a unit scale."""
+    """Each trajectory of one build_trajectories call is its own sampled
+    system integrated alone from its own start and noised from its own
+    stream, bit for bit, and records that system, its tag and a unit scale;
+    build_trajectory, the call over one index, gives the same bits."""
     n_agents = {"triple_pendulum": 3, "attractor": 1}.get(kind, 4)
     base = SystemSpec(kind=kind, n_agents=n_agents, dim=2)
-    traj = build_trajectory(base, seed=9, index=3, raw_steps=40, subsample_every=10,
-                            edge_prob=0.5)
-    spec = base
-    if base.is_spring:
-        graph = sample_graph_with_rng(n_agents, 0.5, rng_stream(9, 3, PURPOSE_GRAPH))
-        spec = SystemSpec(kind=kind, n_agents=n_agents, dim=2, graph=graph)
-    assert traj.system == spec.params_dict()
-    assert (traj.seed, traj.scale) == ((9 << 16) + 3, 1.0)
+    indices = [3, 0, 7, 1]
+    options = dict(raw_steps=40, subsample_every=10, edge_prob=0.5, noise_sigma=0.01)
+    batch = build_trajectories(base, 9, indices, **options)
+    assert len(batch) == len(indices)
+    if base.is_spring:  # the members' springs differ, so a shared graph would show
+        assert len({str(traj.system["edges"]) for traj in batch}) > 1
     scheme, dt, _ = SIM_DEFAULTS[kind]
-    state0 = draw_initial_state(spec, rng_stream(9, 3, PURPOSE_INIT))
-    want = integrate(make_derivative(spec), state0, TimeGrid(0.0, dt, 40), scheme, 10)
-    for name in ("times", "q", "p"):
-        assert getattr(traj, name).tobytes() == getattr(want, name).tobytes()
+    for index, traj in zip(indices, batch):
+        spec = base
+        if base.is_spring:
+            graph = sample_graph_with_rng(n_agents, 0.5, rng_stream(9, index, PURPOSE_GRAPH))
+            spec = SystemSpec(kind=kind, n_agents=n_agents, dim=2, graph=graph)
+        tag = (9 << 16) + index
+        assert traj.system == spec.params_dict()
+        assert (traj.seed, traj.scale) == (tag, 1.0)
+        state0 = draw_initial_state(spec, rng_stream(9, index, PURPOSE_INIT))
+        clean = integrate(make_derivative(spec), state0, TimeGrid(0.0, dt, 40), scheme, 10)
+        want = add_gaussian_noise(clean, 0.01, tag)
+        alone = build_trajectory(base, seed=9, index=index, **options)
+        for name in ("times", "q", "p"):
+            assert getattr(traj, name).tobytes() == getattr(want, name).tobytes()
+            assert getattr(alone, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_build_trajectories_keeps_a_graph_the_spec_gives():
+    """Only a spring spec without a graph gets sampled graphs."""
+    chain = InteractionGraph.chain(4)
+    spec = SystemSpec(kind="simple_spring", n_agents=4, dim=1, graph=chain)
+    for traj in build_trajectories(spec, 1, range(3), raw_steps=200, edge_prob=0.5):
+        assert traj.system["edges"] == chain.edges()
+
+
+def test_build_trajectories_names_the_item_that_escapes():
+    """A spring far too stiff for the step sends its members to infinity;
+    the error names the first item's index, not its place in the call."""
+    spec = SystemSpec(kind="simple_spring", n_agents=1, dim=1, k=1e6)
+    with pytest.raises(IntegrationError, match="trajectory 5 left the finite range by t=200"):
+        build_trajectories(spec, 0, [5, 2], raw_steps=200, dt=1.0, subsample_every=100)
 
 
 def test_build_trajectory_rejects_index_outside_its_16_bits():
@@ -144,6 +172,20 @@ def test_trajectory_metadata_records_system():
     assert traj.system["kind"] == "damped_spring"
     assert traj.system["gamma"] == 0.5
     assert traj.seed == (5 << 16) + 2
+
+
+def test_sample_graph_draws_the_pairs_of_the_row_major_pair_loop():
+    """One draw per unordered pair, in (0, 1), (0, 2), ..., (1, 2), ... order."""
+    for n in (2, 3, 5, 8):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for stream in range(5):
+                rng = rng_stream(stream, n, PURPOSE_GRAPH)
+                want = np.zeros((n, n), dtype=bool)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        want[i, j] = want[j, i] = rng.random() < p
+                graph = sample_graph_with_rng(n, p, rng_stream(stream, n, PURPOSE_GRAPH))
+                assert np.array_equal(graph.adjacency, want)
 
 
 # --------------------------------------------------------- normalization

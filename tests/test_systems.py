@@ -54,6 +54,23 @@ def test_spec_rejects_dim_below_one(kind):
             SystemSpec(kind=kind, dim=dim)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("m", 0.0), ("m", -1.0), ("k", 0.0), ("k", -1.0), ("k", float("nan")),
+    ("k0", 0.0), ("k0", float("nan")), ("length", -0.5), ("gamma", -1.0),
+    ("gamma", float("nan")),
+])
+def test_spec_rejects_non_physical_constants(name, value):
+    """Masses, stiffnesses and lengths are positive and damping is not
+    negative; a NaN is neither."""
+    with pytest.raises(ConfigurationError, match=name):
+        SystemSpec(kind="damped_spring", n_agents=2, **{name: value})
+
+
+def test_spec_accepts_zero_damping_and_an_unset_anchor():
+    spec = SystemSpec(kind="damped_spring", n_agents=2, gamma=0.0)
+    assert (spec.gamma, spec.k0) == (0.0, None)
+
+
 def test_damped_form_validated():
     with pytest.raises(ConfigurationError):
         SystemSpec(kind="damped_spring", damped_form="frictional")
@@ -103,6 +120,22 @@ def test_graph_rejects_malformed_adjacency():
         InteractionGraph(3, asym)
     with pytest.raises(ConfigurationError):
         InteractionGraph.from_edges(3, [(0, 3)])
+
+
+def test_stacked_graphs_drive_each_members_springs():
+    """Adjacencies stacked along a leading axis give each member of a stacked
+    state its own graph's force, bit for bit; each layer is checked."""
+    graphs = [InteractionGraph.chain(4), InteractionGraph.from_edges(4, [(0, 3), (1, 2)])]
+    stacked = InteractionGraph(4, np.stack([g.adjacency for g in graphs]))
+    spec = SystemSpec(kind="simple_spring", n_agents=4, dim=2, graph=stacked)
+    q = np.random.default_rng(5).standard_normal((2, 4, 2))
+    force = _spring_force(spec, q)
+    for b, graph in enumerate(graphs):
+        alone = SystemSpec(kind="simple_spring", n_agents=4, dim=2, graph=graph)
+        assert force[b].tobytes() == _spring_force(alone, q[b]).tobytes()
+    bad = np.stack([graphs[0].adjacency, np.eye(4, dtype=bool)])
+    with pytest.raises(ConfigurationError, match="self-loops"):
+        InteractionGraph(4, bad)
 
 
 # ----------------------------------------------------------- spring force
