@@ -15,6 +15,7 @@ import sys
 
 from .configs import (
     DESK_DATA_SEED_TEST,
+    DESK_TEST_WINDOW,
     DESK_DATA_SEED_TRAIN,
     DESK_TEST_RAW_STEPS,
     DESK_TEST_TRAJECTORIES,
@@ -31,6 +32,7 @@ from .configs import (
     write_resolved_config,
 )
 from .data import (
+    SIM_DEFAULTS,
     TRAJECTORIES_PER_SEED,
     Trajectory,
     build_observation_sets,
@@ -122,10 +124,8 @@ def cmd_simulate(args) -> int:
             spec_kwargs[name] = opt[name]
     spec = SystemSpec(**spec_kwargs)
 
-    steps = opt["steps"]
-    if steps is None:
-        from .data import SIM_DEFAULTS
-        steps = 60 * (opt["subsample"] or SIM_DEFAULTS[spec.kind][2])
+    subsample = opt["subsample"] or SIM_DEFAULTS[spec.kind][2]
+    steps = 60 * subsample if opt["steps"] is None else opt["steps"]
     common = dict(
         dt=opt["dt"], subsample_every=opt["subsample"], scheme=opt["scheme"],
         edge_prob=opt["edge_prob"],
@@ -138,7 +138,8 @@ def cmd_simulate(args) -> int:
             if args.desk_scale and opt["seed"] == DESK_DATA_SEED_TRAIN
             else opt["seed"] + 1
         )
-        test_steps = opt["test_steps"] or steps
+        # by default the test set spans the default test window of train and eval
+        test_steps = opt["test_steps"] or DESK_TEST_WINDOW[2] * subsample
         # held-out trajectories are clean: observation noise is a training
         # corruption, not part of the target signal
         groups.append(build_trajectories(
@@ -181,19 +182,44 @@ def _load_trajectories(path) -> list:
     return trajs
 
 
+def _observation_sets(opt, prefix: str = "") -> list:
+    """The observation sets of the trajectory set `opt[prefix + "data"]`, drawn
+    with the `prefix` window options."""
+    return build_observation_sets(
+        _load_trajectories(opt[prefix + "data"]), window=_parse_window(opt[prefix + "window"]),
+        n_obs_min=opt[prefix + "n_obs_min"], n_obs_max=opt[prefix + "n_obs_max"],
+        obs_seed=opt[prefix + "obs_seed"],
+    )
+
+
+def _held_out_metrics(opt, prefix: str, model: ModelConfig):
+    """Load the `prefix` observation sets and check their width against `model`
+    (exit 5); returns the function of trained parameters that evaluates them."""
+    obs = _observation_sets(opt, prefix)
+    if obs[0].d != model.d_obs:
+        path = opt[prefix + "data"]
+        raise ArtifactMismatchError(f"model takes {model.d_obs} features, {path} has {obs[0].d}")
+
+    def metrics(params) -> dict:
+        report = evaluate(params, obs, model)
+        return {
+            "mse": report.mse,
+            "mse_hundredths": report.mse * 100.0,
+            "bucket_mse": {str(k): v for k, v in report.bucket_mse.items()},
+            "max_error_gt_rev": report.max_error_gt_rev,
+            "n_targets": report.n_targets,
+            "n_samples": len(obs),
+        }
+
+    return metrics
+
+
 def cmd_train(args) -> int:
     opt = _options(args)
 
-    trajs = _load_trajectories(opt["data"])
-    window = _parse_window(opt["window"])
-    obs_train = build_observation_sets(
-        trajs, window=window,
-        n_obs_min=opt["n_obs_min"], n_obs_max=opt["n_obs_max"],
-        obs_seed=opt["obs_seed"],
-    )
-    d_obs = obs_train[0].d
+    obs_train = _observation_sets(opt)
     model = ModelConfig(
-        d_obs=d_obs, d_enc=opt["d_enc"], d_aug=opt["d_aug"],
+        d_obs=obs_train[0].d, d_enc=opt["d_enc"], d_aug=opt["d_aug"],
         d_model=opt["d_model"], ode_hidden=opt["ode_hidden"],
         dec_hidden=opt["dec_hidden"], scheme=opt["scheme"],
     )
@@ -203,6 +229,8 @@ def cmd_train(args) -> int:
         patience=opt["patience"], val_fraction=opt["val_fraction"],
         weight_decay=opt["weight_decay"], seed=opt["seed"],
     )
+    # a test set that cannot be evaluated fails here, before any training
+    test_metrics = _held_out_metrics(opt, "test_", model) if opt["test_data"] else None
 
     try:
         result = train(obs_train, settings)
@@ -220,7 +248,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(opt["outdir"], "checkpoint.json")
     save_checkpoint(
         ckpt_path, result.params, model,
-        extra={"scale": trajs[0].scale, "loss_variant": opt["loss_variant"],
+        extra={"scale": obs_train[0].scale, "loss_variant": opt["loss_variant"],
                "alpha": opt["alpha"], "seed": opt["seed"]},
     )
     write_loss_report(os.path.join(opt["outdir"], "losses.csv"), result.history)
@@ -236,20 +264,12 @@ def cmd_train(args) -> int:
         "n_val": result.n_val,
         "lr_retried": retried,
     }
-    if opt["test_data"]:
-        test_trajs = _load_trajectories(opt["test_data"])
-        obs_test = build_observation_sets(
-            test_trajs, window=_parse_window(opt["test_window"]),
-            n_obs_min=opt["test_n_obs_min"], n_obs_max=opt["test_n_obs_max"],
-            obs_seed=opt["test_obs_seed"],
-        )
-        report = evaluate(result.params, obs_test, model)
-        summary["test_mse"] = report.mse
-        summary["test_mse_hundredths"] = report.mse * 100.0
-        summary["test_bucket_mse"] = {str(k): v for k, v in report.bucket_mse.items()}
-        summary["test_max_error_gt_rev"] = report.max_error_gt_rev
+    if test_metrics is not None:
+        metrics = test_metrics(result.params)
+        for key in ("mse", "mse_hundredths", "bucket_mse", "max_error_gt_rev"):
+            summary["test_" + key] = metrics[key]
     _json_dump(os.path.join(opt["outdir"], "summary.json"), summary)
-    opt["window"] = list(window)
+    opt["window"] = list(_parse_window(opt["window"]))
     opt["test_window"] = list(_parse_window(opt["test_window"]))
     write_resolved_config(os.path.join(opt["outdir"], "resolved_config.json"), opt)
     print(
@@ -263,26 +283,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     opt = _options(args)
-    params, model, extra = load_checkpoint(opt["checkpoint"])
-    trajs = _load_trajectories(opt["data"])
-    obs = build_observation_sets(
-        trajs, window=_parse_window(opt["window"]),
-        n_obs_min=opt["n_obs_min"], n_obs_max=opt["n_obs_max"],
-        obs_seed=opt["obs_seed"],
-    )
-    if obs[0].d != model.d_obs:
-        raise ArtifactMismatchError(
-            f"checkpoint expects {model.d_obs} features, dataset has {obs[0].d}"
-        )
-    report = evaluate(params, obs, model)
-    metrics = {
-        "mse": report.mse,
-        "mse_hundredths": report.mse * 100.0,
-        "bucket_mse": {str(k): v for k, v in report.bucket_mse.items()},
-        "max_error_gt_rev": report.max_error_gt_rev,
-        "n_targets": report.n_targets,
-        "n_samples": len(obs),
-    }
+    params, model, _ = load_checkpoint(opt["checkpoint"])
+    metrics = _held_out_metrics(opt, "", model)(params)
     if opt["out"]:
         _json_dump(opt["out"], metrics)
         write_resolved_config(str(opt["out"]) + ".config.json", opt)

@@ -42,8 +42,6 @@ def rng_stream(seed: int, item_index: int = 0, purpose: int = 0) -> np.random.Ge
 
 
 def add_gaussian_noise(traj: Trajectory, sigma: float, rng_seed: int) -> Trajectory:
-    if not sigma >= 0:
-        raise ConfigurationError(f"noise sigma must be >= 0, got {sigma}")
     rng = rng_stream(rng_seed, 0, PURPOSE_NOISE)
     return replace(
         traj,
@@ -390,8 +388,13 @@ def build_trajectories(
     noise, and its graph where a spring spec has none, come from its own
     streams, and all starts integrate as one ensemble in which each sampled
     graph drives its own member's springs.  An item that leaves the finite
-    range raises IntegrationError naming it."""
+    range raises IntegrationError naming it; no indices, or a negative or
+    non-finite noise sigma, raise ConfigurationError before any integration."""
     indices = list(indices)
+    if not indices:
+        raise ConfigurationError("build_trajectories needs at least one trajectory index")
+    if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
+        raise ConfigurationError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     for index in indices:
         if not 0 <= index < TRAJECTORIES_PER_SEED:
             raise ConfigurationError(
@@ -430,7 +433,7 @@ def build_trajectories(
         tag = (seed << 16) + index
         item = Trajectory(traj.times, traj.q[:, b], traj.p[:, b],
                           system=spec.params_dict(), seed=tag)
-        if noise_sigma != 0:  # add_gaussian_noise rejects a negative sigma
+        if noise_sigma != 0:
             item = add_gaussian_noise(item, noise_sigma, tag)
         out.append(item)
     return out

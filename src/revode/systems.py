@@ -1,8 +1,11 @@
 """Benchmark dynamical systems: spring networks, a triple pendulum on
 sticks, and a 3-D reversible strange attractor.
 
-Every derivative function accepts states with arbitrary leading batch axes
-(shape (..., n_agents, d)), so ensembles integrate in a single pass.
+`make_derivative(spec)` resolves the system's kind and constants once and
+returns its packed field f(y, t) -> dy/dt on y = [q | p], positions and
+momenta concatenated on the last axis, (..., n_agents, d_q + d_p).  Both
+rates go into one new array, and leading batch axes broadcast through, so
+ensembles integrate in a single pass.
 """
 
 from __future__ import annotations
@@ -174,14 +177,6 @@ class SystemSpec:
         return InteractionGraph.complete(self.n_agents)
 
     @cached_property
-    def _spring_adjacency(self) -> np.ndarray:
-        """The resolved graph's adjacency as float64, built once per spec:
-        the spring force and potential read it at every evaluation."""
-        adj = self.resolved_graph().adjacency.astype(np.float64)
-        adj.flags.writeable = False
-        return adj
-
-    @cached_property
     def _pendulum_terms(self):
         """(gravity coefficients, prefactors) of the pendulum's three
         momentum rates, built once per spec.  The third stick's dL/dtheta3
@@ -194,17 +189,19 @@ class SystemSpec:
 
     @cached_property
     def _spring_terms(self):
-        """(k, degree column, adjacency), resolved once per spec; anchored
-        systems pull each agent to the origin and have neither of the last two."""
+        """(k, degree column, float adjacency), resolved once per spec for the
+        force and potential to read at every evaluation; anchored systems pull
+        each agent to the origin and have neither of the last two."""
         if self.n_agents == 1 or (
             self.kind == "damped_spring" and self.effective_damped_form == "anchored"
         ):
             return self.anchor_k, None, None
-        adj = self._spring_adjacency
+        adj = self.resolved_graph().adjacency.astype(np.float64)
+        adj.flags.writeable = False
         return self.k, adj.sum(axis=-1)[..., None], adj
 
     def params_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "n_agents": self.n_agents,
             "dim": self.dim,
@@ -219,37 +216,41 @@ class SystemSpec:
             "damped_form": self.effective_damped_form,
             "edges": self.resolved_graph().edges(),
         }
-        return out
 
     @staticmethod
     def from_params_dict(d: dict) -> "SystemSpec":
-        graph = InteractionGraph.from_edges(d["n_agents"], d.get("edges", []))
+        """The spec of a `params_dict`; a missing constant takes its default."""
+        optional = ("dim", "m", "k", "k0", "gamma", "k1", "omega", "length", "g", "damped_form")
         return SystemSpec(
-            kind=d["kind"],
-            n_agents=d["n_agents"],
-            dim=d.get("dim", 1),
-            m=d.get("m", 1.0),
-            k=d.get("k", 0.1),
-            k0=d.get("k0"),
-            gamma=d.get("gamma", 10.0),
-            k1=d.get("k1", 10.0),
-            omega=d.get("omega", 1.0),
-            length=d.get("length", 1.0),
-            g=d.get("g", 9.8),
-            damped_form=d.get("damped_form"),
-            graph=graph,
+            kind=d["kind"], n_agents=d["n_agents"],
+            graph=InteractionGraph.from_edges(d["n_agents"], d.get("edges", [])),
+            **{name: d[name] for name in optional if name in d},
         )
 
 
 # ----------------------------------------------------------------- springs
 
-def _spring_force(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
-    """Net spring force on each agent (shape like q)."""
+def _spring_force(spec: SystemSpec, q: np.ndarray, out=None) -> np.ndarray:
+    """Net spring force on each agent (shape like q), written into `out`
+    when given."""
     k, deg, adj = spec._spring_terms
     if deg is None:
-        return 0.0 - k * q  # not -(k * q): a zero force is +0.0, as 0.0 - 0.0 is
+        # not -(k * q): a zero force is +0.0, as 0.0 - 0.0 is
+        return np.subtract(0.0, k * q, out=out)
     # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
-    return 0.0 - k * (deg * q - np.matmul(adj, q))
+    return np.subtract(0.0, k * (deg * q - _neighbour_sum(adj, q)), out=out)
+
+
+def _neighbour_sum(adj: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A q, laid out like q.  A packed state stores q's last axis first
+    (`StateVector.packed`), where the product is fastest taken as (q^T A)^T,
+    A being symmetric, straight into that layout; every entry adds the same
+    exact 0/1 products in the same order, so the bits are those of A q."""
+    if q.shape[-1] == 1:  # one column: keep A q's own matrix-vector product
+        return np.matmul(adj, q)
+    aq = np.empty_like(q)
+    np.matmul(q.swapaxes(-1, -2), adj, out=aq.swapaxes(-1, -2))
+    return aq
 
 
 def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
@@ -262,23 +263,25 @@ def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
     return 0.0 + 0.5 * 0.5 * k * np.sum(adj * sq, axis=(-2, -1))
 
 
-def _spring_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateVector:
-    dq = state.p / spec.m
-    dp = _spring_force(spec, state.q)
-    if spec.kind == "damped_spring":
-        dp = dp - spec.gamma * state.p / spec.m
-    elif spec.kind == "forced_spring":
-        dp = dp - spec.k1 * np.cos(spec.omega * t)
-    return StateVector._of(dq, dp)
+def _spring_field(spec: SystemSpec):
+    d, m, gamma, k1, omega = spec.d_q, spec.m, spec.gamma, spec.k1, spec.omega
+    damped, forced = spec.kind == "damped_spring", spec.kind == "forced_spring"
+
+    def field(y, t):
+        q, p = y[..., :d], y[..., d:]
+        out = np.empty_like(y)
+        np.divide(p, m, out=out[..., :d])
+        dp = _spring_force(spec, q, out=out[..., d:])
+        if damped:
+            np.subtract(dp, gamma * p / m, out=dp)
+        elif forced:
+            np.subtract(dp, k1 * np.cos(omega * t), out=dp)
+        return out
+
+    return field
 
 
 # ------------------------------------------------------------- pendulum
-
-def _pendulum_angles(state: StateVector):
-    th = state.q[..., 0]
-    pm = state.p[..., 0]
-    return (th[..., 0], th[..., 1], th[..., 2]), (pm[..., 0], pm[..., 1], pm[..., 2])
-
 
 def pendulum_mass_matrix(theta: np.ndarray, m: float, length: float) -> np.ndarray:
     """Angular-momentum map p = M(theta) thetadot for three uniform sticks.
@@ -301,16 +304,6 @@ def pendulum_mass_matrix(theta: np.ndarray, m: float, length: float) -> np.ndarr
     rows[..., 2, 1] = 0.5 * c23
     rows[..., 2, 2] = 1.0 / 3.0
     return ml2 * rows
-
-
-def _pendulum_denominator(spec: SystemSpec, th1, th2, th3) -> np.ndarray:
-    ml2 = spec.m * spec.length**2
-    return ml2 * (
-        81.0 * np.cos(2.0 * (th1 - th2))
-        - 9.0 * np.cos(2.0 * (th1 - th3))
-        + 45.0 * np.cos(2.0 * (th2 - th3))
-        - 169.0
-    )
 
 
 # The pendulum's rates in stacked form.  Every entry takes the float
@@ -342,43 +335,46 @@ _PEND_MOM_B = np.array([[1, 2], [1, 2], [2, 2]])
 _PEND_MOM_ARG = np.array([[0, 1], [0, 2], [1, 2]])
 
 
-def _pendulum_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateVector:
+def _pendulum_field(spec: SystemSpec):
     """Angular velocities from the inverted mass matrix, and the momentum
-    rates dL/dtheta, for states with any leading axes: one np.cos call on
-    the nine distinct cosine arguments and one np.sin call on six sines."""
-    th, p = state.q[..., 0], state.p[..., 0]
-    diff = th[..., _PEND_DIFF_I] - th[..., _PEND_DIFF_J]
-    tri = np.add.reduce(th[..., None, :] * _PEND_TRI, axis=-1)
-    cos = np.cos(np.concatenate([2.0 * diff, diff, tri], axis=-1))
-    sin = np.sin(np.concatenate([diff, th], axis=-1))
-
-    den = spec.m * spec.length**2 * (
-        81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0
-    )
-    if (np.abs(den) < PENDULUM_SINGULARITY_EPS).any():
-        raise IntegrationError(
-            "pendulum angular-velocity solve hit a singular mass matrix"
-        )
-    num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
-    w = 6.0 * (num + _PEND_LAST * p) / den[..., None]
-
+    rates dL/dtheta, for states y = [theta | p] with any leading axes: one
+    np.cos call on the nine distinct cosine arguments and one np.sin call
+    on six sines."""
+    ml2, length = spec.m * spec.length**2, spec.length
     gravity, prefactor = spec._pendulum_terms
-    coupling = ((_PEND_MOM_COEF * w[..., _PEND_MOM_A]) * w[..., _PEND_MOM_B]) * spec.length
-    torque = np.add.reduce(coupling * sin[..., _PEND_MOM_ARG], axis=-1)
-    dp = prefactor * (torque + gravity * sin[..., 3:])
-    return StateVector._of(w[..., None], dp[..., None])
+
+    def field(y, t):
+        th, p = y[..., 0], y[..., 1]
+        diff = th[..., _PEND_DIFF_I] - th[..., _PEND_DIFF_J]
+        tri = np.add.reduce(th[..., None, :] * _PEND_TRI, axis=-1)
+        cos = np.cos(np.concatenate([2.0 * diff, diff, tri], axis=-1))
+        sin = np.sin(np.concatenate([diff, th], axis=-1))
+
+        den = ml2 * (81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0)
+        if (np.abs(den) < PENDULUM_SINGULARITY_EPS).any():
+            raise IntegrationError(
+                "pendulum angular-velocity solve hit a singular mass matrix"
+            )
+        num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
+        out = np.empty_like(y)
+        w = np.divide(6.0 * (num + _PEND_LAST * p), den[..., None], out=out[..., 0])
+
+        coupling = ((_PEND_MOM_COEF * w[..., _PEND_MOM_A]) * w[..., _PEND_MOM_B]) * length
+        torque = np.add.reduce(coupling * sin[..., _PEND_MOM_ARG], axis=-1)
+        np.multiply(prefactor, torque + gravity * sin[..., 3:], out=out[..., 1])
+        return out
+
+    return field
 
 
 def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
     """Total energy T + V of the stick pendulum (batched)."""
-    if spec.kind != "triple_pendulum":
-        raise UnsupportedSystemError(
-            f"pendulum_energy does not apply to {spec.kind!r}"
-        )
-    theta = state.q[..., 0]
-    pvec = state.p[..., 0]
-    (th1, th2, th3), _ = _pendulum_angles(state)
-    den = _pendulum_denominator(spec, th1, th2, th3)
+    theta, pvec = state.q[..., 0], state.p[..., 0]
+    th1, th2, th3 = theta[..., 0], theta[..., 1], theta[..., 2]
+    den = spec.m * spec.length**2 * (
+        81.0 * np.cos(2.0 * (th1 - th2)) - 9.0 * np.cos(2.0 * (th1 - th3))
+        + 45.0 * np.cos(2.0 * (th2 - th3)) - 169.0
+    )
     if np.any(np.abs(den) < PENDULUM_SINGULARITY_EPS):
         raise IntegrationError("singular mass matrix in pendulum_energy")
     mass = pendulum_mass_matrix(theta, spec.m, spec.length)
@@ -393,33 +389,34 @@ def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
 
 # ------------------------------------------------------------ attractor
 
-def _attractor_derivative(spec: SystemSpec, state: StateVector, t: float) -> StateVector:
-    x = state.q[..., 0, 0]
-    y = state.q[..., 0, 1]
-    z = state.q[..., 0, 2]
-    dx = 1.0 + y * z
-    dy = -x * z
-    dz = y * y + 2.0 * y * z
-    dq = np.stack([dx, dy, dz], axis=-1)[..., None, :]
-    return StateVector._of(dq, np.zeros_like(state.p))
+def _attractor_field(y, t):
+    """The single agent's (x, y, z) rates; the system has no momenta or constants."""
+    qx, qy, qz = y[..., 0, 0], y[..., 0, 1], y[..., 0, 2]
+    out = np.empty_like(y)
+    out[..., 0, 0] = 1.0 + qy * qz
+    out[..., 0, 1] = -qx * qz
+    out[..., 0, 2] = qy * qy + 2.0 * qy * qz
+    return out
 
 
 # ------------------------------------------------------------- public API
 
-def eval_derivative(spec: SystemSpec, state: StateVector, t: float = 0.0) -> StateVector:
-    """Time derivative of the state under the system's equations of motion."""
-    if spec.is_spring:
-        return _spring_derivative(spec, state, t)
-    if spec.kind == "triple_pendulum":
-        return _pendulum_derivative(spec, state, t)
-    if spec.kind == "attractor":
-        return _attractor_derivative(spec, state, t)
-    raise UnsupportedSystemError(f"no derivative for {spec.kind!r}")
-
-
 def make_derivative(spec: SystemSpec):
-    """Bind spec into a (state, t) -> StateVector callable for integrators."""
-    return lambda state, t: eval_derivative(spec, state, t)
+    """The system's packed field f(y, t) -> dy/dt for integrators, with its
+    kind resolved here, once, and its constants bound."""
+    if spec.is_spring:
+        return _spring_field(spec)
+    if spec.kind == "triple_pendulum":
+        return _pendulum_field(spec)
+    return _attractor_field  # SystemSpec admits no other kind
+
+
+def eval_derivative(spec: SystemSpec, state: StateVector, t: float = 0.0) -> StateVector:
+    """Time derivative of the state under the system's equations of motion:
+    the packed field on [q | p], split back into row-major q and p rates."""
+    d = state.q.shape[-1]
+    dy = make_derivative(spec)(np.concatenate([state.q, state.p], axis=-1), t)
+    return StateVector(dy[..., :d].copy(), dy[..., d:].copy())
 
 
 def mechanical_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:

@@ -33,7 +33,7 @@ from .data import (
     rng_stream,
 )
 from .errors import ConfigurationError
-from .integrators import StateVector, TimeGrid, Trajectory, integrate, integrate_reversed, reverse_state
+from .integrators import StateVector, TimeGrid, integrate, reverse_state
 from .systems import (
     SystemSpec,
     _spring_potential,
@@ -141,40 +141,40 @@ def theorem1_scaling(
     fixed evaluation grid (spacing independent of dt); the reversal error
     compares the numeric forward pass against a second pass that integrates
     the negated field back from the forward endpoint, pairing index j with
-    n - j.  Alignment across step sizes uses whole-multiple substepping.
+    n - j (`TimeGrid.reverse_times`).  Alignment across step sizes uses
+    whole-multiple substepping; at one dt each span's forward pass is a
+    bitwise prefix of the longest span's, so each dt takes one pass.
     """
     dt_list = tuple(float(d) for d in dt_list)
     t_list = tuple(float(t) for t in t_list)
     if len(dt_list) < 4:
         raise ConfigurationError("need at least 4 step sizes for a slope fit")
     spec, spacing = SCALING_SPEC, SCALING_EVAL_SPACING
-    deriv = make_derivative(spec)
+    field = make_derivative(spec)
+    negated = lambda y, t: -field(y, t)
     state0 = StateVector(q=[[SCALING_Q0]], p=[[SCALING_P0]])
+    n_evals = {span: int(round(span / spacing)) for span in t_list}
 
     l_pred: dict = {}
     l_rev: dict = {}
-    for span, dt in itertools.product(t_list, dt_list):
+    for dt in dt_list:
         m_sub = int(round(spacing / dt))
-        n_eval = int(round(span / spacing))
         if m_sub < 1 or abs(m_sub * dt - spacing) > 1e-12:
             raise ConfigurationError(
                 f"eval spacing {spacing} is not a whole multiple of dt {dt}"
             )
-        grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_eval * m_sub)
-        fwd = integrate(deriv, state0, grid, scheme=scheme, record_every=m_sub)
-        q_true, p_true = analytic_solution_simple_spring_1d(
-            SCALING_Q0, SCALING_P0, spec.anchor_k, spec.m, fwd.times
-        )
-        dq = fwd.q[:, 0, 0] - q_true
-        dp = fwd.p[:, 0, 0] - p_true
-        l_pred[(span, dt)] = float(np.sum(dq**2 + dp**2))
+        longest = TimeGrid(t0=0.0, dt=dt, n_steps=max(n_evals.values()) * m_sub)
+        full = integrate(field, state0, longest, scheme=scheme, record_every=m_sub)
+        for span, n in n_evals.items():
+            q, p = full.q[:n + 1, 0, 0], full.p[:n + 1, 0, 0]
+            q_true, p_true = analytic_solution_simple_spring_1d(
+                SCALING_Q0, SCALING_P0, spec.anchor_k, spec.m, full.times[:n + 1]
+            )
+            l_pred[(span, dt)] = float(np.sum((q - q_true)**2 + (p - p_true)**2))
 
-        rev = integrate_reversed(
-            deriv, fwd.state(-1), grid, scheme=scheme, record_every=m_sub
-        )
-        dq_r = rev.q[::-1, 0, 0] - fwd.q[:, 0, 0]
-        dp_r = rev.p[::-1, 0, 0] - fwd.p[:, 0, 0]
-        l_rev[(span, dt)] = float(np.sum(dq_r**2 + dp_r**2))
+            grid = TimeGrid(t0=0.0, dt=dt, n_steps=n * m_sub)
+            back = integrate(negated, full.state(n), grid, scheme=scheme, record_every=m_sub)
+            l_rev[(span, dt)] = float(np.sum((back.q[::-1, 0, 0] - q)**2 + (back.p[::-1, 0, 0] - p)**2))
 
     fit_span = max(t_list)
     slopes_by_span = {}
@@ -325,39 +325,40 @@ def energy_classification_check(
     dt = SIM_DEFAULTS[spec.kind][1]
     members = build_trajectories(spec, seed, range(n_trajectories), int(round(span / dt)),
                                  scheme=ENERGY_SCHEME)
-    traj = Trajectory(members[0].times, np.stack([m.q for m in members], axis=1),
-                      np.stack([m.p for m in members], axis=1))
-    energy = mechanical_energy(spec, StateVector(traj.q, traj.p))  # (points, members)
+    states = StateVector(np.stack([m.q for m in members]), np.stack([m.p for m in members]))
+    times = members[0].times
+    energy = mechanical_energy(spec, states)  # member-major, (members, points)
+    start = energy[:, :1]
     if spec.kind == "simple_spring":
-        worst = float(np.max(np.abs(energy - energy[0]) / np.abs(energy[0])))
+        worst = float(np.max(np.abs(energy - start) / np.abs(start)))
         checks = {"max_relative_drift": worst}
         passed = worst < tol
     elif spec.kind == "damped_spring":
-        worst_rise = float(np.max(np.diff(energy, axis=0)))
-        rate_err = _max_rate_mismatch(spec, traj, n_rate_states)
+        worst_rise = float(np.max(np.diff(energy, axis=1)))
+        rate_err = _max_rate_mismatch(spec, states, times, n_rate_states)
         checks = {"max_energy_increase_per_step": worst_rise, "max_rate_mismatch": rate_err}
         passed = worst_rise <= ENERGY_STEP_TOL and rate_err < rate_tol
     else:  # forced_spring
-        rate_err = _max_rate_mismatch(spec, traj, n_rate_states)
-        moved = float(np.max(np.abs(energy - energy[0])))
+        rate_err = _max_rate_mismatch(spec, states, times, n_rate_states)
+        moved = float(np.max(np.abs(energy - start)))
         checks = {"max_rate_mismatch": rate_err, "max_energy_change": moved}
         passed = rate_err < rate_tol and moved > 100 * tol
     return EnergyCheckReport(spec.kind, classify_reversibility(spec), passed, checks)
 
 
-def _max_rate_mismatch(spec, traj, n_states: int) -> float:
+def _max_rate_mismatch(spec, states: StateVector, times, n_states: int) -> float:
     """Worst |closed-form rate - chain-rule rate| over sampled states.
 
-    `traj` is an ensemble (time axis first, members second); its states
-    are taken member by member, in time order, every stride-th of them.
+    `states` are member-major, (members, points, n_agents, d), on `times`;
+    they are taken member by member, in time order, every stride-th of them.
     """
-    n_members = traj.q.shape[1]
-    q = np.swapaxes(traj.q, 0, 1).reshape((-1,) + traj.q.shape[2:])
-    p = np.swapaxes(traj.p, 0, 1).reshape((-1,) + traj.p.shape[2:])
+    n_members = states.q.shape[0]
+    q = states.q.reshape((-1,) + states.q.shape[2:])
+    p = states.p.reshape((-1,) + states.p.shape[2:])
     stride = max(1, len(q) // n_states)
     pick = np.arange(0, len(q), stride)[:n_states]
     states = StateVector(q[pick], p[pick])
-    t = np.tile(traj.times, n_members)[pick]
+    t = np.tile(times, n_members)[pick]
     analytic = mechanical_energy_rate(spec, states, t)
     chain = mechanical_energy_rate_chain_rule(spec, states, t)
     return float(np.max(np.abs(analytic - chain)))

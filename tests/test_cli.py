@@ -7,6 +7,7 @@ directory; exit-code contracts are checked by provoking each error class.
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revode
+import revode.cli
+import revode.data
 import revode.training
 from revode.cli import build_parser, main
 from revode.configs import (
@@ -207,7 +210,12 @@ def test_simulate_rejects_test_without_out(tmp_path):
     ["--noise", "-0.5"],
     ["--test-trajectories", "-2", "--test-out", "v.jsonl"],
 ], ids=["negative_noise", "negative_test_trajectories"])
-def test_simulate_rejects_negative_counts_and_noise(tmp_path, capsys, extra):
+def test_simulate_rejects_negative_counts_and_noise(tmp_path, capsys, monkeypatch, extra):
+    """Rejected before any trajectory is integrated."""
+    def integrate_must_not_run(*args, **kwargs):
+        raise AssertionError("integrate ran on a rejected option")
+
+    monkeypatch.setattr(revode.data, "integrate", integrate_must_not_run)
     out = tmp_path / "t.jsonl"
     extra = [str(tmp_path / v) if v.endswith(".jsonl") else v for v in extra]
     rc = main(["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
@@ -406,6 +414,54 @@ def test_train_rejects_malformed_window(tmp_path):
     main(SIM_BASE + ["--out", train_jl])
     rc = main(["train", "--data", train_jl, "--window", "0,30"] + MODEL_ARGS)
     assert rc == 2
+
+
+def test_train_rejects_test_set_of_another_width_before_training(tmp_path, capsys, monkeypatch):
+    """A damped-spring train set (4 features) and a pendulum test set (2):
+    exit 5 before train() starts, and nothing is written."""
+    train_jl, test_jl = str(tmp_path / "train.jsonl"), str(tmp_path / "test.jsonl")
+    assert main(["simulate", "--system", "damped_spring", "--agents", "2", "--dim", "2",
+                 "--trajectories", "6", "--steps", "4000", "--out", train_jl]) == 0
+    assert main(["simulate", "--system", "triple_pendulum", "--agents", "3",
+                 "--trajectories", "2", "--steps", "3000", "--out", test_jl]) == 0
+
+    def train_must_not_run(*args, **kwargs):
+        raise AssertionError("training started on a test set it cannot be evaluated on")
+
+    monkeypatch.setattr(revode.cli, "train", train_must_not_run)
+    capsys.readouterr()
+    outdir = tmp_path / "run"
+    rc = main(["train", "--data", train_jl, "--test-data", test_jl, "--outdir", str(outdir)]
+              + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: model takes 4 features, {test_jl} has 2"]
+    assert not outdir.exists()
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands() -> dict:
+    """The `revode` commands of the README's CLI block, by subcommand."""
+    text = open(README).read().replace("\\\n", " ")
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("revode ")]
+    return {args[0]: args for args in commands}
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    """simulate, train and eval exactly as the README writes them, with only
+    the epochs cut: the default test set spans the default test window."""
+    commands = readme_commands()
+    monkeypatch.chdir(tmp_path)
+    assert main(commands["simulate"]) == 0
+    assert main(commands["train"] + ["--epochs", "1"]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert np.isfinite(summary["test_mse"])
+    capsys.readouterr()
+    assert main(commands["eval"]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["n_samples"] == 50
 
 
 # -------------------------------------------------------------------- eval

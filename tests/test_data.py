@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import revode.data
 from revode.data import (
     PURPOSE_GRAPH,
     PURPOSE_INIT,
@@ -159,11 +160,25 @@ def test_add_gaussian_noise_leaves_times_alone():
     assert noised.q.shape == traj.q.shape
 
 
-@pytest.mark.parametrize("sigma", [-0.5, float("nan")])
-def test_build_trajectory_rejects_bad_noise_sigma(sigma):
+def integrate_must_not_run(*args, **kwargs):
+    raise AssertionError("integrate ran on input that is rejected before it")
+
+
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+def test_build_trajectory_rejects_bad_noise_sigma(sigma, monkeypatch):
+    """Before any integration: a bad sigma used to surface only after the
+    whole set was integrated."""
+    monkeypatch.setattr(revode.data, "integrate", integrate_must_not_run)
     spec = SystemSpec(kind="simple_spring", n_agents=1, dim=1)
     with pytest.raises(ConfigurationError, match="noise sigma"):
         build_trajectory(spec, seed=0, index=0, raw_steps=200, noise_sigma=sigma)
+
+
+def test_build_trajectories_rejects_no_indices(monkeypatch):
+    monkeypatch.setattr(revode.data, "integrate", integrate_must_not_run)
+    spec = SystemSpec(kind="damped_spring", n_agents=3, dim=2)
+    with pytest.raises(ConfigurationError, match="at least one trajectory index"):
+        build_trajectories(spec, 0, [], 200, edge_prob=0.5)
 
 
 def test_trajectory_metadata_records_system():

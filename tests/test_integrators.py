@@ -20,16 +20,16 @@ from revode.integrators import (
     get_step_fn,
     heun_step,
     integrate,
-    integrate_reversed,
     reverse_state,
     rk4_step,
 )
-from revode.systems import SystemSpec, make_derivative
+from revode.systems import SystemSpec, eval_derivative, make_derivative
 
 
-def sho_deriv(state, t):
-    """Unit oscillator: q' = p, p' = -q."""
-    return StateVector(state.p, -state.q)
+def sho_deriv(y, t):
+    """Unit oscillator on a packed [q | p] state: q' = p, p' = -q."""
+    h = y.shape[-1] // 2
+    return np.concatenate([y[..., h:], -y[..., :h]], axis=-1)
 
 
 def sho_exact(t):
@@ -42,15 +42,15 @@ def unit_state():
 
 # ----------------------------------------------------------- StateVector
 
-def test_state_vector_algebra():
-    a = StateVector(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
-    b = StateVector(np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]]))
-    s = a + b
-    d = a - b
-    assert np.allclose(s.q, [[1.5, 2.5]]) and np.allclose(s.p, [[4.0, 5.0]])
-    assert np.allclose(d.q, [[0.5, 1.5]]) and np.allclose(d.p, [[2.0, 3.0]])
-    assert np.allclose((2.0 * a).q, [[2.0, 4.0]])
-    assert a.n_agents == 1
+def test_packed_state_is_q_then_p_on_the_last_axis():
+    """Each half of the packed state is one contiguous block of memory."""
+    rng = np.random.default_rng(1)
+    sv = StateVector(rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 1)))
+    y = sv.packed()
+    assert y.shape == (4, 3, 3)
+    assert np.array_equal(y, np.concatenate([sv.q, sv.p], axis=-1))
+    assert np.moveaxis(y[..., :2], -1, 0).flags.c_contiguous
+    assert np.moveaxis(y[..., 2:], -1, 0).flags.c_contiguous
 
 
 def test_first_nonfinite_locates_bad_entry():
@@ -64,6 +64,7 @@ def test_reverse_state_flips_momenta_and_is_involutive():
     rng = np.random.default_rng(0)
     sv = StateVector(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
     rev = reverse_state(sv)
+    assert rev.n_agents == sv.n_agents == 3
     assert np.array_equal(rev.q, sv.q)
     assert np.array_equal(rev.p, -sv.p)
     twice = reverse_state(rev)
@@ -103,19 +104,18 @@ def test_reverse_times_pairing_is_bitwise():
 
 def test_single_steps_match_hand_calculation():
     """One explicit step of each scheme on the oscillator, by hand."""
-    s0 = unit_state()
+    y0 = unit_state().packed()  # [[q | p]] = [[1, 0]]
     dt = 0.1
-    e = euler_step(sho_deriv, s0, 0.0, dt)
+    e = euler_step(sho_deriv, y0, 0.0, dt)
     # Euler: q1 = q0 + dt*p0 = 1, p1 = p0 - dt*q0 = -0.1
-    assert np.allclose(e.q, 1.0) and np.allclose(e.p, -0.1)
-    h = heun_step(sho_deriv, s0, 0.0, dt)
+    assert np.allclose(e, [[1.0, -0.1]])
+    h = heun_step(sho_deriv, y0, 0.0, dt)
     # Heun averages the endpoint slope: p' at predictor is -1
-    assert np.allclose(h.q, 1.0 + 0.5 * dt * (0.0 - 0.1))
-    assert np.allclose(h.p, 0.0 - 0.5 * dt * (1.0 + 1.0))
-    r = rk4_step(sho_deriv, s0, 0.0, dt)
+    assert np.allclose(h, [[1.0 + 0.5 * dt * (0.0 - 0.1), 0.0 - 0.5 * dt * (1.0 + 1.0)]])
+    r = rk4_step(sho_deriv, y0, 0.0, dt)
     # one RK4 step carries a local error of order dt^5/5! ~ 8e-8 here
-    assert abs(r.q.item() - np.cos(dt)) < 2e-7
-    assert abs(r.p.item() + np.sin(dt)) < 2e-7
+    assert abs(r[0, 0] - np.cos(dt)) < 2e-7
+    assert abs(r[0, 1] + np.sin(dt)) < 2e-7
 
 
 def test_get_step_fn_rejects_unknown_scheme():
@@ -185,11 +185,11 @@ def test_trajectory_state_supports_negative_index():
 
 # ------------------------------------------------------- reverse rollout
 
-def test_integrate_reversed_retraces_forward_leg():
+def test_negated_field_retraces_forward_leg():
     """Running -F from the forward endpoint lands back at the start."""
     grid = TimeGrid(0.0, 1e-3, 2000)
     fwd = integrate(sho_deriv, unit_state(), grid, scheme="rk4")
-    rev = integrate_reversed(sho_deriv, fwd.state(-1), grid, scheme="rk4")
+    rev = integrate(lambda y, t: -sho_deriv(y, t), fwd.state(-1), grid, scheme="rk4")
     gap_q = np.max(np.abs(rev.q[-1] - fwd.q[0]))
     gap_p = np.max(np.abs(rev.p[-1] - fwd.p[0]))
     assert gap_q < 1e-10 and gap_p < 1e-10
@@ -197,17 +197,9 @@ def test_integrate_reversed_retraces_forward_leg():
     assert np.max(np.abs(rev.q[::-1] - fwd.q)) < 1e-9
 
 
-def test_integrate_reversed_uses_reverse_bookkeeping_times():
-    grid = TimeGrid(0.0, 0.05, 8)
-    rev = integrate_reversed(sho_deriv, unit_state(), grid)
-    assert np.array_equal(rev.times, grid.reverse_times())
-    rev2 = integrate_reversed(sho_deriv, unit_state(), grid, record_every=4)
-    assert np.array_equal(rev2.times, grid.reverse_times()[::4])
-
-
 def test_integration_error_reports_step():
-    def exploding(state, t):
-        return StateVector(state.q * 1e160, state.p * 1e160)
+    def exploding(y, t):
+        return y * 1e160
 
     grid = TimeGrid(0.0, 1.0, 10)
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as exc:
@@ -229,9 +221,10 @@ def reference_integrate(deriv, state0, grid, scheme, record_every):
     """The integration loop as first written: a finiteness check after every
     step.  `integrate` checks once per recorded state and must give the same
     bits, and raise the same error at the same step."""
+    d_q = state0.q.shape[-1]
 
-    def check(state, step, t):
-        bad = state.first_nonfinite()
+    def check(y, step, t):
+        bad = StateVector(y[..., :d_q], y[..., d_q:]).first_nonfinite()
         if bad is not None:
             raise IntegrationError(
                 f"non-finite value in {bad[0]}[{bad[1]}] after step {step} (t={t:.6g})",
@@ -239,18 +232,18 @@ def reference_integrate(deriv, state0, grid, scheme, record_every):
             )
 
     step_fn = get_step_fn(scheme)
-    check(state0, -1, grid.t0)
-    state = state0.copy()
-    rec_q, rec_p, times = [state.q.copy()], [state.p.copy()], [grid.t0]
+    y = np.concatenate([state0.q, state0.p], axis=-1)
+    check(y, -1, grid.t0)
+    rec, times = [y], [grid.t0]
     for k in range(grid.n_steps):
         t = grid.t0 + k * grid.dt
-        state = step_fn(deriv, state, t, grid.dt)
-        check(state, k, t + grid.dt)
+        y = step_fn(deriv, y, t, grid.dt)
+        check(y, k, t + grid.dt)
         if (k + 1) % record_every == 0:
-            rec_q.append(state.q.copy())
-            rec_p.append(state.p.copy())
+            rec.append(y)
             times.append(grid.t0 + (k + 1) * grid.dt)
-    return Trajectory(times=np.array(times), q=np.stack(rec_q), p=np.stack(rec_p))
+    ys = np.stack(rec)
+    return Trajectory(times=np.array(times), q=ys[..., :d_q], p=ys[..., d_q:])
 
 
 LOOP_SPECS = {
@@ -284,12 +277,64 @@ def test_integrate_is_bitwise_the_per_step_loop(label, scheme):
         assert got.q.shape == want.q.shape
 
 
+def separate_q_p_integrate(spec, state0, grid, scheme, record_every):
+    """Each scheme's arithmetic written out on q and p separately, with the
+    rates from eval_derivative: the march on the packed [q | p] state must
+    give these bits, since element-wise ops on [q | p] are the same ops on
+    q and p."""
+
+    def rate(q, p, t):
+        d = eval_derivative(spec, StateVector(q, p), t)
+        return d.q, d.p
+
+    dt, half = grid.dt, grid.dt / 2.0
+    q, p = state0.q.copy(), state0.p.copy()
+    rec_q, rec_p = [q], [p]
+    for k in range(grid.n_steps):
+        t = grid.t0 + k * dt
+        k1q, k1p = rate(q, p, t)
+        if scheme == "euler":
+            q, p = q + dt * k1q, p + dt * k1p
+        elif scheme == "heun":
+            k2q, k2p = rate(q + dt * k1q, p + dt * k1p, t + dt)
+            q, p = q + half * (k1q + k2q), p + half * (k1p + k2p)
+        else:
+            k2q, k2p = rate(q + half * k1q, p + half * k1p, t + half)
+            k3q, k3p = rate(q + half * k2q, p + half * k2p, t + half)
+            k4q, k4p = rate(q + dt * k3q, p + dt * k3p, t + dt)
+            q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if (k + 1) % record_every == 0:
+            rec_q.append(q)
+            rec_p.append(p)
+    return np.stack(rec_q), np.stack(rec_p)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("label", sorted(LOOP_SPECS))
+def test_packed_march_is_bitwise_separate_q_and_p_steps(label, scheme):
+    spec = LOOP_SPECS[label]
+    rng = np.random.default_rng(9)
+    q = rng.uniform(0.2, 1.5, (3, spec.n_agents, spec.d_q))
+    p = rng.standard_normal((3, spec.n_agents, spec.d_p))
+    q[1, 0, 0] = -0.0
+    grid = TimeGrid(0.25, 0.02, 21)
+    for start in (StateVector(q[0], p[0]), StateVector(q, p)):  # single, stacked
+        for record_every in (1, 7):
+            got = integrate(make_derivative(spec), start, grid, scheme, record_every)
+            want_q, want_p = separate_q_p_integrate(spec, start, grid, scheme, record_every)
+            assert got.q.tobytes() == want_q.tobytes() and got.q.shape == want_q.shape
+            assert got.p.tobytes() == want_p.tobytes() and got.p.shape == want_p.shape
+
+
 def goes_nonfinite_from(t_bad):
     """The unit oscillator until time `t_bad`, then an infinite q rate."""
 
-    def deriv(state, t):
-        d = sho_deriv(state, t)
-        return StateVector(d.q + np.inf, d.p) if t >= t_bad else d
+    def deriv(y, t):
+        d = sho_deriv(y, t)
+        if t >= t_bad:
+            d[..., :1] += np.inf
+        return d
 
     return deriv
 
@@ -320,10 +365,10 @@ class DerivativeFailed(Exception):
 
 
 def test_derivative_error_inside_a_recorded_span_propagates():
-    def deriv(state, t):
+    def deriv(y, t):
         if t >= 0.95:
             raise DerivativeFailed(f"no rate at t={t}")
-        return sho_deriv(state, t)
+        return sho_deriv(y, t)
 
     with pytest.raises(DerivativeFailed, match="no rate at t=1.0"):
         integrate(deriv, unit_state(), TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
@@ -333,10 +378,10 @@ def test_bad_step_before_a_derivative_error_is_reported_first():
     """A derivative that fails on the non-finite state an earlier step left
     must not hide that step: the loop stops at the bad step first."""
 
-    def deriv(state, t):
-        if state.first_nonfinite() is not None:
+    def deriv(y, t):
+        if not np.isfinite(y).all():
             raise DerivativeFailed("rate of a non-finite state")
-        return goes_nonfinite_from(0.75)(state, t)
+        return goes_nonfinite_from(0.75)(y, t)
 
     grid = TimeGrid(0.0, 0.1, 21)
     with pytest.raises(IntegrationError) as want:
@@ -369,13 +414,11 @@ def member_goes_nonfinite_from(t_bad, member):
     """The unit oscillator on a stack of starts, with member `member`'s q
     rate infinite from time `t_bad` on."""
 
-    def deriv(state, t):
-        d = sho_deriv(state, t)
-        if t < t_bad:
-            return d
-        q = d.q.copy()
-        q[member] = np.inf
-        return StateVector(q, d.p)
+    def deriv(y, t):
+        d = sho_deriv(y, t)
+        if t >= t_bad:
+            d[member, ..., :1] = np.inf
+        return d
 
     return deriv
 
@@ -444,10 +487,10 @@ def test_attractor_members_that_blow_up_escape_alone():
 
 
 def test_ensemble_derivative_error_ends_the_whole_call():
-    def deriv(state, t):
+    def deriv(y, t):
         if t >= 0.95:
             raise DerivativeFailed(f"no rate at t={t}")
-        return sho_deriv(state, t)
+        return sho_deriv(y, t)
 
     stack = StateVector(np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
     with pytest.raises(DerivativeFailed, match="no rate at t=1.0"):

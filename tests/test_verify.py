@@ -18,6 +18,7 @@ from revode.errors import ConfigurationError, IntegrationError
 from revode.integrators import StateVector, TimeGrid, integrate
 from revode.systems import (
     SystemSpec,
+    analytic_solution_simple_spring_1d,
     make_derivative,
     mechanical_energy,
     mechanical_energy_rate,
@@ -26,7 +27,11 @@ from revode.verify import (
     DEFAULT_SCALING_DTS,
     ENERGY_CASES,
     ENERGY_SCHEME,
+    SCALING_EVAL_SPACING,
     SCALING_MIN_R2,
+    SCALING_P0,
+    SCALING_Q0,
+    SCALING_SPEC,
     SUITES,
     Assertion,
     SuiteResult,
@@ -114,6 +119,27 @@ def test_theorem1_scaling_reverse_slope_outruns_prediction_slope():
     report = theorem1_scaling(scheme="heun")
     assert report.s_rev - report.s_pred >= 1.0
     assert report.s_rev_r2 > SCALING_MIN_R2
+
+
+def test_theorem1_reverse_leg_is_the_negated_field_from_the_forward_endpoint():
+    """Each (span, dt) cell's losses are those of its own forward pass (the
+    report slices one pass per dt) and of the negated field run back from
+    that pass's endpoint, point j paired with point n - j: the reverse
+    grid's bookkeeping times, t'_{n-j} = T - t_j bit for bit."""
+    report = theorem1_scaling(scheme="euler", t_list=(1.6, 3.2))
+    field = make_derivative(SCALING_SPEC)
+    start = StateVector([[SCALING_Q0]], [[SCALING_P0]])
+    for (span, dt), l_rev in report.l_rev.items():
+        m_sub = round(SCALING_EVAL_SPACING / dt)
+        grid = TimeGrid(0.0, dt, round(span / SCALING_EVAL_SPACING) * m_sub)
+        fwd = integrate(field, start, grid, "euler", m_sub)
+        rev = integrate(lambda y, t: -field(y, t), fwd.state(-1), grid, "euler", m_sub)
+        assert np.array_equal(grid.reverse_times()[::m_sub][::-1], grid.span - fwd.times)
+        q_true, p_true = analytic_solution_simple_spring_1d(
+            SCALING_Q0, SCALING_P0, SCALING_SPEC.anchor_k, SCALING_SPEC.m, fwd.times)
+        pred = np.sum((fwd.q[:, 0, 0] - q_true) ** 2 + (fwd.p[:, 0, 0] - p_true) ** 2)
+        gap = np.sum((rev.q[::-1, 0, 0] - fwd.q[:, 0, 0]) ** 2 + (rev.p[::-1, 0, 0] - fwd.p[:, 0, 0]) ** 2)
+        assert (report.l_pred[(span, dt)], l_rev) == (float(pred), float(gap))
 
 
 def test_theorem1_scaling_requires_enough_dts():
@@ -253,8 +279,8 @@ def test_energy_ensemble_matches_members_integrated_alone(monkeypatch, label, sp
     monkeypatch.setattr(revode.verify, "mechanical_energy", record("energy", mechanical_energy))
     span, members = 0.5, 3
     energy_classification_check(spec, n_trajectories=members, seed=4, span=span)
-    ensemble, energy = seen["traj"], seen["energy"]
-    assert ensemble.q.shape[1] == members and energy.shape == (ensemble.n_points, members)
+    ensemble, energy = seen["traj"], seen["energy"]  # energy is member-major
+    assert ensemble.q.shape[1] == members and energy.shape == (members, ensemble.n_points)
 
     _, dt, sub = SIM_DEFAULTS[spec.kind]
     grid = TimeGrid(0.0, dt, int(round(span / dt)))
@@ -264,12 +290,13 @@ def test_energy_ensemble_matches_members_integrated_alone(monkeypatch, label, sp
         traj = integrate(make_derivative(spec), start, grid, ENERGY_SCHEME, sub)
         assert np.array_equal(ensemble.q[:, i], traj.q)
         assert np.array_equal(ensemble.p[:, i], traj.p)
-        assert np.array_equal(energy[:, i], mechanical_energy(spec, StateVector(traj.q, traj.p)))
+        assert np.array_equal(energy[i], mechanical_energy(spec, StateVector(traj.q, traj.p)))
         alone.append(traj)
     if spec.kind != "simple_spring":
+        by_member = StateVector(np.swapaxes(ensemble.q, 0, 1), np.swapaxes(ensemble.p, 0, 1))
         for n_states in (7, 1000):
-            assert _max_rate_mismatch(spec, ensemble, n_states) == rate_mismatch_by_state(
-                spec, alone, n_states
+            assert _max_rate_mismatch(spec, by_member, ensemble.times, n_states) == (
+                rate_mismatch_by_state(spec, alone, n_states)
             )
 
 
