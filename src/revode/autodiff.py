@@ -2,7 +2,9 @@
 
 Nodes are appended in creation order, which is already a topological order
 (every parent index is smaller than its child's), so the backward sweep is
-a single reversed loop over the node list.  Values are float64 numpy
+a single reversed loop over the node list.  A node's backward may be a
+generator, so an op with many parents (a whole rollout leg) hands out their
+gradients one at a time and never holds them all.  Values are float64 numpy
 arrays, held by the Tensors themselves: a forward-only tape (record=False)
 keeps no nodes, so a pass that never runs backward holds only the values
 its caller still references.  Elementwise ops require exactly matching
@@ -28,7 +30,9 @@ class Node:
         self.op = op
         self.value = value
         self.parents = parents
-        self.bwd = bwd  # callable(out_grad) -> tuple of parent grads
+        # callable(out_grad) -> iterable of parent grads, one per parent in
+        # order; the sweep adds each into its parent as it is produced
+        self.bwd = bwd
         self.name = name
 
 
@@ -194,6 +198,28 @@ def scatter_rows(a: Tensor, idx, n: int) -> Tensor:
     return a.tape._record(
         "scatter_rows", rows.segment_sum(a.value), (a.idx,), lambda g: (g[rows.idx],)
     )
+
+
+def row_blocks(a: Tensor, n: int, blocks) -> Tensor:
+    """Row blocks a[b*n : (b+1)*n] of a 2-D a, for each b in `blocks` (no
+    repeats), stacked in that order; the gradient goes back to those rows."""
+    av = a.value
+    if av.ndim != 2 or n < 1 or av.shape[0] % n:
+        raise ShapeError(f"row_blocks needs a 2-D operand of whole {n}-row blocks, got {av.shape}")
+    stacked = (av.shape[0] // n, n, av.shape[1])
+    idx = np.asarray(blocks, dtype=np.int64).reshape(-1)
+    if len(set(idx.tolist())) != idx.size or np.any((idx < 0) | (idx >= stacked[0])):
+        raise ShapeError(f"row_blocks needs distinct block indices in [0, {stacked[0]})")
+
+    def bwd(g):
+        # -0.0 is the exact identity of addition, so the blocks not taken add
+        # nothing when this sums into the operand's gradient, not even a sign
+        out = np.full(stacked, -0.0)
+        out[idx] = g.reshape(idx.size, n, -1)
+        return (out.reshape(-1, stacked[2]),)
+
+    return a.tape._record("row_blocks", av.reshape(stacked)[idx].reshape(-1, av.shape[1]),
+                          (a.idx,), bwd)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

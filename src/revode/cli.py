@@ -24,6 +24,7 @@ from .configs import (
     EVAL_DEFAULTS,
     OPTION_CHOICES,
     SIMULATE_DEFAULTS,
+    SPRING_AGENTS,
     TRAIN_DEFAULTS,
     VERIFY_DEFAULTS,
     load_config_file,
@@ -51,7 +52,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .systems import SystemSpec
+from .systems import FIXED_AGENTS, SystemSpec
 from .training import TrainSettings, evaluate, train, write_loss_report
 from .verify import run_suite
 
@@ -118,6 +119,8 @@ def cmd_simulate(args) -> int:
     if opt["test_trajectories"] and not opt["test_out"]:
         raise ConfigurationError("--test-trajectories requires --test-out")
 
+    if opt["agents"] is None:  # resolved here, so the written config names the count
+        opt["agents"] = FIXED_AGENTS.get(opt["system"], SPRING_AGENTS)
     spec_kwargs = dict(kind=opt["system"], n_agents=opt["agents"], dim=opt["dim"])
     for name in ("k", "gamma", "k1", "omega", "damped_form"):
         if opt[name] is not None:

@@ -33,8 +33,8 @@ CONFIG_SCHEMA_VERSION = 1
 # may leave it null), the type below, str where unlisted; one in OPTION_CHOICES
 # takes only those values.  In a config, a float option also takes an int, and a
 # window list its "lo,split,hi" string form.
-_UNSET_OPTION_TYPES = {"dt": float, "k": float, "gamma": float, "k1": float, "omega": float,
-                       "steps": int, "test_steps": int, "subsample": int}
+_UNSET_OPTION_TYPES = {"agents": int, "dt": float, "k": float, "gamma": float, "k1": float,
+                       "omega": float, "steps": int, "test_steps": int, "subsample": int}
 _ACCEPTED_TYPES = {float: (int, float), list: (list, str)}
 OPTION_CHOICES = {"system": SYSTEM_KINDS, "scheme": SCHEMES, "damped_form": DAMPED_FORMS,
                   "loss_variant": LOSS_VARIANTS, "suite": SUITES + ("all",)}
@@ -174,9 +174,13 @@ def desk_train_settings(
 
 # ------------------------------------------------------- option catalogs
 
+# simulate's agent count for spring networks where none is given; the
+# pendulum and the attractor fix their own (systems.FIXED_AGENTS).
+SPRING_AGENTS = 5
+
 SIMULATE_DEFAULTS = {
     "system": "simple_spring",
-    "agents": 5,
+    "agents": None,        # None -> per-system default (SPRING_AGENTS for springs)
     "dim": 2,
     "trajectories": 200,
     "test_trajectories": 0,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,6 +89,25 @@ class ObservationSet:
                 raise ConfigurationError(
                     f"agent {i} has condition observations after the anchor"
                 )
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(E, 2) directed (src, tgt) agent pairs of directed_edges, derived
+        once per sample."""
+        return np.array(directed_edges(self.graph, self.n_agents), dtype=np.int64).reshape(-1, 2)
+
+
+def directed_edges(graph: InteractionGraph | None, n_agents: int) -> list[tuple[int, int]]:
+    """Both directions per undirected edge; a lone agent gets a self-loop
+    so the interaction path stays active in single-agent mode."""
+    out = []
+    if graph is not None:
+        for i, j in graph.edges():
+            out.append((i, j))
+            out.append((j, i))
+    if n_agents == 1 and not out:
+        out.append((0, 0))
+    return out
 
 
 def irregular_subsample(

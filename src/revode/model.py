@@ -1,8 +1,9 @@
 """Latent GraphODE: attention encoder over irregular observations, a GNN
 vector field unrolled by a fixed-step solver, and an MLP decoder.
 
-Everything here builds autodiff graphs; the numerical schemes mirror
-`integrators` but operate on Tensors so gradients flow through the
+Everything here builds autodiff graphs.  The field works on arrays, and each
+rollout leg is one tape node whose backward is the discrete adjoint of its
+scheme (the schemes mirror `integrators`), so gradients flow through the
 unrolled solver (discretize-then-optimize).
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -219,19 +222,6 @@ def encode_initial_states(
     return ad.concat([z_enc, tape.const(np.zeros((n_rows, config.d_aug)))], axis=1)
 
 
-def directed_edges(graph, n_agents: int, offset: int = 0) -> list[tuple[int, int]]:
-    """Both directions per undirected edge; a lone agent gets a self-loop
-    so the interaction path stays active in single-agent mode."""
-    out = []
-    if graph is not None:
-        for i, j in graph.edges():
-            out.append((offset + i, offset + j))
-            out.append((offset + j, offset + i))
-    if n_agents == 1 and not out:
-        out.append((offset, offset))
-    return out
-
-
 FIELD_PARAMS = ("ode.msg.W", "ode.msg.b", "ode.upd1.W", "ode.upd1.b", "ode.upd2.W", "ode.upd2.b")
 
 
@@ -239,102 +229,183 @@ def make_ode_func(
     tape: Tape,
     leaves: dict[str, Tensor],
     config: ModelConfig,
-    edges: list[tuple[int, int]],
+    edges: np.ndarray,
     n_nodes: int,
 ):
     """Message-passing vector field g over n_nodes stacked latent rows.
 
     `edges` are directed (src, tgt) pairs; messages m_e = MLP([z_tgt, z_src])
     are summed per target and fed with z into the update MLP.  One gather of
-    the interleaved (tgt, src) rows reshapes into the message inputs.  Each
-    g(z) is one tape node with a hand-written backward that keeps the pair
-    rows, the ReLU masks, the update input and the hidden activations.
+    the interleaved (tgt, src) rows reshapes into the message inputs.
+
+    g works on arrays: g(z) -> (rates, backward) for (n_nodes, d_z) rows z.
+    backward(go) returns z's gradient as two terms, the direct one through
+    the update input and the one gathered back through the messages (the
+    order in which the equivalent chain of primitives sums them), and one
+    gradient per tensor of g.params.  It keeps only z, the aggregated
+    messages, the hidden activations and the message ReLU mask, and
+    recomputes the pair rows, the update input and the hidden mask from
+    them.  On a forward-only tape backward is None and g keeps nothing.
     """
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     pair_rows = ad.RowIndex(pairs[:, ::-1].reshape(-1), n_nodes)
     targets = ad.RowIndex(pairs[:, 1], n_nodes)
-    dz = config.d_z
-    weights = [leaves[name] for name in FIELD_PARAMS]
+    dz, record = config.d_z, tape.record
+    weights = tuple(leaves[name] for name in FIELD_PARAMS)
     Wm, bm, W1, b1, W2, b2 = (w.value for w in weights)
 
-    def g(z: Tensor) -> Tensor:
-        if z.tape is not tape or z.value.shape != (n_nodes, dz):
-            raise ShapeError(f"field needs ({n_nodes}, {dz}) latent rows on its own tape")
-        pair = z.value[pair_rows.idx].reshape(len(pairs), 2 * dz)
-        pre_msg = pair @ Wm + bm
-        upd_in = np.concatenate([z.value, targets.segment_sum(np.maximum(pre_msg, 0.0))], axis=1)
-        pre_hid = upd_in @ W1 + b1
-        hidden = np.maximum(pre_hid, 0.0)
-        mask_msg, mask_hid = pre_msg > 0.0, pre_hid > 0.0
+    def g(z: np.ndarray):
+        if z.shape != (n_nodes, dz):
+            raise ShapeError(f"field needs ({n_nodes}, {dz}) latent rows, got {z.shape}")
+        pre_msg = z[pair_rows.idx].reshape(len(pairs), 2 * dz) @ Wm + bm
+        agg = targets.segment_sum(np.maximum(pre_msg, 0.0))
+        hidden = np.maximum(np.concatenate([z, agg], axis=1) @ W1 + b1, 0.0)
+        rates = hidden @ W2 + b2
+        if not record:
+            return rates, None
+        mask_msg = pre_msg > 0.0
 
-        def bwd(go):
-            d_hid = (go @ W2.T) * mask_hid
+        def backward(go):
+            pair = z[pair_rows.idx].reshape(len(pairs), 2 * dz)
+            upd_in = np.concatenate([z, agg], axis=1)
+            d_hid = (go @ W2.T) * (hidden > 0.0)
             d_upd = d_hid @ W1.T
             d_msg = d_upd[:, dz:][targets.idx] * mask_msg
             d_pair = (d_msg @ Wm.T).reshape(-1, dz)
-            return (d_upd[:, :dz], pair_rows.segment_sum(d_pair),
-                    pair.T @ d_msg, d_msg.sum(axis=0, keepdims=True),
-                    upd_in.T @ d_hid, d_hid.sum(axis=0, keepdims=True),
-                    hidden.T @ go, go.sum(axis=0, keepdims=True))
+            return ((d_upd[:, :dz], pair_rows.segment_sum(d_pair)),
+                    (pair.T @ d_msg, d_msg.sum(axis=0, keepdims=True),
+                     upd_in.T @ d_hid, d_hid.sum(axis=0, keepdims=True),
+                     hidden.T @ go, go.sum(axis=0, keepdims=True)))
 
-        # z is a parent twice so that its direct and its gathered gradient
-        # add up in the order the equivalent chain of primitives sums them
-        parents = (z.idx, z.idx) + tuple(w.idx for w in weights)
-        return tape._record("field", hidden @ W2 + b2, parents, bwd)
+        return rates, backward
 
+    g.params = weights
     return g
 
 
-def _latent_step(z: Tensor, g, dt: float, scheme: str) -> Tensor:
-    if scheme == "euler":
-        return ad.add(z, ad.smul(g(z), dt))
-    if scheme == "heun":
-        k1 = g(z)
-        k2 = g(ad.add(z, ad.smul(k1, dt)))
-        return ad.add(z, ad.smul(ad.add(k1, k2), dt / 2.0))
-    if scheme == "rk4":
-        k1 = g(z)
-        k2 = g(ad.add(z, ad.smul(k1, dt / 2.0)))
-        k3 = g(ad.add(z, ad.smul(k2, dt / 2.0)))
-        k4 = g(ad.add(z, ad.smul(k3, dt)))
-        incr = ad.add(ad.add(k1, ad.smul(k2, 2.0)), ad.add(ad.smul(k3, 2.0), k4))
-        return ad.add(z, ad.smul(incr, dt / 6.0))
-    raise ConfigurationError(f"unknown rollout scheme {scheme!r}")
+# Each scheme is a step and its discrete adjoint.  A step maps z to the next
+# state and the backward of every field evaluation, in evaluation order; its
+# adjoint takes that step's backwards, the step's own gradient block G and
+# the next state's total gradient a, yields the weight gradients newest
+# evaluation first, and returns z's total gradient.  Both repeat, operation
+# for operation, the step as a chain of tape primitives (smul, add, one node
+# per field evaluation; tests/stagewise_rollout.py keeps it as the
+# reference), and the adjoint adds up every gradient in the order that
+# chain's backward sweep would, so gradients keep every bit.
+
+def _evaluation_adjoint(backward, go):
+    z_terms, param_grads = backward(go)
+    yield from param_grads
+    return z_terms
 
 
-def _rollout(z0: Tensor, g, n_steps: int, dt: float, scheme: str, tag: str) -> list[Tensor]:
-    states = [z0]
-    z = z0
+def _total(*terms):
+    return reduce(operator.add, terms)  # ((t0 + t1) + t2) + ...
+
+
+def _euler(z, g, h):
+    k1, back1 = g(z)
+    return z + k1 * h, (back1,)
+
+
+def _euler_adjoint(G, a, backs, h):
+    (back1,) = backs
+    d1 = yield from _evaluation_adjoint(back1, a * h)
+    return _total(G, a, *d1)
+
+
+def _heun(z, g, h):
+    k1, back1 = g(z)
+    k2, back2 = g(z + k1 * h)
+    return z + (k1 + k2) * (h / 2.0), (back1, back2)
+
+
+def _heun_adjoint(G, a, backs, h):
+    back1, back2 = backs
+    b = a * (h / 2.0)
+    c2 = _total(*(yield from _evaluation_adjoint(back2, b)))
+    d1 = yield from _evaluation_adjoint(back1, b + c2 * h)
+    return _total(G, a, c2, *d1)
+
+
+def _rk4(z, g, h):
+    k1, back1 = g(z)
+    k2, back2 = g(z + k1 * (h / 2.0))
+    k3, back3 = g(z + k2 * (h / 2.0))
+    k4, back4 = g(z + k3 * h)
+    incr = (k1 + k2 * 2.0) + (k3 * 2.0 + k4)
+    return z + incr * (h / 6.0), (back1, back2, back3, back4)
+
+
+def _rk4_adjoint(G, a, backs, h):
+    back1, back2, back3, back4 = backs
+    b = a * (h / 6.0)
+    b2 = b * 2.0
+    c4 = _total(*(yield from _evaluation_adjoint(back4, b)))
+    c3 = _total(*(yield from _evaluation_adjoint(back3, b2 + c4 * h)))
+    c2 = _total(*(yield from _evaluation_adjoint(back2, b2 + c3 * (h / 2.0))))
+    d1 = yield from _evaluation_adjoint(back1, b + c2 * (h / 2.0))
+    return _total(G, a, c4, c3, c2, *d1)
+
+
+_LEG_SCHEMES = {
+    "euler": (_euler, _euler_adjoint),
+    "heun": (_heun, _heun_adjoint),
+    "rk4": (_rk4, _rk4_adjoint),
+}
+
+
+def _leg(start: Tensor, g, n_steps: int, h: float, scheme: str, tag: str) -> Tensor:
+    """n_steps of `scheme` with step h from `start`, as one tape node whose
+    value stacks the K+1 states and whose backward is the scheme's discrete
+    adjoint: the exact gradient of the unrolled solver
+    (discretize-then-optimize)."""
+    if scheme not in _LEG_SCHEMES:
+        raise ConfigurationError(f"unknown rollout scheme {scheme!r}")
+    step, adjoint = _LEG_SCHEMES[scheme]
+    n, d = start.value.shape
+    states = np.empty((n_steps + 1, n, d))
+    states[0] = start.value
+    backs = []
     for k in range(n_steps):
-        z = _latent_step(z, g, dt, scheme)
-        if not np.all(np.isfinite(z.value)):
+        z, step_backs = step(states[k], g, h)
+        if not np.all(np.isfinite(z)):
             raise RolloutDivergedError(f"{tag} rollout diverged at step {k + 1}", step=k + 1)
-        states.append(z)
-    return states
+        states[k + 1] = z
+        backs.append(step_backs)
+
+    def bwd(G):
+        # holds arrays only: a Tensor here would tie the tape into a cycle
+        G = G.reshape(states.shape)
+        a = G[-1]
+        for k in range(n_steps - 1, -1, -1):
+            a = yield from adjoint(G[k], a, backs[k], h)
+        yield a
+
+    weights = tuple(w.idx for w in g.params)
+    parents = weights * sum(len(step_backs) for step_backs in backs) + (start.idx,)
+    return start.tape._record("rollout", states.reshape(-1, d), parents, bwd)
 
 
-def rollout_forward(z0: Tensor, g, n_steps: int, dt: float, scheme: str = "rk4") -> list[Tensor]:
-    """Unrolled forward integration; returns K+1 latent states z(t_k)."""
-    return _rollout(z0, g, n_steps, dt, scheme, "forward")
+def rollout_forward(z0: Tensor, g, n_steps: int, dt: float, scheme: str = "rk4") -> Tensor:
+    """Unrolled forward integration of the field g (see make_ode_func), one
+    tape node: ((K+1) * n, d_z) stacked states, rows k*n:(k+1)*n at z(t_k)."""
+    return _leg(z0, g, n_steps, dt, scheme, "forward")
 
 
-def rollout_reverse(z_end: Tensor, g, n_steps: int, dt: float, scheme: str = "rk4") -> list[Tensor]:
+def rollout_reverse(z_end: Tensor, g, n_steps: int, dt: float, scheme: str = "rk4") -> Tensor:
     """Integrate -g from the forward endpoint, as g with step -dt (bitwise
     the same: every scheme here scales each field value by a step).
 
-    Element j of the result sits at reverse index t'_j, so it pairs with
-    forward index K - j.
+    Block j of the stacked result sits at reverse index t'_j, so it pairs
+    with forward index K - j.
     """
-    return _rollout(z_end, g, n_steps, -dt, scheme, "reverse")
+    return _leg(z_end, g, n_steps, -dt, scheme, "reverse")
 
 
-def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig,
-           z_states: list[Tensor]) -> Tensor:
-    """Map stacked latent rows to observation space.
-
-    Returns ((K+1)*n_rows, d_out); row k*n_rows + r is time index k, row r.
-    """
-    Z = z_states[0] if len(z_states) == 1 else ad.concat(z_states, axis=0)
+def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig, Z: Tensor) -> Tensor:
+    """Map stacked latent rows, such as a rollout leg's, to observation
+    space row by row: ((K+1)*n_rows, d_z) -> ((K+1)*n_rows, d_out)."""
     hidden = ad.relu(_linear(Z, leaves["dec.W1"], leaves["dec.b1"]))
     return _linear(hidden, leaves["dec.W2"], leaves["dec.b2"])
 

@@ -27,6 +27,8 @@ SYSTEM_KINDS = (
     "attractor",
 )
 DAMPED_FORMS = ("anchored", "pairwise")
+# Systems whose agent count is part of their definition.
+FIXED_AGENTS = {"triple_pendulum": 3, "attractor": 1}
 
 # Smaller |denominator| than this in the pendulum's angular-velocity solve
 # is treated as a mass-matrix singularity.  (For uniform sticks the
@@ -115,10 +117,9 @@ class SystemSpec:
             raise ConfigurationError(
                 f"unknown system kind {self.kind!r}; expected one of {SYSTEM_KINDS}"
             )
-        if self.kind == "triple_pendulum" and self.n_agents != 3:
-            raise ConfigurationError("triple_pendulum requires n_agents=3")
-        if self.kind == "attractor" and self.n_agents != 1:
-            raise ConfigurationError("attractor is a single-agent system")
+        if self.n_agents != FIXED_AGENTS.get(self.kind, self.n_agents):
+            raise ConfigurationError(
+                f"{self.kind} requires n_agents={FIXED_AGENTS[self.kind]}, got {self.n_agents}")
         if self.n_agents < 1 or self.dim < 1:
             raise ConfigurationError(
                 f"n_agents and dim must be >= 1, got {self.n_agents} and {self.dim}")

@@ -24,7 +24,6 @@ from .errors import (
 from .model import (
     ModelConfig,
     decode,
-    directed_edges,
     encode_initial_states,
     init_params,
     make_ode_func,
@@ -43,7 +42,7 @@ class Batch:
     n_agents: int
     K: int
     dt: float
-    edges: list
+    edges: np.ndarray        # (E, 2) directed (src, tgt) node pairs
     n_nodes: int
     rows: np.ndarray         # (n_targets,) row k * n_nodes + node in decode()'s stack
     spans: list              # per sample, per agent: (start, stop) into rows
@@ -59,10 +58,9 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
                 "all samples in a batch must share n_agents, rollout length, and dt"
             )
     n_nodes = len(obs_list) * n
-    edges, rows, spans = [], [], []
+    rows, spans = [], []
     stop = 0
     for b, obs in enumerate(obs_list):
-        edges.extend(directed_edges(obs.graph, n, offset=b * n))
         spans.append([])
         for i, idx in enumerate(obs.pred_idx):
             rows.append(idx * n_nodes + b * n + i)
@@ -73,7 +71,7 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
         n_agents=n,
         K=K,
         dt=dt,
-        edges=edges,
+        edges=np.concatenate([obs.edges + b * n for b, obs in enumerate(obs_list)]),
         n_nodes=n_nodes,
         rows=np.concatenate(rows),
         spans=spans,
@@ -112,21 +110,22 @@ def batch_forward(
     def mean_sq(a: Tensor, b: Tensor) -> Tensor:
         return ad.smul(ad.l2_norm_sq(ad.sub(a, b)), per_sample)
 
+    n, K = batch.n_nodes, batch.K
     z0 = encode_initial_states(tape, leaves, config, batch.obs_list)
-    g = make_ode_func(tape, leaves, config, batch.edges, batch.n_nodes)
-    fwd = rollout_forward(z0, g, batch.K, batch.dt, config.scheme)
+    g = make_ode_func(tape, leaves, config, batch.edges, n)
+    fwd = rollout_forward(z0, g, K, batch.dt, config.scheme)
     yhat = decode(tape, leaves, config, fwd)
 
     y = tape.const(batch.targets)
     l_pred = mean_sq(ad.gather_rows(yhat, batch.rows), y)
     l_rev = None
     if variant == "rev2":
-        rev = rollout_reverse(fwd[0], g, batch.K, batch.dt, config.scheme)
+        rev = rollout_reverse(ad.row_blocks(fwd, n, [0]), g, K, batch.dt, config.scheme)
         yrev = decode(tape, leaves, config, rev)
         l_rev = mean_sq(yhat, yrev)
     elif variant != "none":
-        rev = rollout_reverse(fwd[-1], g, batch.K, batch.dt, config.scheme)
-        yrev = decode(tape, leaves, config, list(reversed(rev)))
+        rev = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, batch.dt, config.scheme)
+        yrev = decode(tape, leaves, config, ad.row_blocks(rev, n, range(K, -1, -1)))
         if variant == "gt_rev":
             l_rev = mean_sq(ad.gather_rows(yrev, batch.rows), y)
         else:
@@ -253,6 +252,22 @@ def diagnostic_reverse_loss(
     return total / len(obs_sets)
 
 
+def _train_step(params, state: AdamWState, obs_list, settings: TrainSettings, where: str):
+    """One optimizer step on one minibatch: (new params, l_pred, l_rev).
+
+    Its tape lives in this call alone, so it is freed before the next
+    step's forward pass starts."""
+    batch = build_batch(obs_list)
+    tape = Tape()
+    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    out = batch_forward(tape, leaves, settings.model, batch, settings.loss_variant, settings.alpha)
+    if not np.isfinite(out.loss.value):
+        raise TrainingDivergedError(f"non-finite loss at {where}")
+    grads = backward(tape, out.loss)
+    params = optimizer_step(params, grads, state, settings.lr, settings.weight_decay)
+    return params, out.l_pred, out.l_rev
+
+
 def train(
     train_sets: list[ObservationSet],
     settings: TrainSettings,
@@ -291,24 +306,13 @@ def train(
             n_rev = 0
             for start in range(0, len(order), settings.batch_size):
                 idx = order[start : start + settings.batch_size]
-                batch = build_batch([train_sets[i] for i in idx])
-                tape = Tape()
-                leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-                out = batch_forward(
-                    tape, leaves, settings.model, batch,
-                    settings.loss_variant, settings.alpha,
+                params, l_pred, l_rev = _train_step(
+                    params, state, [train_sets[i] for i in idx], settings,
+                    f"epoch {epoch} (batch starting {start})",
                 )
-                if not np.isfinite(out.loss.value):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch} (batch starting {start})"
-                    )
-                grads = backward(tape, out.loss)
-                params = optimizer_step(
-                    params, grads, state, settings.lr, settings.weight_decay
-                )
-                sum_pred += out.l_pred * len(idx)
-                if out.l_rev is not None:
-                    sum_rev += out.l_rev * len(idx)
+                sum_pred += l_pred * len(idx)
+                if l_rev is not None:
+                    sum_rev += l_rev * len(idx)
                     n_rev += len(idx)
 
             l_pred_epoch = sum_pred / len(train_sets)

@@ -397,3 +397,29 @@ def test_gather_scatter_reject_bad_indices():
         ad.scatter_rows(x, [0, 1], 4)  # one index per row
     with pytest.raises(ShapeError):
         ad.scatter_rows(x, ad.RowIndex([0, 1, 2], 3), 4)
+
+
+def test_row_blocks_takes_blocks_in_order_and_routes_their_gradient():
+    """Blocks come out in the order asked; the gradient of a block not
+    taken is -0.0, so summing it into another gradient keeps every bit,
+    the sign of a zero included."""
+    tape = Tape()
+    x = tape.leaf(np.arange(12.0).reshape(6, 2), "x")
+    y = ad.row_blocks(x, 2, [2, 0])
+    assert np.array_equal(y.value, x.value[[4, 5, 0, 1]])
+    w = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [2.0, 2.0]])
+    g = backward(tape, ad.l2_norm_sq(ad.mul(y, w)))["x"]
+    expected = np.zeros((6, 2))
+    expected[[4, 5, 0, 1]] = 2.0 * w * w * y.value
+    assert np.array_equal(g, expected)
+    assert np.all(np.signbit(g[2:4]))
+    other = np.array([0.0, -0.0, 1.5])
+    assert np.array_equal(np.signbit(np.full(3, -0.0) + other), np.signbit(other))
+
+
+def test_row_blocks_rejects_bad_blocks():
+    tape = Tape()
+    x = tape.leaf(np.zeros((6, 2)), "x")
+    for n, blocks in [(4, [0]), (2, [3]), (2, [-1]), (2, [1, 1])]:
+        with pytest.raises(ShapeError):
+            ad.row_blocks(x, n, blocks)

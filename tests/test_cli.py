@@ -237,6 +237,26 @@ def test_simulate_rejects_zero_dim(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("system, agents", [("triple_pendulum", 3), ("attractor", 1),
+                                            ("damped_spring", 5)])
+def test_simulate_agents_default_per_system(tmp_path, capsys, system, agents):
+    """Without --agents each system gets its own count, which the written
+    config records; a count the system cannot take still exits 2."""
+    out = tmp_path / "t.jsonl"
+    base = ["simulate", "--system", system, "--trajectories", "1", "--steps", "200",
+            "--out", str(out)]
+    assert main(base) == 0
+    with open(f"{out}.config.json") as fh:
+        assert json.load(fh)["agents"] == agents
+    os.remove(out)
+    capsys.readouterr()
+    assert main(base + ["--agents", "2"]) == (0 if system == "damped_spring" else 2)
+    if system != "damped_spring":
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {system} requires n_agents={agents}, got 2"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--gamma", "-1"], ["--k", "-1"], ["--k", "0"]],
                          ids=["negative_gamma", "negative_k", "zero_k"])
 def test_simulate_rejects_non_physical_constants(tmp_path, capsys, extra):

@@ -2,7 +2,8 @@
 and checkpoint persistence.
 
 The latent solver steps are verified against a linear field z' = A z
-whose unrolled update has a closed matrix form.
+whose unrolled update has a closed matrix form, and the one-node rollout
+legs against the stage-by-stage tape of `stagewise_rollout`.
 """
 
 import json
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stagewise_rollout as stagewise
 from revode import model
 
 from revode import autodiff as ad
 from revode.autodiff import Tape, backward, grad_check
-from revode.data import ObservationSet
+from revode.data import ObservationSet, directed_edges
 from revode.errors import (
     ArtifactMismatchError, ConfigurationError, EncodingError, RevodeError,
     RolloutDivergedError, ShapeError,
@@ -24,7 +26,6 @@ from revode.errors import (
 from revode.model import (
     ModelConfig,
     decode,
-    directed_edges,
     encode_agent,
     encode_initial_states,
     init_params,
@@ -36,7 +37,9 @@ from revode.model import (
     save_checkpoint,
     temporal_encoding,
 )
+from revode.integrators import SCHEMES
 from revode.systems import InteractionGraph
+from revode.training import build_batch
 
 TINY = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8)
 
@@ -251,22 +254,36 @@ def test_directed_edges_doubles_undirected_pairs():
 
 
 def test_directed_edges_offset_for_batching():
-    g = InteractionGraph.complete(2)
-    assert directed_edges(g, 2, offset=4) == [(4, 5), (5, 4)]
+    """A batch shifts each sample's edges by its first node; a sample
+    derives its edge list once, however many batches it joins."""
+    samples = [tiny_obs(seed=s, graph=InteractionGraph.complete(2)) for s in range(3)]
+    assert samples[0].edges is samples[0].edges
+    batch = build_batch(samples)
+    assert batch.edges.tolist() == [[0, 1], [1, 0], [2, 3], [3, 2], [4, 5], [5, 4]]
 
 
 def test_lone_agent_gets_self_loop():
     g = InteractionGraph.from_edges(1, [])
     assert directed_edges(g, 1) == [(0, 0)]
-    assert directed_edges(None, 1, offset=3) == [(3, 3)]
+    assert directed_edges(None, 1) == [(0, 0)]
 
 
 # ----------------------------------------------------------------- rollout
 
-def linear_field(tape, A):
-    """z -> z @ A^T as an autodiff closure, mimicking make_ode_func's g."""
-    At = tape.const(A.T.copy())
-    return lambda z: ad.matmul(z, At)
+def linear_field(A):
+    """z -> z @ A^T as an array-level field like make_ode_func's g, with
+    no weights of its own."""
+
+    def g(z):
+        return z @ A.T, lambda go: ((go @ A,), ())
+
+    g.params = ()
+    return g
+
+
+def blocks(states, n):
+    """A leg's stacked states as (K+1, n, d)."""
+    return states.value.reshape(-1, n, states.value.shape[1])
 
 
 def test_euler_rollout_matches_matrix_power():
@@ -277,14 +294,14 @@ def test_euler_rollout_matches_matrix_power():
 
     tape = Tape()
     z0 = tape.const(z0_val)
-    states = rollout_forward(z0, linear_field(tape, A), K, dt, scheme="euler")
+    states = blocks(rollout_forward(z0, linear_field(A), K, dt, scheme="euler"), 2)
     assert len(states) == K + 1
 
     M = np.eye(3) + dt * A.T  # right-multiplication update
     expected = z0_val.copy()
     for k in range(1, K + 1):
         expected = expected @ M
-        assert np.allclose(states[k].value, expected, atol=1e-12)
+        assert np.allclose(states[k], expected, atol=1e-12)
 
 
 def test_rk4_rollout_approximates_matrix_exponential():
@@ -296,15 +313,13 @@ def test_rk4_rollout_approximates_matrix_exponential():
     dt = 0.05
 
     tape = Tape()
-    states = rollout_forward(
-        tape.const(z0_val), linear_field(tape, A), 1, dt, scheme="rk4"
-    )
+    states = blocks(rollout_forward(tape.const(z0_val), linear_field(A), 1, dt, scheme="rk4"), 1)
     taylor = np.eye(3)
     term = np.eye(3)
     for n in range(1, 5):
         term = term @ (dt * A) / n
         taylor = taylor + term
-    assert np.allclose(states[1].value, z0_val @ taylor.T, atol=1e-14)
+    assert np.allclose(states[1], z0_val @ taylor.T, atol=1e-14)
 
 
 def test_reverse_rollout_negates_field():
@@ -314,10 +329,8 @@ def test_reverse_rollout_negates_field():
     dt = 0.1
 
     tape = Tape()
-    states = rollout_reverse(
-        tape.const(z_end), linear_field(tape, A), 1, dt, scheme="euler"
-    )
-    assert np.allclose(states[1].value, z_end - dt * z_end @ A.T)
+    states = blocks(rollout_reverse(tape.const(z_end), linear_field(A), 1, dt, scheme="euler"), 1)
+    assert np.allclose(states[1], z_end - dt * z_end @ A.T)
 
 
 def test_reverse_rollout_retraces_forward_under_euler():
@@ -330,19 +343,27 @@ def test_reverse_rollout_retraces_forward_under_euler():
     defects = []
     for dt in (0.1, 0.05):
         tape = Tape()
-        g = linear_field(tape, A)
+        g = linear_field(A)
         fwd = rollout_forward(tape.const(z0_val), g, 4, dt, scheme="euler")
-        rev = rollout_reverse(fwd[-1], g, 4, dt, scheme="euler")
-        defects.append(float(np.max(np.abs(rev[-1].value - z0_val))))
+        rev = rollout_reverse(ad.row_blocks(fwd, 1, [4]), g, 4, dt, scheme="euler")
+        defects.append(float(np.max(np.abs(blocks(rev, 1)[-1] - z0_val))))
     assert defects[0] > 0
     assert 3.0 < defects[0] / defects[1] < 5.5
 
 
 def test_rollout_diverged_error():
-    tape = Tape()
-    blow_up = lambda z: ad.smul(z, 1e200)
-    with np.errstate(over="ignore"), pytest.raises(RolloutDivergedError):
-        rollout_forward(tape.const(np.ones((1, 2))), blow_up, 3, 1.0, scheme="euler")
+    """z' = 1e200 z leaves the float range on the second Euler step, and
+    either leg names itself and that step."""
+    def blow_up(z):
+        return z * 1e200, None
+
+    blow_up.params = ()
+    for leg, tag in [(rollout_forward, "forward"), (rollout_reverse, "reverse")]:
+        with np.errstate(over="ignore"), pytest.raises(
+            RolloutDivergedError, match=f"^{tag} rollout diverged at step 2$"
+        ) as caught:
+            leg(Tape().const(np.ones((1, 2))), blow_up, 3, 1.0, scheme="euler")
+        assert caught.value.step == 2
 
 
 def test_message_passing_respects_graph_structure():
@@ -359,7 +380,7 @@ def test_message_passing_respects_graph_structure():
         tape = Tape()
         leaves = {k: tape.leaf(v, k) for k, v in params.items()}
         g = make_ode_func(tape, leaves, TINY, edges, n_nodes=4)
-        return g(tape.const(z_val)).value
+        return g(z_val)[0]
 
     f_base, f_pert = field(z_base), field(z_pert)
     assert np.array_equal(f_base[:2], f_pert[:2])   # coupled pair untouched
@@ -412,13 +433,16 @@ def test_fused_field_matches_composite(graph):
     params = field_params(seed=5)
     z0 = np.random.default_rng(6).standard_normal((n, TINY.d_z))
     results = []
-    for make in (make_ode_func, composite_field):
-        tape = Tape()
-        leaves = leaves_of(tape, {**params, "z": z0})
-        g = make(tape, leaves, TINY, edges, n)
-        value = g(leaves["z"]).value
-        states = rollout_forward(leaves["z"], g, 2, 0.1, scheme="rk4")
-        results.append((value, backward(tape, ad.l2_norm_sq(states[-1]))))
+    tape = Tape()
+    leaves = leaves_of(tape, {**params, "z": z0})
+    g = make_ode_func(tape, leaves, TINY, edges, n)
+    states = rollout_forward(leaves["z"], g, 2, 0.1, scheme="rk4")
+    results.append((g(z0)[0], backward(tape, ad.l2_norm_sq(ad.row_blocks(states, n, [2])))))
+    tape = Tape()
+    leaves = leaves_of(tape, {**params, "z": z0})
+    f = composite_field(tape, leaves, TINY, edges, n)
+    states = stagewise.rollout(leaves["z"], f, 2, 0.1, "rk4", "forward")
+    results.append((f(leaves["z"]).value, backward(tape, ad.l2_norm_sq(states[-1]))))
     (fused, fused_grads), (ref, ref_grads) = results
     assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
     assert set(fused_grads) == set(ref_grads) == {"z", *model.FIELD_PARAMS}
@@ -432,24 +456,48 @@ def test_fused_field_grad_check(graph):
     params = {**field_params(seed=7), "z": np.random.default_rng(8).standard_normal((n, TINY.d_z))}
 
     def f(tape, leaves):
-        g = make_ode_func(tape, leaves, TINY, edges, n)
+        g = stagewise.field_node(make_ode_func(tape, leaves, TINY, edges, n))
         return ad.l2_norm_sq(g(ad.smul(g(leaves["z"]), 0.5)))
 
     report = grad_check(f, params, tol=1e-5)
     assert report.passed, report.per_param
 
 
-def test_field_evaluation_is_one_tape_node():
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rollout_legs_grad_check(scheme):
+    """Both legs' discrete adjoints against central differences, through
+    every stacked state: the reverse leg starts from the forward endpoint."""
+    edges, n = FIELD_GRAPHS["repeated_targets_isolated_agent"]
+    rng = np.random.default_rng(9)
+    params = {**field_params(seed=10), "z": rng.standard_normal((n, TINY.d_z))}
+    K = 3
+    w_fwd, w_rev = rng.standard_normal((2, (K + 1) * n, TINY.d_z))
+
+    def f(tape, leaves):
+        g = make_ode_func(tape, leaves, TINY, edges, n)
+        fwd = rollout_forward(leaves["z"], g, K, 0.1, scheme)
+        rev = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, 0.1, scheme)
+        return ad.add(ad.l2_norm_sq(ad.mul(fwd, w_fwd)), ad.l2_norm_sq(ad.mul(rev, w_rev)))
+
+    report = grad_check(f, params, tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def test_rollout_leg_is_one_tape_node():
+    """A field evaluation records nothing; a leg of any length is one node."""
     edges, n = FIELD_GRAPHS["chain"]
     tape = Tape()
     leaves = leaves_of(tape, init_params(TINY, seed=0))
     g = make_ode_func(tape, leaves, TINY, edges, n)
     z = tape.const(np.ones((n, TINY.d_z)))
     before = len(tape)
-    g(z)
-    assert len(tape) == before + 1 and tape.nodes[-1].op == "field"
+    g(z.value)
+    assert len(tape) == before
+    states = rollout_forward(z, g, 3, 0.1, scheme="rk4")
+    assert len(tape) == before + 1 and tape.nodes[-1].op == "rollout"
+    assert states.shape == (4 * n, TINY.d_z)
     with pytest.raises(ShapeError):
-        g(tape.const(np.ones((n + 1, TINY.d_z))))
+        g(np.ones((n + 1, TINY.d_z)))
 
 
 # ------------------------------------------------------------------ decode
@@ -459,10 +507,10 @@ def test_decode_shape_and_row_layout():
     tape = Tape()
     leaves = {k: tape.leaf(v, k) for k, v in params.items()}
     rng = np.random.default_rng(1)
-    z_states = [tape.const(rng.standard_normal((3, TINY.d_z))) for _ in range(4)]
-    out = decode(tape, leaves, TINY, z_states)
+    Z = tape.const(rng.standard_normal((12, TINY.d_z)))
+    out = decode(tape, leaves, TINY, Z)
     assert out.value.shape == (12, TINY.d_obs)
-    single = decode(tape, leaves, TINY, [z_states[2]])
+    single = decode(tape, leaves, TINY, ad.row_blocks(Z, 3, [2]))
     assert np.allclose(out.value[6:9], single.value)
 
 

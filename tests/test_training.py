@@ -2,14 +2,20 @@
 
 The AdamW update is checked against an independent reference written from
 the update equations; each loss batch_forward reports is recomputed in
-NumPy from separately traced and decoded rollouts.
+NumPy from separately traced and decoded rollouts, and training with the
+one-node rollout legs keeps every bit of training with the stage-by-stage
+reference tape.
 """
 
 import csv
+import gc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import stagewise_rollout as stagewise
 from revode import autodiff as ad
 from revode import training
 from revode.autodiff import Tape
@@ -76,13 +82,15 @@ def decoded_rollouts(params, batch):
     z0 = ad.concat(
         [encode_initial_states(tape, leaves, TINY, [o]) for o in batch.obs_list], axis=0
     )
-    g = make_ode_func(tape, leaves, TINY, batch.edges, batch.n_nodes)
-    fwd = rollout_forward(z0, g, batch.K, batch.dt, TINY.scheme)
-    from_end = rollout_reverse(fwd[-1], g, batch.K, batch.dt, TINY.scheme)
-    from_start = rollout_reverse(fwd[0], g, batch.K, batch.dt, TINY.scheme)
+    n, K = batch.n_nodes, batch.K
+    g = make_ode_func(tape, leaves, TINY, batch.edges, n)
+    fwd = rollout_forward(z0, g, K, batch.dt, TINY.scheme)
+    from_end = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, batch.dt, TINY.scheme)
+    from_start = rollout_reverse(ad.row_blocks(fwd, n, [0]), g, K, batch.dt, TINY.scheme)
 
     def dec(states):
-        return np.stack([decode(tape, leaves, TINY, [z]).value for z in states])
+        return np.stack([decode(tape, leaves, TINY, ad.row_blocks(states, n, [k])).value
+                         for k in range(K + 1)])
 
     return dec(fwd), dec(from_end), dec(from_start)
 
@@ -167,7 +175,7 @@ def test_build_batch_layout():
     assert batch.n_agents == 1
     assert batch.n_nodes == 3
     # lone agents get self-loops at their batched offsets
-    assert batch.edges == [(0, 0), (1, 1), (2, 2)]
+    assert batch.edges.tolist() == [[0, 0], [1, 1], [2, 2]]
     assert batch.K == obs[0].n_rollout_steps
     n_rows = sum(len(ix) for o in obs for ix in o.pred_idx)
     assert batch.rows.shape == (n_rows,)
@@ -248,12 +256,12 @@ def synthetic_obs_sets(n_sets, n_agents, d, K, seed=0):
     return out
 
 
-@pytest.mark.parametrize("preset, max_nodes", [("desk", 400), ("graph", 800)])
+@pytest.mark.parametrize("preset, max_nodes", [("desk", 80), ("graph", 100)])
 def test_treat_batch_tape_size(preset, max_nodes):
     """A 32-sample treat batch of the desk preset (one agent, Euler) and of
     the default five-agent graph model (RK4), both K = 20, stays within its
     node budget: bias adds, row gathers, one encoder pass per batch and one
-    node per field evaluation."""
+    node per rollout leg, whatever its scheme and length."""
     K = DESK_TRAIN_WINDOW[2] - DESK_TRAIN_WINDOW[1]
     if preset == "desk":
         config, n_agents = desk_model_config(), 1
@@ -267,6 +275,58 @@ def test_treat_batch_tape_size(preset, max_nodes):
     batch_forward(tape, leaves, config, batch, "treat", 0.5)
     assert len(tape) <= max_nodes
     assert not hasattr(batch, "sel_matrix")
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant, scheme):
+    """Trained params, loss history, final diagnostic and EvalReport keep
+    every bit when the one-node legs and their hand-written adjoints stand
+    in for the stage-by-stage reference tape."""
+    obs = three_agent_obs_sets(n_sets=8)
+    config = replace(TINY, scheme=scheme)
+    settings = TrainSettings(model=config, loss_variant=variant,
+                             alpha=0.0 if variant == "none" else 0.5,
+                             epochs=2, batch_size=3, seed=3)
+
+    def run():
+        result = train(obs, settings)
+        return result, evaluate(result.params, obs, config, chunk=3)
+
+    lean, lean_report = run()
+    monkeypatch.setattr(training, "rollout_forward", stagewise.rollout_forward)
+    monkeypatch.setattr(training, "rollout_reverse", stagewise.rollout_reverse)
+    ref, ref_report = run()
+    assert lean.params.keys() == ref.params.keys()
+    for name, value in ref.params.items():
+        assert lean.params[name].tobytes() == value.tobytes(), name
+    assert repr(lean.history) == repr(ref.history)
+    assert repr(lean.final_diag_l_reverse) == repr(ref.final_diag_l_reverse)
+    assert repr(lean_report) == repr(ref_report)
+
+
+def test_training_step_frees_its_tape_before_the_next_step(monkeypatch):
+    """With the cycle collector off, each recording tape is dead by the time
+    the next one is made: nothing outlives its step, and no backward closure
+    ties its tape into a reference cycle."""
+    made, alive_at_next = [], []
+
+    def make_tape(record=True):
+        tape = Tape(record)
+        if record:
+            alive_at_next.extend(ref() is not None for ref in made[-1:])
+            made.append(weakref.ref(tape))
+        return tape
+
+    monkeypatch.setattr(training, "Tape", make_tape)
+    settings = TrainSettings(model=TINY, epochs=2, batch_size=4, seed=0)
+    gc.disable()
+    try:
+        train(small_obs_sets(), settings)
+        alive_at_next.extend(ref() is not None for ref in made[-1:])
+    finally:
+        gc.enable()
+    assert len(made) == 6 and alive_at_next == [False] * 6
 
 
 # --------------------------------------------------------------- optimizer
