@@ -5,16 +5,19 @@ Nodes are appended in creation order, which is already a topological order
 a single reversed loop over the node list.  A node's backward may be a
 generator, so an op with many parents (a whole rollout leg) hands out their
 gradients one at a time and never holds them all.  Values are float64 numpy
-arrays, held by the Tensors themselves: a forward-only tape (record=False)
-keeps no nodes, so a pass that never runs backward holds only the values
-its caller still references.  Elementwise ops require exactly matching
-shapes -- the only broadcasting allowed anywhere is smul's scalar-times-tensor
-and add_bias's (1, c) row, which keeps silent shape bugs out of the gradient
-path.
+arrays, held by the Tensors themselves.  A node refers to its value only
+weakly, so a recording tape pins just what its backward closures capture:
+an intermediate that no closure reads is freed as soon as its Tensor goes.
+A forward-only tape (record=False) keeps no nodes at all, so a pass that
+never runs backward holds only the values its caller still references.
+Elementwise ops require exactly matching shapes -- the only broadcasting
+allowed anywhere is smul's scalar-times-tensor and add_bias's (1, c) row,
+which keeps silent shape bugs out of the gradient path.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,17 +26,30 @@ import numpy as np
 from .errors import NonFiniteGradientError, ShapeError
 
 
+_GONE = np.empty(0)
+_GONE.flags.writeable = False
+
+
 class Node:
-    __slots__ = ("op", "value", "parents", "bwd", "name")
+    """One recorded op.  The node holds its value weakly: `value` is the
+    array while a Tensor or a backward closure still holds it, and a shared
+    empty array once it is gone.  The sweep never reads it."""
+
+    __slots__ = ("op", "_value", "parents", "bwd", "name")
 
     def __init__(self, op, value, parents, bwd, name=None):
         self.op = op
-        self.value = value
+        self._value = weakref.ref(value)
         self.parents = parents
         # callable(out_grad) -> iterable of parent grads, one per parent in
         # order; the sweep adds each into its parent as it is produced
         self.bwd = bwd
         self.name = name
+
+    @property
+    def value(self) -> np.ndarray:
+        value = self._value()
+        return _GONE if value is None else value
 
 
 class Tensor:

@@ -403,11 +403,38 @@ def rollout_reverse(z_end: Tensor, g, n_steps: int, dt: float, scheme: str = "rk
     return _leg(z_end, g, n_steps, -dt, scheme, "reverse")
 
 
+DECODE_PARAMS = ("dec.b2", "dec.W2", "dec.b1", "dec.W1")
+
+
 def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig, Z: Tensor) -> Tensor:
     """Map stacked latent rows, such as a rollout leg's, to observation
-    space row by row: ((K+1)*n_rows, d_z) -> ((K+1)*n_rows, d_out)."""
-    hidden = ad.relu(_linear(Z, leaves["dec.W1"], leaves["dec.b1"]))
-    return _linear(hidden, leaves["dec.W2"], leaves["dec.b2"])
+    space row by row: ((K+1)*n_rows, d_z) -> ((K+1)*n_rows, d_out).
+
+    relu(Z W1 + b1) W2 + b2 as one tape node.  Its backward keeps only Z
+    and recomputes the hidden layer from it, and yields the gradients of
+    b2, W2, b1, W1 and Z, each computed as the chain of primitives
+    (matmul, add_bias, relu, matmul, add_bias) computes it, so every bit
+    matches that chain's."""
+    weights = tuple(leaves[name] for name in DECODE_PARAMS)
+    b2, W2, b1, W1 = (w.value for w in weights)
+    z = Z.value
+    if z.ndim != 2 or z.shape[1] != W1.shape[0]:
+        raise ShapeError(f"decode needs (rows, {W1.shape[0]}) latent rows, got {z.shape}")
+    out = np.maximum(z @ W1 + b1, 0.0) @ W2 + b2
+
+    def bwd(g):
+        pre = z @ W1 + b1
+        mask = pre > 0.0
+        hidden = np.maximum(pre, 0.0, out=pre)
+        yield g.sum(axis=0, keepdims=True)
+        yield hidden.T @ g
+        del hidden, pre
+        d_pre = (g @ W2.T) * mask
+        yield d_pre.sum(axis=0, keepdims=True)
+        yield z.T @ d_pre
+        yield d_pre @ W1.T
+
+    return tape._record("decode", out, tuple(w.idx for w in weights) + (Z.idx,), bwd)
 
 
 # ------------------------------------------------------------ checkpoints

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationError, UnsupportedSystemError
+from .errors import ConfigurationError, UnsupportedSystemError
 from .integrators import StateVector
 
 SYSTEM_KINDS = (
@@ -30,10 +30,12 @@ DAMPED_FORMS = ("anchored", "pairwise")
 # Systems whose agent count is part of their definition.
 FIXED_AGENTS = {"triple_pendulum": 3, "attractor": 1}
 
-# Smaller |denominator| than this in the pendulum's angular-velocity solve
-# is treated as a mass-matrix singularity.  (For uniform sticks the
-# denominator is provably bounded away from zero; the guard protects
-# against corrupted states.)
+# The pendulum's angular-velocity solve divides by
+# m l^2 (81 cos 2(th1-th2) - 9 cos 2(th1-th3) + 45 cos 2(th2-th3) - 169),
+# whose bracket is at most 81 + 9 + 45 - 169 = -34 for any finite angles.
+# So the mass matrix can only come near singular through its constants:
+# SystemSpec rejects a pendulum whose 34 m l^2 falls below this, and the
+# field and the energy then never need to check a state.
 PENDULUM_SINGULARITY_EPS = 1e-12
 
 
@@ -133,6 +135,10 @@ class SystemSpec:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         if not self.gamma >= 0:
             raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
+        if self.kind == "triple_pendulum" and 34.0 * self.m * self.length**2 < PENDULUM_SINGULARITY_EPS:
+            raise ConfigurationError(
+                f"m * length**2 must be >= {PENDULUM_SINGULARITY_EPS / 34.0:.3g} for a "
+                f"non-singular pendulum mass matrix, got m={self.m}, length={self.length}")
         if self.graph is not None and self.graph.n != self.n_agents:
             raise ConfigurationError(
                 f"graph has {self.graph.n} nodes but spec has {self.n_agents} agents"
@@ -352,10 +358,6 @@ def _pendulum_field(spec: SystemSpec):
         sin = np.sin(np.concatenate([diff, th], axis=-1))
 
         den = ml2 * (81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0)
-        if (np.abs(den) < PENDULUM_SINGULARITY_EPS).any():
-            raise IntegrationError(
-                "pendulum angular-velocity solve hit a singular mass matrix"
-            )
         num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
         out = np.empty_like(y)
         w = np.divide(6.0 * (num + _PEND_LAST * p), den[..., None], out=out[..., 0])
@@ -372,12 +374,6 @@ def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
     """Total energy T + V of the stick pendulum (batched)."""
     theta, pvec = state.q[..., 0], state.p[..., 0]
     th1, th2, th3 = theta[..., 0], theta[..., 1], theta[..., 2]
-    den = spec.m * spec.length**2 * (
-        81.0 * np.cos(2.0 * (th1 - th2)) - 9.0 * np.cos(2.0 * (th1 - th3))
-        + 45.0 * np.cos(2.0 * (th2 - th3)) - 169.0
-    )
-    if np.any(np.abs(den) < PENDULUM_SINGULARITY_EPS):
-        raise IntegrationError("singular mass matrix in pendulum_energy")
     mass = pendulum_mass_matrix(theta, spec.m, spec.length)
     thd = np.linalg.solve(mass, pvec[..., None])[..., 0]
     kinetic = 0.5 * np.einsum("...i,...ij,...j->...", thd, mass, thd)

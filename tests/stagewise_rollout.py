@@ -1,10 +1,12 @@
-"""The stage-by-stage latent rollout: the reference that revode.model's
-one-node rollout legs must reproduce bit for bit.
+"""The stage-by-stage latent rollout and the op-by-op decoder: the
+references that revode.model's one-node rollout legs and one-node decode
+must reproduce bit for bit.
 
 Here every field evaluation is its own tape node and every Euler, Heun or
-RK4 stage records its own smul and add nodes, so the tape's generic
-backward sweep differentiates the unrolled solver.  The legs in
-revode.model record one node each and hand-write that sweep.
+RK4 stage records its own smul and add nodes, and the decoder is a chain of
+five primitives, so the tape's generic backward sweep differentiates them.
+The legs and the decode in revode.model record one node each and hand-write
+that sweep.
 """
 
 import numpy as np
@@ -68,3 +70,9 @@ def rollout_forward(z0, g, n_steps: int, dt: float, scheme: str = "rk4"):
 def rollout_reverse(z_end, g, n_steps: int, dt: float, scheme: str = "rk4"):
     """Drop-in for model.rollout_reverse."""
     return ad.concat(rollout(z_end, field_node(g), n_steps, -dt, scheme, "reverse"), axis=0)
+
+
+def decode(tape, leaves, config, Z):
+    """Drop-in for model.decode: relu(Z W1 + b1) W2 + b2 as five nodes."""
+    hidden = ad.relu(ad.add_bias(ad.matmul(Z, leaves["dec.W1"]), leaves["dec.b1"]))
+    return ad.add_bias(ad.matmul(hidden, leaves["dec.W2"]), leaves["dec.b2"])

@@ -176,6 +176,7 @@ def seed_mean(runs, variant, alpha, field):
     return float(np.mean([runs[(variant, alpha, s)][field] for s in DESK_SEEDS]))
 
 
+@pytest.mark.slow
 def test_criterion_06_regularizer_beats_baseline(desk_grid):
     base_mse = seed_mean(desk_grid, "none", 0.0, "mse")
     base_diag = seed_mean(desk_grid, "none", 0.0, "diag")
@@ -199,6 +200,7 @@ def test_criterion_06_regularizer_beats_baseline(desk_grid):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_endpoint_reversal_beats_reverse_from_start(desk_grid):
     treat_err = seed_mean(desk_grid, "treat", 0.5, "maxerr")
     rev2_err = seed_mean(desk_grid, "rev2", 0.5, "maxerr")
@@ -211,6 +213,7 @@ def test_criterion_07_endpoint_reversal_beats_reverse_from_start(desk_grid):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_error_grows_with_horizon(desk_grid):
     violations = []
     checked = 0

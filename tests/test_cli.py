@@ -5,6 +5,7 @@ directory; exit-code contracts are checked by provoking each error class.
 """
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -33,6 +34,7 @@ from revode.configs import (
 from revode.data import read_dataset
 from revode.errors import ConfigurationError, RolloutDivergedError
 from revode.model import ModelConfig, init_params, save_checkpoint
+from revode.systems import PENDULUM_SINGULARITY_EPS, SystemSpec
 
 # small but structurally faithful: 1-body 1-D spring, 41 grid points
 SIM_BASE = [
@@ -267,6 +269,21 @@ def test_simulate_rejects_non_physical_constants(tmp_path, capsys, extra):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {extra[0][2:]} must be")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_near_singular_pendulum(tmp_path, capsys, monkeypatch):
+    """A pendulum spec whose mass matrix could come near singular exits 2
+    with one line.  simulate has no mass or length flag, so the boundary
+    mass comes in through the spec constructor that simulate calls."""
+    monkeypatch.setattr(revode.cli, "SystemSpec",
+                        functools.partial(SystemSpec, m=PENDULUM_SINGULARITY_EPS / 68.0))
+    out = tmp_path / "t.jsonl"
+    rc = main(["simulate", "--system", "triple_pendulum", "--trajectories", "2",
+               "--steps", "200", "--subsample", "100", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: m * length**2 must be >= ")
     assert not out.exists()
 
 

@@ -514,6 +514,53 @@ def test_decode_shape_and_row_layout():
     assert np.allclose(out.value[6:9], single.value)
 
 
+def decode_params(seed):
+    """Decoder weights with nonzero biases, and latent rows, so the hidden
+    ReLU sees both signs."""
+    rng = np.random.default_rng(seed)
+    params = {k: v for k, v in init_params(TINY, seed).items() if k.startswith("dec.")}
+    for name in ("dec.b1", "dec.b2"):
+        params[name] = 0.3 * rng.standard_normal(params[name].shape)
+    return {**params, "z": rng.standard_normal((7, TINY.d_z))}
+
+
+def test_decode_is_one_node_with_the_composite_bits():
+    """The one-node decode's value and gradients equal the five-node
+    chain's bit for bit, with z also read by a second consumer."""
+    params = decode_params(seed=3)
+    results = []
+    for dec in (decode, stagewise.decode):
+        tape = Tape()
+        leaves = leaves_of(tape, params)
+        before = len(tape)
+        out = dec(tape, leaves, TINY, leaves["z"])
+        nodes = len(tape) - before
+        loss = ad.add(ad.l2_norm_sq(out), ad.l2_norm_sq(ad.smul(leaves["z"], 0.5)))
+        results.append((nodes, out.value, backward(tape, loss)))
+    (n_fused, fused, fused_grads), (n_ref, ref, ref_grads) = results
+    assert (n_fused, n_ref) == (1, 5)
+    assert fused.tobytes() == ref.tobytes()
+    assert set(fused_grads) == set(ref_grads) == set(params)
+    for name, grad in ref_grads.items():
+        assert fused_grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_decode_grad_check():
+    def f(tape, leaves):
+        return ad.l2_norm_sq(decode(tape, leaves, TINY, leaves["z"]))
+
+    report = grad_check(f, decode_params(seed=4), tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def test_decode_rejects_rows_of_the_wrong_width():
+    params = init_params(TINY, seed=0)
+    tape = Tape()
+    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    with pytest.raises(ShapeError, match="decode"):
+        decode(tape, leaves, TINY, tape.const(np.ones((3, TINY.d_z + 1))))
+
+
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):

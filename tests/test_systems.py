@@ -14,6 +14,7 @@ import pytest
 from revode.errors import ConfigurationError, UnsupportedSystemError
 from revode.integrators import StateVector, TimeGrid, integrate
 from revode.systems import (
+    PENDULUM_SINGULARITY_EPS,
     SYSTEM_KINDS,
     InteractionGraph,
     SystemSpec,
@@ -327,6 +328,25 @@ def test_pendulum_mass_matrix_symmetric_positive_definite():
         M = pendulum_mass_matrix(theta, m=1.0, length=1.0)
         assert np.allclose(M, M.T)
         assert np.all(np.linalg.eigvalsh(M) > 0)
+
+
+def test_pendulum_spec_rejects_a_near_singular_mass_matrix():
+    """The solve's denominator is m l^2 times a bracket of magnitude at
+    least 81 + 9 + 45 - 169 = 34 for any angles, so only the constants can
+    bring it near zero: a pendulum whose 34 m l^2 is below
+    PENDULUM_SINGULARITY_EPS is refused, one twice that is accepted, and a
+    spring, which has no sticks, is not checked."""
+    theta = np.random.default_rng(3).uniform(-np.pi, np.pi, (100_000, 3))
+    th1, th2, th3 = theta.T
+    bracket = (81.0 * np.cos(2.0 * (th1 - th2)) - 9.0 * np.cos(2.0 * (th1 - th3))
+               + 45.0 * np.cos(2.0 * (th2 - th3)) - 169.0)
+    assert np.abs(bracket).min() >= 34.0
+    boundary = PENDULUM_SINGULARITY_EPS / 34.0
+    for constants in ({"m": boundary / 2}, {"length": np.sqrt(boundary / 2)}):
+        with pytest.raises(ConfigurationError, match=r"m \* length\*\*2 must be"):
+            SystemSpec(kind="triple_pendulum", n_agents=3, **constants)
+    SystemSpec(kind="triple_pendulum", n_agents=3, m=2 * boundary)
+    SystemSpec(kind="simple_spring", m=boundary / 2)
 
 
 def test_pendulum_hangs_still_at_stable_equilibrium():

@@ -3,12 +3,13 @@
 The AdamW update is checked against an independent reference written from
 the update equations; each loss batch_forward reports is recomputed in
 NumPy from separately traced and decoded rollouts, and training with the
-one-node rollout legs keeps every bit of training with the stage-by-stage
-reference tape.
+one-node rollout legs and decode keeps every bit of training with the
+stage-by-stage and op-by-op reference tape.
 """
 
 import csv
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ import pytest
 import stagewise_rollout as stagewise
 from revode import autodiff as ad
 from revode import training
-from revode.autodiff import Tape
+from revode.autodiff import Tape, backward
 from revode.configs import DESK_TRAIN_WINDOW, TRAIN_DEFAULTS, desk_model_config
 from revode.data import ObservationSet, build_observation_sets, build_trajectory
 from revode.errors import ConfigurationError, RolloutDivergedError, TrainingDivergedError
@@ -256,12 +257,9 @@ def synthetic_obs_sets(n_sets, n_agents, d, K, seed=0):
     return out
 
 
-@pytest.mark.parametrize("preset, max_nodes", [("desk", 80), ("graph", 100)])
-def test_treat_batch_tape_size(preset, max_nodes):
-    """A 32-sample treat batch of the desk preset (one agent, Euler) and of
-    the default five-agent graph model (RK4), both K = 20, stays within its
-    node budget: bias adds, row gathers, one encoder pass per batch and one
-    node per rollout leg, whatever its scheme and length."""
+def treat_batch(preset):
+    """(config, batch, params) of a 32-sample K = 20 batch: the desk preset
+    (one agent, Euler) or the default five-agent graph model (RK4)."""
     K = DESK_TRAIN_WINDOW[2] - DESK_TRAIN_WINDOW[1]
     if preset == "desk":
         config, n_agents = desk_model_config(), 1
@@ -270,19 +268,64 @@ def test_treat_batch_tape_size(preset, max_nodes):
         config = ModelConfig(d_obs=4, **{k: TRAIN_DEFAULTS[k] for k in widths})
         n_agents = 5
     batch = build_batch(synthetic_obs_sets(32, n_agents, config.d_obs, K))
+    return config, batch, init_params(config, seed=0)
+
+
+@pytest.mark.parametrize("preset, max_nodes", [("desk", 72), ("graph", 72)])
+def test_treat_batch_tape_size(preset, max_nodes):
+    """A treat batch of either preset stays within its node budget: bias
+    adds, row gathers, one encoder pass per batch, and one node per rollout
+    leg, whatever its scheme and length, and per decode."""
+    config, batch, params = treat_batch(preset)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in init_params(config, seed=0).items()}
+    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
     batch_forward(tape, leaves, config, batch, "treat", 0.5)
     assert len(tape) <= max_nodes
     assert not hasattr(batch, "sel_matrix")
 
 
-@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
-@pytest.mark.parametrize("variant", LOSS_VARIANTS)
-def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant, scheme):
+@pytest.mark.parametrize("preset, max_mb", [("desk", 6), ("graph", 55)])
+def test_treat_step_peak_memory(preset, max_mb):
+    """The traced peak of one forward and backward on a treat batch stays
+    within budget: the tape pins only what its backward closures read."""
+    config, batch, params = treat_batch(preset)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        backward(tape, batch_forward(tape, leaves, config, batch, "treat", 0.5).loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= max_mb * 1e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_tape_nodes_hold_dead_intermediates_weakly():
+    """With the cycle collector off, once batch_forward returns, an
+    intermediate that no backward closure reads is gone from its node,
+    while every leaf still returns its parameter array."""
+    config, batch, params = treat_batch("desk")
+    gc.disable()
+    try:
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        out = batch_forward(tape, leaves, config, batch, "treat", 0.5)
+        # the encoder's embedding: add_bias(X W, b), read only by an add
+        embed = next(node for node in tape.nodes if node.op == "add_bias")
+        assert embed.value.shape == (0,) and embed.value.dtype == np.float64
+        for name, leaf in leaves.items():
+            assert tape.nodes[leaf.idx].value is leaf.value is params[name]
+        assert tape.nodes[out.loss.idx].value is out.loss.value
+    finally:
+        gc.enable()
+
+
+def assert_trains_bitwise_like(monkeypatch, variant, scheme, references):
     """Trained params, loss history, final diagnostic and EvalReport keep
-    every bit when the one-node legs and their hand-written adjoints stand
-    in for the stage-by-stage reference tape."""
+    every bit when `references` ({training attribute: stand-in}) replace
+    the one-node ops."""
     obs = three_agent_obs_sets(n_sets=8)
     config = replace(TINY, scheme=scheme)
     settings = TrainSettings(model=config, loss_variant=variant,
@@ -294,8 +337,8 @@ def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant
         return result, evaluate(result.params, obs, config, chunk=3)
 
     lean, lean_report = run()
-    monkeypatch.setattr(training, "rollout_forward", stagewise.rollout_forward)
-    monkeypatch.setattr(training, "rollout_reverse", stagewise.rollout_reverse)
+    for name, reference in references.items():
+        monkeypatch.setattr(training, name, reference)
     ref, ref_report = run()
     assert lean.params.keys() == ref.params.keys()
     for name, value in ref.params.items():
@@ -303,6 +346,25 @@ def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant
     assert repr(lean.history) == repr(ref.history)
     assert repr(lean.final_diag_l_reverse) == repr(ref.final_diag_l_reverse)
     assert repr(lean_report) == repr(ref_report)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant, scheme):
+    """The one-node legs and their hand-written adjoints against the
+    stage-by-stage reference tape."""
+    assert_trains_bitwise_like(monkeypatch, variant, scheme, {
+        "rollout_forward": stagewise.rollout_forward,
+        "rollout_reverse": stagewise.rollout_reverse,
+    })
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_one_node_decode_trains_bitwise_like_the_five_node_chain(monkeypatch, variant, scheme):
+    """The one-node decode, which recomputes its hidden layer in backward,
+    against the matmul, add_bias, relu, matmul, add_bias chain."""
+    assert_trains_bitwise_like(monkeypatch, variant, scheme, {"decode": stagewise.decode})
 
 
 def test_training_step_frees_its_tape_before_the_next_step(monkeypatch):

@@ -105,8 +105,9 @@ def test_theorem1_scaling_first_order_solver():
     """Euler's prediction loss scales as dt^2 (squared first-order error)."""
     report = theorem1_scaling(scheme="euler")
     assert report.scheme == "euler"
-    assert 1.7 < report.s_pred < 2.3
-    assert report.s_pred_r2 > SCALING_MIN_R2
+    head = report.slopes_by_span[report.fit_span]
+    assert 1.7 < head["s_pred"] < 2.3
+    assert head["s_pred_r2"] > SCALING_MIN_R2
     # losses recorded for every (span, dt) cell
     assert set(report.l_pred) == {
         (T, dt) for T in report.t_list for dt in report.dt_list
@@ -117,8 +118,9 @@ def test_theorem1_scaling_reverse_slope_outruns_prediction_slope():
     """The reverse-trajectory loss gains at least dt^1.5 on the prediction
     loss once the solver order supports the dt^4 envelope."""
     report = theorem1_scaling(scheme="heun")
-    assert report.s_rev - report.s_pred >= 1.0
-    assert report.s_rev_r2 > SCALING_MIN_R2
+    head = report.slopes_by_span[report.fit_span]
+    assert head["s_rev"] - head["s_pred"] >= 1.0
+    assert head["s_rev_r2"] > SCALING_MIN_R2
 
 
 def test_theorem1_reverse_leg_is_the_negated_field_from_the_forward_endpoint():
