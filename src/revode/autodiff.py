@@ -8,6 +8,8 @@ gradients one at a time and never holds them all.  Values are float64 numpy
 arrays, held by the Tensors themselves.  A node refers to its value only
 weakly, so a recording tape pins just what its backward closures capture:
 an intermediate that no closure reads is freed as soon as its Tensor goes.
+The model's encoder, rollout legs and decoder are single nodes whose
+backwards keep a few arrays and recompute the rest.
 A forward-only tape (record=False) keeps no nodes at all, so a pass that
 never runs backward holds only the values its caller still references.
 Elementwise ops require exactly matching shapes -- the only broadcasting

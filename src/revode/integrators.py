@@ -18,6 +18,7 @@ by integrating the negated field, never by adaptive or implicit tricks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,8 +76,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:  # NaN fails too
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
 

@@ -4,7 +4,10 @@ vector field unrolled by a fixed-step solver, and an MLP decoder.
 Everything here builds autodiff graphs.  The field works on arrays, and each
 rollout leg is one tape node whose backward is the discrete adjoint of its
 scheme (the schemes mirror `integrators`), so gradients flow through the
-unrolled solver (discretize-then-optimize).
+unrolled solver (discretize-then-optimize).  The encoder and the decoder are
+one node each too: their backwards keep a few arrays (for the encoder H,
+the softmax weights and the pooled rows; for the decoder its input rows)
+and recompute the rest, with every bit the chain of primitives gave.
 """
 
 from __future__ import annotations
@@ -133,6 +136,14 @@ def _linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return ad.add_bias(ad.matmul(x, W), b)
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+ENCODE_PARAMS = ("enc.pool.Wa", "enc.attn.Wv", "enc.attn.Wk", "enc.attn.Wq",
+                 "enc.embed.b", "enc.embed.W")
+
+
 def encode_agent(
     tape: Tape,
     leaves: dict[str, Tensor],
@@ -147,37 +158,83 @@ def encode_agent(
     (A, m) and feats (A, m, d_obs); the padding after them is masked out of
     the attention weights and the pooling sums, so an agent encodes the same
     whichever agents share its pass.
+
+    One tape node with the ENCODE_PARAMS weights as parents.  Besides its
+    input, its backward keeps only H (embedding plus temporal encoding), the
+    softmax weights A and the two pooled (A, d_model) rows.  It recomputes
+    Q, K, V, A@V and H2 = H + relu(A@V) with the forward's own calls, and
+    yields each weight gradient, and sums H's and H2's gradient terms, in
+    the order the chain of primitives (matmul, reshape, transpose, softmax,
+    tanh, ...) did, so every bit matches that chain's.
     """
     n_agents, m = rel_times.shape
     n_valid = np.asarray(n_valid, dtype=np.int64)
     if np.any(n_valid < 1):
         raise EncodingError("agent has no observations to encode")
+    weights = tuple(leaves[name] for name in ENCODE_PARAMS)
+    Wa, Wv, Wk, Wq, b, W = (w.value for w in weights)
     dm = config.d_model
+    if np.shape(feats) != (n_agents, m, W.shape[0]):
+        raise ShapeError(f"encode needs ({n_agents}, {m}, {W.shape[0]}) features, "
+                         f"got {np.shape(feats)}")
     valid = np.arange(m)[None, :] < n_valid[:, None]  # (A, m)
+    pool = (valid / n_valid[:, None])[:, None, :]  # (A, 1, m)
+    scale = float(1.0 / np.sqrt(dm))
+    X = np.asarray(feats, dtype=np.float64).reshape(n_agents * m, -1)
+    H = (X @ W + b) + temporal_encoding(rel_times.reshape(-1), dm, config.te_base)
 
-    X = tape.const(feats.reshape(n_agents * m, -1))
-    H = _linear(X, leaves["enc.embed.W"], leaves["enc.embed.b"])
-    H = ad.add(H, tape.const(temporal_encoding(rel_times.reshape(-1), dm, config.te_base)))
+    def project(Wx):  # Q, K or V, per agent
+        return (H @ Wx).reshape(n_agents, m, dm)
 
-    def per_agent(t: Tensor) -> Tensor:
-        return ad.reshape(t, (n_agents, m, dm))
+    def mix():  # A@V, H2 = H + relu(A@V) and H2's copied transpose
+        AV = A @ project(Wv)
+        H2 = H.reshape(n_agents, m, dm) + np.maximum(AV, 0.0)
+        return AV, H2, _swap(H2).copy()
 
-    Q = per_agent(ad.matmul(H, leaves["enc.attn.Wq"]))
-    K = per_agent(ad.matmul(H, leaves["enc.attn.Wk"]))
-    V = per_agent(ad.matmul(H, leaves["enc.attn.Wv"]))
-    S = ad.smul(ad.matmul(Q, ad.transpose(K)), 1.0 / np.sqrt(dm))
+    S = (project(Wq) @ _swap(project(Wk)).copy()) * scale
     if not valid.all():
-        S = ad.add(S, tape.const(np.broadcast_to(
-            np.where(valid, 0.0, -1e30)[:, None, :], S.shape)))
-    A = ad.softmax(S, axis=-1)
-    H2 = ad.add(per_agent(H), ad.relu(ad.matmul(A, V)))  # (A, m, dm)
+        S = S + np.where(valid, 0.0, -1e30)[:, None, :]
+    e = np.exp(S - np.max(S, axis=-1, keepdims=True))
+    A = e / np.sum(e, axis=-1, keepdims=True)
+    _, H2, H2t = mix()
+    mean_row = (pool @ H2).reshape(n_agents, dm)
+    a = np.tanh(mean_row @ Wa)
+    out = ((np.tanh(a.reshape(n_agents, 1, dm) @ H2t) * pool) @ H2).reshape(n_agents, dm)
 
-    pool = tape.const((valid / n_valid[:, None])[:, None, :])  # (A, 1, m)
-    mean_row = ad.reshape(ad.matmul(pool, H2), (n_agents, dm))
-    a = ad.tanh(ad.matmul(mean_row, leaves["enc.pool.Wa"]))
-    scores = ad.tanh(ad.matmul(ad.reshape(a, (n_agents, 1, dm)), ad.transpose(H2)))
-    u = ad.matmul(ad.mul(scores, pool), H2)
-    return ad.reshape(u, (n_agents, dm))
+    def bwd(g):
+        # each recomputed array goes as soon as its last reader is done
+        AV, H2, H2t = mix()
+        mask, a3 = AV > 0.0, a.reshape(n_agents, 1, dm)
+        del AV
+        scores = np.tanh(a3 @ H2t)
+        g = g.reshape(n_agents, 1, dm)
+        d_scores = (g @ _swap(H2)) * pool * (1.0 - scores * scores)
+        d_a = (d_scores @ _swap(H2t)).reshape(n_agents, dm) * (1.0 - a * a)
+        del H2, H2t
+        d_H2 = _swap(scores * pool) @ g
+        d_H2 = d_H2 + _swap(_swap(a3) @ d_scores)
+        yield mean_row.T @ d_a
+        d_H2 = d_H2 + _swap(pool) @ (d_a @ Wa.T).reshape(n_agents, 1, dm)
+        d_AV = d_H2 * mask
+        d_A = d_AV @ _swap(project(Wv))
+        d_V = (_swap(A) @ d_AV).reshape(n_agents * m, dm)
+        del d_AV
+        d_S = A * (d_A - np.sum(d_A * A, axis=-1, keepdims=True)) * scale
+        del d_A
+        d_H = d_H2.reshape(n_agents * m, dm) + d_V @ Wv.T
+        yield H.T @ d_V
+        del d_H2, d_V
+        d_K = _swap(_swap(project(Wq)) @ d_S).reshape(n_agents * m, dm)
+        d_H = d_H + d_K @ Wk.T
+        yield H.T @ d_K
+        del d_K
+        d_Q = (d_S @ _swap(_swap(project(Wk)).copy())).reshape(n_agents * m, dm)
+        d_H = d_H + d_Q @ Wq.T
+        yield H.T @ d_Q
+        yield d_H.sum(axis=0, keepdims=True)
+        yield X.T @ d_H
+
+    return tape._record("encode", out, tuple(w.idx for w in weights), bwd)
 
 
 def encode_initial_states(
@@ -243,7 +300,7 @@ def make_ode_func(
     the update input and the one gathered back through the messages (the
     order in which the equivalent chain of primitives sums them), and one
     gradient per tensor of g.params.  It keeps only z, the aggregated
-    messages, the hidden activations and the message ReLU mask, and
+    messages, the hidden activations and the message ReLU mask (as bits), and
     recomputes the pair rows, the update input and the hidden mask from
     them.  On a forward-only tape backward is None and g keeps nothing.
     """
@@ -263,14 +320,15 @@ def make_ode_func(
         rates = hidden @ W2 + b2
         if not record:
             return rates, None
-        mask_msg = pre_msg > 0.0
+        mask_msg = np.packbits(pre_msg > 0.0, axis=1)  # one bit per entry
 
         def backward(go):
             pair = z[pair_rows.idx].reshape(len(pairs), 2 * dz)
             upd_in = np.concatenate([z, agg], axis=1)
             d_hid = (go @ W2.T) * (hidden > 0.0)
             d_upd = d_hid @ W1.T
-            d_msg = d_upd[:, dz:][targets.idx] * mask_msg
+            d_msg = d_upd[:, dz:][targets.idx] * np.unpackbits(
+                mask_msg, axis=1, count=Wm.shape[1]).view(bool)
             d_pair = (d_msg @ Wm.T).reshape(-1, dz)
             return ((d_upd[:, :dz], pair_rows.segment_sum(d_pair)),
                     (pair.T @ d_msg, d_msg.sum(axis=0, keepdims=True),

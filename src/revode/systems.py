@@ -10,6 +10,7 @@ ensembles integrate in a single pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -129,9 +130,13 @@ class SystemSpec:
             raise ConfigurationError(
                 f"damped_form must be 'anchored' or 'pairwise', got {self.damped_form!r}"
             )
-        for name, value in [("m", self.m), ("k", self.k), ("k0", self.anchor_k),
-                            ("length", self.length)]:
-            if not value > 0:  # NaN fails too
+        constants = [("m", self.m), ("k", self.k), ("k0", self.anchor_k), ("gamma", self.gamma),
+                     ("k1", self.k1), ("omega", self.omega), ("length", self.length),
+                     ("g", self.g)]
+        for name, value in constants:
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            if name in ("m", "k", "k0", "length") and not value > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         if not self.gamma >= 0:
             raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")

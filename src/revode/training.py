@@ -11,6 +11,7 @@ the unrolled solver on one tape per minibatch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,12 @@ class TrainSettings:
             )
         if self.loss_variant == "none" and self.alpha != 0.0:
             raise ConfigurationError("variant 'none' requires alpha = 0")
-        if self.alpha < 0:
-            raise ConfigurationError("alpha must be >= 0")
+        for name in ("alpha", "lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.alpha < 0 or self.weight_decay < 0:
+            raise ConfigurationError(
+                f"alpha and weight_decay must be >= 0, got {self.alpha} and {self.weight_decay}")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigurationError("val_fraction must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1 or not self.lr > 0:

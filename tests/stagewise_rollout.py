@@ -1,18 +1,19 @@
-"""The stage-by-stage latent rollout and the op-by-op decoder: the
-references that revode.model's one-node rollout legs and one-node decode
-must reproduce bit for bit.
+"""The stage-by-stage latent rollout and the op-by-op encoder and
+decoder: the references that revode.model's one-node rollout legs, encode
+and decode must reproduce bit for bit.
 
 Here every field evaluation is its own tape node and every Euler, Heun or
-RK4 stage records its own smul and add nodes, and the decoder is a chain of
-five primitives, so the tape's generic backward sweep differentiates them.
-The legs and the decode in revode.model record one node each and hand-write
-that sweep.
+RK4 stage records its own smul and add nodes, the encoder is a chain of
+about thirty primitives and the decoder a chain of five, so the tape's
+generic backward sweep differentiates them.  The legs, the encode and the
+decode in revode.model record one node each and hand-write that sweep.
 """
 
 import numpy as np
 
 from revode import autodiff as ad
-from revode.errors import ConfigurationError, RolloutDivergedError
+from revode.errors import ConfigurationError, EncodingError, RolloutDivergedError
+from revode.model import temporal_encoding
 
 
 def field_node(g):
@@ -76,3 +77,42 @@ def decode(tape, leaves, config, Z):
     """Drop-in for model.decode: relu(Z W1 + b1) W2 + b2 as five nodes."""
     hidden = ad.relu(ad.add_bias(ad.matmul(Z, leaves["dec.W1"]), leaves["dec.b1"]))
     return ad.add_bias(ad.matmul(hidden, leaves["dec.W2"]), leaves["dec.b2"])
+
+
+def _linear(x, W, b):
+    return ad.add_bias(ad.matmul(x, W), b)
+
+
+def encode_agent(tape, leaves, config, rel_times, feats, n_valid):
+    """Drop-in for model.encode_agent: the masked temporal self-attention
+    and attention pooling as a chain of primitives."""
+    n_agents, m = rel_times.shape
+    n_valid = np.asarray(n_valid, dtype=np.int64)
+    if np.any(n_valid < 1):
+        raise EncodingError("agent has no observations to encode")
+    dm = config.d_model
+    valid = np.arange(m)[None, :] < n_valid[:, None]  # (A, m)
+
+    X = tape.const(feats.reshape(n_agents * m, -1))
+    H = _linear(X, leaves["enc.embed.W"], leaves["enc.embed.b"])
+    H = ad.add(H, tape.const(temporal_encoding(rel_times.reshape(-1), dm, config.te_base)))
+
+    def per_agent(t):
+        return ad.reshape(t, (n_agents, m, dm))
+
+    Q = per_agent(ad.matmul(H, leaves["enc.attn.Wq"]))
+    K = per_agent(ad.matmul(H, leaves["enc.attn.Wk"]))
+    V = per_agent(ad.matmul(H, leaves["enc.attn.Wv"]))
+    S = ad.smul(ad.matmul(Q, ad.transpose(K)), 1.0 / np.sqrt(dm))
+    if not valid.all():
+        S = ad.add(S, tape.const(np.broadcast_to(
+            np.where(valid, 0.0, -1e30)[:, None, :], S.shape)))
+    A = ad.softmax(S, axis=-1)
+    H2 = ad.add(per_agent(H), ad.relu(ad.matmul(A, V)))  # (A, m, dm)
+
+    pool = tape.const((valid / n_valid[:, None])[:, None, :])  # (A, 1, m)
+    mean_row = ad.reshape(ad.matmul(pool, H2), (n_agents, dm))
+    a = ad.tanh(ad.matmul(mean_row, leaves["enc.pool.Wa"]))
+    scores = ad.tanh(ad.matmul(ad.reshape(a, (n_agents, 1, dm)), ad.transpose(H2)))
+    u = ad.matmul(ad.mul(scores, pool), H2)
+    return ad.reshape(u, (n_agents, dm))

@@ -287,6 +287,24 @@ def test_simulate_rejects_a_near_singular_pendulum(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--dt", "nan"], ["--dt", "inf"], ["--gamma", "inf"], ["--k", "inf"],
+    ["--system", "forced_spring", "--k1", "nan"], ["--omega", "inf"],
+    ["--system", "damped_spring", "--gamma", "inf"],
+], ids=["dt_nan", "dt_inf", "gamma_inf", "k_inf", "forced_k1_nan", "omega_inf",
+        "damped_gamma_inf"])
+def test_simulate_rejects_non_finite_constants(tmp_path, capsys, extra):
+    """A non-finite step or system constant exits 2 with one line before
+    anything is integrated or written."""
+    out = tmp_path / "t.jsonl"
+    rc = main(["simulate", "--trajectories", "2", "--steps", "200", "--subsample", "100",
+               "--out", str(out)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {extra[-2][2:]} must be ")
+    assert not out.exists()
+
+
 def test_simulate_diverging_trajectory_exits_3_with_one_line(tmp_path):
     """Run as a subprocess, so that any NumPy warning would reach stderr too."""
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(revode.__file__)))
@@ -433,7 +451,10 @@ def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("extra", [
     ["--batch-size", "0"], ["--epochs", "0"], ["--lr", "-1"],
-], ids=["batch_size_0", "epochs_0", "lr_negative"])
+    ["--alpha", "nan"], ["--alpha", "inf"], ["--lr", "inf"], ["--weight-decay", "nan"],
+    ["--weight-decay", "-1"],
+], ids=["batch_size_0", "epochs_0", "lr_negative", "alpha_nan", "alpha_inf", "lr_inf",
+        "weight_decay_nan", "weight_decay_negative"])
 def test_train_rejects_bad_settings(tmp_path, capsys, extra):
     train_jl = str(tmp_path / "train.jsonl")
     main(SIM_BASE + ["--out", train_jl])

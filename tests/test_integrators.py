@@ -81,6 +81,12 @@ def test_time_grid_validation():
         TimeGrid(0.0, 0.1, 0)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_time_grid_rejects_non_finite_dt(dt):
+    with pytest.raises(ConfigurationError, match="finite"):
+        TimeGrid(0.0, dt, 10)
+
+
 def test_time_grid_times_endpoints():
     grid = TimeGrid(1.0, 0.25, 4)
     t = grid.times()

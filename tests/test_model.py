@@ -245,6 +245,90 @@ def test_spatial_round_mixed_batch_grad_check():
     assert np.any(grads["enc.spatial.W"] != 0.0) and np.any(grads["enc.spatial.b"] != 0.0)
 
 
+def encoder_bits(encoder, monkeypatch, config, samples, params):
+    """Nodes, z0 and parameter gradients of encode_initial_states with
+    `encoder` as model.encode_agent; the loss weights every entry of z0."""
+    monkeypatch.setattr(model, "encode_agent", encoder)
+    tape = Tape()
+    leaves = leaves_of(tape, params)
+    before = len(tape)
+    z0 = encode_initial_states(tape, leaves, config, samples)
+    nodes = len(tape) - before
+    weight = np.linspace(0.5, 1.5, z0.value.size).reshape(z0.shape)
+    return nodes, z0.value, backward(tape, ad.l2_norm_sq(ad.mul(z0, weight)))
+
+
+def assert_encoder_matches_the_chain(monkeypatch, config, samples, params):
+    (n_fused, fused, fused_grads), (n_ref, ref, ref_grads) = (
+        encoder_bits(enc, monkeypatch, config, samples, params)
+        for enc in (encode_agent, stagewise.encode_agent))
+    padded = len({len(t) for obs in samples for t in obs.cond_times}) > 1
+    assert n_fused == n_ref - (32 if padded else 30)
+    assert fused.tobytes() == ref.tobytes()
+    assert set(fused_grads) == set(ref_grads) == {k for k in params if k.startswith("enc.")}
+    for name, grad in ref_grads.items():
+        assert fused_grads[name].tobytes() == grad.tobytes(), name
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("spatial", [False, True], ids=["plain", "spatial"])
+def test_encoder_is_one_node_with_the_composite_bits(monkeypatch, padded, spatial):
+    """The one-node encode's value and gradients equal the chain of
+    primitives' bit for bit, with or without padding and a spatial round."""
+    if spatial:
+        samples, params = spatial_batch()
+        config = SPATIAL
+        if not padded:
+            samples = [tiny_obs(seed=s, n_agents=3, n_cond=5, graph=obs.graph)
+                       for s, obs in zip((13, 14), samples)]
+    else:
+        config, params = TINY, init_params(TINY, seed=4)
+        counts = ([3, 6], [1, 4]) if padded else ([5, 5], [5, 5])
+        samples = [tiny_obs(seed=20 + b, n_cond=c) for b, c in enumerate(counts)]
+    assert_encoder_matches_the_chain(monkeypatch, config, samples, params)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=5), seed=st.integers(0, 99))
+def test_encoder_bits_hold_for_any_observation_counts(monkeypatch, counts, seed):
+    """Any pattern of per-agent observation counts, one-observation agents
+    included, in one sample: the one node keeps the chain's bits."""
+    params = init_params(TINY, seed=seed)
+    sample = tiny_obs(seed=seed, n_agents=len(counts), n_cond=counts)
+    assert_encoder_matches_the_chain(monkeypatch, TINY, [sample], params)
+
+
+def test_encoder_grad_check():
+    """The one-node encode's gradients against central differences, on a
+    padded pass (1, 5 and 3 observations)."""
+    rng = np.random.default_rng(8)
+    counts = np.array([1, 5, 3])
+    times = np.where(np.arange(5) < counts[:, None], rng.uniform(-1.0, 0.0, (3, 5)), 0.0)
+    feats = rng.standard_normal((3, 5, TINY.d_obs))
+    params = {k: v for k, v in init_params(TINY, seed=5).items() if k in model.ENCODE_PARAMS}
+    params["enc.embed.b"] = 0.3 * rng.standard_normal(params["enc.embed.b"].shape)
+    readout = rng.standard_normal((3, TINY.d_model))
+
+    def f(tape, leaves):
+        u = encode_agent(tape, leaves, TINY, times, feats, counts)
+        return ad.l2_norm_sq(ad.mul(u, readout))
+
+    report = grad_check(f, params, tol=1e-5)
+    assert report.passed, report.per_param
+
+
+def test_encoder_rejects_features_of_the_wrong_width():
+    """Features that do not fit the embedding raise ShapeError, as the
+    chain's first matmul did."""
+    params = init_params(TINY, seed=0)
+    for encoder, match in ((encode_agent, "encode"), (stagewise.encode_agent, "matmul")):
+        tape = Tape()
+        with pytest.raises(ShapeError, match=match):
+            encoder(tape, leaves_of(tape, params), TINY,
+                    np.zeros((2, 3)), np.ones((2, 3, TINY.d_obs + 1)), [3, 2])
+
+
 # ------------------------------------------------------------------- edges
 
 def test_directed_edges_doubles_undirected_pairs():

@@ -69,6 +69,17 @@ def test_spec_rejects_non_physical_constants(name, value):
         SystemSpec(kind="damped_spring", n_agents=2, **{name: value})
 
 
+@pytest.mark.parametrize("name", ["m", "k", "k0", "gamma", "k1", "omega", "length", "g"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_spec_requires_finite_constants(name, value):
+    """Every constant is finite, whatever its kind uses: an infinite
+    damping would integrate, and would be written to JSONL as Infinity."""
+    for kind in ("damped_spring", "forced_spring"):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be "):
+            SystemSpec(kind=kind, n_agents=2, **{name: value})
+
+
 def test_spec_accepts_zero_damping_and_an_unset_anchor():
     spec = SystemSpec(kind="damped_spring", n_agents=2, gamma=0.0)
     assert (spec.gamma, spec.k0) == (0.0, None)

@@ -271,11 +271,11 @@ def treat_batch(preset):
     return config, batch, init_params(config, seed=0)
 
 
-@pytest.mark.parametrize("preset, max_nodes", [("desk", 72), ("graph", 72)])
+@pytest.mark.parametrize("preset, max_nodes", [("desk", 42), ("graph", 42)])
 def test_treat_batch_tape_size(preset, max_nodes):
     """A treat batch of either preset stays within its node budget: bias
-    adds, row gathers, one encoder pass per batch, and one node per rollout
-    leg, whatever its scheme and length, and per decode."""
+    adds, row gathers, and one node per encoder pass, per rollout leg,
+    whatever its scheme and length, and per decode."""
     config, batch, params = treat_batch(preset)
     tape = Tape()
     leaves = {k: tape.leaf(v, k) for k, v in params.items()}
@@ -284,7 +284,7 @@ def test_treat_batch_tape_size(preset, max_nodes):
     assert not hasattr(batch, "sel_matrix")
 
 
-@pytest.mark.parametrize("preset, max_mb", [("desk", 6), ("graph", 55)])
+@pytest.mark.parametrize("preset, max_mb", [("desk", 6), ("graph", 44)])
 def test_treat_step_peak_memory(preset, max_mb):
     """The traced peak of one forward and backward on a treat batch stays
     within budget: the tape pins only what its backward closures read."""
@@ -312,9 +312,9 @@ def test_tape_nodes_hold_dead_intermediates_weakly():
         tape = Tape()
         leaves = {k: tape.leaf(v, k) for k, v in params.items()}
         out = batch_forward(tape, leaves, config, batch, "treat", 0.5)
-        # the encoder's embedding: add_bias(X W, b), read only by an add
-        embed = next(node for node in tape.nodes if node.op == "add_bias")
-        assert embed.value.shape == (0,) and embed.value.dtype == np.float64
+        # the encoder's output layer: add_bias(U W, b), read only by a concat
+        z_enc = next(node for node in tape.nodes if node.op == "add_bias")
+        assert z_enc.value.shape == (0,) and z_enc.value.dtype == np.float64
         for name, leaf in leaves.items():
             assert tape.nodes[leaf.idx].value is leaf.value is params[name]
         assert tape.nodes[out.loss.idx].value is out.loss.value
@@ -324,8 +324,8 @@ def test_tape_nodes_hold_dead_intermediates_weakly():
 
 def assert_trains_bitwise_like(monkeypatch, variant, scheme, references):
     """Trained params, loss history, final diagnostic and EvalReport keep
-    every bit when `references` ({training attribute: stand-in}) replace
-    the one-node ops."""
+    every bit when `references` ({dotted attribute: stand-in}) replace the
+    one-node ops."""
     obs = three_agent_obs_sets(n_sets=8)
     config = replace(TINY, scheme=scheme)
     settings = TrainSettings(model=config, loss_variant=variant,
@@ -337,8 +337,8 @@ def assert_trains_bitwise_like(monkeypatch, variant, scheme, references):
         return result, evaluate(result.params, obs, config, chunk=3)
 
     lean, lean_report = run()
-    for name, reference in references.items():
-        monkeypatch.setattr(training, name, reference)
+    for target, reference in references.items():
+        monkeypatch.setattr(target, reference)
     ref, ref_report = run()
     assert lean.params.keys() == ref.params.keys()
     for name, value in ref.params.items():
@@ -354,8 +354,8 @@ def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant
     """The one-node legs and their hand-written adjoints against the
     stage-by-stage reference tape."""
     assert_trains_bitwise_like(monkeypatch, variant, scheme, {
-        "rollout_forward": stagewise.rollout_forward,
-        "rollout_reverse": stagewise.rollout_reverse,
+        "revode.training.rollout_forward": stagewise.rollout_forward,
+        "revode.training.rollout_reverse": stagewise.rollout_reverse,
     })
 
 
@@ -364,7 +364,17 @@ def test_rollout_legs_train_bitwise_like_the_stagewise_tape(monkeypatch, variant
 def test_one_node_decode_trains_bitwise_like_the_five_node_chain(monkeypatch, variant, scheme):
     """The one-node decode, which recomputes its hidden layer in backward,
     against the matmul, add_bias, relu, matmul, add_bias chain."""
-    assert_trains_bitwise_like(monkeypatch, variant, scheme, {"decode": stagewise.decode})
+    assert_trains_bitwise_like(monkeypatch, variant, scheme,
+                               {"revode.training.decode": stagewise.decode})
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_one_node_encoder_trains_bitwise_like_the_composite_chain(monkeypatch, variant, scheme):
+    """The one-node encode, which recomputes Q, K, V and H2 in backward,
+    against the chain of about thirty primitives."""
+    assert_trains_bitwise_like(monkeypatch, variant, scheme,
+                               {"revode.model.encode_agent": stagewise.encode_agent})
 
 
 def test_training_step_frees_its_tape_before_the_next_step(monkeypatch):
@@ -452,6 +462,18 @@ def test_train_settings_validation():
     with pytest.raises(ConfigurationError):
         TrainSettings(model=TINY, val_fraction=1.0)
     TrainSettings(model=TINY, loss_variant="none", alpha=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", float("nan")), ("alpha", float("inf")), ("lr", float("inf")),
+    ("lr", float("nan")), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("weight_decay", -1.0),
+])
+def test_train_settings_reject_non_finite_and_negative_decay(name, value):
+    """These would train, diverge and end as a divergence (exit 4), or, for
+    a negative decay, train silently; they are configuration errors."""
+    with pytest.raises(ConfigurationError, match=name):
+        TrainSettings(model=TINY, **{name: value})
 
 
 # -------------------------------------------------------------- train loop
