@@ -7,7 +7,8 @@ generator, so an op with many parents (a whole rollout leg) hands out their
 gradients one at a time and never holds them all.  Values are float64 numpy
 arrays, held by the Tensors themselves.  A node refers to its value only
 weakly, so a recording tape pins just what its backward closures capture:
-an intermediate that no closure reads is freed as soon as its Tensor goes.
+an intermediate that no closure reads is freed as soon as its Tensor goes,
+and the sweep lets each closure go once it has passed its node.
 The model's encoder, rollout legs and decoder are single nodes whose
 backwards keep a few arrays and recompute the rest.
 A forward-only tape (record=False) keeps no nodes at all, so a pass that
@@ -74,6 +75,7 @@ class Tape:
     def __init__(self, record: bool = True):
         self.record = record
         self.nodes: list[Node] = []
+        self.swept = False  # backward ran, and let every closure it passed go
 
     def _record(self, op, value, parents, bwd, name=None) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
@@ -311,24 +313,30 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # ------------------------------------------------------------- backward
 
 def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
-    """Accumulate d(loss)/d(leaf) for every named leaf; loss must be scalar."""
+    """Accumulate d(loss)/d(leaf) for every named leaf; loss must be scalar.
+    The sweep drops each node's backward closure as it passes, so a tape is
+    swept once: a second call raises ShapeError."""
     if loss.tape is not tape:
         raise ShapeError("loss does not belong to this tape")
     if not tape.record:
         raise ShapeError("backward needs a recording tape; this one is forward-only")
     if loss.value.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+    if tape.swept:
+        raise ShapeError("backward already ran on this tape and freed its closures; record a new tape")
+    tape.swept = True
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
     grads[loss.idx] = np.ones_like(loss.value)
     for idx in range(loss.idx, -1, -1):
         g = grads[idx]
         node = tape.nodes[idx]
-        if g is None or node.bwd is None:
+        bwd, node.bwd = node.bwd, None  # what the closure holds goes with it
+        if g is None or bwd is None:
             continue
         grads[idx] = None  # spent: free it as the sweep goes
         # parents may share one array (add passes g to both); sums never
         # write in place, and leaf gradients are copied out below
-        for pidx, pg in zip(node.parents, node.bwd(g)):
+        for pidx, pg in zip(node.parents, bwd(g)):
             grads[pidx] = pg if grads[pidx] is None else grads[pidx] + pg
     out: dict[str, np.ndarray] = {}
     for idx, node in enumerate(tape.nodes):

@@ -2,12 +2,14 @@
 
 A state marches as one array y = [q | p]: positions (or angles) q of shape
 (..., n_agents, d_q) and momenta p of shape (..., n_agents, d_p),
-concatenated on the last axis.  A derivative is a callable f(y, t) ->
-dy/dt on such arrays (`systems.make_derivative` builds one per system).
-Leading axes broadcast through it, so a whole ensemble of trajectories
-steps in one call by stacking initial states along a leading axis.  The
-schemes are element-wise on y, so a packed step has the bits of the same
-step taken on q and p apart.
+concatenated on the last axis.  A field is bound once on an input and an
+output buffer, `bind(y, out) -> rate(t)` (`systems.make_derivative` builds
+one per system), and `rate(t)` writes dy/dt into out.  `integrate` owns its
+scheme's state, stage and slope buffers and marches them in place, in the
+order of the out-of-place formulas, so every bit is theirs.  Leading axes
+broadcast through the field, so a whole ensemble of trajectories steps in
+one call.  The schemes are element-wise on y, so a packed step has the
+bits of the same step taken on q and p apart.
 
 `StateVector` is the entry and exit container: `integrate` packs a start
 (`StateVector.packed`) and unpacks the recorded states into a `Trajectory`.
@@ -96,38 +98,47 @@ class TimeGrid:
         return (self.span - fwd)[::-1].copy()
 
 
-Derivative = Callable[[np.ndarray, float], np.ndarray]
+Field = Callable[[np.ndarray, np.ndarray], Callable[[float], None]]
 
 
-def euler_step(deriv: Derivative, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    return y + dt * deriv(y, t)
+def _stepper(scheme: str, field: Field, y: np.ndarray):
+    """step(t, dt), which advances `y` in place by one step of `scheme`; the
+    field is bound once per (input, output) buffer pair, and each step calls
+    the ufuncs of the out-of-place formula in its order."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    k1 = np.empty_like(y)  # like y, so the field sees y's layout everywhere
+    rate1 = field(y, k1)
+    if scheme == "euler":
+        def step(t, dt):
+            rate1(t)
+            np.add(y, np.multiply(dt, k1, out=k1), out=y)
+        return step
+    stage, k2 = np.empty_like(y), np.empty_like(y)
+    rate2 = field(stage, k2)
+    if scheme == "heun":
+        def step(t, dt):
+            rate1(t)
+            np.add(y, np.multiply(dt, k1, out=stage), out=stage)
+            rate2(t + dt)
+            np.add(y, np.multiply(dt / 2.0, np.add(k1, k2, out=k1), out=k1), out=y)
+        return step
+    k3, k4 = np.empty_like(y), np.empty_like(y)
+    rate3, rate4 = field(stage, k3), field(stage, k4)
 
-
-def heun_step(deriv: Derivative, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Explicit trapezoid: second order in both q and p."""
-    k1 = deriv(y, t)
-    k2 = deriv(y + dt * k1, t + dt)
-    return y + (dt / 2.0) * (k1 + k2)
-
-
-def rk4_step(deriv: Derivative, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    k1 = deriv(y, t)
-    k2 = deriv(y + (dt / 2.0) * k1, t + dt / 2.0)
-    k3 = deriv(y + (dt / 2.0) * k2, t + dt / 2.0)
-    k4 = deriv(y + dt * k3, t + dt)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-_STEP_FNS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
-
-
-def get_step_fn(scheme: str):
-    try:
-        return _STEP_FNS[scheme]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
-        ) from None
+    def step(t, dt):
+        half = dt / 2.0
+        rate1(t)
+        np.add(y, np.multiply(half, k1, out=stage), out=stage)
+        rate2(t + half)
+        np.add(y, np.multiply(half, k2, out=stage), out=stage)
+        rate3(t + half)
+        np.add(y, np.multiply(dt, k3, out=stage), out=stage)
+        rate4(t + dt)
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(np.add(k1, np.multiply(2.0, k3, out=k3), out=k1), k4, out=k1)
+        np.add(y, np.multiply(dt / 6.0, k1, out=k1), out=y)
+    return step
 
 
 @dataclass
@@ -170,19 +181,18 @@ class Trajectory:
         return np.concatenate([self.q, self.p], axis=-1)
 
 
-def _march(step_fn, deriv, y, grid: TimeGrid, start: int, stop: int, check=None):
-    """Steps start..stop-1 of `grid` from `y`, with `check(y, k, t)` after each one."""
+def _march(step, y, grid: TimeGrid, start: int, stop: int, check=None):
+    """Steps start..stop-1 of `grid` on `y`, with `check(y, k, t)` after each one."""
     t0, dt = grid.t0, grid.dt
     for k in range(start, stop):
         t = t0 + k * dt
-        y = step_fn(deriv, y, t, dt)
+        step(t, dt)
         if check is not None:
             check(y, k, t + dt)
-    return y
 
 
 def integrate(
-    deriv: Derivative,
+    deriv: Field,
     state0: StateVector,
     grid: TimeGrid,
     scheme: str = "rk4",
@@ -196,21 +206,20 @@ def integrate(
     Each recorded span is marched unchecked: a non-finite entry stays
     non-finite under `y + increment`, so a finite end had no bad step.
     A start of one trajectory, (n_agents, d), whose span ends non-finite, or
-    whose derivative raises, has that span replayed with a check after every
-    step, so the error names the first bad step and component, and NumPy's
-    warnings come in step order.
+    whose field raises, has that span replayed from its recorded start with
+    a check after every step, so the error names the first bad step and
+    component, and NumPy's warnings come in step order.
 
     A stacked start, (..., n_agents, d), is an ensemble whose members escape
     one by one: a member non-finite at the end of a span is NaN from that
     recorded point on, and the other members keep the bits they have when
-    integrated alone.  NumPy's warnings are silenced there; a derivative
-    that raises still ends the whole call.
+    integrated alone.  NumPy's warnings are silenced there; a field that
+    raises still ends the whole call.
     """
     if record_every < 1 or grid.n_steps % record_every != 0:
         raise ConfigurationError(
             f"record_every={record_every} does not divide n_steps={grid.n_steps}"
         )
-    step_fn = get_step_fn(scheme)
     d_q, single = state0.q.shape[-1], state0.q.ndim == 2
 
     def check(y, step, t):
@@ -221,26 +230,27 @@ def integrate(
                 step=step, time=t,
             )
 
-    y = state0.packed()  # the schemes' element-wise ops keep its layout
+    y = state0.packed()  # marched in place; the buffers keep its layout
+    step = _stepper(scheme, deriv, y)
     check(y, -1, grid.t0)
-    points = [y]
-    for start in range(0, grid.n_steps, record_every):
+    ys = np.empty((grid.n_steps // record_every + 1,) + y.shape)
+    ys[0] = y
+    for i, start in enumerate(range(0, grid.n_steps, record_every), 1):
         stop = start + record_every
         try:
             with np.errstate(all="ignore"):  # the replay warns as each step would
-                end = _march(step_fn, deriv, y, grid, start, stop)
-            finite = np.isfinite(end).all(axis=(-2, -1))
+                _march(step, y, grid, start, stop)
+            finite = np.isfinite(y).all(axis=(-2, -1))
         except Exception:  # the replay raises it again, after any earlier bad step
             if not single:
                 raise
             finite = np.False_
         if single and not finite:
-            end = _march(step_fn, deriv, y, grid, start, stop, check)
+            y[...] = ys[i - 1]
+            _march(step, y, grid, start, stop, check)
         elif not single:
-            end[~finite] = np.nan  # escape the bad members; the others keep their bits
-        y = end
-        points.append(y)
-    ys = np.stack(points)
+            y[~finite] = np.nan  # escape the bad members; the others keep their bits
+        ys[i] = y
     return Trajectory(  # row-major q and p, as reductions over them expect
         times=grid.times()[::record_every].copy(), q=ys[..., :d_q].copy(), p=ys[..., d_q:].copy()
     )

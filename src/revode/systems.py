@@ -2,10 +2,13 @@
 sticks, and a 3-D reversible strange attractor.
 
 `make_derivative(spec)` resolves the system's kind and constants once and
-returns its packed field f(y, t) -> dy/dt on y = [q | p], positions and
-momenta concatenated on the last axis, (..., n_agents, d_q + d_p).  Both
-rates go into one new array, and leading batch axes broadcast through, so
-ensembles integrate in a single pass.
+returns its field in one in-place form: `bind(y, out) -> rate(t)`, on
+packed states y = [q | p], positions and momenta concatenated on the last
+axis, (..., n_agents, d_q + d_p).  `bind` takes the views of y and out (and
+any scratch) once; each `rate(t)` then writes dy/dt at y's current contents
+into out through `out=` ufunc calls (a spring's, at a scalar t, allocates no
+array).  Leading batch axes broadcast through, so ensembles integrate in
+one pass.
 """
 
 from __future__ import annotations
@@ -242,29 +245,6 @@ class SystemSpec:
 
 # ----------------------------------------------------------------- springs
 
-def _spring_force(spec: SystemSpec, q: np.ndarray, out=None) -> np.ndarray:
-    """Net spring force on each agent (shape like q), written into `out`
-    when given."""
-    k, deg, adj = spec._spring_terms
-    if deg is None:
-        # not -(k * q): a zero force is +0.0, as 0.0 - 0.0 is
-        return np.subtract(0.0, k * q, out=out)
-    # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
-    return np.subtract(0.0, k * (deg * q - _neighbour_sum(adj, q)), out=out)
-
-
-def _neighbour_sum(adj: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """A q, laid out like q.  A packed state stores q's last axis first
-    (`StateVector.packed`), where the product is fastest taken as (q^T A)^T,
-    A being symmetric, straight into that layout; every entry adds the same
-    exact 0/1 products in the same order, so the bits are those of A q."""
-    if q.shape[-1] == 1:  # one column: keep A q's own matrix-vector product
-        return np.matmul(adj, q)
-    aq = np.empty_like(q)
-    np.matmul(q.swapaxes(-1, -2), adj, out=aq.swapaxes(-1, -2))
-    return aq
-
-
 def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
     k, deg, adj = spec._spring_terms
     if deg is None:
@@ -278,19 +258,36 @@ def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
 def _spring_field(spec: SystemSpec):
     d, m, gamma, k1, omega = spec.d_q, spec.m, spec.gamma, spec.k1, spec.omega
     damped, forced = spec.kind == "damped_spring", spec.kind == "forced_spring"
+    k, deg, adj = spec._spring_terms
 
-    def field(y, t):
-        q, p = y[..., :d], y[..., d:]
-        out = np.empty_like(y)
-        np.divide(p, m, out=out[..., :d])
-        dp = _spring_force(spec, q, out=out[..., d:])
-        if damped:
-            np.subtract(dp, gamma * p / m, out=dp)
-        elif forced:
-            np.subtract(dp, k1 * np.cos(omega * t), out=dp)
-        return out
+    def bind(y, out):
+        q, p, dq, dp = y[..., :d], y[..., d:], out[..., :d], out[..., d:]
+        s = np.empty_like(q)  # A q, then the damping term
+        # A packed state stores q's last axis first (`StateVector.packed`), where
+        # A q is fastest as (q^T A)^T, A being symmetric, straight into that
+        # layout: the same exact 0/1 products added in the same order, so the
+        # bits of A q.  One column keeps A q's own matrix-vector product.
+        q_t, s_t = q.swapaxes(-1, -2), s.swapaxes(-1, -2)
 
-    return field
+        def rate(t):
+            np.divide(p, m, out=dq)
+            if deg is None:
+                np.multiply(k, q, out=dp)
+            else:  # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
+                if d == 1:
+                    np.matmul(adj, q, out=s)
+                else:
+                    np.matmul(q_t, adj, out=s_t)
+                np.multiply(k, np.subtract(np.multiply(deg, q, out=dp), s, out=dp), out=dp)
+            np.subtract(0.0, dp, out=dp)  # not -dp: a zero force is +0.0, as 0.0 - 0.0 is
+            if damped:
+                np.subtract(dp, np.divide(np.multiply(gamma, p, out=s), m, out=s), out=dp)
+            elif forced:
+                np.subtract(dp, k1 * np.cos(omega * t), out=dp)
+
+        return rate
+
+    return bind
 
 
 # ------------------------------------------------------------- pendulum
@@ -355,24 +352,26 @@ def _pendulum_field(spec: SystemSpec):
     ml2, length = spec.m * spec.length**2, spec.length
     gravity, prefactor = spec._pendulum_terms
 
-    def field(y, t):
-        th, p = y[..., 0], y[..., 1]
-        diff = th[..., _PEND_DIFF_I] - th[..., _PEND_DIFF_J]
-        tri = np.add.reduce(th[..., None, :] * _PEND_TRI, axis=-1)
-        cos = np.cos(np.concatenate([2.0 * diff, diff, tri], axis=-1))
-        sin = np.sin(np.concatenate([diff, th], axis=-1))
+    def bind(y, out):
+        th, p, w, dp = y[..., 0], y[..., 1], out[..., 0], out[..., 1]
 
-        den = ml2 * (81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0)
-        num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
-        out = np.empty_like(y)
-        w = np.divide(6.0 * (num + _PEND_LAST * p), den[..., None], out=out[..., 0])
+        def rate(t):
+            diff = th[..., _PEND_DIFF_I] - th[..., _PEND_DIFF_J]
+            tri = np.add.reduce(th[..., None, :] * _PEND_TRI, axis=-1)
+            cos = np.cos(np.concatenate([2.0 * diff, diff, tri], axis=-1))
+            sin = np.sin(np.concatenate([diff, th], axis=-1))
 
-        coupling = ((_PEND_MOM_COEF * w[..., _PEND_MOM_A]) * w[..., _PEND_MOM_B]) * length
-        torque = np.add.reduce(coupling * sin[..., _PEND_MOM_ARG], axis=-1)
-        np.multiply(prefactor, torque + gravity * sin[..., 3:], out=out[..., 1])
-        return out
+            den = ml2 * (81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0)
+            num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
+            np.divide(6.0 * (num + _PEND_LAST * p), den[..., None], out=w)
 
-    return field
+            coupling = ((_PEND_MOM_COEF * w[..., _PEND_MOM_A]) * w[..., _PEND_MOM_B]) * length
+            torque = np.add.reduce(coupling * sin[..., _PEND_MOM_ARG], axis=-1)
+            np.multiply(prefactor, torque + gravity * sin[..., 3:], out=dp)
+
+        return rate
+
+    return bind
 
 
 def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
@@ -391,21 +390,25 @@ def pendulum_energy(spec: SystemSpec, state: StateVector) -> np.ndarray:
 
 # ------------------------------------------------------------ attractor
 
-def _attractor_field(y, t):
+def _attractor_field(y, out):
     """The single agent's (x, y, z) rates; the system has no momenta or constants."""
     qx, qy, qz = y[..., 0, 0], y[..., 0, 1], y[..., 0, 2]
-    out = np.empty_like(y)
-    out[..., 0, 0] = 1.0 + qy * qz
-    out[..., 0, 1] = -qx * qz
-    out[..., 0, 2] = qy * qy + 2.0 * qy * qz
-    return out
+    dx, dy, dz = out[..., 0, 0], out[..., 0, 1], out[..., 0, 2]
+
+    def rate(t):
+        np.add(1.0, qy * qz, out=dx)
+        np.multiply(-qx, qz, out=dy)
+        np.add(qy * qy, 2.0 * qy * qz, out=dz)
+
+    return rate
 
 
 # ------------------------------------------------------------- public API
 
 def make_derivative(spec: SystemSpec):
-    """The system's packed field f(y, t) -> dy/dt for integrators, with its
-    kind resolved here, once, and its constants bound."""
+    """The system's packed field for integrators, `bind(y, out) -> rate(t)`,
+    with its kind resolved here, once, and its constants bound: `rate(t)`
+    writes dy/dt at the current contents of y into out."""
     if spec.is_spring:
         return _spring_field(spec)
     if spec.kind == "triple_pendulum":
@@ -415,9 +418,12 @@ def make_derivative(spec: SystemSpec):
 
 def eval_derivative(spec: SystemSpec, state: StateVector, t: float = 0.0) -> StateVector:
     """Time derivative of the state under the system's equations of motion:
-    the packed field on [q | p], split back into row-major q and p rates."""
+    the field bound on [q | p] and a fresh output, split back into row-major
+    q and p rates."""
     d = state.q.shape[-1]
-    dy = make_derivative(spec)(np.concatenate([state.q, state.p], axis=-1), t)
+    y = np.concatenate([state.q, state.p], axis=-1)
+    dy = np.empty_like(y)
+    make_derivative(spec)(y, dy)(t)
     return StateVector(dy[..., :d].copy(), dy[..., d:].copy())
 
 

@@ -61,6 +61,8 @@ def lemma1_roundtrip(
     between is what turns the second leg into a return journey for a
     reversible system.
     """
+    if not (0.0 < dt < math.inf and 0.0 < span < math.inf):  # NaN fails too
+        raise ConfigurationError(f"dt and span must be positive and finite, got {dt} and {span}")
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
         raise ConfigurationError(f"span {span} is not an integer multiple of dt {dt}")
@@ -147,7 +149,16 @@ def theorem1_scaling(
         raise ConfigurationError("need at least 4 step sizes for a slope fit")
     spec, spacing = SCALING_SPEC, SCALING_EVAL_SPACING
     field = make_derivative(spec)
-    negated = lambda y, t: -field(y, t)
+
+    def negated(y, out):  # -field, with the bits of -(dy/dt)
+        rate = field(y, out)
+
+        def negated_rate(t):
+            rate(t)
+            np.negative(out, out=out)
+
+        return negated_rate
+
     state0 = StateVector(q=[[SCALING_Q0]], p=[[SCALING_P0]])
     n_evals = {span: int(round(span / spacing)) for span in t_list}
 
@@ -399,10 +410,15 @@ def lyapunov_mle(
     separation and is counted as escaped, and each other pair keeps the
     exponent it has with both members integrated alone.
     """
-    if perturbation_sigma <= 0:
-        raise ConfigurationError("perturbation_sigma must be positive")
+    if n_pairs < 1:
+        raise ConfigurationError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not 0.0 < perturbation_sigma < math.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"perturbation_sigma must be positive and finite, got {perturbation_sigma}")
     if horizon is None:
         horizon = DEFAULT_MLE_HORIZONS[spec.kind]
+    if not 0.0 < horizon < math.inf:
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     scheme, dt, sub = SIM_DEFAULTS[spec.kind]
     n_steps = int(round(horizon / dt))
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)

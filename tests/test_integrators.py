@@ -10,26 +10,29 @@ import warnings
 import numpy as np
 import pytest
 
+from out_of_place import STEP_FNS, call, negated
 from revode.data import sample_graph_with_rng
 from revode.errors import ConfigurationError, IntegrationError
 from revode.integrators import (
     StateVector,
     TimeGrid,
     Trajectory,
-    euler_step,
-    get_step_fn,
-    heun_step,
     integrate,
     reverse_state,
-    rk4_step,
 )
 from revode.systems import SystemSpec, eval_derivative, make_derivative
 
 
-def sho_deriv(y, t):
+def sho_deriv(y, out):
     """Unit oscillator on a packed [q | p] state: q' = p, p' = -q."""
     h = y.shape[-1] // 2
-    return np.concatenate([y[..., h:], -y[..., :h]], axis=-1)
+    q, p, dq, dp = y[..., :h], y[..., h:], out[..., :h], out[..., h:]
+
+    def rate(t):
+        np.copyto(dq, p)
+        np.negative(q, out=dp)
+
+    return rate
 
 
 def sho_exact(t):
@@ -108,25 +111,30 @@ def test_reverse_times_pairing_is_bitwise():
 
 # ------------------------------------------------------ stepping schemes
 
+def one_step(scheme, dt):
+    """[q | p] after one step of `scheme` from q = 1, p = 0."""
+    traj = integrate(sho_deriv, unit_state(), TimeGrid(0.0, dt, 1), scheme=scheme)
+    return np.concatenate([traj.q[-1], traj.p[-1]], axis=-1)
+
+
 def test_single_steps_match_hand_calculation():
     """One explicit step of each scheme on the oscillator, by hand."""
-    y0 = unit_state().packed()  # [[q | p]] = [[1, 0]]
     dt = 0.1
-    e = euler_step(sho_deriv, y0, 0.0, dt)
+    e = one_step("euler", dt)
     # Euler: q1 = q0 + dt*p0 = 1, p1 = p0 - dt*q0 = -0.1
     assert np.allclose(e, [[1.0, -0.1]])
-    h = heun_step(sho_deriv, y0, 0.0, dt)
+    h = one_step("heun", dt)
     # Heun averages the endpoint slope: p' at predictor is -1
     assert np.allclose(h, [[1.0 + 0.5 * dt * (0.0 - 0.1), 0.0 - 0.5 * dt * (1.0 + 1.0)]])
-    r = rk4_step(sho_deriv, y0, 0.0, dt)
+    r = one_step("rk4", dt)
     # one RK4 step carries a local error of order dt^5/5! ~ 8e-8 here
     assert abs(r[0, 0] - np.cos(dt)) < 2e-7
     assert abs(r[0, 1] + np.sin(dt)) < 2e-7
 
 
-def test_get_step_fn_rejects_unknown_scheme():
-    with pytest.raises(ConfigurationError):
-        get_step_fn("rk45")
+def test_integrate_rejects_unknown_scheme():
+    with pytest.raises(ConfigurationError, match="unknown scheme"):
+        integrate(sho_deriv, unit_state(), TimeGrid(0.0, 0.1, 3), scheme="rk45")
 
 
 def test_convergence_orders():
@@ -195,7 +203,7 @@ def test_negated_field_retraces_forward_leg():
     """Running -F from the forward endpoint lands back at the start."""
     grid = TimeGrid(0.0, 1e-3, 2000)
     fwd = integrate(sho_deriv, unit_state(), grid, scheme="rk4")
-    rev = integrate(lambda y, t: -sho_deriv(y, t), fwd.state(-1), grid, scheme="rk4")
+    rev = integrate(negated(sho_deriv), fwd.state(-1), grid, scheme="rk4")
     gap_q = np.max(np.abs(rev.q[-1] - fwd.q[0]))
     gap_p = np.max(np.abs(rev.p[-1] - fwd.p[0]))
     assert gap_q < 1e-10 and gap_p < 1e-10
@@ -204,8 +212,8 @@ def test_negated_field_retraces_forward_leg():
 
 
 def test_integration_error_reports_step():
-    def exploding(y, t):
-        return y * 1e160
+    def exploding(y, out):
+        return lambda t: np.multiply(y, 1e160, out=out)
 
     grid = TimeGrid(0.0, 1.0, 10)
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as exc:
@@ -224,9 +232,10 @@ def test_integration_rejects_nonfinite_start():
 # --------------------------------------- one finite check per recorded state
 
 def reference_integrate(deriv, state0, grid, scheme, record_every):
-    """The integration loop as first written: a finiteness check after every
-    step.  `integrate` checks once per recorded state and must give the same
-    bits, and raise the same error at the same step."""
+    """The integration loop as first written: the out-of-place schemes, and
+    a finiteness check after every step.  `integrate` marches in place,
+    checks once per recorded state, and must give the same bits, and raise
+    the same error at the same step."""
     d_q = state0.q.shape[-1]
 
     def check(y, step, t):
@@ -237,7 +246,7 @@ def reference_integrate(deriv, state0, grid, scheme, record_every):
                 step=step, time=t,
             )
 
-    step_fn = get_step_fn(scheme)
+    step_fn, deriv = STEP_FNS[scheme], call(deriv)
     y = np.concatenate([state0.q, state0.p], axis=-1)
     check(y, -1, grid.t0)
     rec, times = [y], [grid.t0]
@@ -274,13 +283,15 @@ def test_integrate_is_bitwise_the_per_step_loop(label, scheme):
     q = rng.uniform(0.2, 1.5, (3, spec.n_agents, spec.d_q))
     p = rng.standard_normal((3, spec.n_agents, spec.d_p))
     q[0, 0, 0] = 0.0  # signed zeros must come out the same too
+    q[1, 0, 0] = -0.0
     grid = TimeGrid(0.25, 0.02, 21)
-    for record_every in (1, 7, grid.n_steps):
-        got = integrate(make_derivative(spec), StateVector(q, p), grid, scheme, record_every)
-        want = reference_integrate(make_derivative(spec), StateVector(q, p), grid, scheme, record_every)
-        for name in ("times", "q", "p"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (record_every, name)
-        assert got.q.shape == want.q.shape
+    for start in (StateVector(q[1], p[1]), StateVector(q, p)):  # single, stacked
+        for record_every in (1, 7, grid.n_steps):
+            got = integrate(make_derivative(spec), start, grid, scheme, record_every)
+            want = reference_integrate(make_derivative(spec), start, grid, scheme, record_every)
+            for name in ("times", "q", "p"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (record_every, name)
+            assert got.q.shape == want.q.shape and got.p.shape == want.p.shape
 
 
 def separate_q_p_integrate(spec, state0, grid, scheme, record_every):
@@ -336,13 +347,17 @@ def test_packed_march_is_bitwise_separate_q_and_p_steps(label, scheme):
 def goes_nonfinite_from(t_bad):
     """The unit oscillator until time `t_bad`, then an infinite q rate."""
 
-    def deriv(y, t):
-        d = sho_deriv(y, t)
-        if t >= t_bad:
-            d[..., :1] += np.inf
-        return d
+    def field(y, out):
+        rate = sho_deriv(y, out)
 
-    return deriv
+        def bad_rate(t):
+            rate(t)
+            if t >= t_bad:
+                out[..., :1] += np.inf
+
+        return bad_rate
+
+    return field
 
 
 @pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
@@ -370,24 +385,40 @@ class DerivativeFailed(Exception):
     pass
 
 
-def test_derivative_error_inside_a_recorded_span_propagates():
-    def deriv(y, t):
-        if t >= 0.95:
-            raise DerivativeFailed(f"no rate at t={t}")
-        return sho_deriv(y, t)
+def fails_from(t_fail):
+    """The unit oscillator, whose rate raises from time `t_fail` on."""
 
+    def field(y, out):
+        rate = sho_deriv(y, out)
+
+        def failing_rate(t):
+            if t >= t_fail:
+                raise DerivativeFailed(f"no rate at t={t}")
+            rate(t)
+
+        return failing_rate
+
+    return field
+
+
+def test_derivative_error_inside_a_recorded_span_propagates():
     with pytest.raises(DerivativeFailed, match="no rate at t=1.0"):
-        integrate(deriv, unit_state(), TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
+        integrate(fails_from(0.95), unit_state(), TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
 
 
 def test_bad_step_before_a_derivative_error_is_reported_first():
     """A derivative that fails on the non-finite state an earlier step left
     must not hide that step: the loop stops at the bad step first."""
 
-    def deriv(y, t):
-        if not np.isfinite(y).all():
-            raise DerivativeFailed("rate of a non-finite state")
-        return goes_nonfinite_from(0.75)(y, t)
+    def deriv(y, out):
+        rate = goes_nonfinite_from(0.75)(y, out)
+
+        def checked_rate(t):
+            if not np.isfinite(y).all():
+                raise DerivativeFailed("rate of a non-finite state")
+            rate(t)
+
+        return checked_rate
 
     grid = TimeGrid(0.0, 0.1, 21)
     with pytest.raises(IntegrationError) as want:
@@ -420,13 +451,17 @@ def member_goes_nonfinite_from(t_bad, member):
     """The unit oscillator on a stack of starts, with member `member`'s q
     rate infinite from time `t_bad` on."""
 
-    def deriv(y, t):
-        d = sho_deriv(y, t)
-        if t >= t_bad:
-            d[member, ..., :1] = np.inf
-        return d
+    def field(y, out):
+        rate = sho_deriv(y, out)
 
-    return deriv
+        def bad_rate(t):
+            rate(t)
+            if t >= t_bad:
+                out[member, ..., :1] = np.inf
+
+        return bad_rate
+
+    return field
 
 
 def check_escaped_member(got, alone_deriv, start, grid, scheme, record_every, member):
@@ -493,14 +528,9 @@ def test_attractor_members_that_blow_up_escape_alone():
 
 
 def test_ensemble_derivative_error_ends_the_whole_call():
-    def deriv(y, t):
-        if t >= 0.95:
-            raise DerivativeFailed(f"no rate at t={t}")
-        return sho_deriv(y, t)
-
     stack = StateVector(np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
     with pytest.raises(DerivativeFailed, match="no rate at t=1.0"):
-        integrate(deriv, stack, TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
+        integrate(fails_from(0.95), stack, TimeGrid(0.0, 0.1, 21), "euler", record_every=7)
 
 
 def test_ensemble_with_a_nonfinite_start_raises():
@@ -509,3 +539,33 @@ def test_ensemble_with_a_nonfinite_start_raises():
     with pytest.raises(IntegrationError) as exc:
         integrate(sho_deriv, stack, TimeGrid(0.0, 0.1, 7))
     assert exc.value.step == -1
+
+
+# ------------------------------------------------ one bind per buffer pair
+
+def counting_binds(field):
+    """`field` with a list that gains an entry at every bind."""
+    binds = []
+
+    def bind(y, out):
+        binds.append(y.shape)
+        return field(y, out)
+
+    return bind, binds
+
+
+@pytest.mark.parametrize("scheme, n_binds", [("euler", 1), ("heun", 2), ("rk4", 4)])
+def test_integrate_binds_the_field_once_per_buffer_pair(scheme, n_binds):
+    """The state, stage and slope buffers are bound once per call, however
+    many steps it takes and whether or not a span is replayed."""
+    spec = LOOP_SPECS["sampled_graph"]
+    rng = np.random.default_rng(3)
+    stack = StateVector(rng.standard_normal((4, 5, 2)), rng.standard_normal((4, 5, 2)))
+    for n_steps, record_every in ((1, 1), (21, 7), (300, 10)):
+        field, binds = counting_binds(make_derivative(spec))
+        integrate(field, stack, TimeGrid(0.0, 0.01, n_steps), scheme, record_every)
+        assert binds == [(4, 5, 4)] * n_binds, (n_steps, record_every)
+    field, binds = counting_binds(goes_nonfinite_from(0.95))
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError):
+        integrate(field, unit_state(), TimeGrid(0.0, 0.1, 21), scheme, record_every=7)
+    assert len(binds) == n_binds

@@ -10,7 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from out_of_place import STEP_FNS, reference_spring_deriv, reference_spring_force
 from revode.errors import ConfigurationError, UnsupportedSystemError
 from revode.integrators import StateVector, TimeGrid, integrate
 from revode.systems import (
@@ -18,7 +21,6 @@ from revode.systems import (
     SYSTEM_KINDS,
     InteractionGraph,
     SystemSpec,
-    _spring_force,
     analytic_solution_simple_spring_1d,
     classify_reversibility,
     eval_derivative,
@@ -136,6 +138,20 @@ def test_graph_rejects_malformed_adjacency():
         InteractionGraph.from_edges(3, [(0, 3)])
 
 
+def at_rest(q):
+    """The packed state [q | +0.0], C-ordered."""
+    return np.concatenate([q, np.zeros_like(q)], axis=-1)
+
+
+def spring_force(spec, y):
+    """The net spring force on each agent of states y = [q | +0.0], in y's
+    own memory layout: the bound field's momentum rate with the drive off,
+    since the damping term gamma p / m is then +0.0 and x - 0.0 is x."""
+    out = np.empty_like(y)
+    make_derivative(replace(spec, k1=0.0))(y, out)(0.0)
+    return out[..., spec.d_q:]
+
+
 def test_stacked_graphs_drive_each_members_springs():
     """Adjacencies stacked along a leading axis give each member of a stacked
     state its own graph's force, bit for bit; each layer is checked."""
@@ -143,10 +159,10 @@ def test_stacked_graphs_drive_each_members_springs():
     stacked = InteractionGraph(4, np.stack([g.adjacency for g in graphs]))
     spec = SystemSpec(kind="simple_spring", n_agents=4, dim=2, graph=stacked)
     q = np.random.default_rng(5).standard_normal((2, 4, 2))
-    force = _spring_force(spec, q)
+    force = spring_force(spec, at_rest(q))
     for b, graph in enumerate(graphs):
         alone = SystemSpec(kind="simple_spring", n_agents=4, dim=2, graph=graph)
-        assert force[b].tobytes() == _spring_force(alone, q[b]).tobytes()
+        assert force[b].tobytes() == spring_force(alone, at_rest(q[b])).tobytes()
     bad = np.stack([graphs[0].adjacency, np.eye(4, dtype=bool)])
     with pytest.raises(ConfigurationError, match="self-loops"):
         InteractionGraph(4, bad)
@@ -179,21 +195,6 @@ def test_complete_graph_is_resolved_once_per_spec(monkeypatch):
     assert built == [5]
 
 
-def reference_spring_force(spec, q):
-    """The force as first written: every term re-derived at every call."""
-    force = np.zeros_like(q)
-    anchored_only = (
-        spec.kind == "damped_spring" and spec.effective_damped_form == "anchored"
-    )
-    if spec.n_agents == 1 or anchored_only:
-        force -= spec.anchor_k * q
-    if spec.n_agents > 1 and not anchored_only:
-        adj = spec.resolved_graph().adjacency.astype(np.float64)
-        deg = adj.sum(axis=1)
-        force -= spec.k * (deg[:, None] * q - np.matmul(adj, q))
-    return force
-
-
 @pytest.mark.parametrize("spec", [
     SystemSpec(kind="simple_spring", n_agents=1, dim=2, k0=0.3),
     SystemSpec(kind="damped_spring", n_agents=1, dim=1),
@@ -211,10 +212,10 @@ def test_spring_force_resolved_once_is_bitwise_the_per_call_force(spec):
     q[0] = 0.0
     q[1, 0] = -0.0
     for _ in range(2):  # the second call reads the cached terms
-        assert _spring_force(spec, q).tobytes() == reference_spring_force(spec, q).tobytes()
+        assert spring_force(spec, at_rest(q)).tobytes() == reference_spring_force(spec, q).tobytes()
     # and in the layout integrate marches, q's last axis first in memory
-    packed = StateVector(q, q).packed()[..., :spec.dim]
-    assert _spring_force(spec, packed).tobytes() == reference_spring_force(spec, q).tobytes()
+    packed = StateVector(q, np.zeros_like(q)).packed()
+    assert spring_force(spec, packed).tobytes() == reference_spring_force(spec, q).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -234,8 +235,54 @@ def test_spring_force_on_sampled_graphs_is_bitwise_in_every_layout(dim):
             reference_spring_force(replace(spec, graph=InteractionGraph(n, adj)), q_b)
             for adj, q_b in zip(adjacency, q)
         ]).tobytes()
-        for layout in (q, StateVector(q, q).packed()[..., :dim], np.asfortranarray(q)):
-            assert _spring_force(spec, layout).tobytes() == want, (n, members)
+        y = at_rest(q)
+        for layout in (y, StateVector(q, np.zeros_like(q)).packed(), np.asfortranarray(y)):
+            assert spring_force(spec, layout).tobytes() == want, (n, members)
+
+
+def draw_with_signed_zeros(rng, shape):
+    """Normal draws spread over sixteen decades, a fifth of them +0.0 and
+    a fifth -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.2] = -0.0
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["simple_spring", "damped_spring", "forced_spring"]),
+    damped_form=st.sampled_from([None, "anchored", "pairwise"]),
+    n=st.integers(1, 6),
+    dim=st.integers(1, 3),
+    lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    graphs=st.sampled_from(["complete", "sampled", "stacked"]),
+    scheme=st.sampled_from(["euler", "rk4"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_bound_step_is_bitwise_the_out_of_place_step(
+    kind, damped_form, n, dim, lead, graphs, scheme, seed
+):
+    """One Euler or RK4 step of `integrate`, which marches the bound field
+    in place on the packed layout, has the bits of the out-of-place step on
+    the out-of-place field, for any leading axes, agent count, dimension
+    and graph (one for all members, or one per member)."""
+    rng = np.random.default_rng(seed)
+    graph = None
+    if graphs != "complete" and n > 1:
+        upper = np.triu(rng.random((lead if graphs == "stacked" else ()) + (n, n)) < 0.5, 1)
+        graph = InteractionGraph(n, upper | np.swapaxes(upper, -1, -2))
+    spec = SystemSpec(
+        kind=kind, n_agents=n, dim=dim, graph=graph, m=rng.uniform(0.5, 2.0),
+        k=rng.uniform(0.05, 2.0), gamma=rng.uniform(0.0, 3.0), k1=rng.uniform(0.0, 10.0),
+        omega=rng.uniform(0.1, 3.0), damped_form=damped_form if kind == "damped_spring" else None,
+    )
+    q, p = draw_with_signed_zeros(rng, lead + (n, dim)), draw_with_signed_zeros(rng, lead + (n, dim))
+    t0, dt = rng.uniform(-2.0, 2.0), rng.uniform(1e-3, 0.1)
+    got = integrate(make_derivative(spec), StateVector(q, p), TimeGrid(t0, dt, 1), scheme)
+    want = STEP_FNS[scheme](reference_spring_deriv(spec), np.concatenate([q, p], axis=-1), t0, dt)
+    assert got.q[-1].tobytes() == want[..., :dim].tobytes()
+    assert got.p[-1].tobytes() == want[..., dim:].tobytes()
 
 
 def test_anchored_single_ball_force():
@@ -483,6 +530,51 @@ def test_attractor_has_no_mechanical_energy():
     state = StateVector(np.array([[0.0, 0.0, 2.0]]), np.zeros((1, 0)))
     with pytest.raises(UnsupportedSystemError):
         mechanical_energy(spec, state)
+
+
+# ----------------------------------------------------- one field protocol
+
+@pytest.mark.parametrize("spec", [
+    SystemSpec(kind="simple_spring", n_agents=1, dim=2),
+    SystemSpec(kind="damped_spring", n_agents=3, dim=2, damped_form="anchored"),
+    SystemSpec(kind="damped_spring", n_agents=4, dim=1),
+    SystemSpec(kind="forced_spring", n_agents=3, dim=3),
+    SystemSpec(kind="triple_pendulum", n_agents=3),
+    SystemSpec(kind="attractor"),
+], ids=lambda spec: f"{spec.kind}-{spec.n_agents}x{spec.d_q}")
+def test_eval_derivative_is_bitwise_the_bound_rate(spec):
+    """eval_derivative, bound on a fresh row-major output, has the bits of
+    the rate bound once on the packed layout integrate marches, at every
+    time the bound rate is called."""
+    rng = np.random.default_rng(4)
+    q = rng.uniform(0.2, 1.5, (3, spec.n_agents, spec.d_q))
+    p = rng.standard_normal((3, spec.n_agents, spec.d_p))
+    q[0, 0, 0] = -0.0
+    state = StateVector(q, p)
+    y = state.packed()
+    out = np.empty_like(y)
+    rate = make_derivative(spec)(y, out)
+    for t in (0.0, 0.7, -2.5):
+        rate(t)
+        d = eval_derivative(spec, state, t)
+        assert d.q.tobytes() == out[..., :spec.d_q].tobytes(), t
+        assert d.p.tobytes() == out[..., spec.d_q:].tobytes(), t
+
+
+def test_eval_derivative_takes_one_time_per_state_on_the_forced_spring():
+    """The chain-rule rate's path: an array of times, one per stacked
+    state, gives each state the bits of its own bound rate at its time."""
+    spec = SystemSpec(kind="forced_spring", n_agents=3, dim=2)
+    rng = np.random.default_rng(6)
+    q, p = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 2))
+    t = np.array([0.0, 0.4, 1.3, -0.9])
+    d = eval_derivative(spec, StateVector(q, p), t[:, None, None])
+    for b in range(4):
+        y = StateVector(q[b], p[b]).packed()
+        out = np.empty_like(y)
+        make_derivative(spec)(y, out)(float(t[b]))
+        assert d.q[b].tobytes() == out[..., :2].tobytes()
+        assert d.p[b].tobytes() == out[..., 2:].tobytes()
 
 
 # ------------------------------------------------------------ classifiers

@@ -22,7 +22,7 @@ from revode import training
 from revode.autodiff import Tape, backward
 from revode.configs import DESK_TRAIN_WINDOW, TRAIN_DEFAULTS, desk_model_config
 from revode.data import ObservationSet, build_observation_sets, build_trajectory
-from revode.errors import ConfigurationError, RolloutDivergedError, TrainingDivergedError
+from revode.errors import ConfigurationError, RolloutDivergedError, ShapeError, TrainingDivergedError
 from revode.model import (
     ModelConfig,
     decode,
@@ -318,6 +318,27 @@ def test_tape_nodes_hold_dead_intermediates_weakly():
         for name, leaf in leaves.items():
             assert tape.nodes[leaf.idx].value is leaf.value is params[name]
         assert tape.nodes[out.loss.idx].value is out.loss.value
+    finally:
+        gc.enable()
+
+
+def test_backward_lets_each_closure_go_and_sweeps_a_tape_once():
+    """With the cycle collector off, backward leaves no node a backward
+    closure, and each closure is freed by then, not held until the tape
+    dies; a second sweep of the tape is refused."""
+    config, batch, params = treat_batch("desk")
+    gc.disable()
+    try:
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        loss = batch_forward(tape, leaves, config, batch, "treat", 0.5).loss
+        closures = [weakref.ref(node.bwd) for node in tape.nodes if node.bwd is not None]
+        assert len(closures) > 10
+        backward(tape, loss)
+        assert all(node.bwd is None for node in tape.nodes if node.op != "leaf")
+        assert [ref() for ref in closures] == [None] * len(closures)
+        with pytest.raises(ShapeError, match="already ran on this tape"):
+            backward(tape, loss)
     finally:
         gc.enable()
 

@@ -13,6 +13,7 @@ import pytest
 
 import revode.data
 import revode.verify
+from out_of_place import negated
 from revode.data import PURPOSE_INIT, PURPOSE_NOISE, SIM_DEFAULTS, draw_initial_state, rng_stream
 from revode.errors import ConfigurationError, IntegrationError
 from revode.integrators import StateVector, TimeGrid, integrate
@@ -88,6 +89,21 @@ def test_roundtrip_span_must_be_multiple_of_dt():
         lemma1_roundtrip(one_ball(), one_ball_state(), "rk4", dt=0.3, span=1.0)
 
 
+def integrate_must_not_run(*args, **kwargs):
+    raise AssertionError("integrated before the inputs were checked")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("dt, span", [(NAN, 1.0), (INF, 1.0), (0.1, NAN), (0.1, INF), (0.1, -INF)],
+                         ids=["dt_nan", "dt_inf", "span_nan", "span_inf", "span_minus_inf"])
+def test_roundtrip_rejects_non_finite_dt_and_span(monkeypatch, dt, span):
+    monkeypatch.setattr(revode.verify, "integrate", integrate_must_not_run)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        lemma1_roundtrip(one_ball(), one_ball_state(), "rk4", dt=dt, span=span)
+
+
 # ------------------------------------------------------------ log-log fit
 
 def test_loglog_fit_recovers_exact_power_law():
@@ -135,7 +151,7 @@ def test_theorem1_reverse_leg_is_the_negated_field_from_the_forward_endpoint():
         m_sub = round(SCALING_EVAL_SPACING / dt)
         grid = TimeGrid(0.0, dt, round(span / SCALING_EVAL_SPACING) * m_sub)
         fwd = integrate(field, start, grid, "euler", m_sub)
-        rev = integrate(lambda y, t: -field(y, t), fwd.state(-1), grid, "euler", m_sub)
+        rev = integrate(negated(field), fwd.state(-1), grid, "euler", m_sub)
         assert np.array_equal(grid.reverse_times()[::m_sub][::-1], grid.span - fwd.times)
         q_true, p_true = analytic_solution_simple_spring_1d(
             SCALING_Q0, SCALING_P0, SCALING_SPEC.anchor_k, SCALING_SPEC.m, fwd.times)
@@ -316,6 +332,23 @@ def test_lyapunov_mle_spring_is_tame():
 def test_lyapunov_mle_rejects_bad_sigma():
     with pytest.raises(ConfigurationError):
         lyapunov_mle(one_ball(), perturbation_sigma=0.0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_pairs": 0}, "n_pairs"),
+    ({"n_pairs": -3}, "n_pairs"),
+    ({"horizon": NAN}, "horizon"),
+    ({"horizon": INF}, "horizon"),
+    ({"horizon": -1.0}, "horizon"),
+    ({"perturbation_sigma": NAN}, "perturbation_sigma"),
+    ({"perturbation_sigma": INF}, "perturbation_sigma"),
+], ids=["pairs_0", "pairs_negative", "horizon_nan", "horizon_inf", "horizon_negative",
+        "sigma_nan", "sigma_inf"])
+def test_lyapunov_mle_rejects_bad_inputs_before_integrating(monkeypatch, kwargs, match):
+    """A bad input is a configuration error, never read as divergence."""
+    monkeypatch.setattr(revode.verify, "integrate", integrate_must_not_run)
+    with pytest.raises(ConfigurationError, match=match):
+        lyapunov_mle(one_ball(), **kwargs)
 
 
 def test_lyapunov_mle_deterministic():
