@@ -9,10 +9,12 @@ arrays, held by the Tensors themselves.  A node refers to its value only
 weakly, so a recording tape pins just what its backward closures capture:
 an intermediate that no closure reads is freed as soon as its Tensor goes,
 and the sweep lets each closure go once it has passed its node.
-The model's encoder, rollout legs and decoder are single nodes whose
-backwards keep a few arrays and recompute the rest.
 A forward-only tape (record=False) keeps no nodes at all, so a pass that
 never runs backward holds only the values its caller still references.
+The primitives here are those the model and the losses record.  The
+model's encoder, rollout legs and decoder are single nodes whose backwards
+keep a few arrays and recompute the rest; the chains of primitives whose
+bits they reproduce, and the finite-difference check, live with the tests.
 Elementwise ops require exactly matching shapes -- the only broadcasting
 allowed anywhere is smul's scalar-times-tensor and add_bias's (1, c) row,
 which keeps silent shape bugs out of the gradient path.
@@ -21,8 +23,6 @@ which keeps silent shape bugs out of the gradient path.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -132,15 +132,6 @@ def sub(a: Tensor, b) -> Tensor:
     )
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b = _lift(a.tape, b)
-    _same_shape("mul", a, b)
-    av, bv = a.value, b.value
-    return a.tape._record(
-        "mul", av * bv, (a.idx, b.idx), lambda g: (g * bv, g * av)
-    )
-
-
 def smul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return a.tape._record("smul", a.value * c, (a.idx,), lambda g: (g * c,))
@@ -176,8 +167,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 class RowIndex:
-    """Row indices into an n-row operand, reusable across gather_rows and
-    scatter_rows calls.  Rows sharing an index are summed by one bincount
+    """Row indices into an n-row operand, reusable across gather_rows calls
+    and segment sums.  Rows sharing an index are summed by one bincount
     over flat (row, column) bins, whose index is built once per width."""
 
     def __init__(self, idx, n: int):
@@ -207,16 +198,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"gather_rows requires a 2-D operand, got {a.value.shape}")
     return a.tape._record(
         "gather_rows", a.value[rows.idx], (a.idx,), lambda g: (rows.segment_sum(g),)
-    )
-
-
-def scatter_rows(a: Tensor, idx, n: int) -> Tensor:
-    """(n, c) sum of a's rows by target row idx; the gradient is a gather."""
-    rows = _rows(idx, n)
-    if a.value.ndim != 2 or a.value.shape[0] != rows.idx.size:
-        raise ShapeError(f"scatter_rows needs one index per row of {a.value.shape}")
-    return a.tape._record(
-        "scatter_rows", rows.segment_sum(a.value), (a.idx,), lambda g: (g[rows.idx],)
     )
 
 
@@ -262,52 +243,11 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return tape._record("concat", out, tuple(t.idx for t in tensors), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a 2-D or 3-D operand."""
-    if a.value.ndim not in (2, 3):
-        raise ShapeError(f"transpose requires a 2-D or 3-D operand, got {a.value.shape}")
-    return a.tape._record(
-        "transpose", np.swapaxes(a.value, -1, -2).copy(), (a.idx,),
-        lambda g: (np.swapaxes(g, -1, -2),),
-    )
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.value.shape
-    return a.tape._record(
-        "reshape", a.value.reshape(shape), (a.idx,), lambda g: (g.reshape(old),)
-    )
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
-    return a.tape._record("tanh", out, (a.idx,), lambda g: (g * (1.0 - out * out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.value, 0.0)
-    mask = a.value > 0.0
-    return a.tape._record("relu", out, (a.idx,), lambda g: (g * mask,))
-
-
 def l2_norm_sq(a: Tensor) -> Tensor:
     av = a.value
     return a.tape._record(
         "l2_norm_sq", np.sum(av * av), (a.idx,), lambda g: (2.0 * float(g) * av,)
     )
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    av = a.value
-    shifted = av - np.max(av, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return a.tape._record("softmax", out, (a.idx,), bwd)
 
 
 # ------------------------------------------------------------- backward
@@ -349,59 +289,3 @@ def check_finite_grads(grads: dict[str, np.ndarray]):
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"gradient for {name!r} is not finite")
-
-
-# ----------------------------------------------------------- grad check
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    per_param: dict
-    passed: bool
-    tol: float
-
-
-def grad_check(
-    f: Callable[[Tape, dict[str, Tensor]], Tensor],
-    params: dict[str, np.ndarray],
-    h: float = 1e-5,
-    tol: float = 1e-5,
-) -> GradCheckReport:
-    """Compare reverse-mode gradients of f against central differences.
-
-    f receives a fresh tape and a dict of named leaf Tensors and must
-    return a scalar loss Tensor.  The relative error denominator is
-    floored so that near-zero gradients are compared absolutely.
-    """
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    def run(vals: dict[str, np.ndarray]) -> float:
-        tape = Tape(record=False)
-        leaves = {k: tape.leaf(v, k) for k, v in vals.items()}
-        return float(f(tape, leaves).value)
-
-    tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-    loss = f(tape, leaves)
-    ad_grads = backward(tape, loss)
-
-    per_param = {}
-    max_rel = 0.0
-    for name, base in params.items():
-        ad = ad_grads.get(name, np.zeros_like(base))
-        fd = np.zeros_like(base)
-        flat = base.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = run(params)
-            flat[i] = orig - h
-            f_minus = run(params)
-            flat[i] = orig
-            fd_flat[i] = (f_plus - f_minus) / (2.0 * h)
-        denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-3)
-        rel = float(np.max(np.abs(ad - fd) / denom)) if base.size else 0.0
-        per_param[name] = rel
-        max_rel = max(max_rel, rel)
-    return GradCheckReport(max_rel_err=max_rel, per_param=per_param, passed=max_rel < tol, tol=tol)

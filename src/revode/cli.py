@@ -35,7 +35,6 @@ from .configs import (
 from .data import (
     SIM_DEFAULTS,
     TRAJECTORIES_PER_SEED,
-    Trajectory,
     build_observation_sets,
     build_trajectories,
     normalize_trajectories,
@@ -94,7 +93,6 @@ def _json_dump(path, doc):
 
 _DESK_SIMULATE = {
     "system": "simple_spring",
-    "agents": 1,
     "dim": 1,
     "trajectories": DESK_TRAIN_TRAJECTORIES,
     "test_trajectories": DESK_TEST_TRAJECTORIES,
@@ -120,7 +118,7 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError("--test-trajectories requires --test-out")
 
     if opt["agents"] is None:  # resolved here, so the written config names the count
-        opt["agents"] = FIXED_AGENTS.get(opt["system"], SPRING_AGENTS)
+        opt["agents"] = FIXED_AGENTS.get(opt["system"], 1 if args.desk_scale else SPRING_AGENTS)
     spec_kwargs = dict(kind=opt["system"], n_agents=opt["agents"], dim=opt["dim"])
     for name in ("k", "gamma", "k1", "omega", "damped_form"):
         if opt[name] is not None:
@@ -178,8 +176,7 @@ def _parse_window(value):
 
 
 def _load_trajectories(path) -> list:
-    items = read_dataset(path)
-    trajs = [item for item in items if isinstance(item, Trajectory)]
+    trajs = read_dataset(path)
     if not trajs:
         raise DatasetFormatError(f"{path} contains no trajectory records")
     return trajs
@@ -355,7 +352,7 @@ def main(argv=None) -> int:
     except RevodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file goes, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
-"""Trajectory generation, irregular observation sampling, and JSONL I/O.
+"""Trajectory generation, irregular observation sampling, and the JSONL
+(de)serialization of trajectories.
 
 Randomness policy: every stochastic step draws from its own counter-based
 stream so that datasets are bitwise reproducible and insertion-order
@@ -71,8 +72,6 @@ class ObservationSet:
     pred_idx: list    # per agent: (r_i,) int64 rollout indices in [1, K]
     pred_feats: list  # per agent: (r_i, d)
     graph: InteractionGraph | None = None
-    system: dict | None = None
-    seed: int | None = None
     scale: float = 1.0
 
     def __post_init__(self):
@@ -177,8 +176,6 @@ def irregular_subsample(
         pred_idx=pred_idx,
         pred_feats=pred_feats,
         graph=graph,
-        system=traj.system,
-        seed=rng_seed,
         scale=traj.scale,
     )
 
@@ -257,83 +254,26 @@ def _traj_from_record(rec: dict, lineno: int) -> Trajectory:
     )
 
 
-def _obs_record(obs: ObservationSet) -> dict:
-    if obs.system is None:
-        raise ConfigurationError("observation set must carry system metadata to be serialized")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "record": "observation_set",
-        "system": obs.system["kind"],
-        "params": obs.system,
-        "seed": obs.seed,
-        "t0": obs.t0,
-        "dt": obs.dt,
-        "n_rollout_steps": obs.n_rollout_steps,
-        "agents": [
-            {
-                "cond_times": obs.cond_times[i].tolist(),
-                "cond_feats": obs.cond_feats[i].tolist(),
-                "pred_idx": obs.pred_idx[i].tolist(),
-                "pred_feats": obs.pred_feats[i].tolist(),
-            }
-            for i in range(obs.n_agents)
-        ],
-        "scale": obs.scale,
-    }
-
-
-def _obs_from_record(rec: dict, lineno: int) -> ObservationSet:
-    params = rec["params"]
-    agents = rec["agents"]
-    if len(agents) != _bare_spec(params, lineno).n_agents:
-        raise DatasetFormatError(f"line {lineno}: agent count mismatch")
-    spec = SystemSpec.from_params_dict(params)
-    d = spec.feature_dim
-    cond_times = [np.asarray(a["cond_times"], dtype=np.float64) for a in agents]
-    cond_feats = [np.asarray(a["cond_feats"], dtype=np.float64) for a in agents]
-    pred_idx = [np.asarray(a["pred_idx"], dtype=np.int64) for a in agents]
-    pred_feats = [np.asarray(a["pred_feats"], dtype=np.float64) for a in agents]
-    for i, (ct, cf, pi, pf) in enumerate(zip(cond_times, cond_feats, pred_idx, pred_feats)):
-        if ct.ndim != 1 or pi.ndim != 1 or cf.shape != (len(ct), d) or pf.shape != (len(pi), d):
-            raise DatasetFormatError(
-                f"line {lineno}: agent {i} observations are not (count, {d}) arrays "
-                f"for dim {spec.dim}")
-    return ObservationSet(
-        n_agents=spec.n_agents,
-        d=d,
-        t0=float(rec["t0"]),
-        dt=float(rec["dt"]),
-        n_rollout_steps=int(rec["n_rollout_steps"]),
-        cond_times=cond_times,
-        cond_feats=cond_feats,
-        pred_idx=pred_idx,
-        pred_feats=pred_feats,
-        graph=spec.graph,
-        system=params,
-        seed=rec.get("seed"),
-        scale=float(rec.get("scale", 1.0)),
-    )
-
-
-def write_dataset(path, items: Iterable[Trajectory | ObservationSet]) -> int:
-    """Write trajectories/observation sets as JSON lines; returns count."""
+def write_dataset(path, trajectories: Iterable[Trajectory]) -> int:
+    """Write trajectories as JSON lines; returns count."""
     n = 0
     with open(path, "w") as fh:
-        for item in items:
-            if isinstance(item, Trajectory):
-                rec = _traj_record(item)
-            elif isinstance(item, ObservationSet):
-                rec = _obs_record(item)
-            else:
-                raise ConfigurationError(f"cannot serialize {type(item).__name__}")
-            fh.write(json.dumps(rec) + "\n")
+        for traj in trajectories:
+            fh.write(json.dumps(_traj_record(traj)) + "\n")
             n += 1
     return n
 
 
-def read_dataset(path) -> list:
+def read_dataset(path) -> list[Trajectory]:
+    try:
+        return _read_records(path)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path} is not UTF-8 text ({exc})") from None
+
+
+def _read_records(path) -> list[Trajectory]:
     items = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -351,12 +291,9 @@ def read_dataset(path) -> list:
                 )
             kind = rec.get("record", "trajectory")
             try:
-                if kind == "trajectory":
-                    items.append(_traj_from_record(rec, lineno))
-                elif kind == "observation_set":
-                    items.append(_obs_from_record(rec, lineno))
-                else:
+                if kind != "trajectory":
                     raise DatasetFormatError(f"line {lineno}: unknown record type {kind!r}")
+                items.append(_traj_from_record(rec, lineno))
             except KeyError as exc:
                 raise DatasetFormatError(f"line {lineno}: missing field {exc}") from None
             except (ConfigurationError, TypeError, ValueError, IndexError, OverflowError) as exc:

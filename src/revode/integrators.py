@@ -83,19 +83,8 @@ class TimeGrid:
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
 
-    @property
-    def span(self) -> float:
-        return self.n_steps * self.dt
-
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_steps + 1, dtype=np.float64) * self.dt
-
-    def reverse_times(self) -> np.ndarray:
-        """Reverse-trajectory indices t'_j, with t'_{K-k} = T - t_k bitwise:
-        bookkeeping indices, not physical times, derived from the forward
-        grid so the pairing identity holds exactly in floating point."""
-        fwd = self.times() - self.t0
-        return (self.span - fwd)[::-1].copy()
 
 
 Field = Callable[[np.ndarray, np.ndarray], Callable[[float], None]]

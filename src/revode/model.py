@@ -34,6 +34,9 @@ from .errors import (
 from .integrators import SCHEMES
 
 CHECKPOINT_SCHEMA_VERSION = 1
+TE_BASE = 10000.0  # the temporal encoding's base
+# Model keys of older checkpoints, with the one value any of them can hold.
+_RETIRED_MODEL_KEYS = {"spatial_round": False, "te_base": TE_BASE}
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,6 @@ class ModelConfig:
     ode_hidden: int = 64
     dec_hidden: int = 64
     scheme: str = "rk4"
-    spatial_round: bool = False
-    te_base: float = 10000.0
 
     def __post_init__(self):
         for name in ("d_obs", "d_enc", "d_aug", "d_model", "ode_hidden", "dec_hidden"):
@@ -57,18 +58,10 @@ class ModelConfig:
             raise ConfigurationError("d_model must be even for the temporal encoding")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown rollout scheme {self.scheme!r}")
-        if type(self.spatial_round) is not bool:
-            raise ConfigurationError("spatial_round must be true or false")
-        if type(self.te_base) not in (int, float) or not self.te_base > 0:
-            raise ConfigurationError("te_base must be a positive number")
 
     @property
     def d_z(self) -> int:
         return self.d_enc + self.d_aug
-
-    @property
-    def d_out(self) -> int:
-        return self.d_obs
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,7 +75,7 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
-def temporal_encoding(delta_ts: np.ndarray, d: int, base: float = 10000.0) -> np.ndarray:
+def temporal_encoding(delta_ts: np.ndarray, d: int, base: float = TE_BASE) -> np.ndarray:
     """Sinusoidal encoding of (possibly negative, irregular) time offsets.
 
     Column 2i is sin(t / base^(2i/d)), column 2i+1 the matching cos, so a
@@ -103,7 +96,7 @@ def temporal_encoding(delta_ts: np.ndarray, d: int, base: float = 10000.0) -> np
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Every parameter's shape, in init_params' key (and draw) order."""
     dm, dz, h, dh = config.d_model, config.d_z, config.ode_hidden, config.dec_hidden
-    shapes = {
+    return {
         "enc.embed.W": (config.d_obs, dm), "enc.embed.b": (1, dm),
         "enc.attn.Wq": (dm, dm), "enc.attn.Wk": (dm, dm), "enc.attn.Wv": (dm, dm),
         "enc.pool.Wa": (dm, dm),
@@ -112,11 +105,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
         "ode.upd1.W": (dz + h, h), "ode.upd1.b": (1, h),
         "ode.upd2.W": (h, dz), "ode.upd2.b": (1, dz),
         "dec.W1": (dz, dh), "dec.b1": (1, dh),
-        "dec.W2": (dh, config.d_out), "dec.b2": (1, config.d_out),
+        "dec.W2": (dh, config.d_obs), "dec.b2": (1, config.d_obs),
     }
-    if config.spatial_round:
-        shapes.update({"enc.spatial.W": (dm, dm), "enc.spatial.b": (1, dm)})
-    return shapes
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
@@ -130,10 +120,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         return rng.uniform(-a, a, size=shape)
 
     return {name: init(name, shape) for name, shape in param_shapes(config).items()}
-
-
-def _linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(x, W), b)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -181,7 +167,7 @@ def encode_agent(
     pool = (valid / n_valid[:, None])[:, None, :]  # (A, 1, m)
     scale = float(1.0 / np.sqrt(dm))
     X = np.asarray(feats, dtype=np.float64).reshape(n_agents * m, -1)
-    H = (X @ W + b) + temporal_encoding(rel_times.reshape(-1), dm, config.te_base)
+    H = (X @ W + b) + temporal_encoding(rel_times.reshape(-1), dm)
 
     def project(Wx):  # Q, K or V, per agent
         return (H @ Wx).reshape(n_agents, m, dm)
@@ -254,26 +240,7 @@ def encode_initial_states(
         rel_times[a, : len(t)] = t
         feats[a, : len(t)] = f
     U = encode_agent(tape, leaves, config, rel_times, feats, n_valid)
-
-    if config.spatial_round:
-        # one round of mean aggregation within each sample that has edges;
-        # a sample without edges keeps its encodings unchanged
-        mixing = np.zeros((n_rows, n_rows))
-        updated = np.zeros((n_rows, config.d_model))
-        lo = 0
-        for obs in obs_list:
-            hi = lo + obs.n_agents
-            if obs.graph is not None and obs.graph.n_edges > 0:
-                adj = obs.graph.adjacency.astype(np.float64)
-                mixing[lo:hi, lo:hi] = adj / np.maximum(adj.sum(axis=1, keepdims=True), 1.0)
-                updated[lo:hi] = 1.0
-            lo = hi
-        if updated.any():
-            msg = ad.matmul(tape.const(mixing), U)
-            upd = ad.relu(_linear(msg, leaves["enc.spatial.W"], leaves["enc.spatial.b"]))
-            U = ad.add(U, ad.mul(upd, tape.const(updated)))
-
-    z_enc = _linear(U, leaves["enc.out.W"], leaves["enc.out.b"])
+    z_enc = ad.add_bias(ad.matmul(U, leaves["enc.out.W"]), leaves["enc.out.b"])
     if config.d_aug == 0:
         return z_enc
     return ad.concat([z_enc, tape.const(np.zeros((n_rows, config.d_aug)))], axis=1)
@@ -466,7 +433,7 @@ DECODE_PARAMS = ("dec.b2", "dec.W2", "dec.b1", "dec.W1")
 
 def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig, Z: Tensor) -> Tensor:
     """Map stacked latent rows, such as a rollout leg's, to observation
-    space row by row: ((K+1)*n_rows, d_z) -> ((K+1)*n_rows, d_out).
+    space row by row: ((K+1)*n_rows, d_z) -> ((K+1)*n_rows, d_obs).
 
     relu(Z W1 + b1) W2 + b2 as one tape node.  Its backward keeps only Z
     and recomputes the hidden layer from it, and yields the gradients of
@@ -546,7 +513,13 @@ def load_checkpoint(path):
             f"checkpoint schema_version {version!r} != {CHECKPOINT_SCHEMA_VERSION}"
         )
     try:
-        config = ModelConfig.from_dict(doc["model"])
+        model = {**doc["model"]}  # a copy; raises TypeError unless a mapping
+        for key, value in _RETIRED_MODEL_KEYS.items():
+            stored = model.pop(key, value)
+            if type(stored) is not type(value) or stored != value:
+                raise ArtifactMismatchError(
+                    f"checkpoint model {key} is {stored!r}; only {value!r} is supported")
+        config = ModelConfig.from_dict(model)
         shapes = param_shapes(config)
         if set(doc["params"]) != set(shapes):
             raise ArtifactMismatchError(

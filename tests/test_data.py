@@ -15,7 +15,6 @@ from revode.data import (
     SIM_DEFAULTS,
     TRAJECTORIES_PER_SEED,
     ObservationSet,
-    _obs_record,
     _traj_record,
     add_gaussian_noise,
     build_observation_sets,
@@ -336,33 +335,19 @@ def test_dataset_roundtrip_trajectories(tmp_path):
         assert orig.seed == loaded.seed
 
 
-def test_dataset_roundtrip_observation_sets(tmp_path):
-    spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1)
-    trajs = [build_trajectory(spec, seed=4, index=i, raw_steps=5000) for i in range(2)]
-    sets = build_observation_sets(trajs, (0, 30, 50), 5, 10, obs_seed=8)
-    path = tmp_path / "obs.jsonl"
-    write_dataset(path, sets)
-    back = read_dataset(path)
-    for orig, loaded in zip(sets, back):
-        assert loaded.n_rollout_steps == orig.n_rollout_steps
-        assert loaded.t0 == orig.t0
-        for i in range(orig.n_agents):
-            assert np.array_equal(orig.cond_times[i], loaded.cond_times[i])
-            assert np.array_equal(orig.cond_feats[i], loaded.cond_feats[i])
-            assert np.array_equal(orig.pred_idx[i], loaded.pred_idx[i])
-            assert np.array_equal(orig.pred_feats[i], loaded.pred_feats[i])
-        assert loaded.graph.edges() == orig.graph.edges()
-
-
-def test_dataset_mixed_records_roundtrip(tmp_path):
+def test_read_dataset_rejects_an_observation_set_record(tmp_path):
+    """Datasets hold trajectories only: an observation-set record, which
+    older files could carry, is an unknown record type named by its line."""
     spec = SystemSpec(kind="simple_spring", n_agents=1, dim=1)
-    traj = build_trajectory(spec, seed=0, index=0, raw_steps=5000)
-    obs = irregular_subsample(traj, 5, 10, (0, 30, 50), rng_seed=1)
+    traj = build_trajectory(spec, seed=0, index=0, raw_steps=500)
+    obs = {"schema_version": 1, "record": "observation_set", "params": traj.system,
+           "t0": 0.0, "dt": 0.1, "n_rollout_steps": 1, "agents": []}
     path = tmp_path / "mixed.jsonl"
-    write_dataset(path, [traj, obs])
-    back = read_dataset(path)
-    assert isinstance(back[0], Trajectory)
-    assert isinstance(back[1], ObservationSet)
+    write_dataset(path, [traj])
+    with open(path, "a") as fh:
+        fh.write(json.dumps(obs) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 2: unknown record type 'observation_set'"):
+        read_dataset(path)
 
 
 def test_write_dataset_requires_system_metadata(tmp_path):
@@ -383,22 +368,16 @@ def test_read_dataset_rejects_garbage(tmp_path):
 
 
 def _valid_records():
-    """One trajectory and one observation-set record of a two-agent spring."""
+    """One trajectory record of a two-agent spring."""
     spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1)
     traj = build_trajectory(spec, seed=3, index=0, raw_steps=5000)
-    obs = irregular_subsample(traj, 5, 10, (0, 30, 50), rng_seed=2)
     traj = Trajectory(traj.times[:4], traj.q[:4], traj.p[:4], system=traj.system, seed=0)
-    return [json.loads(json.dumps(rec)) for rec in (_traj_record(traj), _obs_record(obs))]
+    return [json.loads(json.dumps(_traj_record(traj)))]
 
 
 def _field_paths(rec):
-    """Every top-level field, every `params` field and every field of the
-    first agent, as key paths."""
-    paths = [(key,) for key in rec]
-    paths += [("params", key) for key in rec["params"]]
-    if "agents" in rec:
-        paths += [("agents", 0, key) for key in rec["agents"][0]]
-    return paths
+    """Every top-level field and every `params` field, as key paths."""
+    return [(key,) for key in rec] + [("params", key) for key in rec["params"]]
 
 
 VALID_RECORDS = _valid_records()
@@ -429,25 +408,6 @@ def test_read_dataset_field_fuzz_raises_only_revode_errors(tmp_path_factory, dat
         read_dataset(path)
     except RevodeError:
         pass
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda rec: rec["params"].update(dim=7),
-    lambda rec: rec["agents"][0].update(
-        cond_feats=[row[:1] for row in rec["agents"][0]["cond_feats"]]),
-    lambda rec: rec["agents"][0].update(pred_feats=rec["agents"][0]["pred_feats"][1:]),
-    lambda rec: rec["agents"][0].update(pred_idx=[rec["n_rollout_steps"] + 1]),
-    lambda rec: rec["agents"][0].update(pred_idx=[[1]]),
-], ids=["dim_7", "narrow_cond_feats", "short_pred_feats", "pred_idx_past_rollout",
-        "pred_idx_2d"])
-def test_read_dataset_checks_observations_against_dim_and_rollout(tmp_path, mutate):
-    """Feature widths must match params.dim, and target indices the rollout."""
-    rec = json.loads(json.dumps(VALID_RECORDS[1]))
-    mutate(rec)
-    path = tmp_path / "obs.jsonl"
-    path.write_text(json.dumps(rec) + "\n")
-    with pytest.raises(DatasetFormatError, match="line 1: .*agent 0"):
-        read_dataset(path)
 
 
 def test_read_dataset_checks_n_agents_before_building_the_graph(tmp_path, monkeypatch):

@@ -96,17 +96,6 @@ def test_time_grid_times_endpoints():
     assert t[0] == 1.0
     assert t[-1] == pytest.approx(2.0)
     assert len(t) == 5
-    assert grid.span == pytest.approx(1.0)
-
-
-def test_reverse_times_pairing_is_bitwise():
-    """t'_{K-k} must equal T - t_k exactly, not just approximately."""
-    grid = TimeGrid(0.0, 0.1, 7)
-    fwd = grid.times()
-    rev = grid.reverse_times()
-    K = grid.n_steps
-    for k in range(K + 1):
-        assert rev[K - k] == grid.span - fwd[k]
 
 
 # ------------------------------------------------------ stepping schemes

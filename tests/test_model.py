@@ -7,17 +7,20 @@ legs against the stage-by-stage tape of `stagewise_rollout`.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ops
 import stagewise_rollout as stagewise
+from reference_ops import grad_check
 from revode import model
 
 from revode import autodiff as ad
-from revode.autodiff import Tape, backward, grad_check
+from revode.autodiff import Tape, backward
 from revode.data import ObservationSet, directed_edges
 from revode.errors import (
     ArtifactMismatchError, ConfigurationError, EncodingError, RevodeError,
@@ -76,8 +79,7 @@ def test_model_config_validation():
         ModelConfig(d_obs=2, scheme="leapfrog")
     with pytest.raises(ConfigurationError):
         ModelConfig(d_obs=0)
-    for bad in (dict(d_model=8.0), dict(d_enc="4"), dict(te_base="big"),
-                dict(te_base=0.0), dict(spatial_round=1)):
+    for bad in (dict(d_model=8.0), dict(d_enc="4")):
         with pytest.raises(ConfigurationError):
             ModelConfig(d_obs=2, **bad)
     cfg = ModelConfig(d_obs=2, d_enc=4, d_aug=0)
@@ -191,60 +193,6 @@ def test_encoder_rejects_agent_without_observations():
                      np.zeros((2, 3)), np.zeros((2, 3, TINY.d_obs)), [3, 0])
 
 
-SPATIAL = ModelConfig(d_obs=2, d_enc=4, d_aug=2, d_model=8, ode_hidden=8,
-                      dec_hidden=8, spatial_round=True)
-
-
-def spatial_batch():
-    """A 3-agent sample with one edge (agent 2 isolated) and one without edges."""
-    with_edges = tiny_obs(seed=9, n_agents=3, n_cond=[3, 4, 2],
-                          graph=InteractionGraph.from_edges(3, [(0, 1)]))
-    no_edges = tiny_obs(seed=10, n_agents=3, graph=InteractionGraph.from_edges(3, []))
-    params = init_params(SPATIAL, seed=3)
-    rng = np.random.default_rng(12)
-    params["enc.spatial.b"] = rng.uniform(0.1, 0.5, params["enc.spatial.b"].shape)
-    params["enc.out.b"] = rng.standard_normal(params["enc.out.b"].shape)
-    return [with_edges, no_edges], params
-
-
-def test_spatial_round_updates_only_samples_with_edges():
-    """Per sample: U + relu(mean over neighbours of U, W, b) where the sample
-    has edges, U unchanged where it has none; recomputed here in NumPy."""
-    samples, params = spatial_batch()
-    tape = Tape()
-    z0 = encode_initial_states(tape, leaves_of(tape, params), SPATIAL, samples).value
-
-    expected = []
-    for obs in samples:
-        tape = Tape()
-        leaves = leaves_of(tape, params)
-        U = np.stack([
-            encode_agent(tape, leaves, SPATIAL, t[None, :], f[None, :, :], [len(t)]).value[0]
-            for t, f in zip(obs.cond_times, obs.cond_feats)
-        ])
-        if obs.graph.n_edges > 0:
-            adj = obs.graph.adjacency.astype(float)
-            msg = adj / np.maximum(adj.sum(axis=1, keepdims=True), 1.0) @ U
-            U = U + np.maximum(msg @ params["enc.spatial.W"] + params["enc.spatial.b"], 0.0)
-        z = U @ params["enc.out.W"] + params["enc.out.b"]
-        expected.append(np.concatenate([z, np.zeros((3, SPATIAL.d_aug))], axis=1))
-    assert np.allclose(z0, np.concatenate(expected), rtol=1e-12, atol=1e-12)
-
-
-def test_spatial_round_mixed_batch_grad_check():
-    samples, params = spatial_batch()
-    enc_params = {k: v for k, v in params.items() if k.startswith("enc.")}
-
-    def f(tape, leaves):
-        return ad.l2_norm_sq(encode_initial_states(tape, leaves, SPATIAL, samples))
-
-    report = grad_check(f, enc_params, tol=1e-5)
-    assert report.passed, report.max_rel_err
-    tape = Tape()
-    grads = backward(tape, f(tape, leaves_of(tape, enc_params)))
-    assert np.any(grads["enc.spatial.W"] != 0.0) and np.any(grads["enc.spatial.b"] != 0.0)
-
-
 def encoder_bits(encoder, monkeypatch, config, samples, params):
     """Nodes, z0 and parameter gradients of encode_initial_states with
     `encoder` as model.encode_agent; the loss weights every entry of z0."""
@@ -255,7 +203,7 @@ def encoder_bits(encoder, monkeypatch, config, samples, params):
     z0 = encode_initial_states(tape, leaves, config, samples)
     nodes = len(tape) - before
     weight = np.linspace(0.5, 1.5, z0.value.size).reshape(z0.shape)
-    return nodes, z0.value, backward(tape, ad.l2_norm_sq(ad.mul(z0, weight)))
+    return nodes, z0.value, backward(tape, ad.l2_norm_sq(ops.mul(z0, weight)))
 
 
 def assert_encoder_matches_the_chain(monkeypatch, config, samples, params):
@@ -271,20 +219,14 @@ def assert_encoder_matches_the_chain(monkeypatch, config, samples, params):
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
-@pytest.mark.parametrize("spatial", [False, True], ids=["plain", "spatial"])
-def test_encoder_is_one_node_with_the_composite_bits(monkeypatch, padded, spatial):
+@pytest.mark.parametrize("config", [TINY, replace(TINY, d_aug=0)], ids=["plain", "no_aug"])
+def test_encoder_is_one_node_with_the_composite_bits(monkeypatch, config, padded):
     """The one-node encode's value and gradients equal the chain of
-    primitives' bit for bit, with or without padding and a spatial round."""
-    if spatial:
-        samples, params = spatial_batch()
-        config = SPATIAL
-        if not padded:
-            samples = [tiny_obs(seed=s, n_agents=3, n_cond=5, graph=obs.graph)
-                       for s, obs in zip((13, 14), samples)]
-    else:
-        config, params = TINY, init_params(TINY, seed=4)
-        counts = ([3, 6], [1, 4]) if padded else ([5, 5], [5, 5])
-        samples = [tiny_obs(seed=20 + b, n_cond=c) for b, c in enumerate(counts)]
+    primitives' bit for bit, with or without padding, and with or without
+    the zero augmentation columns after the encoding."""
+    params = init_params(config, seed=4)
+    counts = ([3, 6], [1, 4]) if padded else ([5, 5], [5, 5])
+    samples = [tiny_obs(seed=20 + b, n_cond=c) for b, c in enumerate(counts)]
     assert_encoder_matches_the_chain(monkeypatch, config, samples, params)
 
 
@@ -312,7 +254,7 @@ def test_encoder_grad_check():
 
     def f(tape, leaves):
         u = encode_agent(tape, leaves, TINY, times, feats, counts)
-        return ad.l2_norm_sq(ad.mul(u, readout))
+        return ad.l2_norm_sq(ops.mul(u, readout))
 
     report = grad_check(f, params, tol=1e-5)
     assert report.passed, report.per_param
@@ -482,10 +424,10 @@ def composite_field(tape, leaves, config, edges, n_nodes):
         return ad.add_bias(ad.matmul(x, leaves[f"ode.{name}.W"]), leaves[f"ode.{name}.b"])
 
     def g(z):
-        pair = ad.reshape(ad.gather_rows(z, pair_rows), (len(pairs), 2 * config.d_z))
-        msg = ad.relu(linear(pair, "msg"))
-        upd_in = ad.concat([z, ad.scatter_rows(msg, targets, n_nodes)], axis=1)
-        return linear(ad.relu(linear(upd_in, "upd1")), "upd2")
+        pair = ops.reshape(ad.gather_rows(z, pair_rows), (len(pairs), 2 * config.d_z))
+        msg = ops.relu(linear(pair, "msg"))
+        upd_in = ad.concat([z, ops.scatter_rows(msg, targets, n_nodes)], axis=1)
+        return linear(ops.relu(linear(upd_in, "upd1")), "upd2")
 
     return g
 
@@ -561,7 +503,7 @@ def test_rollout_legs_grad_check(scheme):
         g = make_ode_func(tape, leaves, TINY, edges, n)
         fwd = rollout_forward(leaves["z"], g, K, 0.1, scheme)
         rev = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, 0.1, scheme)
-        return ad.add(ad.l2_norm_sq(ad.mul(fwd, w_fwd)), ad.l2_norm_sq(ad.mul(rev, w_rev)))
+        return ad.add(ad.l2_norm_sq(ops.mul(fwd, w_fwd)), ad.l2_norm_sq(ops.mul(rev, w_rev)))
 
     report = grad_check(f, params, tol=1e-5)
     assert report.passed, report.per_param
@@ -645,6 +587,64 @@ def test_decode_rejects_rows_of_the_wrong_width():
         decode(tape, leaves, TINY, tape.const(np.ones((3, TINY.d_z + 1))))
 
 
+def with_signed_zeros(rng, shape, share):
+    """Standard normal entries, a `share` of them replaced by 0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    hit = rng.random(shape) < share
+    x[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
+    return x
+
+
+def op_bits(op, params, seed, share):
+    """The value of op(tape, leaves) and every leaf gradient of a loss that
+    weights each output entry, with signed zeros among the weights too."""
+    tape = Tape()
+    out = op(tape, leaves_of(tape, params))
+    weight = with_signed_zeros(np.random.default_rng(seed), out.shape, share)
+    return out.value, backward(tape, ad.l2_norm_sq(ops.mul(out, tape.const(weight))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n_rows=st.integers(1, 6), d_enc=st.integers(1, 4), d_aug=st.integers(0, 3),
+       hidden=st.integers(1, 6), d_obs=st.integers(1, 4),
+       pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+       seed=st.integers(0, 2**16), share=st.sampled_from((0.0, 0.3, 1.0)))
+def test_field_and_decode_keep_the_chain_bits_for_any_shape(
+        n_rows, d_enc, d_aug, hidden, d_obs, pairs, seed, share):
+    """One field evaluation of make_ode_func and one decode, on any row
+    count, widths and edge list (none, repeated targets, self-loops), with
+    signed zeros in the rows, the weights and the upstream gradient: each
+    equals its chain of primitives in value and every gradient, bit for bit."""
+    config = ModelConfig(d_obs=d_obs, d_enc=d_enc, d_aug=d_aug, d_model=2,
+                         ode_hidden=hidden, dec_hidden=hidden)
+    rng = np.random.default_rng(seed)
+    params = {name: with_signed_zeros(rng, shape, share)
+              for name, shape in param_shapes(config).items() if not name.startswith("enc.")}
+    params["z"] = with_signed_zeros(rng, (n_rows, config.d_z), share)
+    edges = [(src % n_rows, tgt % n_rows) for src, tgt in pairs]
+
+    def field(tape, leaves):
+        g = make_ode_func(tape, leaves, config, edges, n_rows)
+        return stagewise.field_node(g)(leaves["z"])
+
+    def field_chain(tape, leaves):
+        return composite_field(tape, leaves, config, edges, n_rows)(leaves["z"])
+
+    def decoder(tape, leaves):
+        return decode(tape, leaves, config, leaves["z"])
+
+    def decoder_chain(tape, leaves):
+        return stagewise.decode(tape, leaves, config, leaves["z"])
+
+    for fused, chain in ((field, field_chain), (decoder, decoder_chain)):
+        (value, grads), (chain_value, chain_grads) = (
+            op_bits(op, params, seed + 1, share) for op in (fused, chain))
+        assert value.tobytes() == chain_value.tobytes()
+        assert set(grads) == set(chain_grads)
+        for name, grad in chain_grads.items():
+            assert grads[name].tobytes() == grad.tobytes(), name
+
+
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -687,6 +687,33 @@ def checkpoint_doc(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, init_params(TINY, seed=0), TINY, extra={"seed": 0})
     return json.loads(path.read_text())
+
+
+def test_checkpoint_with_the_retired_model_keys_loads_the_same(tmp_path):
+    """Older checkpoints also store spatial_round false and te_base 10000.0,
+    the only values those keys could hold; they load as if absent."""
+    doc = checkpoint_doc(tmp_path)
+    assert "spatial_round" not in doc["model"] and "te_base" not in doc["model"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**doc, "model": {**doc["model"], "spatial_round": False,
+                                                 "te_base": 10000.0}}))
+    params, config, extra = load_checkpoint(path)
+    new_params, new_config, new_extra = load_checkpoint(tmp_path / "ckpt.json")
+    assert (config, extra) == (new_config, new_extra)
+    assert all(params[k].tobytes() == new_params[k].tobytes() for k in new_params)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("spatial_round", True), ("spatial_round", 0), ("spatial_round", None),
+    ("te_base", 100.0), ("te_base", 10000), ("te_base", "10000.0"),
+])
+def test_checkpoint_rejects_other_values_of_the_retired_model_keys(tmp_path, key, value):
+    doc = checkpoint_doc(tmp_path)
+    doc["model"][key] = value
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactMismatchError, match=f"checkpoint model {key} is "):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_huge_width_without_allocating(tmp_path, monkeypatch):

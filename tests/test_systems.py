@@ -119,9 +119,9 @@ def test_anchor_k_defaults_to_k():
 # ----------------------------------------------------------------- graphs
 
 def test_graph_constructors():
-    assert InteractionGraph.complete(4).n_edges == 6
-    assert InteractionGraph.chain(4).n_edges == 3
-    assert InteractionGraph.from_edges(4, []).n_edges == 0
+    assert len(InteractionGraph.complete(4).edges()) == 6
+    assert InteractionGraph.chain(4).edges() == [(0, 1), (1, 2), (2, 3)]
+    assert InteractionGraph.from_edges(4, []).edges() == []
     g = InteractionGraph.from_edges(3, [(0, 2)])
     assert g.edges() == [(0, 2)]
 
