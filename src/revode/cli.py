@@ -14,33 +14,24 @@ import os
 import sys
 
 from .configs import (
-    DESK_DATA_SEED_TEST,
-    DESK_TEST_WINDOW,
-    DESK_DATA_SEED_TRAIN,
-    DESK_TEST_RAW_STEPS,
-    DESK_TEST_TRAJECTORIES,
-    DESK_TRAIN_RAW_STEPS,
-    DESK_TRAIN_TRAJECTORIES,
+    DESK_SIMULATE,
+    DESK_TRAIN,
     EVAL_DEFAULTS,
     OPTION_CHOICES,
     SIMULATE_DEFAULTS,
-    SPRING_AGENTS,
     TRAIN_DEFAULTS,
     VERIFY_DEFAULTS,
+    draw_observation_sets,
     load_config_file,
     option_type,
+    parse_window,
     resolve_options,
+    simulate_groups,
+    train_settings,
+    write_json,
     write_resolved_config,
 )
-from .data import (
-    SIM_DEFAULTS,
-    TRAJECTORIES_PER_SEED,
-    build_observation_sets,
-    build_trajectories,
-    normalize_trajectories,
-    read_dataset,
-    write_dataset,
-)
+from .data import read_dataset, write_dataset
 from .errors import (
     ArtifactMismatchError,
     ConfigurationError,
@@ -51,8 +42,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .systems import FIXED_AGENTS, SystemSpec
-from .training import TrainSettings, evaluate, train, write_loss_report
+from .training import evaluate, train, write_loss_report
 from .verify import run_suite
 
 _EXIT_BY_ERROR = (
@@ -83,97 +73,38 @@ def _options(args) -> dict:
     return resolve_options(defaults, config, {key: getattr(args, key) for key in defaults})
 
 
-def _json_dump(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _check_outputs(paths, make_dirs: bool = False):
+    """Raise ConfigurationError, creating nothing, unless each file in `paths`
+    (None: none written) can be written: it is no directory, and its directory
+    exists or, with `make_dirs`, can be made under its nearest existing ancestor."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path)
+        while make_dirs and parent and not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if os.path.isdir(path):
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent or "."):
+            raise ConfigurationError(f"cannot write {path}: {parent} is not a directory")
 
 
 # ---------------------------------------------------------------- simulate
 
-_DESK_SIMULATE = {
-    "system": "simple_spring",
-    "dim": 1,
-    "trajectories": DESK_TRAIN_TRAJECTORIES,
-    "test_trajectories": DESK_TEST_TRAJECTORIES,
-    "steps": DESK_TRAIN_RAW_STEPS,
-    "test_steps": DESK_TEST_RAW_STEPS,
-    "seed": DESK_DATA_SEED_TRAIN,
-    "out": "train.jsonl",
-    "test_out": "test.jsonl",
-}
-
-
 def cmd_simulate(args) -> int:
     opt = _options(args)
-    if opt["trajectories"] < 1:
-        raise ConfigurationError("--trajectories must be at least 1")
-    if opt["test_trajectories"] < 0:
-        raise ConfigurationError("--test-trajectories must be at least 0")
-    if max(opt["trajectories"], opt["test_trajectories"]) > TRAJECTORIES_PER_SEED:
-        raise ConfigurationError(
-            f"at most {TRAJECTORIES_PER_SEED} trajectories per seed (set and test set each)"
-        )
-    if opt["test_trajectories"] and not opt["test_out"]:
-        raise ConfigurationError("--test-trajectories requires --test-out")
-
-    if opt["agents"] is None:  # resolved here, so the written config names the count
-        opt["agents"] = FIXED_AGENTS.get(opt["system"], 1 if args.desk_scale else SPRING_AGENTS)
-    spec_kwargs = dict(kind=opt["system"], n_agents=opt["agents"], dim=opt["dim"])
-    for name in ("k", "gamma", "k1", "omega", "damped_form"):
-        if opt[name] is not None:
-            spec_kwargs[name] = opt[name]
-    spec = SystemSpec(**spec_kwargs)
-
-    subsample = opt["subsample"] or SIM_DEFAULTS[spec.kind][2]
-    steps = 60 * subsample if opt["steps"] is None else opt["steps"]
-    common = dict(
-        dt=opt["dt"], subsample_every=opt["subsample"], scheme=opt["scheme"],
-        edge_prob=opt["edge_prob"],
-    )
-    groups = [build_trajectories(spec, opt["seed"], range(opt["trajectories"]), steps,
-                                 noise_sigma=opt["noise"], **common)]
-    if opt["test_trajectories"]:
-        test_seed = (
-            DESK_DATA_SEED_TEST
-            if args.desk_scale and opt["seed"] == DESK_DATA_SEED_TRAIN
-            else opt["seed"] + 1
-        )
-        # by default the test set spans the default test window of train and eval
-        test_steps = opt["test_steps"] or DESK_TEST_WINDOW[2] * subsample
-        # held-out trajectories are clean: observation noise is a training
-        # corruption, not part of the target signal
-        groups.append(build_trajectories(
-            spec, test_seed, range(opt["test_trajectories"]), test_steps, **common))
-
-    groups, scale = normalize_trajectories(groups)
+    config_path = f"{opt['out']}.config.json"
+    test_out = opt["test_out"] if opt["test_trajectories"] > 0 else None
+    _check_outputs([opt["out"], config_path, test_out])
+    groups, scale = simulate_groups(opt, args.desk_scale)
     n = write_dataset(opt["out"], groups[0])
     print(f"wrote {n} trajectories to {opt['out']} (scale {scale:.6g})")
     if opt["test_trajectories"]:
         n_test = write_dataset(opt["test_out"], groups[1])
         print(f"wrote {n_test} trajectories to {opt['test_out']}")
-    write_resolved_config(str(opt["out"]) + ".config.json", opt)
+    write_resolved_config(config_path, opt)
     return 0
 
 
 # ------------------------------------------------------------------- train
-
-# The generic default keeps the classical latent solver; the desk preset
-# swaps in the first-order one so the reverse-rollout penalty carries a
-# usable signal at desk step sizes (see configs.desk_model_config).
-_DESK_TRAIN = {"scheme": "euler"}
-
-
-def _parse_window(value):
-    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    try:
-        parts = tuple(v if type(v) is int else int(str(v)) for v in parts)
-    except ValueError:
-        parts = ()
-    if len(parts) != 3:
-        raise ConfigurationError(f"window must be lo,split,hi integers; got {value!r}")
-    return parts
-
 
 def _load_trajectories(path) -> list:
     trajs = read_dataset(path)
@@ -182,20 +113,10 @@ def _load_trajectories(path) -> list:
     return trajs
 
 
-def _observation_sets(opt, prefix: str = "") -> list:
-    """The observation sets of the trajectory set `opt[prefix + "data"]`, drawn
-    with the `prefix` window options."""
-    return build_observation_sets(
-        _load_trajectories(opt[prefix + "data"]), window=_parse_window(opt[prefix + "window"]),
-        n_obs_min=opt[prefix + "n_obs_min"], n_obs_max=opt[prefix + "n_obs_max"],
-        obs_seed=opt[prefix + "obs_seed"],
-    )
-
-
 def _held_out_metrics(opt, prefix: str, model: ModelConfig):
     """Load the `prefix` observation sets and check their width against `model`
     (exit 5); returns the function of trained parameters that evaluates them."""
-    obs = _observation_sets(opt, prefix)
+    obs = draw_observation_sets(_load_trajectories(opt[prefix + "data"]), opt, prefix)
     if obs[0].d != model.d_obs:
         path = opt[prefix + "data"]
         raise ArtifactMismatchError(f"model takes {model.d_obs} features, {path} has {obs[0].d}")
@@ -216,21 +137,16 @@ def _held_out_metrics(opt, prefix: str, model: ModelConfig):
 
 def cmd_train(args) -> int:
     opt = _options(args)
+    ckpt_path, losses_path, summary_path, config_path = paths = [
+        os.path.join(opt["outdir"], name)
+        for name in ("checkpoint.json", "losses.csv", "summary.json", "resolved_config.json")
+    ]
+    _check_outputs(paths, make_dirs=True)
 
-    obs_train = _observation_sets(opt)
-    model = ModelConfig(
-        d_obs=obs_train[0].d, d_enc=opt["d_enc"], d_aug=opt["d_aug"],
-        d_model=opt["d_model"], ode_hidden=opt["ode_hidden"],
-        dec_hidden=opt["dec_hidden"], scheme=opt["scheme"],
-    )
-    settings = TrainSettings(
-        model=model, loss_variant=opt["loss_variant"], alpha=opt["alpha"],
-        lr=opt["lr"], epochs=opt["epochs"], batch_size=opt["batch_size"],
-        patience=opt["patience"], val_fraction=opt["val_fraction"],
-        weight_decay=opt["weight_decay"], seed=opt["seed"],
-    )
+    obs_train = draw_observation_sets(_load_trajectories(opt["data"]), opt)
+    settings = train_settings(opt, obs_train[0].d)
     # a test set that cannot be evaluated fails here, before any training
-    test_metrics = _held_out_metrics(opt, "test_", model) if opt["test_data"] else None
+    test_metrics = _held_out_metrics(opt, "test_", settings.model) if opt["test_data"] else None
 
     try:
         result = train(obs_train, settings)
@@ -245,13 +161,12 @@ def cmd_train(args) -> int:
         result = train(obs_train, settings)  # a second divergence propagates
 
     os.makedirs(opt["outdir"], exist_ok=True)
-    ckpt_path = os.path.join(opt["outdir"], "checkpoint.json")
     save_checkpoint(
-        ckpt_path, result.params, model,
+        ckpt_path, result.params, settings.model,
         extra={"scale": obs_train[0].scale, "loss_variant": opt["loss_variant"],
                "alpha": opt["alpha"], "seed": opt["seed"]},
     )
-    write_loss_report(os.path.join(opt["outdir"], "losses.csv"), result.history)
+    write_loss_report(losses_path, result.history)
 
     summary = {
         "epochs_run": len(result.history),
@@ -268,10 +183,10 @@ def cmd_train(args) -> int:
         metrics = test_metrics(result.params)
         for key in ("mse", "mse_hundredths", "bucket_mse", "max_error_gt_rev"):
             summary["test_" + key] = metrics[key]
-    _json_dump(os.path.join(opt["outdir"], "summary.json"), summary)
-    opt["window"] = list(_parse_window(opt["window"]))
-    opt["test_window"] = list(_parse_window(opt["test_window"]))
-    write_resolved_config(os.path.join(opt["outdir"], "resolved_config.json"), opt)
+    write_json(summary_path, summary)
+    opt["window"] = list(parse_window(opt["window"]))
+    opt["test_window"] = list(parse_window(opt["test_window"]))
+    write_resolved_config(config_path, opt)
     print(
         f"trained {opt['loss_variant']} (alpha={opt['alpha']}) for "
         f"{summary['epochs_run']} epochs; outputs in {opt['outdir']}"
@@ -283,11 +198,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     opt = _options(args)
+    config_path = opt["out"] and f"{opt['out']}.config.json"
+    _check_outputs([opt["out"], config_path])
     params, model, _ = load_checkpoint(opt["checkpoint"])
     metrics = _held_out_metrics(opt, "", model)(params)
     if opt["out"]:
-        _json_dump(opt["out"], metrics)
-        write_resolved_config(str(opt["out"]) + ".config.json", opt)
+        write_json(opt["out"], metrics)
+        write_resolved_config(config_path, opt)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
@@ -296,6 +213,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     opt = _options(args)
+    _check_outputs([opt["json"]])
     results = run_suite(opt["suite"])
     all_passed = True
     for result in results:
@@ -307,7 +225,7 @@ def cmd_verify(args) -> int:
             )
         all_passed &= result.passed
     if opt["json"]:
-        _json_dump(opt["json"], {"results": [r.to_jsonable() for r in results]})
+        write_json(opt["json"], {"results": [r.to_jsonable() for r in results]})
     print("verification:", "PASS" if all_passed else "FAIL")
     return 0 if all_passed else 1
 
@@ -317,8 +235,8 @@ def cmd_verify(args) -> int:
 # command -> (help, option catalog, desk preset or None without --desk-scale,
 # handler); every catalog option is a flag, and all but verify take --config
 _COMMANDS = {
-    "simulate": ("generate trajectory datasets", SIMULATE_DEFAULTS, _DESK_SIMULATE, cmd_simulate),
-    "train": ("fit a model on a trajectory dataset", TRAIN_DEFAULTS, _DESK_TRAIN, cmd_train),
+    "simulate": ("generate trajectory datasets", SIMULATE_DEFAULTS, DESK_SIMULATE, cmd_simulate),
+    "train": ("fit a model on a trajectory dataset", TRAIN_DEFAULTS, DESK_TRAIN, cmd_train),
     "eval": ("evaluate a checkpoint on a dataset", EVAL_DEFAULTS, None, cmd_eval),
     "verify": ("run the theory verification suites", VERIFY_DEFAULTS, None, cmd_verify),
 }

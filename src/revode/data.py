@@ -269,6 +269,8 @@ def read_dataset(path) -> list[Trajectory]:
         return _read_records(path)
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path} is not UTF-8 text ({exc})") from None
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def _read_records(path) -> list[Trajectory]:

@@ -200,9 +200,9 @@ class TrainSettings:
     loss_variant: str = "treat"
     alpha: float = 0.5
     lr: float = 3e-3
-    epochs: int = 80
+    epochs: int = 60
     batch_size: int = 32
-    patience: int = 20
+    patience: int = 15
     val_fraction: float = 0.1
     weight_decay: float = 0.0
     seed: int = 0
@@ -273,23 +273,19 @@ def _train_step(params, state: AdamWState, obs_list, settings: TrainSettings, wh
     return params, out.l_pred, out.l_rev
 
 
-def train(
-    train_sets: list[ObservationSet],
-    settings: TrainSettings,
-    val_sets: list[ObservationSet] | None = None,
-) -> TrainResult:
-    """Minibatch AdamW training with early stopping on validation MSE.
+def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainResult:
+    """Minibatch AdamW training with early stopping on validation MSE; the
+    validation sets are a seeded `val_fraction` of `train_sets`.
 
     A non-finite loss or gradient, or a latent rollout that diverges in
     training, validation or the diagnostic, raises TrainingDivergedError."""
     if not train_sets:
         raise ConfigurationError("empty training set")
-    if val_sets is None:
-        n = len(train_sets)
-        n_val = int(round(settings.val_fraction * n)) if n >= 5 else 0
-        perm = rng_stream(settings.seed, 0, PURPOSE_SPLIT).permutation(n)
-        val_sets = [train_sets[i] for i in perm[:n_val]]
-        train_sets = [train_sets[i] for i in perm[n_val:]]
+    n = len(train_sets)
+    n_val = int(round(settings.val_fraction * n)) if n >= 5 else 0
+    perm = rng_stream(settings.seed, 0, PURPOSE_SPLIT).permutation(n)
+    val_sets = [train_sets[i] for i in perm[:n_val]]
+    train_sets = [train_sets[i] for i in perm[n_val:]]
 
     params = init_params(settings.model, settings.seed)
     state = AdamWState.init(params)
@@ -361,7 +357,7 @@ def train(
         best_epoch=best_epoch,
         final_diag_l_reverse=final_diag,
         n_train=len(train_sets),
-        n_val=len(val_sets) if val_sets else 0,
+        n_val=len(val_sets),
     )
 
 

@@ -25,9 +25,13 @@ import pytest
 from reference_ops import grad_check
 import revode
 from revode.configs import (
-    DESK_ALPHA_GRID,
-    build_desk_dataset,
-    desk_train_settings,
+    DESK_SIMULATE,
+    DESK_TRAIN,
+    SIMULATE_DEFAULTS,
+    TRAIN_DEFAULTS,
+    draw_observation_sets,
+    simulate_groups,
+    train_settings,
 )
 from revode.data import ObservationSet
 from revode.model import ModelConfig, init_params
@@ -46,6 +50,7 @@ from revode.verify import (
 GRAD_MAX_REL_ERR = 1e-4        # criterion 5
 GRAD_SEEDS = (0, 1, 2, 3, 4)
 DESK_SEEDS = (1, 2, 3)         # criteria 6, 7, 9
+DESK_ALPHA_GRID = (0.1, 0.5, 1.0)  # criterion 6 tunes alpha over it
 DIAG_IMPROVEMENT_FACTOR = 2.0  # criterion 6, reversal diagnostic ratio
 BUDGET_SECONDS = {
     1: 60.0, 2: 120.0, 3: 120.0, 4: 1.0, 5: 60.0,
@@ -149,17 +154,33 @@ def test_criterion_05_full_gradient_matches_finite_differences():
 
 # ------------------------------------------------ desk experiments (6,7,9)
 
+# the options `train --desk-scale` resolves
+DESK_TRAIN_OPTIONS = {**TRAIN_DEFAULTS, **DESK_TRAIN}
+
+
+def desk_observation_sets(**simulate_overrides):
+    """(train, test) observation sets of the data `simulate --desk-scale`
+    writes under `simulate_overrides`, drawn as `train --desk-scale` draws them."""
+    (train_trajs, test_trajs), _scale = simulate_groups(
+        {**SIMULATE_DEFAULTS, **DESK_SIMULATE, **simulate_overrides}, desk_scale=True)
+    return (draw_observation_sets(train_trajs, DESK_TRAIN_OPTIONS),
+            draw_observation_sets(test_trajs, DESK_TRAIN_OPTIONS, "test_"))
+
+
 @pytest.fixture(scope="module")
 def desk_grid():
-    """Train the full comparison grid once; criteria 6, 7, 9 read from it."""
+    """Train the full comparison grid once; criteria 6, 7, 9 read from it.
+    Each run is `train --desk-scale` on the `simulate --desk-scale` data, with
+    its variant, alpha and seed."""
     t0 = time.time()
-    obs_train, obs_test, _scale = build_desk_dataset()
+    obs_train, obs_test = desk_observation_sets()
     runs = {}
     for seed in DESK_SEEDS:
         jobs = [("none", 0.0)] + [("treat", a) for a in DESK_ALPHA_GRID]
         jobs.append(("rev2", 0.5))
         for variant, alpha in jobs:
-            settings = desk_train_settings(variant, alpha, seed)
+            options = {**DESK_TRAIN_OPTIONS, "loss_variant": variant, "alpha": alpha, "seed": seed}
+            settings = train_settings(options, obs_train[0].d)
             result = train(obs_train, settings)
             rep = evaluate(result.params, obs_test, settings.model)
             runs[(variant, alpha, seed)] = {

@@ -5,6 +5,7 @@ directory; exit-code contracts are checked by provoking each error class.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import revode
 import revode.cli
+import revode.configs
 import revode.data
 import revode.training
 from revode.cli import build_parser, main
@@ -28,13 +30,17 @@ from revode.configs import (
     SIMULATE_DEFAULTS,
     TRAIN_DEFAULTS,
     VERIFY_DEFAULTS,
+    desk_model_config,
+    draw_observation_sets,
     load_config_file,
     option_type,
+    train_settings,
 )
 from revode.data import read_dataset
 from revode.errors import ConfigurationError, RolloutDivergedError
-from revode.model import ModelConfig, init_params, save_checkpoint
+from revode.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from revode.systems import FIXED_AGENTS, PENDULUM_SINGULARITY_EPS, SYSTEM_KINDS, SystemSpec
+from test_acceptance import DESK_TRAIN_OPTIONS, desk_observation_sets
 
 # small but structurally faithful: 1-body 1-D spring, 41 grid points
 SIM_BASE = [
@@ -298,7 +304,7 @@ def test_simulate_rejects_a_near_singular_pendulum(tmp_path, capsys, monkeypatch
     """A pendulum spec whose mass matrix could come near singular exits 2
     with one line.  simulate has no mass or length flag, so the boundary
     mass comes in through the spec constructor that simulate calls."""
-    monkeypatch.setattr(revode.cli, "SystemSpec",
+    monkeypatch.setattr(revode.configs, "SystemSpec",
                         functools.partial(SystemSpec, m=PENDULUM_SINGULARITY_EPS / 68.0))
     out = tmp_path / "t.jsonl"
     rc = main(["simulate", "--system", "triple_pendulum", "--trajectories", "2",
@@ -425,7 +431,7 @@ def test_train_ragged_states_is_input_error(tmp_path, capsys):
     rc = main(["train", "--data", train_jl] + WINDOW_ARGS + MODEL_ARGS)
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line 1:")
+    assert len(err) == 1 and err[0].startswith(f"error: {train_jl}: line 1:")
 
 
 @pytest.mark.parametrize("mutate", [
@@ -451,7 +457,7 @@ def test_train_malformed_dataset_is_input_error(tmp_path, capsys, mutate):
     rc = main(["train", "--data", train_jl] + WINDOW_ARGS + MODEL_ARGS)
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line 1:")
+    assert len(err) == 1 and err[0].startswith(f"error: {train_jl}: line 1:")
 
 
 def test_train_non_utf8_dataset_is_input_error(tmp_path, capsys):
@@ -463,17 +469,97 @@ def test_train_non_utf8_dataset_is_input_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {data} is not UTF-8 text")
 
 
+@pytest.mark.parametrize("flag", ["--data", "--test-data"])
+def test_a_dataset_error_names_its_file(tmp_path, capsys, flag):
+    train_jl, test_jl = str(tmp_path / "tr.jsonl"), str(tmp_path / "te.jsonl")
+    main(SIM_BASE + SIM_TEST_EXTRA + ["--out", train_jl, "--test-out", test_jl])
+    bad = train_jl if flag == "--data" else test_jl
+    lines = open(bad).read().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "schema_version": 2})
+    with open(bad, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl, "--test-data", test_jl,
+               "--outdir", str(tmp_path / "run")] + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {bad}: line 1: schema_version 2 != 1"]
+    assert not (tmp_path / "run").exists()
+
+
+SIM_TINY = ["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
+            "--trajectories", "2", "--steps", "200"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
-     "--trajectories", "2", "--steps", "200", "--out", "DIR"],
+    SIM_TINY + ["--out", "DIR"],
     ["verify", "--suite", "lemma2", "--json", "DIR"],
     ["eval", "--checkpoint", "DIR", "--data", "DIR"],
-], ids=["simulate_out", "verify_json", "eval_checkpoint"])
-def test_a_directory_where_a_file_goes_is_input_error(tmp_path, capsys, argv):
-    rc = main([str(tmp_path) if arg == "DIR" else arg for arg in argv])
+    ["train", "--data", "DATA", "--outdir", "FILE"] + WINDOW_ARGS + MODEL_ARGS,
+    SIM_TINY + ["--out", "NEW", "--test-trajectories", "1", "--test-out", "DIR"],
+    ["eval", "--checkpoint", "FILE", "--out", "DIR"],
+    SIM_TINY + ["--out", "MISSING"],
+    ["verify", "--suite", "lemma2", "--json", "MISSING"],
+    ["eval", "--checkpoint", "FILE", "--out", "MISSING"],
+    ["train", "--data", "DATA", "--outdir", "FILE/run"] + WINDOW_ARGS + MODEL_ARGS,
+], ids=["simulate_out", "verify_json", "eval_checkpoint", "train_outdir_file",
+        "simulate_test_out", "eval_out", "simulate_out_missing_dir", "verify_json_missing_dir",
+        "eval_out_missing_dir", "train_outdir_under_file"])
+def test_a_directory_where_a_file_goes_is_input_error(tmp_path, capsys, monkeypatch, argv):
+    """A directory given as a file, a file given as the run directory, or a file
+    whose directory does not exist: exit 2 with one line naming it, before any
+    simulation, suite, training or evaluation starts, and nothing is written."""
+    def work_must_not_run(*args, **kwargs):
+        raise AssertionError("the work started before its output paths were checked")
+
+    data = tmp_path / "data.jsonl"
+    assert main(SIM_BASE + ["--out", str(data)]) == 0
+    for module, name in ((revode.configs, "build_trajectories"), (revode.cli, "run_suite"),
+                         (revode.cli, "train"), (revode.cli, "evaluate")):
+        monkeypatch.setattr(module, name, work_must_not_run)
+    (tmp_path / "afile").write_text("not a dataset\n")
+    paths = {"DIR": tmp_path, "FILE": tmp_path / "afile", "FILE/run": tmp_path / "afile" / "run",
+             "NEW": tmp_path / "t.jsonl", "MISSING": tmp_path / "nodir" / "out.json", "DATA": data}
+    before = sorted(tmp_path.iterdir())
+    rc = main([str(paths.get(arg, arg)) for arg in argv])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_simulate_desk_scale_writes_the_data_the_desk_grid_draws(tmp_path):
+    """`simulate --desk-scale`, read back and drawn with the desk train options,
+    gives the acceptance grid's observation sets bit for bit; `train
+    --desk-scale` on it builds the benchmarks' `desk_model_config()`."""
+    train_jl, test_jl = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert main(["simulate", "--desk-scale", "--trajectories", "4", "--test-trajectories", "2",
+                 "--out", str(train_jl), "--test-out", str(test_jl)]) == 0
+    from_cli = (draw_observation_sets(read_dataset(train_jl), DESK_TRAIN_OPTIONS),
+                draw_observation_sets(read_dataset(test_jl), DESK_TRAIN_OPTIONS, "test_"))
+    grid = desk_observation_sets(trajectories=4, test_trajectories=2)
+    assert [obs_bits(sets) for sets in from_cli] == [obs_bits(sets) for sets in grid]
+
+    model = train_settings(DESK_TRAIN_OPTIONS, from_cli[0][0].d).model
+    assert model == desk_model_config()
+    run = tmp_path / "run"
+    assert main(["train", "--desk-scale", "--data", str(train_jl), "--epochs", "1",
+                 "--outdir", str(run)]) == 0
+    assert load_checkpoint(str(run / "checkpoint.json"))[1] == model
+
+
+def obs_bits(sets) -> list:
+    """Every field of each observation set, arrays as dtype, shape and bytes."""
+    out = []
+    for obs in sets:
+        for field in dataclasses.fields(obs):
+            value = getattr(obs, field.name)
+            if field.name == "graph":
+                value = value.adjacency
+            for part in value if isinstance(value, list) else [value]:
+                part = np.asarray(part)
+                out.append((field.name, part.dtype.str, part.shape, part.tobytes()))
+    return out
 
 
 def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypatch):
