@@ -245,6 +245,9 @@ def simulate_groups(opt: dict, desk_scale: bool) -> tuple[list, float]:
         )
     if opt["test_trajectories"] and not opt["test_out"]:
         raise ConfigurationError("--test-trajectories requires --test-out")
+    for name in ("steps", "test_steps", "subsample"):
+        if opt[name] is not None and opt[name] < 1:
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be at least 1")
 
     if opt["agents"] is None:
         opt["agents"] = FIXED_AGENTS.get(opt["system"], 1 if desk_scale else SPRING_AGENTS)
@@ -254,7 +257,7 @@ def simulate_groups(opt: dict, desk_scale: bool) -> tuple[list, float]:
             spec_kwargs[name] = opt[name]
     spec = SystemSpec(**spec_kwargs)
 
-    subsample = opt["subsample"] or SIM_DEFAULTS[spec.kind][2]
+    subsample = SIM_DEFAULTS[spec.kind][2] if opt["subsample"] is None else opt["subsample"]
     steps = 60 * subsample if opt["steps"] is None else opt["steps"]
     common = dict(
         dt=opt["dt"], subsample_every=opt["subsample"], scheme=opt["scheme"],
@@ -269,7 +272,7 @@ def simulate_groups(opt: dict, desk_scale: bool) -> tuple[list, float]:
             else opt["seed"] + 1
         )
         # by default the test set spans the default test window of train and eval
-        test_steps = opt["test_steps"] or DESK_TEST_WINDOW[2] * subsample
+        test_steps = DESK_TEST_WINDOW[2] * subsample if opt["test_steps"] is None else opt["test_steps"]
         # held-out trajectories are clean: observation noise is a training
         # corruption, not part of the target signal
         groups.append(build_trajectories(

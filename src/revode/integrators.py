@@ -6,7 +6,11 @@ concatenated on the last axis.  A field is bound once on an input and an
 output buffer, `bind(y, out) -> rate(t)` (`systems.make_derivative` builds
 one per system), and `rate(t)` writes dy/dt into out.  `integrate` owns its
 scheme's state, stage and slope buffers and marches them in place, in the
-order of the out-of-place formulas, so every bit is theirs.  Leading axes
+order of the out-of-place formulas, so every bit is theirs.  Each ufunc call
+takes arrays only, its constants bound once as 0-d arrays and its output
+passed by position: on small states a call's fixed cost is its whole price,
+and a Python-float operand (a NumPy 2 "weak" scalar) or an `out=` keyword
+costs more, while a 0-d array runs the same loop to the same bits.  Leading axes
 broadcast through the field, so a whole ensemble of trajectories steps in
 one call.  The schemes are element-wise on y, so a packed step has the
 bits of the same step taken on q and p apart.
@@ -90,43 +94,45 @@ class TimeGrid:
 Field = Callable[[np.ndarray, np.ndarray], Callable[[float], None]]
 
 
-def _stepper(scheme: str, field: Field, y: np.ndarray):
-    """step(t, dt), which advances `y` in place by one step of `scheme`; the
-    field is bound once per (input, output) buffer pair, and each step calls
-    the ufuncs of the out-of-place formula in its order."""
+def _stepper(scheme: str, field: Field, y: np.ndarray, dt: float):
+    """step(t), which advances `y` in place by one step of `scheme` of size
+    `dt`; the field is bound once per (input, output) buffer pair, and each
+    step calls the ufuncs of the out-of-place formula in its order."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    add, mul = np.add, np.multiply
+    h, half, sixth, two = (np.array(c) for c in (dt, dt / 2.0, dt / 6.0, 2.0))
     k1 = np.empty_like(y)  # like y, so the field sees y's layout everywhere
     rate1 = field(y, k1)
     if scheme == "euler":
-        def step(t, dt):
+        def step(t):
             rate1(t)
-            np.add(y, np.multiply(dt, k1, out=k1), out=y)
+            add(y, mul(h, k1, k1), y)
         return step
     stage, k2 = np.empty_like(y), np.empty_like(y)
     rate2 = field(stage, k2)
     if scheme == "heun":
-        def step(t, dt):
+        def step(t):
             rate1(t)
-            np.add(y, np.multiply(dt, k1, out=stage), out=stage)
+            add(y, mul(h, k1, stage), stage)
             rate2(t + dt)
-            np.add(y, np.multiply(dt / 2.0, np.add(k1, k2, out=k1), out=k1), out=y)
+            add(y, mul(half, add(k1, k2, k1), k1), y)
         return step
     k3, k4 = np.empty_like(y), np.empty_like(y)
     rate3, rate4 = field(stage, k3), field(stage, k4)
+    t_half = dt / 2.0
 
-    def step(t, dt):
-        half = dt / 2.0
+    def step(t):
         rate1(t)
-        np.add(y, np.multiply(half, k1, out=stage), out=stage)
-        rate2(t + half)
-        np.add(y, np.multiply(half, k2, out=stage), out=stage)
-        rate3(t + half)
-        np.add(y, np.multiply(dt, k3, out=stage), out=stage)
+        add(y, mul(half, k1, stage), stage)
+        rate2(t + t_half)
+        add(y, mul(half, k2, stage), stage)
+        rate3(t + t_half)
+        add(y, mul(h, k3, stage), stage)
         rate4(t + dt)
-        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-        np.add(np.add(k1, np.multiply(2.0, k3, out=k3), out=k1), k4, out=k1)
-        np.add(y, np.multiply(dt / 6.0, k1, out=k1), out=y)
+        add(k1, mul(two, k2, k2), k1)
+        add(add(k1, mul(two, k3, k3), k1), k4, k1)
+        add(y, mul(sixth, k1, k1), y)
     return step
 
 
@@ -175,7 +181,7 @@ def _march(step, y, grid: TimeGrid, start: int, stop: int, check=None):
     t0, dt = grid.t0, grid.dt
     for k in range(start, stop):
         t = t0 + k * dt
-        step(t, dt)
+        step(t)
         if check is not None:
             check(y, k, t + dt)
 
@@ -220,7 +226,7 @@ def integrate(
             )
 
     y = state0.packed()  # marched in place; the buffers keep its layout
-    step = _stepper(scheme, deriv, y)
+    step = _stepper(scheme, deriv, y, grid.dt)
     check(y, -1, grid.t0)
     ys = np.empty((grid.n_steps // record_every + 1,) + y.shape)
     ys[0] = y

@@ -6,9 +6,11 @@ returns its field in one in-place form: `bind(y, out) -> rate(t)`, on
 packed states y = [q | p], positions and momenta concatenated on the last
 axis, (..., n_agents, d_q + d_p).  `bind` takes the views of y and out (and
 any scratch) once; each `rate(t)` then writes dy/dt at y's current contents
-into out through `out=` ufunc calls (a spring's, at a scalar t, allocates no
-array).  Leading batch axes broadcast through, so ensembles integrate in
-one pass.
+into out through ufunc calls on arrays only, constants bound once as 0-d
+arrays and outputs passed by position (a Python float is a "weak" scalar
+that NumPy 2 takes more slowly, as it does an `out=` keyword; a 0-d array
+runs the same loop to the same bits).  Leading batch axes broadcast
+through, so ensembles integrate in one pass.
 """
 
 from __future__ import annotations
@@ -252,9 +254,11 @@ def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
 
 
 def _spring_field(spec: SystemSpec):
-    d, m, gamma, k1, omega = spec.d_q, spec.m, spec.gamma, spec.k1, spec.omega
+    d, k1, omega = spec.d_q, spec.k1, spec.omega
     damped, forced = spec.kind == "damped_spring", spec.kind == "forced_spring"
     k, deg, adj = spec._spring_terms
+    m, k, gamma, zero = (np.array(c) for c in (spec.m, k, spec.gamma, 0.0))
+    divide, multiply, subtract, matmul = np.divide, np.multiply, np.subtract, np.matmul
 
     def bind(y, out):
         q, p, dq, dp = y[..., :d], y[..., d:], out[..., :d], out[..., d:]
@@ -264,22 +268,25 @@ def _spring_field(spec: SystemSpec):
         # layout: the same exact 0/1 products added in the same order, so the
         # bits of A q.  One column keeps A q's own matrix-vector product.
         q_t, s_t = q.swapaxes(-1, -2), s.swapaxes(-1, -2)
+        if deg is not None:  # the degree column, broadcast once into q's layout
+            deg_q = np.empty_like(q)
+            np.copyto(deg_q, deg)
 
         def rate(t):
-            np.divide(p, m, out=dq)
+            divide(p, m, dq)
             if deg is None:
-                np.multiply(k, q, out=dp)
+                multiply(k, q, dp)
             else:  # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
                 if d == 1:
-                    np.matmul(adj, q, out=s)
+                    matmul(adj, q, s)
                 else:
-                    np.matmul(q_t, adj, out=s_t)
-                np.multiply(k, np.subtract(np.multiply(deg, q, out=dp), s, out=dp), out=dp)
-            np.subtract(0.0, dp, out=dp)  # not -dp: a zero force is +0.0, as 0.0 - 0.0 is
+                    matmul(q_t, adj, s_t)
+                multiply(k, subtract(multiply(deg_q, q, dp), s, dp), dp)
+            subtract(zero, dp, dp)  # not -dp: a zero force is +0.0, as 0.0 - 0.0 is
             if damped:
-                np.subtract(dp, np.divide(np.multiply(gamma, p, out=s), m, out=s), out=dp)
+                subtract(dp, divide(multiply(gamma, p, s), m, s), dp)
             elif forced:
-                np.subtract(dp, k1 * np.cos(omega * t), out=dp)
+                subtract(dp, k1 * np.cos(omega * t), dp)
 
         return rate
 
@@ -313,57 +320,87 @@ def pendulum_mass_matrix(theta: np.ndarray, m: float, length: float) -> np.ndarr
 
 # The pendulum's rates in stacked form.  Every entry takes the float
 # operations of the per-term formula in its order, so each bit matches:
-# x - c y is taken as x + (-c) y and 1 y as y, both exact, and a sum along
-# a last axis of five, three or two terms adds left to right.
+# x - c y is taken as x + (-c) y, 1 y as y and a last term c y as (c y) 1,
+# all exact, and a sum of fewer than eight terms adds left to right.  Each
+# table is written with rate r in row r and stored transposed, term axis
+# first, as the field reads it.
 #
 # Cosine arguments: 2(th_i - th_j) for ij = 12, 13, 23, then th_i - th_j,
-# then th1 + th2 - 2 th3, th1 - 2 th2 + th3 and 2 th1 - th2 - th3.
-_PEND_DIFF_I, _PEND_DIFF_J = np.array([0, 0, 1]), np.array([1, 2, 2])
-_PEND_TRI = np.array([[1.0, 1.0, -2.0], [1.0, -2.0, 1.0], [2.0, -1.0, -1.0]])
-# Angle-rate numerator r: sum over n of (coef * p[mom]) * cos[arg], then
-# _PEND_LAST[r] * p[r].  Args: 0-2 the doubled differences, 3-5 the
-# differences, 6-8 the three-angle combinations.
+# then th1 + th2 - 2 th3, th1 - 2 th2 + th3 and 2 th1 - th2 - th3; cosine 9
+# is the constant 1.
+_PEND_TRI = np.array([[1.0, 1.0, -2.0], [1.0, -2.0, 1.0], [2.0, -1.0, -1.0]]).T
+# Angle-rate numerator r: sum over n of (coef * p[mom]) * cos[arg], the last
+# term -23 p1, -47 p2 or -143 p3.  Args: 0-2 the doubled differences, 3-5
+# the differences, 6-8 the three-angle combinations.  The bracket of the
+# denominator is the sum of the _PEND_DEN terms, coef * cos[arg].
 _PEND_NUM_COEF = np.array([
-    [9.0, 27.0, -9.0, 21.0, -27.0],
-    [27.0, -9.0, 9.0, -27.0, 57.0],
-    [21.0, -27.0, -27.0, 57.0, 81.0],
-])
-_PEND_NUM_MOM = np.array([[0, 1, 1, 2, 2], [0, 0, 1, 2, 2], [0, 0, 1, 1, 2]])
-_PEND_NUM_ARG = np.array([[2, 3, 6, 4, 7], [3, 6, 1, 8, 5], [4, 7, 8, 5, 0]])
-_PEND_LAST = np.array([-23.0, -47.0, -143.0])
+    [9.0, 27.0, -9.0, 21.0, -27.0, -23.0],
+    [27.0, -9.0, 9.0, -27.0, 57.0, -47.0],
+    [21.0, -27.0, -27.0, 57.0, 81.0, -143.0],
+]).T
+_PEND_NUM_MOM = np.array([[0, 1, 1, 2, 2, 0], [0, 0, 1, 2, 2, 1], [0, 0, 1, 1, 2, 2]]).T
+_PEND_NUM_ARG = np.array([[2, 3, 6, 4, 7, 9], [3, 6, 1, 8, 5, 9], [4, 7, 8, 5, 0, 9]]).T
+_PEND_DEN_COEF, _PEND_DEN_ARG = np.array([81.0, -9.0, 45.0, -169.0]), np.array([0, 1, 2, 9])
 # Momentum rate r: prefactor * ((sum over n of ((coef * w[a]) * w[b]) * l * s[arg])
 # + gravity coefficient * sin(th_r)), with sines of (th1 - th2, th1 - th3,
 # th2 - th3).
-_PEND_MOM_COEF = np.array([[3.0, 1.0], [-3.0, 1.0], [1.0, 1.0]])
-_PEND_MOM_A = np.array([[0, 0], [0, 1], [0, 1]])
-_PEND_MOM_B = np.array([[1, 2], [1, 2], [2, 2]])
-_PEND_MOM_ARG = np.array([[0, 1], [0, 2], [1, 2]])
+_PEND_MOM_COEF = np.array([[3.0, 1.0], [-3.0, 1.0], [1.0, 1.0]]).T
+_PEND_MOM_A = np.array([[0, 0], [0, 1], [0, 1]]).T
+_PEND_MOM_B = np.array([[1, 2], [1, 2], [2, 2]]).T
+_PEND_MOM_ARG = np.array([[0, 1], [0, 2], [1, 2]]).T
 
 
 def _pendulum_field(spec: SystemSpec):
     """Angular velocities from the inverted mass matrix, and the momentum
     rates dL/dtheta, for states y = [theta | p] with any leading axes: one
     np.cos call on the nine distinct cosine arguments and one np.sin call
-    on six sines."""
-    ml2, length = spec.m * spec.length**2, spec.length
+    on six sines.  The rate works on views and buffers with the angle or
+    term axis first, bound once, so that each sum over terms adds whole
+    blocks of members."""
     gravity, prefactor = spec._pendulum_terms
+    ml2, length, two, six = (np.array(c) for c in (spec.m * spec.length**2, spec.length, 2.0, 6.0))
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    add_reduce, copyto, cos, sin = np.add.reduce, np.copyto, np.cos, np.sin
 
     def bind(y, out):
-        th, p, w, dp = y[..., 0], y[..., 1], out[..., 0], out[..., 1]
+        th, p, w, dp = (np.moveaxis(a[..., i], -1, 0) for a in (y, out) for i in (0, 1))
+        lead = th.shape[1:]
+
+        def first(c):  # a constant, term axes first, broadcast over the members
+            return c.reshape(c.shape + (1,) * len(lead))
+
+        tri_c, num_c, den_c = first(_PEND_TRI), first(_PEND_NUM_COEF), first(_PEND_DEN_COEF)
+        mom_c, grav_c, pre_c = first(_PEND_MOM_COEF), first(gravity), first(prefactor)
+        cos_arg, cos_v, sin_arg, sin_v = (np.empty((n,) + lead) for n in (9, 10, 6, 6))
+        cos_v[9] = 1.0
+        tri_terms, mom_terms = np.empty((3, 3) + lead), np.empty((2, 3) + lead)
+        den, num, rows = np.empty(lead), np.empty((3,) + lead), np.empty((3,) + lead)
+        doubled, diff, tri = cos_arg[:3], cos_arg[3:6], cos_arg[6:]
+        th1, th2, th3, th23, th_col = th[:1], th[1:2], th[2:], th[1:], th[:, None]
+        diff12_13, diff23, sin_diff, sin_th = diff[:2], diff[2:], sin_arg[:3], sin_arg[3:]
+        cos_9, sin_th_v, mom_0, mom_1 = cos_v[:9], sin_v[3:], mom_terms[0], mom_terms[1]
 
         def rate(t):
-            diff = th[..., _PEND_DIFF_I] - th[..., _PEND_DIFF_J]
-            tri = np.add.reduce(th[..., None, :] * _PEND_TRI, axis=-1)
-            cos = np.cos(np.concatenate([2.0 * diff, diff, tri], axis=-1))
-            sin = np.sin(np.concatenate([diff, th], axis=-1))
+            subtract(th1, th23, diff12_13)
+            subtract(th2, th3, diff23)
+            multiply(two, diff, doubled)
+            add_reduce(multiply(th_col, tri_c, tri_terms), 0, None, tri)
+            copyto(sin_diff, diff)
+            copyto(sin_th, th)
+            cos(cos_arg, cos_9)
+            sin(sin_arg, sin_v)
 
-            den = ml2 * (81.0 * cos[..., 0] - 9.0 * cos[..., 1] + 45.0 * cos[..., 2] - 169.0)
-            num = np.add.reduce((_PEND_NUM_COEF * p[..., _PEND_NUM_MOM]) * cos[..., _PEND_NUM_ARG], axis=-1)
-            np.divide(6.0 * (num + _PEND_LAST * p), den[..., None], out=w)
+            den_terms = multiply(den_c, cos_v[_PEND_DEN_ARG])
+            multiply(ml2, add_reduce(den_terms, 0, None, den), den)
+            num_terms = multiply(num_c, p[_PEND_NUM_MOM])
+            add_reduce(multiply(num_terms, cos_v[_PEND_NUM_ARG], num_terms), 0, None, num)
+            divide(multiply(six, num, num), den, w)
 
-            coupling = ((_PEND_MOM_COEF * w[..., _PEND_MOM_A]) * w[..., _PEND_MOM_B]) * length
-            torque = np.add.reduce(coupling * sin[..., _PEND_MOM_ARG], axis=-1)
-            np.multiply(prefactor, torque + gravity * sin[..., 3:], out=dp)
+            multiply(mom_c, w[_PEND_MOM_A], mom_terms)
+            multiply(multiply(mom_terms, w[_PEND_MOM_B], mom_terms), length, mom_terms)
+            multiply(mom_terms, sin_v[_PEND_MOM_ARG], mom_terms)
+            add(add(mom_0, mom_1, num), multiply(grav_c, sin_th_v, rows), num)
+            multiply(pre_c, num, dp)
 
         return rate
 
@@ -390,11 +427,14 @@ def _attractor_field(y, out):
     """The single agent's (x, y, z) rates; the system has no momenta or constants."""
     qx, qy, qz = y[..., 0, 0], y[..., 0, 1], y[..., 0, 2]
     dx, dy, dz = out[..., 0, 0], out[..., 0, 1], out[..., 0, 2]
+    a, b = np.empty(qx.shape), np.empty(qx.shape)
+    one, two = np.array(1.0), np.array(2.0)
+    add, multiply = np.add, np.multiply
 
     def rate(t):
-        np.add(1.0, qy * qz, out=dx)
-        np.multiply(-qx, qz, out=dy)
-        np.add(qy * qy, 2.0 * qy * qz, out=dz)
+        add(one, multiply(qy, qz, a), dx)
+        multiply(np.negative(qx, b), qz, dy)
+        add(multiply(qy, qy, a), multiply(multiply(two, qy, b), qz, b), dz)
 
     return rate
 

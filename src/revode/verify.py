@@ -155,7 +155,7 @@ def theorem1_scaling(
 
         def negated_rate(t):
             rate(t)
-            np.negative(out, out=out)
+            np.negative(out, out)
 
         return negated_rate
 

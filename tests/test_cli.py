@@ -234,6 +234,25 @@ def test_simulate_rejects_negative_counts_and_noise(tmp_path, capsys, monkeypatc
     assert not out.exists() and not (tmp_path / "v.jsonl").exists()
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--test-steps", "--subsample"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_simulate_rejects_step_counts_below_one(tmp_path, capsys, monkeypatch, flag, value):
+    """A zero count is not taken as unset: it is rejected like a negative
+    one, before any trajectory is integrated or any file is written."""
+    def integrate_must_not_run(*args, **kwargs):
+        raise AssertionError("integrate ran on a rejected option")
+
+    monkeypatch.setattr(revode.data, "integrate", integrate_must_not_run)
+    out, test_out = tmp_path / "t.jsonl", tmp_path / "v.jsonl"
+    rc = main(["simulate", "--system", "simple_spring", "--agents", "1", "--dim", "1",
+               "--trajectories", "2", "--steps", "200", "--subsample", "100",
+               "--test-trajectories", "2", "--test-steps", "200",
+               "--out", str(out), "--test-out", str(test_out), flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {flag} must be at least 1"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_simulate_rejects_zero_dim(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     rc = main(["simulate", "--system", "simple_spring", "--agents", "2", "--dim", "0",

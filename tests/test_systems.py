@@ -13,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from out_of_place import STEP_FNS, reference_spring_deriv, reference_spring_force
+from out_of_place import (
+    STEP_FNS,
+    reference_deriv,
+    reference_pendulum_angle_rates,
+    reference_pendulum_momentum_rates,
+    reference_spring_deriv,
+    reference_spring_force,
+)
 from revode.errors import ConfigurationError, UnsupportedSystemError
 from revode.integrators import StateVector, TimeGrid, integrate
 from revode.systems import (
+    FIXED_AGENTS,
     PENDULUM_SINGULARITY_EPS,
     SYSTEM_KINDS,
     InteractionGraph,
@@ -423,33 +431,6 @@ def test_pendulum_energy_conserved_under_rk4():
     assert np.max(np.abs(E - E[0])) < 1e-8
 
 
-def reference_pendulum_angle_rates(spec, state):
-    """The angular velocities as first written, each cosine computed in
-    every rate that uses it."""
-    th1, th2, th3 = (state.q[..., i, 0] for i in range(3))
-    p1, p2, p3 = (state.p[..., i, 0] for i in range(3))
-    den = spec.m * spec.length**2 * (
-        81.0 * np.cos(2.0 * (th1 - th2)) - 9.0 * np.cos(2.0 * (th1 - th3))
-        + 45.0 * np.cos(2.0 * (th2 - th3)) - 169.0
-    )
-    th1d = 6.0 * (
-        9.0 * p1 * np.cos(2.0 * (th2 - th3)) + 27.0 * p2 * np.cos(th1 - th2)
-        - 9.0 * p2 * np.cos(th1 + th2 - 2.0 * th3) + 21.0 * p3 * np.cos(th1 - th3)
-        - 27.0 * p3 * np.cos(th1 - 2.0 * th2 + th3) - 23.0 * p1
-    ) / den
-    th2d = 6.0 * (
-        27.0 * p1 * np.cos(th1 - th2) - 9.0 * p1 * np.cos(th1 + th2 - 2.0 * th3)
-        + 9.0 * p2 * np.cos(2.0 * (th1 - th3)) - 27.0 * p3 * np.cos(2.0 * th1 - th2 - th3)
-        + 57.0 * p3 * np.cos(th2 - th3) - 47.0 * p2
-    ) / den
-    th3d = 6.0 * (
-        21.0 * p1 * np.cos(th1 - th3) - 27.0 * p1 * np.cos(th1 - 2.0 * th2 + th3)
-        - 27.0 * p2 * np.cos(2.0 * th1 - th2 - th3) + 57.0 * p2 * np.cos(th2 - th3)
-        + 81.0 * p3 * np.cos(2.0 * (th1 - th2)) - 143.0 * p3
-    ) / den
-    return np.stack([th1d, th2d, th3d], axis=-1)[..., None]
-
-
 def test_pendulum_angle_rates_bitwise_match_per_term_cosines():
     """Sharing each distinct cosine between the rates changes no bit."""
     spec = SystemSpec(kind="triple_pendulum", n_agents=3, m=1.3, length=0.7)
@@ -458,28 +439,6 @@ def test_pendulum_angle_rates_bitwise_match_per_term_cosines():
     rates = eval_derivative(spec, state).q
     assert rates.shape == (4, 5, 3, 1)
     assert rates.tobytes() == reference_pendulum_angle_rates(spec, state).tobytes()
-
-
-def reference_pendulum_momentum_rates(spec, state):
-    """The momentum rates as first written, one term at a time on top of the
-    reference angular velocities."""
-    th1, th2, th3 = (state.q[..., i, 0] for i in range(3))
-    th1d, th2d, th3d = (reference_pendulum_angle_rates(spec, state)[..., i, 0] for i in range(3))
-    m, length, g = spec.m, spec.length, spec.g
-    half_ml = 0.5 * m * length
-    pd1 = -half_ml * (
-        3.0 * th1d * th2d * length * np.sin(th1 - th2)
-        + th1d * th3d * length * np.sin(th1 - th3) + 5.0 * g * np.sin(th1)
-    )
-    pd2 = -half_ml * (
-        -3.0 * th1d * th2d * length * np.sin(th1 - th2)
-        + th2d * th3d * length * np.sin(th2 - th3) + 3.0 * g * np.sin(th2)
-    )
-    pd3 = +half_ml * (
-        th1d * th3d * length * np.sin(th1 - th3)
-        + th2d * th3d * length * np.sin(th2 - th3) - g * np.sin(th3)
-    )
-    return np.stack([pd1, pd2, pd3], axis=-1)[..., None]
 
 
 def test_pendulum_momentum_rates_bitwise_match_per_term_formula():
@@ -575,6 +534,56 @@ def test_eval_derivative_takes_one_time_per_state_on_the_forced_spring():
         make_derivative(spec)(y, out)(float(t[b]))
         assert d.q[b].tobytes() == out[..., :2].tobytes()
         assert d.p[b].tobytes() == out[..., 2:].tobytes()
+
+
+FIELD_KINDS = [("simple_spring", None), ("forced_spring", None), ("damped_spring", "anchored"),
+               ("damped_spring", "pairwise"), ("triple_pendulum", None), ("attractor", None)]
+
+
+def draw_field_spec(rng, kind, damped_form, lead):
+    """A spec of `kind` with every constant drawn away from one; springs get
+    a complete graph, one sampled graph, or one sampled graph per member."""
+    if kind in FIXED_AGENTS:
+        return SystemSpec(kind=kind, n_agents=FIXED_AGENTS[kind], m=rng.uniform(0.5, 2.0),
+                          length=rng.uniform(0.5, 2.0), g=rng.uniform(5.0, 15.0))
+    n, graph = int(rng.integers(1, 6)), None
+    if n > 1 and rng.random() < 0.7:
+        upper = np.triu(rng.random((lead if rng.random() < 0.5 else ()) + (n, n)) < 0.5, 1)
+        graph = InteractionGraph(n, upper | np.swapaxes(upper, -1, -2))
+    return SystemSpec(
+        kind=kind, n_agents=n, dim=int(rng.integers(1, 4)), graph=graph, damped_form=damped_form,
+        m=rng.uniform(0.5, 2.0), k=rng.uniform(0.05, 2.0), k0=rng.uniform(0.05, 2.0),
+        gamma=rng.uniform(0.1, 3.0), k1=rng.uniform(0.5, 10.0), omega=rng.uniform(0.1, 3.0),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(FIELD_KINDS),
+    lead=st.sampled_from([(), (3,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_field_bound_once_keeps_the_reference_bits_on_every_call(kind, lead, seed):
+    """A field bound once on the packed layout integrate marches, with y
+    rewritten in place between calls as integrate does, gives the per-term
+    reference's bits on every call: nothing its bind-time buffers keep from
+    one call leaks into the next.  States hold signed zeros, and pendulum
+    angles coincide."""
+    rng = np.random.default_rng(seed)
+    spec = draw_field_spec(rng, *kind, lead)
+    shape = lead + (spec.n_agents,)
+    y = StateVector(np.zeros(shape + (spec.d_q,)), np.zeros(shape + (spec.d_p,))).packed()
+    out = np.empty_like(y)
+    rate, reference = make_derivative(spec)(y, out), reference_deriv(spec)
+    for _ in range(4):
+        q, p = draw_with_signed_zeros(rng, shape + (spec.d_q,)), draw_with_signed_zeros(rng, shape + (spec.d_p,))
+        if spec.kind == "triple_pendulum":
+            i, j = rng.choice(3, 2, replace=False)
+            q[..., i, :] = q[..., j, :]  # two angles coincide
+        y[...] = np.concatenate([q, p], axis=-1)
+        t = float(rng.uniform(-2.0, 2.0))
+        rate(t)
+        assert out.tobytes() == reference(np.concatenate([q, p], axis=-1), t).tobytes()
 
 
 # ------------------------------------------------------------ classifiers
