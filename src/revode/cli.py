@@ -36,30 +36,12 @@ from .errors import (
     ArtifactMismatchError,
     ConfigurationError,
     DatasetFormatError,
-    IntegrationError,
     RevodeError,
-    ShapeError,
     TrainingDivergedError,
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .training import evaluate, train, write_loss_report
 from .verify import run_suite
-
-_EXIT_BY_ERROR = (
-    (TrainingDivergedError, 4),
-    (ArtifactMismatchError, 5),
-    (ShapeError, 5),
-    (IntegrationError, 3),
-    (DatasetFormatError, 2),
-    (ConfigurationError, 2),
-)
-
-
-def _exit_code_for(exc: RevodeError) -> int:
-    for cls, code in _EXIT_BY_ERROR:
-        if isinstance(exc, cls):
-            return code
-    return 2
 
 
 def _options(args) -> dict:
@@ -269,7 +251,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][3](args)
     except RevodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:  # a missing file, a directory where a file goes, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ PURPOSE_OBS = 3
 PURPOSE_SPLIT = 4
 PURPOSE_SHUFFLE = 5
 PURPOSE_PARAMS = 6
+PURPOSE_MODEL_INIT = 7
 # build_trajectory packs a trajectory's index into the low 16 bits of its
 # tag and noise seed, (seed << 16) + index, so an index must fit there.
 TRAJECTORIES_PER_SEED = 1 << 16

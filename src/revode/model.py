@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import ObservationSet, rng_stream
+from .data import PURPOSE_MODEL_INIT, ObservationSet, rng_stream
 from .errors import (
     ArtifactMismatchError,
     ConfigurationError,
@@ -111,7 +111,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, in param_shapes' order."""
-    rng = rng_stream(seed, 0, 7)
+    rng = rng_stream(seed, 0, PURPOSE_MODEL_INIT)
 
     def init(name, shape):
         if name.rsplit(".", 1)[1].startswith("b"):

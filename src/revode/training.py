@@ -190,7 +190,6 @@ def optimizer_step(
 # ------------------------------------------------------------- settings
 
 DIAG_SAMPLES = 32  # training samples the reversal-gap diagnostic reads
-DIAG_CHUNK = 16    # of those per tape
 VAL_CHUNK = 32     # validation samples per tape
 
 
@@ -238,25 +237,6 @@ class TrainResult:
     n_val: int
 
 
-def diagnostic_reverse_loss(
-    params: dict[str, np.ndarray],
-    config: ModelConfig,
-    obs_sets: list[ObservationSet],
-) -> float:
-    """Variant-independent reversal gap: mean per-sample treat-style loss.
-
-    Computed on forward-only tapes, outside the optimized graph, so
-    baseline runs can report how irreversibly their learned field behaves
-    without training on it.
-    """
-    if not obs_sets:
-        return float("nan")
-    total = 0.0
-    for part, _, out, _ in _forward_chunks(params, obs_sets, config, DIAG_CHUNK, "treat"):
-        total += out.l_rev * len(part)
-    return total / len(obs_sets)
-
-
 def _train_step(params, state: AdamWState, obs_list, settings: TrainSettings, where: str):
     """One optimizer step on one minibatch: (new params, l_pred, l_rev).
 
@@ -275,19 +255,27 @@ def _train_step(params, state: AdamWState, obs_list, settings: TrainSettings, wh
 
 def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainResult:
     """Minibatch AdamW training with early stopping on validation MSE; the
-    validation sets are a seeded `val_fraction` of `train_sets`.
+    validation sets are a seeded `val_fraction` of `train_sets`.  Without
+    them every epoch improves, so the last epoch's parameters are kept.
 
-    A non-finite loss or gradient, or a latent rollout that diverges in
+    Validation and the reversal diagnostic (the mean per-sample treat loss
+    on the first DIAG_SAMPLES training samples) are `evaluate` passes.  A
+    non-finite loss or gradient, or a latent rollout that diverges in
     training, validation or the diagnostic, raises TrainingDivergedError."""
     if not train_sets:
         raise ConfigurationError("empty training set")
     n = len(train_sets)
     n_val = int(round(settings.val_fraction * n)) if n >= 5 else 0
+    if n_val == n:
+        raise ConfigurationError(
+            f"val_fraction {settings.val_fraction} leaves no training samples: "
+            f"all {n} samples go to validation")
     perm = rng_stream(settings.seed, 0, PURPOSE_SPLIT).permutation(n)
     val_sets = [train_sets[i] for i in perm[:n_val]]
     train_sets = [train_sets[i] for i in perm[n_val:]]
 
-    params = init_params(settings.model, settings.seed)
+    config = settings.model
+    params = init_params(config, settings.seed)
     state = AdamWState.init(params)
     diag_sets = train_sets[:DIAG_SAMPLES]
 
@@ -304,7 +292,6 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
             )
             sum_pred = 0.0
             sum_rev = 0.0
-            n_rev = 0
             for start in range(0, len(order), settings.batch_size):
                 idx = order[start : start + settings.batch_size]
                 params, l_pred, l_rev = _train_step(
@@ -314,41 +301,36 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
                 sum_pred += l_pred * len(idx)
                 if l_rev is not None:
                     sum_rev += l_rev * len(idx)
-                    n_rev += len(idx)
 
             l_pred_epoch = sum_pred / len(train_sets)
-            if n_rev:
-                l_rev_epoch = sum_rev / n_rev
+            if settings.loss_variant == "none":
+                l_rev_epoch = evaluate(params, diag_sets, config).l_rev
             else:
-                l_rev_epoch = diagnostic_reverse_loss(params, settings.model, diag_sets)
-            total_epoch = l_pred_epoch + settings.alpha * l_rev_epoch
-
-            val_mse = validation_mse(params, val_sets, settings.model) if val_sets else np.nan
+                l_rev_epoch = sum_rev / len(train_sets)
+            val_mse = np.nan
+            if val_sets:
+                val_mse = evaluate(params, val_sets, config, VAL_CHUNK, "none").mse
             history.append(
                 {
                     "epoch": epoch,
                     "l_pred": l_pred_epoch,
                     "l_reverse": l_rev_epoch,
-                    "total": total_epoch,
+                    "total": l_pred_epoch + settings.alpha * l_rev_epoch,
                     "val_mse": val_mse,
                 }
             )
 
-            if val_sets:
-                if val_mse < best_val * (1.0 - 1e-6):
-                    best_val = val_mse
-                    best_params = {k: v.copy() for k, v in params.items()}
-                    best_epoch = epoch
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= settings.patience:
-                        break
-            else:
+            if not val_sets or val_mse < best_val * (1.0 - 1e-6):
+                best_val = val_mse
                 best_params = {k: v.copy() for k, v in params.items()}
                 best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if stale >= settings.patience:
+                    break
 
-        final_diag = diagnostic_reverse_loss(best_params, settings.model, diag_sets)
+        final_diag = evaluate(best_params, diag_sets, config).l_rev
     except (RolloutDivergedError, NonFiniteGradientError) as exc:
         raise TrainingDivergedError(str(exc)) from exc
     return TrainResult(
@@ -367,52 +349,13 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
 class EvalReport:
     mse: float
     n_targets: int
-    bucket_mse: dict            # horizon -> cumulative MSE over targets <= horizon
-    max_error_gt_rev: float     # mean over (sample, agent) of max paired deviation
+    bucket_mse: dict                # horizon -> cumulative MSE over targets <= horizon
+    max_error_gt_rev: float | None  # mean over (sample, agent) of max paired deviation
     per_sample_mse: list
+    l_rev: float | None             # mean per-sample reversal loss of the variant
 
 
 BUCKETS = (20, 40, 60)
-
-
-def _forward_chunks(params, obs_sets, config: ModelConfig, chunk: int, variant: str):
-    """Forward-only passes over `obs_sets`, `chunk` samples a tape: yields
-    each chunk, its batch, its BatchForward and the squared error of every
-    target row."""
-    for start in range(0, len(obs_sets), chunk):
-        part = obs_sets[start : start + chunk]
-        batch = build_batch(part)
-        tape = Tape(record=False)
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        out = batch_forward(tape, leaves, config, batch, variant=variant, alpha=0.0)
-        err_sq = np.sum((out.yhat_values[batch.rows] - batch.targets) ** 2, axis=1)
-        yield part, batch, out, err_sq
-
-
-def _sample_sums(batch: Batch, err_sq: np.ndarray):
-    """(summed squared error, target count) of each sample, agent by agent."""
-    d = batch.targets.shape[1]
-    for spans in batch.spans:
-        samp_sq = 0.0
-        samp_n = 0
-        for lo, hi in spans:
-            samp_sq += float(err_sq[lo:hi].sum())
-            samp_n += (hi - lo) * d
-        yield samp_sq, samp_n
-
-
-def validation_mse(
-    params: dict[str, np.ndarray], obs_sets: list[ObservationSet], config: ModelConfig
-) -> float:
-    """evaluate(params, obs_sets, config, chunk=VAL_CHUNK).mse, bitwise, from
-    the forward rollout alone: no reverse rollout is traced or decoded."""
-    sq_sum = 0.0
-    n_tot = 0
-    for _, batch, _, err_sq in _forward_chunks(params, obs_sets, config, VAL_CHUNK, "none"):
-        for samp_sq, samp_n in _sample_sums(batch, err_sq):
-            sq_sum += samp_sq
-            n_tot += samp_n
-    return sq_sum / n_tot
 
 
 def evaluate(
@@ -420,24 +363,39 @@ def evaluate(
     obs_sets: list[ObservationSet],
     config: ModelConfig,
     chunk: int = 16,
+    variant: str = "treat",
 ) -> EvalReport:
-    """Forward metrics plus the ground-truth-vs-reverse deviation metric,
-    traced on forward-only tapes."""
+    """Held-out metrics from forward-only tapes of `chunk` samples each: the
+    target-weighted MSE, its horizon buckets and per-sample values, and
+    `variant`'s mean reversal loss with the mean worst deviation of its
+    paired reverse decode from the targets.  Under "none" the reverse
+    rollout is never traced, and those two are None."""
     if not obs_sets:
         raise ConfigurationError("empty evaluation set")
+    with_rev = variant != "none"
     sq_sum = 0.0
     n_tot = 0
+    rev_sum = 0.0
     bucket_sq = {b: 0.0 for b in BUCKETS}
     bucket_n = {b: 0 for b in BUCKETS}
     max_errs = []
     per_sample = []
 
-    for part, batch, out, err_sq in _forward_chunks(params, obs_sets, config, chunk, "treat"):
+    for start in range(0, len(obs_sets), chunk):
+        part = obs_sets[start : start + chunk]
+        batch = build_batch(part)
+        tape = Tape(record=False)
+        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        out = batch_forward(tape, leaves, config, batch, variant=variant, alpha=0.0)
         truth = batch.targets
-        dist = np.sqrt(np.sum((out.rev_paired_values[batch.rows] - truth) ** 2, axis=1))
         d = truth.shape[1]
-        sums = _sample_sums(batch, err_sq)
-        for obs, spans, (samp_sq, samp_n) in zip(part, batch.spans, sums):
+        err_sq = np.sum((out.yhat_values[batch.rows] - truth) ** 2, axis=1)
+        if with_rev:
+            rev_sum += out.l_rev * len(part)
+            dist = np.sqrt(np.sum((out.rev_paired_values[batch.rows] - truth) ** 2, axis=1))
+        for obs, spans in zip(part, batch.spans):
+            samp_sq = 0.0
+            samp_n = 0
             for idxs, (lo, hi) in zip(obs.pred_idx, spans):
                 agent_sq = err_sq[lo:hi]
                 for bk in BUCKETS:
@@ -445,7 +403,10 @@ def evaluate(
                         mask = idxs <= bk
                         bucket_sq[bk] += float(agent_sq[mask].sum())
                         bucket_n[bk] += int(mask.sum()) * d
-                max_errs.append(float(dist[lo:hi].max()) if hi > lo else 0.0)
+                if with_rev:
+                    max_errs.append(float(dist[lo:hi].max()) if hi > lo else 0.0)
+                samp_sq += float(agent_sq.sum())
+                samp_n += (hi - lo) * d
             sq_sum += samp_sq
             n_tot += samp_n
             per_sample.append(samp_sq / samp_n)
@@ -457,8 +418,9 @@ def evaluate(
         mse=sq_sum / n_tot,
         n_targets=n_tot,
         bucket_mse=bucket_mse,
-        max_error_gt_rev=float(np.mean(max_errs)),
+        max_error_gt_rev=float(np.mean(max_errs)) if with_rev else None,
         per_sample_mse=per_sample,
+        l_rev=rev_sum / len(obs_sets) if with_rev else None,
     )
 
 

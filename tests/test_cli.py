@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -37,7 +38,8 @@ from revode.configs import (
     train_settings,
 )
 from revode.data import read_dataset
-from revode.errors import ConfigurationError, RolloutDivergedError
+from revode import errors
+from revode.errors import ConfigurationError, RevodeError, RolloutDivergedError
 from revode.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from revode.systems import FIXED_AGENTS, PENDULUM_SINGULARITY_EPS, SYSTEM_KINDS, SystemSpec
 from test_acceptance import DESK_TRAIN_OPTIONS, desk_observation_sets
@@ -599,6 +601,35 @@ def test_train_latent_divergence_retries_then_exits_4(tmp_path, capsys, monkeypa
     assert err[1:] == ["error: forward rollout diverged at step 1"]
 
 
+def test_train_split_that_leaves_no_training_samples_exits_2(tmp_path, capsys):
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--trajectories", "5", "--out", train_jl])
+    capsys.readouterr()
+    outdir = tmp_path / "run"
+    rc = main(["train", "--data", train_jl, "--val-fraction", "0.95", "--outdir", str(outdir)]
+              + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: val_fraction 0.95 leaves no training samples: all 5 samples go to validation"]
+    assert not outdir.exists()
+
+
+def test_train_test_set_divergence_exits_3(tmp_path, capsys, monkeypatch):
+    """A latent rollout that leaves the finite range on the test set, after
+    training, is an integration failure, not a training divergence."""
+    def diverge(*args, **kwargs):
+        raise RolloutDivergedError("forward rollout diverged at step 2", step=2)
+
+    train_jl, test_jl = str(tmp_path / "train.jsonl"), str(tmp_path / "test.jsonl")
+    main(SIM_BASE + SIM_TEST_EXTRA + ["--out", train_jl, "--test-out", test_jl])
+    monkeypatch.setattr(revode.cli, "evaluate", diverge)
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl, "--test-data", test_jl, "--epochs", "1",
+               "--outdir", str(tmp_path / "run")] + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 3
+    assert capsys.readouterr().err.strip().splitlines() == ["error: forward rollout diverged at step 2"]
+
+
 @pytest.mark.parametrize("extra", [
     ["--batch-size", "0"], ["--epochs", "0"], ["--lr", "-1"],
     ["--alpha", "nan"], ["--alpha", "inf"], ["--lr", "inf"], ["--weight-decay", "nan"],
@@ -741,6 +772,26 @@ def test_eval_malformed_checkpoint_is_artifact_error(tmp_path, capsys, mutate):
     assert len(err) == 1 and err[0].startswith("error: checkpoint")
 
 
+def test_eval_latent_divergence_exits_3(tmp_path, capsys):
+    """A checkpoint whose field drives the latent rollout out of the finite
+    range exits 3, the integration-failure code, with one `error:` line."""
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    ckpt = str(tmp_path / "ckpt.json")
+    model = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8,
+                        scheme="euler")
+    params = init_params(model, 0)
+    params["ode.upd2.b"][:] = 1e308
+    save_checkpoint(ckpt, params, model)
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        rc = main(["eval", "--checkpoint", ckpt, "--data", train_jl,
+                   "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: forward rollout diverged at step")
+
+
 def test_eval_missing_checkpoint(tmp_path):
     train_jl = str(tmp_path / "train.jsonl")
     main(SIM_BASE + ["--out", train_jl])
@@ -825,3 +876,42 @@ def test_config_file_takes_null_for_unset_options_and_ints_for_floats(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 0
     trajs = read_dataset(out)
     assert len(trajs) == 2 and trajs[0].system["k"] == 1 and trajs[0].system["gamma"] == 2
+
+
+# -------------------------------------------------------------- exit codes
+
+README_EXIT_MEANINGS = {
+    2: "bad configuration or input", 3: "integration failure",
+    4: "training diverged", 5: "artifact mismatch",
+}
+EXIT_CODE_OF = {
+    errors.ConfigurationError: 2, errors.DatasetFormatError: 2,
+    errors.UnsupportedSystemError: 2, errors.EncodingError: 2,
+    errors.IntegrationError: 3, errors.RolloutDivergedError: 3,
+    errors.NonFiniteGradientError: 4, errors.TrainingDivergedError: 4,
+    errors.ShapeError: 5, errors.ArtifactMismatchError: 5,
+}
+
+
+def readme_exit_codes() -> dict:
+    """code -> meaning, from the README's exit-code table."""
+    table = open(README).read().split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    return {int(code): meaning for code, meaning in re.findall(r"^\| (\d) +\| (.+?) *\|$", table, re.M)}
+
+
+def test_every_error_class_exits_with_its_readme_code():
+    """Each RevodeError subclass carries the exit code the README's table gives
+    its kind of failure, and every failure code of the table has a class."""
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = set(subclasses(RevodeError))
+    assert classes == set(EXIT_CODE_OF)
+    table = readme_exit_codes()
+    assert sorted(table) == [0, 1, 2, 3, 4, 5]
+    for cls in classes:
+        assert cls.exit_code == EXIT_CODE_OF[cls], cls.__name__
+        assert README_EXIT_MEANINGS[cls.exit_code] in table[cls.exit_code], cls.__name__
+    assert set(EXIT_CODE_OF.values()) == set(README_EXIT_MEANINGS)

@@ -645,6 +645,47 @@ def test_field_and_decode_keep_the_chain_bits_for_any_shape(
             assert grads[name].tobytes() == grad.tobytes(), name
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n_agents=st.integers(1, 6), d_enc=st.integers(1, 3), d_aug=st.integers(0, 2),
+       hidden=st.integers(1, 4), K=st.integers(1, 4), scheme=st.sampled_from(SCHEMES),
+       pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+       reverse_from_end=st.booleans(), seed=st.integers(0, 2**16),
+       share=st.sampled_from((0.0, 0.3, 1.0)))
+def test_rollout_legs_keep_the_stagewise_bits_for_any_shape(
+        n_agents, d_enc, d_aug, hidden, K, scheme, pairs, reverse_from_end, seed, share):
+    """A forward leg from z_0 and a reverse leg from its last (treat) or first
+    (rev2) state, for any agent count, edge list (none among them), latent
+    width, leg length and scheme, with signed zeros in the start, the field
+    weights and the downstream gradient: both legs' states and every
+    gradient equal the stage-by-stage tape's, bit for bit."""
+    config = ModelConfig(d_obs=1, d_enc=d_enc, d_aug=d_aug, d_model=2,
+                         ode_hidden=hidden, dec_hidden=1, scheme=scheme)
+    rng = np.random.default_rng(seed)
+    params = {name: with_signed_zeros(rng, shape, share)
+              for name, shape in param_shapes(config).items() if name.startswith("ode.")}
+    params["z"] = with_signed_zeros(rng, (n_agents, config.d_z), share)
+    edges = [(src % n_agents, tgt % n_agents) for src, tgt in pairs]
+    w_fwd, w_rev = with_signed_zeros(rng, (2, (K + 1) * n_agents, config.d_z), share)
+    start_block = K if reverse_from_end else 0
+
+    def legs(forward, reverse):
+        tape = Tape()
+        leaves = leaves_of(tape, params)
+        g = make_ode_func(tape, leaves, config, edges, n_agents)
+        fwd = forward(leaves["z"], g, K, 0.1, scheme)
+        rev = reverse(ad.row_blocks(fwd, n_agents, [start_block]), g, K, 0.1, scheme)
+        loss = ad.add(ad.l2_norm_sq(ops.mul(fwd, tape.const(w_fwd))),
+                      ad.l2_norm_sq(ops.mul(rev, tape.const(w_rev))))
+        return fwd.value, rev.value, backward(tape, loss)
+
+    fwd, rev, grads = legs(rollout_forward, rollout_reverse)
+    ref_fwd, ref_rev, ref_grads = legs(stagewise.rollout_forward, stagewise.rollout_reverse)
+    assert fwd.tobytes() == ref_fwd.tobytes() and rev.tobytes() == ref_rev.tobytes()
+    assert set(grads) == set(ref_grads) == set(params)
+    for name, grad in ref_grads.items():
+        assert grads[name].tobytes() == grad.tobytes(), name
+
+
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):

@@ -42,11 +42,9 @@ from revode.training import (
     batch_forward,
     build_batch,
     VAL_CHUNK,
-    diagnostic_reverse_loss,
     evaluate,
     optimizer_step,
     train,
-    validation_mse,
     write_loss_report,
 )
 
@@ -546,14 +544,26 @@ def test_train_baseline_logs_diagnostic_l_reverse():
     assert np.isfinite(result.final_diag_l_reverse)
 
 
-@pytest.mark.parametrize("stage", ["rollout_forward", "validation_mse"])
+@pytest.mark.parametrize("stage", ["rollout_forward", "validation", "diagnostic"])
 def test_train_reports_latent_divergence_as_training_divergence(monkeypatch, stage):
-    """A rollout leaving the finite range, in a training batch or in validation,
-    is a training divergence (the CLI retries it), not a configuration error."""
+    """A rollout leaving the finite range, in a training batch, in validation
+    or in the reversal diagnostic, is a training divergence (the CLI retries
+    it), not an integration or configuration error."""
     def diverge(*args, **kwargs):
         raise RolloutDivergedError("forward rollout diverged at step 3", step=3)
 
-    monkeypatch.setattr(training, stage, diverge)
+    if stage == "rollout_forward":
+        monkeypatch.setattr(training, "rollout_forward", diverge)
+    else:
+        # validation is the forward-only "none" pass, the diagnostic the "treat" one
+        diverging_variant = "none" if stage == "validation" else "treat"
+
+        def evaluate_diverging(params, obs_sets, config, chunk=16, variant="treat"):
+            if variant == diverging_variant:
+                diverge()
+            return evaluate(params, obs_sets, config, chunk, variant)
+
+        monkeypatch.setattr(training, "evaluate", evaluate_diverging)
     settings = TrainSettings(model=TINY, epochs=2, batch_size=4, seed=0)
     with pytest.raises(TrainingDivergedError, match="diverged at step 3"):
         train(small_obs_sets(), settings)
@@ -564,12 +574,10 @@ def test_train_rejects_empty_dataset():
         train([], TrainSettings(model=TINY))
 
 
-def test_diagnostic_reverse_loss_basic():
-    obs = small_obs_sets(n_sets=3)
-    params = init_params(TINY, seed=0)
-    val = diagnostic_reverse_loss(params, TINY, obs)
-    assert np.isfinite(val) and val >= 0.0
-    assert np.isnan(diagnostic_reverse_loss(params, TINY, []))
+def test_train_rejects_a_split_that_leaves_no_training_samples():
+    settings = TrainSettings(model=TINY, val_fraction=0.95)
+    with pytest.raises(ConfigurationError, match=r"val_fraction 0.95 .*all 5 samples"):
+        train(small_obs_sets(n_sets=5), settings)
 
 
 # -------------------------------------------------------------- evaluation
@@ -588,6 +596,26 @@ def test_evaluate_counts_and_buckets():
     assert report.max_error_gt_rev >= 0.0
     # only horizons inside the rollout appear
     assert set(report.bucket_mse) == {b for b in BUCKETS if b <= 21}
+
+
+def test_evaluate_reports_the_mean_reversal_loss_of_its_variant():
+    """l_rev is the per-sample mean of batch_forward's reversal loss, chunk by
+    chunk, for each variant; under "none" the reverse numbers are None."""
+    obs = small_obs_sets(n_sets=3)
+    params = init_params(TINY, seed=0)
+    for variant in ("treat", "gt_rev", "rev2"):
+        chunk_sums = 0.0
+        for part in (obs[:2], obs[2:]):
+            tape = Tape(record=False)
+            leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+            out = batch_forward(tape, leaves, TINY, build_batch(part), variant, 0.0)
+            chunk_sums += out.l_rev * len(part)
+        report = evaluate(params, obs, TINY, 2, variant)
+        assert report.l_rev == chunk_sums / 3 and report.l_rev >= 0.0
+        assert report.max_error_gt_rev >= 0.0
+    assert evaluate(params, obs, TINY).l_rev == evaluate(params, obs, TINY, 16, "treat").l_rev
+    report = evaluate(params, obs, TINY, 2, "none")
+    assert report.l_rev is None and report.max_error_gt_rev is None
 
 
 def test_evaluate_mse_is_target_weighted():
@@ -609,8 +637,8 @@ def test_evaluate_chunking_does_not_change_results():
 
 
 def test_forward_only_reports_equal_recorded_ones(monkeypatch):
-    """evaluate and the diagnostic trace on tapes that keep no node, and
-    their results equal, bitwise, those traced on recording tapes."""
+    """evaluate, the diagnostic pass included, traces on tapes that keep no
+    node, and its reports equal, bitwise, those traced on recording tapes."""
     obs = three_agent_obs_sets(n_sets=3)
     params = init_params(TINY, seed=4)
     tapes, asked = [], []
@@ -622,7 +650,7 @@ def test_forward_only_reports_equal_recorded_ones(monkeypatch):
             return tapes[-1]
 
         monkeypatch.setattr(training, "Tape", make_tape)
-        return evaluate(params, obs, TINY, chunk=2), diagnostic_reverse_loss(params, TINY, obs)
+        return evaluate(params, obs, TINY, chunk=2), evaluate(params, obs, TINY).l_rev
 
     recorded = run(forced=True)
     assert all(len(tape) > 0 for tape in tapes)
@@ -633,31 +661,43 @@ def test_forward_only_reports_equal_recorded_ones(monkeypatch):
     assert repr(forward_only) == repr(recorded)
 
 
-def test_validation_mse_is_bitwise_evaluate_mse_without_a_reverse_rollout(monkeypatch):
-    """Validation traces the forward rollout alone, in chunks of VAL_CHUNK,
-    and its MSE keeps every bit of evaluate's."""
+def test_evaluate_none_keeps_the_mse_bits_without_a_reverse_rollout(monkeypatch):
+    """The "none" pass traces the forward rollout alone, and its MSE, buckets
+    and per-sample MSEs keep every bit of the "treat" pass's."""
     obs = small_obs_sets(n_sets=VAL_CHUNK + 5)
     for seed in (0, 5):
         params = init_params(TINY, seed=seed)
-        want = evaluate(params, obs, TINY, chunk=VAL_CHUNK).mse
-        assert validation_mse(params, obs, TINY) == want
-        assert validation_mse(params, obs[:4], TINY) == evaluate(params, obs[:4], TINY, chunk=VAL_CHUNK).mse
+        for part in (obs, obs[:4]):
+            full = evaluate(params, part, TINY, VAL_CHUNK)
+            bare = evaluate(params, part, TINY, VAL_CHUNK, "none")
+            assert (bare.mse, bare.n_targets, bare.bucket_mse, bare.per_sample_mse) == (
+                full.mse, full.n_targets, full.bucket_mse, full.per_sample_mse)
 
     def no_reverse(*args, **kwargs):
-        raise AssertionError("validation ran the reverse rollout")
+        raise AssertionError("the none pass ran the reverse rollout")
 
     monkeypatch.setattr(training, "rollout_reverse", no_reverse)
-    validation_mse(params, obs, TINY)
+    evaluate(params, obs, TINY, VAL_CHUNK, "none")
 
 
-def test_train_val_mse_is_evaluate_mse():
+def test_train_val_mse_is_evaluate_mse(monkeypatch):
+    """Validation is the forward-only "none" pass of evaluate, VAL_CHUNK
+    samples a tape, over the seeded split."""
+    calls = []
+
+    def spy(params, obs_sets, config, chunk=16, variant="treat"):
+        calls.append((len(obs_sets), chunk, variant))
+        return evaluate(params, obs_sets, config, chunk, variant)
+
+    monkeypatch.setattr(training, "evaluate", spy)
     obs = small_obs_sets(n_sets=20)
     settings = TrainSettings(model=TINY, epochs=1, batch_size=4, seed=1, val_fraction=0.25)
     result = train(obs, settings)
     perm = training.rng_stream(settings.seed, 0, training.PURPOSE_SPLIT).permutation(20)
     val_sets = [obs[i] for i in perm[:5]]
     assert result.n_val == 5 and result.best_epoch == 0
-    assert result.history[0]["val_mse"] == evaluate(result.params, val_sets, TINY, chunk=VAL_CHUNK).mse
+    assert result.history[0]["val_mse"] == evaluate(result.params, val_sets, TINY, VAL_CHUNK).mse
+    assert calls == [(5, VAL_CHUNK, "none"), (15, 16, "treat")]  # validation, final diagnostic
 
 
 def test_evaluate_rejects_empty():
