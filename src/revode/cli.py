@@ -141,6 +141,8 @@ def cmd_train(args) -> int:
         )
         settings.lr /= 2
         result = train(obs_train, settings)  # a second divergence propagates
+    # evaluated before any write, so a test set that fails leaves no artifact
+    test = test_metrics(result.params) if test_metrics is not None else None
 
     os.makedirs(opt["outdir"], exist_ok=True)
     save_checkpoint(
@@ -161,10 +163,9 @@ def cmd_train(args) -> int:
         "n_val": result.n_val,
         "lr_retried": retried,
     }
-    if test_metrics is not None:
-        metrics = test_metrics(result.params)
+    if test is not None:
         for key in ("mse", "mse_hundredths", "bucket_mse", "max_error_gt_rev"):
-            summary["test_" + key] = metrics[key]
+            summary["test_" + key] = test[key]
     write_json(summary_path, summary)
     opt["window"] = list(parse_window(opt["window"]))
     opt["test_window"] = list(parse_window(opt["test_window"]))

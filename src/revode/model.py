@@ -109,6 +109,16 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     }
 
 
+def param_views(theta: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Each parameter as a view into the flat float64 vector theta, laid out
+    in param_shapes' order; a write to either shows in the other."""
+    views, stop = {}, 0
+    for name, shape in param_shapes(config).items():
+        start, stop = stop, stop + math.prod(shape)
+        views[name] = theta[start:stop].reshape(shape)
+    return views
+
+
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, in param_shapes' order."""
     rng = rng_stream(seed, 0, PURPOSE_MODEL_INIT)
@@ -392,12 +402,13 @@ def _leg(start: Tensor, g, n_steps: int, h: float, scheme: str, tag: str) -> Ten
     states = np.empty((n_steps + 1, n, d))
     states[0] = start.value
     backs = []
-    for k in range(n_steps):
-        z, step_backs = step(states[k], g, h)
-        if not np.all(np.isfinite(z)):
-            raise RolloutDivergedError(f"{tag} rollout diverged at step {k + 1}", step=k + 1)
-        states[k + 1] = z
-        backs.append(step_backs)
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+        for k in range(n_steps):
+            z, step_backs = step(states[k], g, h)
+            if not np.all(np.isfinite(z)):
+                raise RolloutDivergedError(f"{tag} rollout diverged at step {k + 1}", step=k + 1)
+            states[k + 1] = z
+            backs.append(step_backs)
 
     def bwd(G):
         # holds arrays only: a Tensor here would tie the tape into a cycle

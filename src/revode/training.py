@@ -28,6 +28,7 @@ from .model import (
     encode_initial_states,
     init_params,
     make_ode_func,
+    param_views,
     rollout_forward,
     rollout_reverse,
 )
@@ -145,46 +146,29 @@ def batch_forward(
 
 @dataclass
 class AdamWState:
-    m: dict
-    v: dict
+    m: np.ndarray  # first and second moments, laid out like the flat parameters
+    v: np.ndarray
     t: int = 0
-
-    @staticmethod
-    def init(params: dict[str, np.ndarray]) -> "AdamWState":
-        return AdamWState(
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-            t=0,
-        )
 
 
 def optimizer_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    theta: np.ndarray,
+    grad: np.ndarray,
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> dict[str, np.ndarray]:
-    """One decoupled-weight-decay Adam step; returns new params, mutates state."""
-    check_finite_grads(grads)
+) -> np.ndarray:
+    """One decoupled-weight-decay Adam step on the flat parameter vector:
+    returns a new vector, never writing into theta, and advances state."""
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
-    out = {}
-    for name, theta in params.items():
-        g = grads.get(name)
-        if g is None:
-            out[name] = theta.copy()
-            continue
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        out[name] = theta - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
-    return out
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1**state.t)
+    v_hat = state.v / (1.0 - beta2**state.t)
+    return theta - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
 
 
 # ------------------------------------------------------------- settings
@@ -230,27 +214,30 @@ class TrainSettings:
 @dataclass
 class TrainResult:
     params: dict
-    history: list          # rows: dicts with epoch, l_pred, l_reverse, total, val_mse
+    history: list          # rows: dicts keyed by LOSS_COLUMNS
     best_epoch: int
     final_diag_l_reverse: float
     n_train: int
     n_val: int
 
 
-def _train_step(params, state: AdamWState, obs_list, settings: TrainSettings, where: str):
-    """One optimizer step on one minibatch: (new params, l_pred, l_rev).
+def _train_step(theta, state: AdamWState, obs_list, settings: TrainSettings, where: str):
+    """One optimizer step on one minibatch: (new theta, l_pred, l_rev).
 
     Its tape lives in this call alone, so it is freed before the next
     step's forward pass starts."""
     batch = build_batch(obs_list)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    leaves = {k: tape.leaf(v, k) for k, v in param_views(theta, settings.model).items()}
     out = batch_forward(tape, leaves, settings.model, batch, settings.loss_variant, settings.alpha)
     if not np.isfinite(out.loss.value):
         raise TrainingDivergedError(f"non-finite loss at {where}")
     grads = backward(tape, out.loss)
-    params = optimizer_step(params, grads, state, settings.lr, settings.weight_decay)
-    return params, out.l_pred, out.l_rev
+    check_finite_grads(grads)
+    # every parameter feeds l_pred, so every leaf has a gradient
+    grad = np.concatenate([grads[k].ravel() for k in leaves])
+    theta = optimizer_step(theta, grad, state, settings.lr, settings.weight_decay)
+    return theta, out.l_pred, out.l_rev
 
 
 def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainResult:
@@ -275,13 +262,15 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
     train_sets = [train_sets[i] for i in perm[n_val:]]
 
     config = settings.model
-    params = init_params(config, settings.seed)
-    state = AdamWState.init(params)
+    theta = np.concatenate([p.ravel() for p in init_params(config, settings.seed).values()])
+    state = AdamWState(np.zeros_like(theta), np.zeros_like(theta))
     diag_sets = train_sets[:DIAG_SAMPLES]
 
     history = []
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    # optimizer_step returns a new vector and never writes into the one it
+    # is given, so holding a reference snapshots the parameters
+    best = theta
     best_epoch = 0
     stale = 0
 
@@ -294,8 +283,8 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
             sum_rev = 0.0
             for start in range(0, len(order), settings.batch_size):
                 idx = order[start : start + settings.batch_size]
-                params, l_pred, l_rev = _train_step(
-                    params, state, [train_sets[i] for i in idx], settings,
+                theta, l_pred, l_rev = _train_step(
+                    theta, state, [train_sets[i] for i in idx], settings,
                     f"epoch {epoch} (batch starting {start})",
                 )
                 sum_pred += l_pred * len(idx)
@@ -303,6 +292,7 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
                     sum_rev += l_rev * len(idx)
 
             l_pred_epoch = sum_pred / len(train_sets)
+            params = param_views(theta, config)
             if settings.loss_variant == "none":
                 l_rev_epoch = evaluate(params, diag_sets, config).l_rev
             else:
@@ -310,19 +300,12 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
             val_mse = np.nan
             if val_sets:
                 val_mse = evaluate(params, val_sets, config, VAL_CHUNK, "none").mse
-            history.append(
-                {
-                    "epoch": epoch,
-                    "l_pred": l_pred_epoch,
-                    "l_reverse": l_rev_epoch,
-                    "total": l_pred_epoch + settings.alpha * l_rev_epoch,
-                    "val_mse": val_mse,
-                }
-            )
+            total = l_pred_epoch + settings.alpha * l_rev_epoch
+            history.append(dict(zip(LOSS_COLUMNS, (epoch, l_pred_epoch, l_rev_epoch, total, val_mse))))
 
             if not val_sets or val_mse < best_val * (1.0 - 1e-6):
                 best_val = val_mse
-                best_params = {k: v.copy() for k, v in params.items()}
+                best = theta
                 best_epoch = epoch
                 stale = 0
             else:
@@ -330,6 +313,7 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
                 if stale >= settings.patience:
                     break
 
+        best_params = param_views(best, config)
         final_diag = evaluate(best_params, diag_sets, config).l_rev
     except (RolloutDivergedError, NonFiniteGradientError) as exc:
         raise TrainingDivergedError(str(exc)) from exc

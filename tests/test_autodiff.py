@@ -7,6 +7,8 @@ against central finite differences.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_ops as ops
 from reference_ops import grad_check
@@ -417,6 +419,39 @@ def test_row_blocks_takes_blocks_in_order_and_routes_their_gradient():
     assert np.all(np.signbit(g[2:4]))
     other = np.array([0.0, -0.0, 1.5])
     assert np.array_equal(np.signbit(np.full(3, -0.0) + other), np.signbit(other))
+
+
+def signed_zeros(rng, shape):
+    """Standard normal entries, about a third of them 0.0 and a third -0.0."""
+    draw = rng.integers(0, 3, shape)
+    return np.where(draw == 0, rng.standard_normal(shape), np.where(draw == 1, 0.0, -0.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), n_blocks=st.integers(1, 6), n=st.integers(1, 4), width=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_row_blocks_gradient_is_a_minus_zero_scatter(data, n_blocks, n, width, seed):
+    """For any block order and sizes, the gradient is g scattered to the
+    taken blocks over a -0.0 fill, and summed into another gradient of the
+    operand it leaves the untaken blocks bit for bit as they were, signed
+    zeros included."""
+    blocks = data.draw(st.permutations(range(n_blocks)))[:data.draw(st.integers(1, n_blocks))]
+    rng = np.random.default_rng(seed)
+    tape = Tape()
+    x = tape.leaf(signed_zeros(rng, (n_blocks * n, width)), "x")
+    y = ad.row_blocks(x, n, blocks)
+    g, other = signed_zeros(rng, y.value.shape), signed_zeros(rng, x.value.shape)
+    scatter = np.full(x.value.shape, -0.0)
+    for j, b in enumerate(blocks):
+        assert y.value[j * n:(j + 1) * n].tobytes() == x.value[b * n:(b + 1) * n].tobytes()
+        scatter[b * n:(b + 1) * n] = g[j * n:(j + 1) * n]
+    (grad,) = tape.nodes[y.idx].bwd(g)
+    assert grad.tobytes() == scatter.tobytes()
+
+    loss = ad.add(tape_sum(ops.mul(y, tape.const(g))), tape_sum(ops.mul(x, tape.const(other))))
+    assert backward(tape, loss)["x"].tobytes() == (other + scatter).tobytes()
+    untaken = [r for r in range(n_blocks * n) if r // n not in blocks]
+    assert (other + scatter)[untaken].tobytes() == other[untaken].tobytes()
 
 
 def test_row_blocks_rejects_bad_blocks():

@@ -624,10 +624,13 @@ def test_train_test_set_divergence_exits_3(tmp_path, capsys, monkeypatch):
     main(SIM_BASE + SIM_TEST_EXTRA + ["--out", train_jl, "--test-out", test_jl])
     monkeypatch.setattr(revode.cli, "evaluate", diverge)
     capsys.readouterr()
+    outdir = tmp_path / "run"
     rc = main(["train", "--data", train_jl, "--test-data", test_jl, "--epochs", "1",
-               "--outdir", str(tmp_path / "run")] + WINDOW_ARGS + MODEL_ARGS)
+               "--outdir", str(outdir)] + WINDOW_ARGS + MODEL_ARGS)
     assert rc == 3
     assert capsys.readouterr().err.strip().splitlines() == ["error: forward rollout diverged at step 2"]
+    written = ("checkpoint.json", "losses.csv", "summary.json", "resolved_config.json")
+    assert not any((outdir / name).exists() for name in written)
 
 
 @pytest.mark.parametrize("extra", [
@@ -784,12 +787,31 @@ def test_eval_latent_divergence_exits_3(tmp_path, capsys):
     params["ode.upd2.b"][:] = 1e308
     save_checkpoint(ckpt, params, model)
     capsys.readouterr()
-    with np.errstate(over="ignore"):
-        rc = main(["eval", "--checkpoint", ckpt, "--data", train_jl,
-                   "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"])
+    rc = main(["eval", "--checkpoint", ckpt, "--data", train_jl,
+               "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"])
     assert rc == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: forward rollout diverged at step")
+
+
+def test_eval_diverging_desk_checkpoint_prints_one_line(tmp_path):
+    """Run as a subprocess, so that a NumPy overflow warning from the latent
+    rollout would reach stderr too."""
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    ckpt = str(tmp_path / "ckpt.json")
+    params = init_params(desk_model_config(), 0)
+    params["ode.upd2.b"][:] = 1e308
+    save_checkpoint(ckpt, params, desk_model_config())
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(revode.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "revode.cli", "eval", "--checkpoint", ckpt, "--data", train_jl,
+         "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_parent},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: forward rollout diverged at step 7"]
 
 
 def test_eval_missing_checkpoint(tmp_path):

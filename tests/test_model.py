@@ -7,6 +7,7 @@ legs against the stage-by-stage tape of `stagewise_rollout`.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from revode.model import (
     load_checkpoint,
     make_ode_func,
     param_shapes,
+    param_views,
     rollout_forward,
     rollout_reverse,
     save_checkpoint,
@@ -128,6 +130,36 @@ def test_init_params_shapes_compose():
     assert p["ode.msg.W"].shape == (2 * TINY.d_z, TINY.ode_hidden)
     assert p["ode.upd2.W"].shape == (TINY.ode_hidden, TINY.d_z)
     assert p["dec.W2"].shape == (TINY.dec_hidden, TINY.d_obs)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(d_obs=st.integers(1, 4), d_enc=st.integers(1, 4), d_aug=st.integers(0, 4),
+       half_model=st.integers(1, 4), ode_hidden=st.integers(1, 6),
+       dec_hidden=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_param_views_lay_out_one_flat_vector(
+        d_obs, d_enc, d_aug, half_model, ode_hidden, dec_hidden, seed):
+    """Each parameter is a view into one flat vector, the views cover every
+    element once in param_shapes' order, writes go through both ways, and
+    viewing packed init_params gives back its bits."""
+    config = ModelConfig(d_obs=d_obs, d_enc=d_enc, d_aug=d_aug, d_model=2 * half_model,
+                         ode_hidden=ode_hidden, dec_hidden=dec_hidden)
+    shapes = param_shapes(config)
+    theta = np.arange(float(sum(math.prod(shape) for shape in shapes.values())))
+    views = param_views(theta, config)
+    assert {name: view.shape for name, view in views.items()} == shapes
+    assert list(views) == list(shapes)
+    assert all(view.base is theta for view in views.values())
+    assert np.array_equal(np.concatenate([view.ravel() for view in views.values()]), theta)
+
+    views["dec.b2"][0, -1] = -1.0
+    assert theta[-1] == -1.0
+    theta[0] = -2.0
+    assert views["enc.embed.W"][0, 0] == -2.0
+
+    params = init_params(config, seed)
+    packed = np.concatenate([p.ravel() for p in params.values()])
+    for name, view in param_views(packed, config).items():
+        assert view.tobytes() == params[name].tobytes(), name
 
 
 def test_encode_initial_states_shape_and_determinism():

@@ -29,6 +29,8 @@ from revode.model import (
     encode_initial_states,
     init_params,
     make_ode_func,
+    param_shapes,
+    param_views,
     rollout_forward,
     rollout_reverse,
 )
@@ -436,37 +438,71 @@ def reference_adamw(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_optimizer_step_matches_reference():
+    """The flat step equals the per-name oracle bit for bit, returns a new
+    vector and leaves the one it was given as it was."""
     rng = np.random.default_rng(0)
-    params = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal((1, 2))}
-    state = AdamWState.init(params)
-    ref_m = {k: np.zeros_like(p) for k, p in params.items()}
-    ref_v = {k: np.zeros_like(p) for k, p in params.items()}
-    ref = {k: p.copy() for k, p in params.items()}
+    ref = {k: rng.standard_normal(shape) for k, shape in param_shapes(TINY).items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    theta = np.concatenate([p.ravel() for p in ref.values()])
+    state = AdamWState(np.zeros_like(theta), np.zeros_like(theta))
 
     for t in range(1, 4):
-        grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
-        params = optimizer_step(params, grads, state, lr=0.01, weight_decay=0.02)
+        grads = {k: rng.standard_normal(p.shape) for k, p in ref.items()}
+        before = theta.copy()
+        stepped = optimizer_step(theta, np.concatenate([g.ravel() for g in grads.values()]),
+                                 state, lr=0.01, weight_decay=0.02)
+        assert stepped is not theta and np.array_equal(theta, before)
+        theta = stepped
         ref = reference_adamw(ref, grads, ref_m, ref_v, t, lr=0.01, wd=0.02)
-        for k in params:
-            assert np.allclose(params[k], ref[k], atol=1e-15), (t, k)
+        for k, view in param_views(theta, TINY).items():
+            assert np.array_equal(view, ref[k]), (t, k)
+        for k, view in param_views(state.m, TINY).items():
+            assert np.array_equal(view, ref_m[k]), (t, k)
+        for k, view in param_views(state.v, TINY).items():
+            assert np.array_equal(view, ref_v[k]), (t, k)
 
 
 def test_weight_decay_is_decoupled():
     """With zero gradients the Adam term vanishes and only decay acts."""
-    params = {"w": np.full((2, 2), 4.0)}
-    state = AdamWState.init(params)
-    stepped = optimizer_step(
-        params, {"w": np.zeros((2, 2))}, state, lr=0.1, weight_decay=0.5
-    )
-    assert np.allclose(stepped["w"], 4.0 - 0.1 * 0.5 * 4.0)
+    theta = np.full(4, 4.0)
+    state = AdamWState(np.zeros(4), np.zeros(4))
+    stepped = optimizer_step(theta, np.zeros(4), state, lr=0.1, weight_decay=0.5)
+    assert np.allclose(stepped, 4.0 - 0.1 * 0.5 * 4.0)
 
 
-def test_optimizer_leaves_gradless_params_untouched():
-    params = {"w": np.ones(3), "frozen": np.ones(2) * 7.0}
-    state = AdamWState.init(params)
-    stepped = optimizer_step(params, {"w": np.ones(3)}, state, lr=0.1)
-    assert np.array_equal(stepped["frozen"], params["frozen"])
-    assert not np.array_equal(stepped["w"], params["w"])
+@pytest.mark.parametrize("d_aug", [0, 4])
+def test_every_parameter_gets_a_gradient(d_aug):
+    """l_pred runs through the encoder, the field and the decoder, so under
+    every variant and scheme each parameter has a gradient, on graphs with
+    and without edges: the flat gradient needs no entry for a parameter
+    without one."""
+    spec = SystemSpec(kind="simple_spring", n_agents=3, dim=1)
+    edgeless = [build_trajectory(spec, seed=4, index=i, raw_steps=3000, edge_prob=0.0)
+                for i in range(2)]
+    batches = [build_batch(three_agent_obs_sets()), build_batch(small_obs_sets(n_sets=2)),
+               build_batch(build_observation_sets(edgeless, (0, 10, 25), 4, 8, obs_seed=8))]
+    assert len(batches[-1].edges) == 0
+    for scheme in ("euler", "heun", "rk4"):
+        config = replace(TINY, d_aug=d_aug, scheme=scheme)
+        for variant in LOSS_VARIANTS:
+            alpha = 0.0 if variant == "none" else 0.5
+            for batch in batches:
+                tape = Tape()
+                leaves = {k: tape.leaf(v, k) for k, v in init_params(config, seed=0).items()}
+                loss = batch_forward(tape, leaves, config, batch, variant, alpha).loss
+                assert list(backward(tape, loss)) == list(param_shapes(config)), (scheme, variant)
+
+
+def test_train_reports_a_non_finite_gradient_by_name(monkeypatch):
+    def backward_nan(tape, loss):
+        grads = backward(tape, loss)
+        grads["dec.b1"][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward", backward_nan)
+    with pytest.raises(TrainingDivergedError, match="gradient for 'dec.b1' is not finite"):
+        train(small_obs_sets(), TrainSettings(model=TINY, epochs=1, batch_size=4, seed=0))
 
 
 # ---------------------------------------------------------------- settings
