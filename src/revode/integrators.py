@@ -12,8 +12,10 @@ passed by position: on small states a call's fixed cost is its whole price,
 and a Python-float operand (a NumPy 2 "weak" scalar) or an `out=` keyword
 costs more, while a 0-d array runs the same loop to the same bits.  Leading axes
 broadcast through the field, so a whole ensemble of trajectories steps in
-one call.  The schemes are element-wise on y, so a packed step has the
-bits of the same step taken on q and p apart.
+one call; a single start is an ensemble of one, and a member that leaves
+the finite range turns NaN without stopping the others.  The schemes are
+element-wise on y, so a packed step has the bits of the same step taken on
+q and p apart.
 
 `StateVector` is the entry and exit container: `integrate` packs a start
 (`StateVector.packed`) and unpacks the recorded states into a `Trajectory`.
@@ -45,13 +47,6 @@ class StateVector:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
         self.p = np.asarray(self.p, dtype=np.float64)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.q.copy(), self.p.copy())
-
-    @property
-    def n_agents(self) -> int:
-        return self.q.shape[-2]
 
     def packed(self) -> np.ndarray:
         """[q | p] on the last axis, stored with that axis first, so that q and
@@ -176,16 +171,6 @@ class Trajectory:
         return np.concatenate([self.q, self.p], axis=-1)
 
 
-def _march(step, y, grid: TimeGrid, start: int, stop: int, check=None):
-    """Steps start..stop-1 of `grid` on `y`, with `check(y, k, t)` after each one."""
-    t0, dt = grid.t0, grid.dt
-    for k in range(start, stop):
-        t = t0 + k * dt
-        step(t)
-        if check is not None:
-            check(y, k, t + dt)
-
-
 def integrate(
     deriv: Field,
     state0: StateVector,
@@ -196,55 +181,35 @@ def integrate(
     """March `state0` across `grid` under the packed field `deriv`, recording
     every `record_every`-th step: n_steps//record_every + 1 states including
     the initial one.  A non-finite start raises IntegrationError naming the
-    offending entry.
+    offending entry; a field that raises ends the call.
 
-    Each recorded span is marched unchecked: a non-finite entry stays
-    non-finite under `y + increment`, so a finite end had no bad step.
-    A start of one trajectory, (n_agents, d), whose span ends non-finite, or
-    whose field raises, has that span replayed from its recorded start with
-    a check after every step, so the error names the first bad step and
-    component, and NumPy's warnings come in step order.
-
-    A stacked start, (..., n_agents, d), is an ensemble whose members escape
-    one by one: a member non-finite at the end of a span is NaN from that
-    recorded point on, and the other members keep the bits they have when
-    integrated alone.  NumPy's warnings are silenced there; a field that
-    raises still ends the whole call.
+    A start (..., n_agents, d) is an ensemble, and a single (n_agents, d)
+    start is an ensemble of one.  Each recorded span is marched unchecked,
+    with NumPy's warnings silenced: a non-finite entry stays non-finite under
+    `y + increment`, so a member finite at the end of a span had no bad step
+    in it.  A member non-finite there escapes: it is NaN from that recorded
+    point on, the one that holds its first bad step, and the other members
+    keep the bits they have when integrated alone.
     """
     if record_every < 1 or grid.n_steps % record_every != 0:
         raise ConfigurationError(
             f"record_every={record_every} does not divide n_steps={grid.n_steps}"
         )
-    d_q, single = state0.q.shape[-1], state0.q.ndim == 2
-
-    def check(y, step, t):
-        bad = StateVector(y[..., :d_q], y[..., d_q:]).first_nonfinite()
-        if bad is not None:
-            raise IntegrationError(
-                f"non-finite value in {bad[0]}[{bad[1]}] after step {step} (t={t:.6g})",
-                step=step, time=t,
-            )
-
+    d_q, t0, dt = state0.q.shape[-1], grid.t0, grid.dt
     y = state0.packed()  # marched in place; the buffers keep its layout
-    step = _stepper(scheme, deriv, y, grid.dt)
-    check(y, -1, grid.t0)
+    step = _stepper(scheme, deriv, y, dt)
+    bad = state0.first_nonfinite()
+    if bad is not None:
+        raise IntegrationError(
+            f"non-finite value in {bad[0]}[{bad[1]}] after step -1 (t={t0:.6g})", step=-1, time=t0
+        )
     ys = np.empty((grid.n_steps // record_every + 1,) + y.shape)
     ys[0] = y
-    for i, start in enumerate(range(0, grid.n_steps, record_every), 1):
-        stop = start + record_every
-        try:
-            with np.errstate(all="ignore"):  # the replay warns as each step would
-                _march(step, y, grid, start, stop)
-            finite = np.isfinite(y).all(axis=(-2, -1))
-        except Exception:  # the replay raises it again, after any earlier bad step
-            if not single:
-                raise
-            finite = np.False_
-        if single and not finite:
-            y[...] = ys[i - 1]
-            _march(step, y, grid, start, stop, check)
-        elif not single:
-            y[~finite] = np.nan  # escape the bad members; the others keep their bits
+    for i in range(1, len(ys)):
+        with np.errstate(all="ignore"):
+            for k in range((i - 1) * record_every, i * record_every):
+                step(t0 + k * dt)
+        y[~np.isfinite(y).all(axis=(-2, -1))] = np.nan  # the escaped members only
         ys[i] = y
     return Trajectory(  # row-major q and p, as reductions over them expect
         times=grid.times()[::record_every].copy(), q=ys[..., :d_q].copy(), p=ys[..., d_q:].copy()

@@ -494,9 +494,7 @@ def classify_reversibility(spec: SystemSpec) -> str:
         return "conservative_reversible"
     if spec.kind in ("forced_spring", "attractor"):
         return "nonconservative_reversible"
-    if spec.kind == "damped_spring":
-        return "nonconservative_irreversible"
-    return "unknown"
+    return "nonconservative_irreversible"  # damped_spring; SystemSpec admits no other kind
 
 
 def analytic_solution_simple_spring_1d(q0, p0, k, m, t):

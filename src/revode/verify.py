@@ -32,7 +32,7 @@ from .data import (
     draw_initial_state,
     rng_stream,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntegrationError
 from .integrators import StateVector, TimeGrid, integrate, reverse_state
 from .systems import (
     SystemSpec,
@@ -59,7 +59,8 @@ def lemma1_roundtrip(
 
     Both legs integrate the *forward* vector field; the momentum flip in
     between is what turns the second leg into a return journey for a
-    reversible system.
+    reversible system.  A leg that leaves the finite range raises
+    IntegrationError naming it.
     """
     if not (0.0 < dt < math.inf and 0.0 < span < math.inf):  # NaN fails too
         raise ConfigurationError(f"dt and span must be positive and finite, got {dt} and {span}")
@@ -68,11 +69,16 @@ def lemma1_roundtrip(
         raise ConfigurationError(f"span {span} is not an integer multiple of dt {dt}")
     deriv = make_derivative(spec)
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
-    out = integrate(deriv, state0, grid, scheme=scheme, record_every=n_steps)
-    mid = reverse_state(out.state(-1))
-    back = integrate(deriv, mid, grid, scheme=scheme, record_every=n_steps)
-    final = reverse_state(back.state(-1))
-    return float(max(np.max(np.abs(final.q - state0.q)), np.max(np.abs(final.p - state0.p))))
+    state = state0
+    for leg in ("outbound", "return"):
+        end = integrate(deriv, state, grid, scheme=scheme, record_every=n_steps).state(-1)
+        if end.first_nonfinite() is not None:
+            raise IntegrationError(
+                f"the {leg} leg of the {spec.kind} round trip left the finite range by t={span:.6g}",
+                time=span,
+            )
+        state = reverse_state(end)
+    return float(max(np.max(np.abs(state.q - state0.q)), np.max(np.abs(state.p - state0.p))))
 
 
 # -------------------------------------------------------- order scaling
@@ -119,6 +125,7 @@ class ScalingReport:
         return doc
 
 
+# Four or more step sizes for the slope fits, each dividing the evaluation spacing.
 DEFAULT_SCALING_DTS = (0.05, 0.025, 0.0125, 0.00625)
 DEFAULT_SCALING_SPANS = (1.6, 3.2, 6.4)
 # The 1-body anchored spring has a closed-form solution to measure against;
@@ -128,11 +135,7 @@ SCALING_EVAL_SPACING = 0.2
 SCALING_Q0, SCALING_P0 = 1.0, 0.5
 
 
-def theorem1_scaling(
-    scheme: str = "euler",
-    dt_list=DEFAULT_SCALING_DTS,
-    t_list=DEFAULT_SCALING_SPANS,
-) -> ScalingReport:
+def theorem1_scaling(scheme: str = "euler") -> ScalingReport:
     """Step-size/horizon scaling of prediction and reversal error.
 
     The prediction error is measured against the closed-form solution on a
@@ -143,10 +146,7 @@ def theorem1_scaling(
     one dt each span's forward pass is a bitwise prefix of the longest
     span's, so each dt takes one pass.
     """
-    dt_list = tuple(float(d) for d in dt_list)
-    t_list = tuple(float(t) for t in t_list)
-    if len(dt_list) < 4:
-        raise ConfigurationError("need at least 4 step sizes for a slope fit")
+    dt_list, t_list = DEFAULT_SCALING_DTS, DEFAULT_SCALING_SPANS
     spec, spacing = SCALING_SPEC, SCALING_EVAL_SPACING
     field = make_derivative(spec)
 
@@ -166,10 +166,6 @@ def theorem1_scaling(
     l_rev: dict = {}
     for dt in dt_list:
         m_sub = int(round(spacing / dt))
-        if m_sub < 1 or abs(m_sub * dt - spacing) > 1e-12:
-            raise ConfigurationError(
-                f"eval spacing {spacing} is not a whole multiple of dt {dt}"
-            )
         longest = TimeGrid(t0=0.0, dt=dt, n_steps=max(n_evals.values()) * m_sub)
         full = integrate(field, state0, longest, scheme=scheme, record_every=m_sub)
         for span, n in n_evals.items():
@@ -295,6 +291,8 @@ class EnergyCheckReport:
 # Conservation is a property of the flow, not the solver, so the check
 # integrates with RK4 regardless of the dataset protocol's cheaper scheme.
 ENERGY_SCHEME = "rk4"
+ENERGY_SPAN = 6.0
+ENERGY_RATE_STATES = 1000  # states sampled for the rate identities
 
 
 def energy_classification_check(
@@ -302,9 +300,7 @@ def energy_classification_check(
     n_trajectories: int = 3,
     tol: float = 1e-6,
     seed: int = 0,
-    span: float = 6.0,
     rate_tol: float = 1e-6,
-    n_rate_states: int = 1000,
 ) -> EnergyCheckReport:
     """Verify the energy behavior that defines each spring system's class.
 
@@ -315,17 +311,15 @@ def energy_classification_check(
         sampled states, and the energy genuinely moves.
 
     The members are items 0.. of `seed` from build_trajectories, integrated
-    as one ensemble; one that leaves the finite range raises IntegrationError
-    for the whole check.
+    as one ensemble over ENERGY_SPAN; one that leaves the finite range raises
+    IntegrationError for the whole check.
     """
     if not spec.is_spring:
         raise ConfigurationError("energy classification applies to spring systems")
-    if n_trajectories < 1 or n_rate_states < 1:
-        raise ConfigurationError(
-            "energy classification needs at least one trajectory and one rate state"
-        )
+    if n_trajectories < 1:
+        raise ConfigurationError("energy classification needs at least one trajectory")
     dt = SIM_DEFAULTS[spec.kind][1]
-    members = build_trajectories(spec, seed, range(n_trajectories), int(round(span / dt)),
+    members = build_trajectories(spec, seed, range(n_trajectories), int(round(ENERGY_SPAN / dt)),
                                  scheme=ENERGY_SCHEME)
     states = StateVector(np.stack([m.q for m in members]), np.stack([m.p for m in members]))
     times = members[0].times
@@ -337,11 +331,11 @@ def energy_classification_check(
         passed = worst < tol
     elif spec.kind == "damped_spring":
         worst_rise = float(np.max(np.diff(energy, axis=1)))
-        rate_err = _max_rate_mismatch(spec, states, times, n_rate_states)
+        rate_err = _max_rate_mismatch(spec, states, times, ENERGY_RATE_STATES)
         checks = {"max_energy_increase_per_step": worst_rise, "max_rate_mismatch": rate_err}
         passed = worst_rise <= ENERGY_STEP_TOL and rate_err < rate_tol
     else:  # forced_spring
-        rate_err = _max_rate_mismatch(spec, states, times, n_rate_states)
+        rate_err = _max_rate_mismatch(spec, states, times, ENERGY_RATE_STATES)
         moved = float(np.max(np.abs(energy - start)))
         checks = {"max_rate_mismatch": rate_err, "max_energy_change": moved}
         passed = rate_err < rate_tol and moved > 100 * tol
@@ -387,18 +381,18 @@ DEFAULT_MLE_HORIZONS = {
     "triple_pendulum": 0.6,
     "attractor": 6.0,
 }
+MLE_SIGMA = 1e-4  # spread of the cloud around the base state
 
 
 def lyapunov_mle(
     spec: SystemSpec,
     n_pairs: int = 45,
-    perturbation_sigma: float = 1e-4,
     horizon: float | None = None,
     seed: int = 0,
 ) -> LyapunovReport:
     """Largest Lyapunov exponent from pairwise trajectory separation.
 
-    A cloud of initial states is built by adding N(0, sigma) noise to one
+    A cloud of initial states is built by adding N(0, MLE_SIGMA) noise to one
     base state; for every pair, lambda = max over the sampled horizon of
     (1/t) ln(|delta(t)| / |delta(0)|).  Pairs whose trajectories blow up
     are excluded and counted.  The base state is the pendulum's horizontal
@@ -412,12 +406,9 @@ def lyapunov_mle(
     """
     if n_pairs < 1:
         raise ConfigurationError(f"n_pairs must be >= 1, got {n_pairs}")
-    if not 0.0 < perturbation_sigma < math.inf:  # NaN fails too
-        raise ConfigurationError(
-            f"perturbation_sigma must be positive and finite, got {perturbation_sigma}")
     if horizon is None:
         horizon = DEFAULT_MLE_HORIZONS[spec.kind]
-    if not 0.0 < horizon < math.inf:
+    if not 0.0 < horizon < math.inf:  # NaN fails too
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     scheme, dt, sub = SIM_DEFAULTS[spec.kind]
     n_steps = int(round(horizon / dt))
@@ -435,8 +426,8 @@ def lyapunov_mle(
     dq, dp = [], []
     for j in range(n_traj):
         rng = rng_stream(seed, j, PURPOSE_NOISE)
-        dq.append(rng.normal(0.0, perturbation_sigma, size=state0.q.shape))
-        dp.append(rng.normal(0.0, perturbation_sigma, size=state0.p.shape))
+        dq.append(rng.normal(0.0, MLE_SIGMA, size=state0.q.shape))
+        dp.append(rng.normal(0.0, MLE_SIGMA, size=state0.p.shape))
     cloud = StateVector(q=state0.q + np.stack(dq), p=state0.p + np.stack(dp))
     traj = integrate(make_derivative(spec), cloud, grid, scheme=scheme, record_every=sub)
 
@@ -459,7 +450,7 @@ def lyapunov_mle(
         mle_std=float(arr.std()),
         n_pairs_used=len(per_pair),
         n_escaped=escaped,
-        perturbation_sigma=perturbation_sigma,
+        perturbation_sigma=MLE_SIGMA,
         horizon=horizon,
         per_pair=per_pair,
     )
@@ -615,7 +606,7 @@ def run_suite_theorem1() -> SuiteResult:
 LEMMA2_N_RANDOM = 10_000
 
 
-def run_suite_lemma2(seed: int = 0) -> SuiteResult:
+def run_suite_lemma2() -> SuiteResult:
     """Deterministic worst-case construction plus a randomized sweep."""
     det = lemma2_construction_check(0.3, 0.4)
     assertions = [
@@ -626,7 +617,7 @@ def run_suite_lemma2(seed: int = 0) -> SuiteResult:
             detail=f"(0.3, 0.4) -> {det}",
         )
     ]
-    rng = rng_stream(seed, 0, PURPOSE_PARAMS)
+    rng = rng_stream(0, 0, PURPOSE_PARAMS)
     a, b = rng.uniform(0.0, 10.0, size=(LEMMA2_N_RANDOM, 2)).T
     lo, hi = lemma2_construction_check(a, b)
     bad = (
@@ -659,17 +650,13 @@ ENERGY_CASES = (
 )
 
 
-def run_suite_energy(seed: int = 0) -> SuiteResult:
+def run_suite_energy() -> SuiteResult:
     """Conservation / monotone decay / driven-rate identity per system."""
     assertions = []
     data = {}
     for label, spec in ENERGY_CASES:
         rep = energy_classification_check(
-            spec,
-            n_trajectories=2,
-            tol=ENERGY_DRIFT_TOL,
-            seed=seed,
-            rate_tol=ENERGY_RATE_TOL,
+            spec, n_trajectories=2, tol=ENERGY_DRIFT_TOL, rate_tol=ENERGY_RATE_TOL
         )
         data[label] = {"classification": rep.classification, **rep.checks}
         value = next(iter(rep.checks.values()))
@@ -687,10 +674,10 @@ def run_suite_energy(seed: int = 0) -> SuiteResult:
 MLE_ORDER_FACTOR = 10.0
 
 
-def run_suite_mle(seed: int = 0) -> SuiteResult:
+def run_suite_mle() -> SuiteResult:
     """Chaos ordering: the stick pendulum against the spring lattice."""
-    spring = lyapunov_mle(SystemSpec(kind="simple_spring", n_agents=5, dim=2), seed=seed)
-    pend = lyapunov_mle(SystemSpec(kind="triple_pendulum", n_agents=3), seed=seed)
+    spring = lyapunov_mle(SystemSpec(kind="simple_spring", n_agents=5, dim=2))
+    pend = lyapunov_mle(SystemSpec(kind="triple_pendulum", n_agents=3))
     ratio = pend.mle_mean / spring.mle_mean
     assertions = [
         Assertion(

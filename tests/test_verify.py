@@ -25,7 +25,6 @@ from revode.systems import (
     mechanical_energy_rate,
 )
 from revode.verify import (
-    DEFAULT_SCALING_DTS,
     ENERGY_CASES,
     ENERGY_SCHEME,
     SCALING_EVAL_SPACING,
@@ -84,6 +83,18 @@ def test_roundtrip_plateaus_for_damped_flow():
     assert vals[-1] / vals[0] > 0.5
 
 
+@pytest.mark.parametrize("k, leg", [(1e8, "outbound"), (1e6, "return")])
+def test_roundtrip_names_the_leg_that_escapes(k, leg):
+    """Euler grows a spring's amplitude by sqrt(1 + k dt^2) a step: at
+    k = 1e8 the outbound leg overflows, at k = 1e6 it ends near 1e200 and
+    the return leg overflows.  Either way the round trip raises (exit 3) and
+    never returns a NaN distance."""
+    with pytest.raises(IntegrationError) as exc:
+        lemma1_roundtrip(one_ball(k=k), one_ball_state(), "euler", dt=0.01, span=2.0)
+    assert str(exc.value) == f"the {leg} leg of the simple_spring round trip left the finite range by t=2"
+    assert (exc.value.exit_code, exc.value.time) == (3, 2.0)
+
+
 def test_roundtrip_span_must_be_multiple_of_dt():
     with pytest.raises(ConfigurationError):
         lemma1_roundtrip(one_ball(), one_ball_state(), "rk4", dt=0.3, span=1.0)
@@ -139,11 +150,12 @@ def test_theorem1_scaling_reverse_slope_outruns_prediction_slope():
     assert head["s_rev_r2"] > SCALING_MIN_R2
 
 
-def test_theorem1_reverse_leg_is_the_negated_field_from_the_forward_endpoint():
+def test_theorem1_reverse_leg_is_the_negated_field_from_the_forward_endpoint(monkeypatch):
     """Each (span, dt) cell's losses are those of its own forward pass (the
     report slices one pass per dt) and of the negated field run back from
     that pass's endpoint, point j paired with point n - j."""
-    report = theorem1_scaling(scheme="euler", t_list=(1.6, 3.2))
+    monkeypatch.setattr(revode.verify, "DEFAULT_SCALING_SPANS", (1.6, 3.2))
+    report = theorem1_scaling(scheme="euler")
     field = make_derivative(SCALING_SPEC)
     start = StateVector([[SCALING_Q0]], [[SCALING_P0]])
     for (span, dt), l_rev in report.l_rev.items():
@@ -158,15 +170,11 @@ def test_theorem1_reverse_leg_is_the_negated_field_from_the_forward_endpoint():
         assert (report.l_pred[(span, dt)], l_rev) == (float(pred), float(gap))
 
 
-def test_theorem1_scaling_requires_enough_dts():
-    with pytest.raises(ConfigurationError):
-        theorem1_scaling(dt_list=DEFAULT_SCALING_DTS[:3])
-
-
-def test_scaling_report_is_jsonable():
+def test_scaling_report_is_jsonable(monkeypatch):
     import json
 
-    report = theorem1_scaling(scheme="euler", t_list=(1.6, 3.2))
+    monkeypatch.setattr(revode.verify, "DEFAULT_SCALING_SPANS", (1.6, 3.2))
+    report = theorem1_scaling(scheme="euler")
     doc = report.to_jsonable()
     json.dumps(doc)  # must not choke on tuple keys or numpy scalars
     assert doc["scheme"] == "euler"
@@ -233,19 +241,20 @@ def test_chain_rule_rate_on_stacked_states_matches_each_state(kind, kwargs):
         assert rates[i] == mechanical_energy_rate_chain_rule(spec, one, t[i])
 
 
-def test_energy_classification_simple_spring():
+def test_energy_classification_simple_spring(monkeypatch):
+    monkeypatch.setattr(revode.verify, "ENERGY_SPAN", 2.0)
     spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1, k=0.5)
-    report = energy_classification_check(spec, n_trajectories=1, span=2.0)
+    report = energy_classification_check(spec, n_trajectories=1)
     assert report.passed
     assert report.classification == "conservative_reversible"
     assert report.checks["max_relative_drift"] < 1e-6
 
 
-def test_energy_classification_damped_spring():
+def test_energy_classification_damped_spring(monkeypatch):
+    monkeypatch.setattr(revode.verify, "ENERGY_SPAN", 2.0)
+    monkeypatch.setattr(revode.verify, "ENERGY_RATE_STATES", 50)
     spec = SystemSpec(kind="damped_spring", n_agents=1, dim=1, k=1.0, gamma=2.0)
-    report = energy_classification_check(
-        spec, n_trajectories=1, span=2.0, n_rate_states=50
-    )
+    report = energy_classification_check(spec, n_trajectories=1)
     assert report.passed
     assert report.checks["max_energy_increase_per_step"] <= 1e-9
 
@@ -256,13 +265,14 @@ def test_energy_classification_rejects_non_spring():
 
 
 @pytest.mark.parametrize("kind", ["simple_spring", "damped_spring"])
-def test_energy_classification_needs_a_trajectory_and_a_rate_state(kind):
-    """With nothing integrated there is nothing to pass on."""
+def test_energy_classification_needs_a_trajectory_and_a_rate_state(monkeypatch, kind):
+    """With nothing integrated there is nothing to pass on; the rate states
+    are ENERGY_RATE_STATES, so only the trajectory count can be zero."""
+    monkeypatch.setattr(revode.verify, "build_trajectories", integrate_must_not_run)
     spec = SystemSpec(kind=kind, n_agents=2, dim=1)
-    with pytest.raises(ConfigurationError):
-        energy_classification_check(spec, n_trajectories=0, span=0.5)
-    with pytest.raises(ConfigurationError):
-        energy_classification_check(spec, n_trajectories=1, span=0.5, n_rate_states=0)
+    with pytest.raises(ConfigurationError, match="at least one trajectory"):
+        energy_classification_check(spec, n_trajectories=0)
+    assert revode.verify.ENERGY_RATE_STATES >= 1
 
 
 def rate_mismatch_by_state(spec, trajs, n_states):
@@ -294,7 +304,8 @@ def test_energy_ensemble_matches_members_integrated_alone(monkeypatch, label, sp
     monkeypatch.setattr(revode.data, "integrate", record("traj", integrate))
     monkeypatch.setattr(revode.verify, "mechanical_energy", record("energy", mechanical_energy))
     span, members = 0.5, 3
-    energy_classification_check(spec, n_trajectories=members, seed=4, span=span)
+    monkeypatch.setattr(revode.verify, "ENERGY_SPAN", span)
+    energy_classification_check(spec, n_trajectories=members, seed=4)
     ensemble, energy = seen["traj"], seen["energy"]  # energy is member-major
     assert ensemble.q.shape[1] == members and energy.shape == (members, ensemble.n_points)
 
@@ -327,21 +338,13 @@ def test_lyapunov_mle_spring_is_tame():
     assert report.mle_mean < 1.0
 
 
-def test_lyapunov_mle_rejects_bad_sigma():
-    with pytest.raises(ConfigurationError):
-        lyapunov_mle(one_ball(), perturbation_sigma=0.0)
-
-
 @pytest.mark.parametrize("kwargs, match", [
     ({"n_pairs": 0}, "n_pairs"),
     ({"n_pairs": -3}, "n_pairs"),
     ({"horizon": NAN}, "horizon"),
     ({"horizon": INF}, "horizon"),
     ({"horizon": -1.0}, "horizon"),
-    ({"perturbation_sigma": NAN}, "perturbation_sigma"),
-    ({"perturbation_sigma": INF}, "perturbation_sigma"),
-], ids=["pairs_0", "pairs_negative", "horizon_nan", "horizon_inf", "horizon_negative",
-        "sigma_nan", "sigma_inf"])
+], ids=["pairs_0", "pairs_negative", "horizon_nan", "horizon_inf", "horizon_negative"])
 def test_lyapunov_mle_rejects_bad_inputs_before_integrating(monkeypatch, kwargs, match):
     """A bad input is a configuration error, never read as divergence."""
     monkeypatch.setattr(revode.verify, "integrate", integrate_must_not_run)
@@ -357,7 +360,8 @@ def test_lyapunov_mle_deterministic():
 
 def reference_pair_exponents(spec, n_traj, n_pairs, sigma, horizon, seed):
     """The probe as first written: each member integrated alone, a member
-    whose integration raises escapes, and every pair touching it is skipped."""
+    whose trajectory leaves the finite range escapes, and every pair
+    touching it is skipped."""
     scheme, dt, sub = SIM_DEFAULTS[spec.kind]
     grid = TimeGrid(0.0, dt, int(round(horizon / dt)))
     base = draw_initial_state(spec, rng_stream(seed, 0, PURPOSE_INIT))
@@ -366,11 +370,8 @@ def reference_pair_exponents(spec, n_traj, n_pairs, sigma, horizon, seed):
         rng = rng_stream(seed, j, PURPOSE_NOISE)
         dq = rng.normal(0.0, sigma, size=base.q.shape)
         dp = rng.normal(0.0, sigma, size=base.p.shape)
-        try:
-            trajs.append(integrate(make_derivative(spec), StateVector(base.q + dq, base.p + dp),
-                                   grid, scheme, sub))
-        except IntegrationError:
-            trajs.append(None)
+        traj = integrate(make_derivative(spec), StateVector(base.q + dq, base.p + dp), grid, scheme, sub)
+        trajs.append(traj if np.isfinite(traj.q).all() and np.isfinite(traj.p).all() else None)
     per_pair, escaped = [], 0
     for ia, ib in list(itertools.combinations(range(n_traj), 2))[:n_pairs]:
         ta, tb = trajs[ia], trajs[ib]
@@ -385,15 +386,16 @@ def reference_pair_exponents(spec, n_traj, n_pairs, sigma, horizon, seed):
     return per_pair, escaped
 
 
-def test_lyapunov_mle_counts_escaped_pairs():
+def test_lyapunov_mle_counts_escaped_pairs(monkeypatch):
     """A wide cloud around the attractor's start sends members 4 and 5 of six
     to infinity within the horizon: the nine pairs touching them are counted
     as escaped, and the other six pairs keep the exponents they have with
     each member integrated alone."""
     spec = SystemSpec(kind="attractor")
-    with np.errstate(all="ignore"):
-        report = lyapunov_mle(spec, n_pairs=15, perturbation_sigma=10.0, horizon=6.0, seed=0)
-        want, want_escaped = reference_pair_exponents(spec, 6, 15, 10.0, 6.0, 0)
+    monkeypatch.setattr(revode.verify, "MLE_SIGMA", 10.0)
+    with np.errstate(over="ignore"):  # an escaping member records 2e252 before its NaN
+        report = lyapunov_mle(spec, n_pairs=15, horizon=6.0, seed=0)
+    want, want_escaped = reference_pair_exponents(spec, 6, 15, 10.0, 6.0, 0)
     assert (report.n_escaped, report.n_pairs_used) == (9, 6) == (want_escaped, len(want))
     assert report.per_pair == want
     assert report.per_pair == pytest.approx(
@@ -442,9 +444,10 @@ def test_lyapunov_mle_pairs_of_one_ensemble_match_members_integrated_alone():
     assert report.per_pair == want
 
 
-def test_energy_check_raises_when_a_member_blows_up():
+def test_energy_check_raises_when_a_member_blows_up(monkeypatch):
     """A spring far too stiff for the protocol's step sends the ensemble to
     infinity; the check stops with IntegrationError (exit 3 on the CLI)."""
+    monkeypatch.setattr(revode.verify, "ENERGY_SPAN", 1.0)
     spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1, k=1e9)
-    with np.errstate(all="ignore"), pytest.raises(IntegrationError):
-        energy_classification_check(spec, n_trajectories=2, span=1.0)
+    with pytest.raises(IntegrationError):
+        energy_classification_check(spec, n_trajectories=2)
