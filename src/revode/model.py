@@ -277,9 +277,11 @@ def make_ode_func(
     the update input and the one gathered back through the messages (the
     order in which the equivalent chain of primitives sums them), and one
     gradient per tensor of g.params.  It keeps only z, the aggregated
-    messages, the hidden activations and the message ReLU mask (as bits), and
-    recomputes the pair rows, the update input and the hidden mask from
-    them.  On a forward-only tape backward is None and g keeps nothing.
+    messages and the message ReLU mask (as bits), and recomputes the pair
+    rows, the update input and the hidden activations with the forward's
+    own calls, so every bit holds; rebuilding the messages instead would
+    repeat the field's largest product.  On a forward-only tape backward is
+    None and g keeps nothing.
     """
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     pair_rows = ad.RowIndex(pairs[:, ::-1].reshape(-1), n_nodes)
@@ -302,6 +304,7 @@ def make_ode_func(
         def backward(go):
             pair = z[pair_rows.idx].reshape(len(pairs), 2 * dz)
             upd_in = np.concatenate([z, agg], axis=1)
+            hidden = np.maximum(upd_in @ W1 + b1, 0.0)
             d_hid = (go @ W2.T) * (hidden > 0.0)
             d_upd = d_hid @ W1.T
             d_msg = d_upd[:, dz:][targets.idx] * np.unpackbits(

@@ -435,7 +435,8 @@ def lyapunov_mle(
     ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     diff_q = (traj.q[:, ia] - traj.q[:, ib]).reshape(traj.n_points, len(pairs), state0.q.size)
     diff_p = (traj.p[:, ia] - traj.p[:, ib]).reshape(traj.n_points, len(pairs), state0.p.size)
-    delta = np.sqrt(np.sum(diff_q**2, axis=-1) + np.sum(diff_p**2, axis=-1))  # (points, pairs)
+    with np.errstate(over="ignore"):  # a member on its way out squares to inf, then escapes
+        delta = np.sqrt(np.sum(diff_q**2, axis=-1) + np.sum(diff_p**2, axis=-1))  # (points, pairs)
     usable = delta[:, np.isfinite(delta).all(axis=0) & (delta[0] != 0.0)]
     lam = np.max(np.log(usable[1:] / usable[0]) / traj.times[1:, None], axis=0)
     per_pair = lam.tolist()

@@ -434,13 +434,14 @@ def test_row_blocks_gradient_is_a_minus_zero_scatter(data, n_blocks, n, width, s
     """For any block order and sizes, the gradient is g scattered to the
     taken blocks over a -0.0 fill, and summed into another gradient of the
     operand it leaves the untaken blocks bit for bit as they were, signed
-    zeros included."""
+    zeros and whole -0.0 rows included."""
     blocks = data.draw(st.permutations(range(n_blocks)))[:data.draw(st.integers(1, n_blocks))]
     rng = np.random.default_rng(seed)
     tape = Tape()
     x = tape.leaf(signed_zeros(rng, (n_blocks * n, width)), "x")
     y = ad.row_blocks(x, n, blocks)
     g, other = signed_zeros(rng, y.value.shape), signed_zeros(rng, x.value.shape)
+    other[rng.random(len(other)) < 0.5] = -0.0  # whole -0.0 rows too
     scatter = np.full(x.value.shape, -0.0)
     for j, b in enumerate(blocks):
         assert y.value[j * n:(j + 1) * n].tobytes() == x.value[b * n:(b + 1) * n].tobytes()

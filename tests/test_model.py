@@ -486,7 +486,7 @@ def field_params(seed):
 @pytest.mark.parametrize("graph", sorted(FIELD_GRAPHS))
 def test_fused_field_matches_composite(graph):
     """Field values, and the gradients of two RK4 steps through it with
-    respect to z and all six weights, equal the composite's to 1e-12."""
+    respect to z and all six weights, equal the composite's bit for bit."""
     edges, n = FIELD_GRAPHS[graph]
     params = field_params(seed=5)
     z0 = np.random.default_rng(6).standard_normal((n, TINY.d_z))
@@ -502,10 +502,10 @@ def test_fused_field_matches_composite(graph):
     states = stagewise.rollout(leaves["z"], f, 2, 0.1, "rk4", "forward")
     results.append((f(leaves["z"]).value, backward(tape, ad.l2_norm_sq(states[-1]))))
     (fused, fused_grads), (ref, ref_grads) = results
-    assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(fused, ref)
     assert set(fused_grads) == set(ref_grads) == {"z", *model.FIELD_PARAMS}
     for name, grad in ref_grads.items():
-        assert np.allclose(fused_grads[name], grad, rtol=1e-12, atol=1e-12), name
+        assert np.array_equal(fused_grads[name], grad), name
 
 
 @pytest.mark.parametrize("graph", sorted(FIELD_GRAPHS))

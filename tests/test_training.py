@@ -284,7 +284,7 @@ def test_treat_batch_tape_size(preset, max_nodes):
     assert not hasattr(batch, "sel_matrix")
 
 
-@pytest.mark.parametrize("preset, max_mb", [("desk", 6), ("graph", 44)])
+@pytest.mark.parametrize("preset, max_mb", [("desk", 6), ("graph", 31)])
 def test_treat_step_peak_memory(preset, max_mb):
     """The traced peak of one forward and backward on a treat batch stays
     within budget: the tape pins only what its backward closures read."""
