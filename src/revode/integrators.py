@@ -184,12 +184,12 @@ def integrate(
     offending entry; a field that raises ends the call.
 
     A start (..., n_agents, d) is an ensemble, and a single (n_agents, d)
-    start is an ensemble of one.  Each recorded span is marched unchecked,
-    with NumPy's warnings silenced: a non-finite entry stays non-finite under
-    `y + increment`, so a member finite at the end of a span had no bad step
-    in it.  A member non-finite there escapes: it is NaN from that recorded
-    point on, the one that holds its first bad step, and the other members
-    keep the bits they have when integrated alone.
+    start is an ensemble of one.  The march runs unchecked, with NumPy's
+    warnings silenced, and the escape rule applies once after it: a
+    non-finite entry stays non-finite under `y + increment`, so a member
+    escapes at the first recorded point where it is not finite and is NaN
+    from there on.  Members never interact: the others keep the bits they
+    have when integrated alone.
     """
     if record_every < 1 or grid.n_steps % record_every != 0:
         raise ConfigurationError(
@@ -205,12 +205,12 @@ def integrate(
         )
     ys = np.empty((grid.n_steps // record_every + 1,) + y.shape)
     ys[0] = y
-    for i in range(1, len(ys)):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for i in range(1, len(ys)):
             for k in range((i - 1) * record_every, i * record_every):
                 step(t0 + k * dt)
-        y[~np.isfinite(y).all(axis=(-2, -1))] = np.nan  # the escaped members only
-        ys[i] = y
+            ys[i] = y
+    ys[np.logical_or.accumulate(~np.isfinite(ys).all(axis=(-2, -1)), axis=0)] = np.nan
     return Trajectory(  # row-major q and p, as reductions over them expect
         times=grid.times()[::record_every].copy(), q=ys[..., :d_q].copy(), p=ys[..., d_q:].copy()
     )

@@ -3,11 +3,12 @@ vector field unrolled by a fixed-step solver, and an MLP decoder.
 
 Everything here builds autodiff graphs.  The field works on arrays, and each
 rollout leg is one tape node whose backward is the discrete adjoint of its
-scheme (the schemes mirror `integrators`), so gradients flow through the
-unrolled solver (discretize-then-optimize).  The encoder and the decoder are
-one node each too: their backwards keep a few arrays (for the encoder H,
-the softmax weights and the pooled rows; for the decoder its input rows)
-and recompute the rest, with every bit the chain of primitives gave.
+scheme, so gradients flow through the unrolled solver (discretize-then-optimize).
+One table, one row per `integrators.SCHEMES` entry, drives both a leg's step
+and that adjoint.  The encoder and the decoder are one node each too: their
+backwards keep a few arrays (for the encoder H, the softmax weights and the
+pooled rows; for the decoder its input rows) and recompute the rest, with
+every bit the chain of primitives gave.
 """
 
 from __future__ import annotations
@@ -75,17 +76,17 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
-def temporal_encoding(delta_ts: np.ndarray, d: int, base: float = TE_BASE) -> np.ndarray:
+def temporal_encoding(delta_ts: np.ndarray, d: int) -> np.ndarray:
     """Sinusoidal encoding of (possibly negative, irregular) time offsets.
 
-    Column 2i is sin(t / base^(2i/d)), column 2i+1 the matching cos, so a
+    Column 2i is sin(t / TE_BASE^(2i/d)), column 2i+1 the matching cos, so a
     zero offset encodes as (0, 1, 0, 1, ...).
     """
     if d % 2 != 0:
         raise ConfigurationError("temporal encoding dimension must be even")
     delta_ts = np.asarray(delta_ts, dtype=np.float64).reshape(-1)
     i2 = np.arange(0, d, 2, dtype=np.float64)
-    scales = base ** (i2 / d)
+    scales = TE_BASE ** (i2 / d)
     args = delta_ts[:, None] / scales[None, :]
     out = np.empty((len(delta_ts), d), dtype=np.float64)
     out[:, 0::2] = np.sin(args)
@@ -321,93 +322,74 @@ def make_ode_func(
     return g
 
 
-# Each scheme is a step and its discrete adjoint.  A step maps z to the next
-# state and the backward of every field evaluation, in evaluation order; its
-# adjoint takes that step's backwards, the step's own gradient block G and
-# the next state's total gradient a, yields the weight gradients newest
-# evaluation first, and returns z's total gradient.  Both repeat, operation
-# for operation, the step as a chain of tape primitives (smul, add, one node
-# per field evaluation; tests/stagewise_rollout.py keeps it as the
-# reference), and the adjoint adds up every gradient in the order that
-# chain's backward sweep would, so gradients keep every bit.
-
-def _evaluation_adjoint(backward, go):
-    z_terms, param_grads = backward(go)
-    yield from param_grads
-    return z_terms
+# One row per scheme: (stage divisors, increment weights, denominator).
+# Stage s + 1 is evaluated at z + k_s * (h / divisor_s), and the step is
+# z + incr * (h / denominator), incr summing the weighted rates pairwise:
+# (k1 + k2*2.0) + (k3*2.0 + k4) for rk4.  A weight of 1.0 is never multiplied
+# in, and h / 1.0 is h.  _step and _step_adjoint repeat, operation for
+# operation, the step as a chain of tape primitives (smul, add, one node per
+# field evaluation; tests/stagewise_rollout.py keeps it as the reference),
+# and the adjoint adds up every gradient in the order that chain's backward
+# sweep would, so gradients keep every bit.
+_TABLEAUX = {
+    "euler": ((), (1.0,), 1.0),
+    "heun": ((1.0,), (1.0, 1.0), 2.0),
+    "rk4": ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0),
+}
 
 
 def _total(*terms):
     return reduce(operator.add, terms)  # ((t0 + t1) + t2) + ...
 
 
-def _euler(z, g, h):
-    k1, back1 = g(z)
-    return z + k1 * h, (back1,)
+def _step(z, g, h, tableau):
+    """One step from z -> (next state, the backward of every field
+    evaluation, in evaluation order)."""
+    divisors, weights, denom = tableau
+    evals = [g(z)]
+    for d in divisors:
+        evals.append(g(z + evals[-1][0] * (h / d)))
+    rates, backs = zip(*evals)
+    incr = [r if w == 1.0 else r * w for r, w in zip(rates, weights)]
+    while len(incr) > 1:  # pairwise; an odd last term carries over
+        incr = [_total(*incr[i:i + 2]) for i in range(0, len(incr), 2)]
+    return z + incr[0] * (h / denom), backs
 
 
-def _euler_adjoint(G, a, backs, h):
-    (back1,) = backs
-    d1 = yield from _evaluation_adjoint(back1, a * h)
-    return _total(G, a, *d1)
-
-
-def _heun(z, g, h):
-    k1, back1 = g(z)
-    k2, back2 = g(z + k1 * h)
-    return z + (k1 + k2) * (h / 2.0), (back1, back2)
-
-
-def _heun_adjoint(G, a, backs, h):
-    back1, back2 = backs
-    b = a * (h / 2.0)
-    c2 = _total(*(yield from _evaluation_adjoint(back2, b)))
-    d1 = yield from _evaluation_adjoint(back1, b + c2 * h)
-    return _total(G, a, c2, *d1)
-
-
-def _rk4(z, g, h):
-    k1, back1 = g(z)
-    k2, back2 = g(z + k1 * (h / 2.0))
-    k3, back3 = g(z + k2 * (h / 2.0))
-    k4, back4 = g(z + k3 * h)
-    incr = (k1 + k2 * 2.0) + (k3 * 2.0 + k4)
-    return z + incr * (h / 6.0), (back1, back2, back3, back4)
-
-
-def _rk4_adjoint(G, a, backs, h):
-    back1, back2, back3, back4 = backs
-    b = a * (h / 6.0)
-    b2 = b * 2.0
-    c4 = _total(*(yield from _evaluation_adjoint(back4, b)))
-    c3 = _total(*(yield from _evaluation_adjoint(back3, b2 + c4 * h)))
-    c2 = _total(*(yield from _evaluation_adjoint(back2, b2 + c3 * (h / 2.0))))
-    d1 = yield from _evaluation_adjoint(back1, b + c2 * (h / 2.0))
-    return _total(G, a, c4, c3, c2, *d1)
-
-
-_LEG_SCHEMES = {
-    "euler": (_euler, _euler_adjoint),
-    "heun": (_heun, _heun_adjoint),
-    "rk4": (_rk4, _rk4_adjoint),
-}
+def _step_adjoint(G, a, backs, h, tableau):
+    """Given a step's evaluation backwards, its own gradient block G and the
+    next state's total gradient a: yield the weight gradients newest
+    evaluation first, and return z's total gradient."""
+    divisors, weights, denom = tableau
+    b = a * (h / denom)
+    carries = []  # c_s, the z-gradient of evaluation s, newest first
+    for s in range(len(backs) - 1, -1, -1):
+        go = b if weights[s] == 1.0 else b * weights[s]
+        if carries:
+            go = go + carries[-1] * (h / divisors[s])
+        z_terms, param_grads = backs[s](go)
+        yield from param_grads
+        if s:
+            carries.append(_total(*z_terms))
+    return _total(G, a, *carries, *z_terms)
 
 
 def _leg(start: Tensor, g, n_steps: int, h: float, scheme: str, tag: str) -> Tensor:
     """n_steps of `scheme` with step h from `start`, as one tape node whose
-    value stacks the K+1 states and whose backward is the scheme's discrete
-    adjoint: the exact gradient of the unrolled solver
-    (discretize-then-optimize)."""
-    if scheme not in _LEG_SCHEMES:
+    value stacks the K+1 states.  Each step is `_step` on the scheme's
+    `_TABLEAUX` row, and the backward walks `_step_adjoint` over the steps
+    newest first: the discrete adjoint, the exact gradient of the unrolled
+    solver (discretize-then-optimize)."""
+    if scheme not in _TABLEAUX:
         raise ConfigurationError(f"unknown rollout scheme {scheme!r}")
-    step, adjoint = _LEG_SCHEMES[scheme]
+    tableau = _TABLEAUX[scheme]
     n, d = start.value.shape
     states = np.empty((n_steps + 1, n, d))
     states[0] = start.value
     backs = []
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
         for k in range(n_steps):
-            z, step_backs = step(states[k], g, h)
+            z, step_backs = _step(states[k], g, h, tableau)
             if not np.all(np.isfinite(z)):
                 raise RolloutDivergedError(f"{tag} rollout diverged at step {k + 1}", step=k + 1)
             states[k + 1] = z
@@ -418,7 +400,7 @@ def _leg(start: Tensor, g, n_steps: int, h: float, scheme: str, tag: str) -> Ten
         G = G.reshape(states.shape)
         a = G[-1]
         for k in range(n_steps - 1, -1, -1):
-            a = yield from adjoint(G[k], a, backs[k], h)
+            a = yield from _step_adjoint(G[k], a, backs[k], h, tableau)
         yield a
 
     weights = tuple(w.idx for w in g.params)

@@ -144,6 +144,9 @@ def batch_forward(
 
 # --------------------------------------------------------------- optimizer
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamWState:
     m: np.ndarray  # first and second moments, laid out like the flat parameters
@@ -157,18 +160,15 @@ def optimizer_step(
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> np.ndarray:
     """One decoupled-weight-decay Adam step on the flat parameter vector:
     returns a new vector, never writing into theta, and advances state."""
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return theta - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1**state.t)
+    v_hat = state.v / (1.0 - BETA2**state.t)
+    return theta - lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * theta)
 
 
 # ------------------------------------------------------------- settings

@@ -5,6 +5,8 @@ tiny example, and once through `grad_check`, which compares the whole tape
 against central finite differences.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -461,3 +463,75 @@ def test_row_blocks_rejects_bad_blocks():
     for n, blocks in [(4, [0]), (2, [3]), (2, [-1]), (2, [1, 1])]:
         with pytest.raises(ShapeError):
             ad.row_blocks(x, n, blocks)
+
+
+# ------------------------------------------------------- tape properties
+
+CHAIN_STEPS = ("add", "sub", "smul", "matmul", "add_bias", "gather_rows", "row_blocks", "concat")
+
+
+def primitive_chain(tape, steps, n, seed):
+    """Replay `steps` on `tape` from two (n, n) leaves and a (1, n) bias
+    leaf; each step applies one primitive to (n, n) operands that a seeded
+    rng picks among the leaves and the earlier results ("concat" stacks two
+    and takes one n-row block back).  Returns (leaves, results, loss), the
+    loss adding l2_norm_sq of the last result and of one more pick."""
+    rng = np.random.default_rng(seed)
+    leaves = [tape.leaf(rng.standard_normal(shape), name)
+              for name, shape in (("x", (n, n)), ("w", (n, n)), ("b", (1, n)))]
+    pool = leaves[:2]
+
+    def pick():
+        return pool[rng.integers(len(pool))]
+
+    apply = {
+        "add": lambda x: ad.add(x, pick()),
+        "sub": lambda x: ad.sub(x, pick()),
+        "smul": lambda x: ad.smul(x, rng.standard_normal()),
+        "matmul": lambda x: ad.matmul(x, pick()),
+        "add_bias": lambda x: ad.add_bias(x, leaves[2]),
+        "gather_rows": lambda x: ad.gather_rows(x, rng.integers(n, size=n)),
+        "row_blocks": lambda x: ad.row_blocks(x, 1, rng.permutation(n)),
+        "concat": lambda x: ad.row_blocks(ad.concat([x, pick()]), n, [rng.integers(2)]),
+    }
+    for step in steps:
+        pool.append(apply[step](pick()))
+    loss = ad.add(ad.l2_norm_sq(pool[-1]), ad.l2_norm_sq(pick()))
+    return leaves, pool[2:], loss
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(steps=st.lists(st.sampled_from(CHAIN_STEPS), min_size=1, max_size=8),
+       n=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_tape_properties_over_primitive_chains(steps, n, seed):
+    """Over any chain of the primitives, with the cycle collector off: a
+    forward-only tape records no node and gives the same values; a node's
+    value reads empty exactly when no Tensor or backward closure holds it,
+    before and after the sweep; and a second backward raises."""
+    gc.disable()
+    try:
+        quiet = Tape(record=False)
+        _, quiet_results, _ = primitive_chain(quiet, steps, n, seed)
+        assert len(quiet) == 0 and quiet.nodes == []
+        tape = Tape()
+        leaves, results, loss = primitive_chain(tape, steps, n, seed)
+        assert [t.value.tobytes() for t in quiet_results] == [t.value.tobytes() for t in results]
+        del quiet_results, results
+
+        def assert_held_exactly(tensors):
+            held = {id(t.value) for t in tensors} | {
+                id(cell.cell_contents) for node in tape.nodes if node.bwd is not None
+                for cell in node.bwd.__closure__ or ()
+                if isinstance(cell.cell_contents, np.ndarray)}
+            for node in tape.nodes:
+                assert (node.value.size == 0) == (id(node.value) not in held), node.op
+
+        assert_held_exactly(leaves + [loss])
+        backward(tape, loss)
+        with pytest.raises(ShapeError, match="already ran"):
+            backward(tape, loss)
+        del loss
+        assert all(node.bwd is None for node in tape.nodes)
+        assert_held_exactly(leaves)
+    finally:
+        gc.enable()

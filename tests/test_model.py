@@ -103,9 +103,9 @@ def test_temporal_encoding_zero_offset():
 
 def test_temporal_encoding_hand_values():
     t = 0.5
-    enc = temporal_encoding(np.array([t]), d=4, base=100.0)
-    # scales are 100^(0/4)=1 and 100^(2/4)=10
-    expected = [np.sin(t), np.cos(t), np.sin(t / 10), np.cos(t / 10)]
+    enc = temporal_encoding(np.array([t]), d=4)
+    # scales are TE_BASE^(0/4)=1 and TE_BASE^(2/4)=100, for TE_BASE = 10000
+    expected = [np.sin(t), np.cos(t), np.sin(t / 100), np.cos(t / 100)]
     assert np.allclose(enc[0], expected)
 
 
@@ -539,6 +539,11 @@ def test_rollout_legs_grad_check(scheme):
 
     report = grad_check(f, params, tol=1e-5)
     assert report.passed, report.per_param
+
+
+def test_every_scheme_has_one_tableau_row():
+    """One table drives every leg: exactly one row per integrator scheme."""
+    assert tuple(model._TABLEAUX) == SCHEMES
 
 
 def test_rollout_leg_is_one_tape_node():
