@@ -2,15 +2,16 @@
 
 Nodes are appended in creation order, which is already a topological order
 (every parent index is smaller than its child's), so the backward sweep is
-a single reversed loop over the node list.  A node's backward may be a
-generator, so an op with many parents (a whole rollout leg) hands out their
-gradients one at a time and never holds them all.  Values are float64 numpy
-arrays, held by the Tensors themselves.  A node refers to its value only
-weakly, so a recording tape pins just what its backward closures capture:
-an intermediate that no closure reads is freed as soon as its Tensor goes,
-and the sweep lets each closure go once it has passed its node.
-A forward-only tape (record=False) keeps no nodes at all, so a pass that
-never runs backward holds only the values its caller still references.
+a single reversed loop over the node list; it returns every leaf's
+gradient in one float64 vector, in recording order.  A node's backward may
+be a generator, so an op with many parents (a whole rollout leg) hands out
+their gradients one at a time and never holds them all.  Values are float64
+numpy arrays, held by the Tensors themselves.  A node refers to its value
+only weakly, so a recording tape pins just what its backward closures
+capture: an intermediate that no closure reads is freed as soon as its
+Tensor goes, and the sweep lets each closure go once it has passed its
+node.  A forward-only tape (record=False) keeps no nodes at all, so a pass
+that never runs backward holds only the values its caller still references.
 The primitives here are those the model and the losses record.  The
 model's encoder, rollout legs and decoder are single nodes whose backwards
 keep a few arrays and recompute the rest; the chains of primitives whose
@@ -26,7 +27,7 @@ import weakref
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, ShapeError
+from .errors import ShapeError
 
 
 _GONE = np.empty(0)
@@ -36,18 +37,18 @@ _GONE.flags.writeable = False
 class Node:
     """One recorded op.  The node holds its value weakly: `value` is the
     array while a Tensor or a backward closure still holds it, and a shared
-    empty array once it is gone.  The sweep never reads it."""
+    empty array once it is gone.  The sweep never reads it; `shape` outlives it."""
 
-    __slots__ = ("op", "_value", "parents", "bwd", "name")
+    __slots__ = ("op", "_value", "parents", "bwd", "shape")
 
-    def __init__(self, op, value, parents, bwd, name=None):
+    def __init__(self, op, value, parents, bwd):
         self.op = op
         self._value = weakref.ref(value)
+        self.shape = value.shape
         self.parents = parents
         # callable(out_grad) -> iterable of parent grads, one per parent in
         # order; the sweep adds each into its parent as it is produced
         self.bwd = bwd
-        self.name = name
 
     @property
     def value(self) -> np.ndarray:
@@ -77,18 +78,18 @@ class Tape:
         self.nodes: list[Node] = []
         self.swept = False  # backward ran, and let every closure it passed go
 
-    def _record(self, op, value, parents, bwd, name=None) -> Tensor:
+    def _record(self, op, value, parents, bwd) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
         if not self.record:
             return Tensor(self, -1, value)
         for p in parents:
             assert 0 <= p < len(self.nodes)
-        self.nodes.append(Node(op, value, parents, bwd, name))
+        self.nodes.append(Node(op, value, parents, bwd))
         return Tensor(self, len(self.nodes) - 1, value)
 
-    def leaf(self, value, name: str) -> Tensor:
-        """A named parameter; backward() reports gradients for these."""
-        return self._record("leaf", value, (), None, name=name)
+    def leaf(self, value) -> Tensor:
+        """A parameter: backward() returns its gradient as its slice of one vector."""
+        return self._record("leaf", value, (), None)
 
     def const(self, value) -> Tensor:
         """A constant input; participates in forward, gets no gradient."""
@@ -252,10 +253,11 @@ def l2_norm_sq(a: Tensor) -> Tensor:
 
 # ------------------------------------------------------------- backward
 
-def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
-    """Accumulate d(loss)/d(leaf) for every named leaf; loss must be scalar.
-    The sweep drops each node's backward closure as it passes, so a tape is
-    swept once: a second call raises ShapeError."""
+def backward(tape: Tape, loss: Tensor) -> np.ndarray:
+    """d(loss)/d(leaf) for every leaf, raveled into one float64 vector in
+    recording order (zeros where the sweep never reaches); loss must be
+    scalar.  The sweep drops each node's backward closure as it passes, so
+    a tape is swept once: a second call raises ShapeError."""
     if loss.tape is not tape:
         raise ShapeError("loss does not belong to this tape")
     if not tape.record:
@@ -278,14 +280,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
         # write in place, and leaf gradients are copied out below
         for pidx, pg in zip(node.parents, bwd(g)):
             grads[pidx] = pg if grads[pidx] is None else grads[pidx] + pg
-    out: dict[str, np.ndarray] = {}
-    for idx, node in enumerate(tape.nodes):
-        if node.op == "leaf" and node.name is not None and grads[idx] is not None:
-            out[node.name] = np.array(grads[idx], dtype=np.float64)
-    return out
-
-
-def check_finite_grads(grads: dict[str, np.ndarray]):
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"gradient for {name!r} is not finite")
+    return np.concatenate([np.zeros(0)] + [  # the empty head serves a tape without leaves
+        (np.zeros(node.shape) if grads[idx] is None else grads[idx]).ravel()
+        for idx, node in enumerate(tape.nodes) if node.op == "leaf"])

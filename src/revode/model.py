@@ -427,15 +427,15 @@ def rollout_reverse(z_end: Tensor, g, n_steps: int, dt: float, scheme: str = "rk
 DECODE_PARAMS = ("dec.b2", "dec.W2", "dec.b1", "dec.W1")
 
 
-def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig, Z: Tensor) -> Tensor:
+def decode(leaves: dict[str, Tensor], Z: Tensor) -> Tensor:
     """Map stacked latent rows, such as a rollout leg's, to observation
     space row by row: ((K+1)*n_rows, d_z) -> ((K+1)*n_rows, d_obs).
 
-    relu(Z W1 + b1) W2 + b2 as one tape node.  Its backward keeps only Z
-    and recomputes the hidden layer from it, and yields the gradients of
-    b2, W2, b1, W1 and Z, each computed as the chain of primitives
-    (matmul, add_bias, relu, matmul, add_bias) computes it, so every bit
-    matches that chain's."""
+    relu(Z W1 + b1) W2 + b2 as one node on Z's tape.  Its backward keeps
+    only Z and recomputes the hidden layer from it, and yields the
+    gradients of b2, W2, b1, W1 and Z, each computed as the chain of
+    primitives (matmul, add_bias, relu, matmul, add_bias) computes it, so
+    every bit matches that chain's."""
     weights = tuple(leaves[name] for name in DECODE_PARAMS)
     b2, W2, b1, W1 = (w.value for w in weights)
     z = Z.value
@@ -455,7 +455,7 @@ def decode(tape: Tape, leaves: dict[str, Tensor], config: ModelConfig, Z: Tensor
         yield z.T @ d_pre
         yield d_pre @ W1.T
 
-    return tape._record("decode", out, tuple(w.idx for w in weights) + (Z.idx,), bwd)
+    return Z.tape._record("decode", out, tuple(w.idx for w in weights) + (Z.idx,), bwd)
 
 
 # ------------------------------------------------------------ checkpoints

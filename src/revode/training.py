@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward, check_finite_grads
+from .autodiff import Tape, Tensor, backward
 from .data import ObservationSet, rng_stream, PURPOSE_SPLIT, PURPOSE_SHUFFLE
 from .errors import (
     ConfigurationError, NonFiniteGradientError, RolloutDivergedError, TrainingDivergedError,
@@ -92,7 +92,7 @@ class BatchForward:
 
 def batch_forward(
     tape: Tape,
-    leaves: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     config: ModelConfig,
     batch: Batch,
     variant: str,
@@ -112,22 +112,23 @@ def batch_forward(
     def mean_sq(a: Tensor, b: Tensor) -> Tensor:
         return ad.smul(ad.l2_norm_sq(ad.sub(a, b)), per_sample)
 
+    leaves = {k: tape.leaf(v) for k, v in params.items()}  # first: the gradient follows params
     n, K = batch.n_nodes, batch.K
     z0 = encode_initial_states(tape, leaves, config, batch.obs_list)
     g = make_ode_func(tape, leaves, config, batch.edges, n)
     fwd = rollout_forward(z0, g, K, batch.dt, config.scheme)
-    yhat = decode(tape, leaves, config, fwd)
+    yhat = decode(leaves, fwd)
 
     y = tape.const(batch.targets)
     l_pred = mean_sq(ad.gather_rows(yhat, batch.rows), y)
     l_rev = None
     if variant == "rev2":
         rev = rollout_reverse(ad.row_blocks(fwd, n, [0]), g, K, batch.dt, config.scheme)
-        yrev = decode(tape, leaves, config, rev)
+        yrev = decode(leaves, rev)
         l_rev = mean_sq(yhat, yrev)
     elif variant != "none":
         rev = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, batch.dt, config.scheme)
-        yrev = decode(tape, leaves, config, ad.row_blocks(rev, n, range(K, -1, -1)))
+        yrev = decode(leaves, ad.row_blocks(rev, n, range(K, -1, -1)))
         if variant == "gt_rev":
             l_rev = mean_sq(ad.gather_rows(yrev, batch.rows), y)
         else:
@@ -226,16 +227,15 @@ def _train_step(theta, state: AdamWState, obs_list, settings: TrainSettings, whe
 
     Its tape lives in this call alone, so it is freed before the next
     step's forward pass starts."""
-    batch = build_batch(obs_list)
-    tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in param_views(theta, settings.model).items()}
-    out = batch_forward(tape, leaves, settings.model, batch, settings.loss_variant, settings.alpha)
+    batch, config, tape = build_batch(obs_list), settings.model, Tape()
+    out = batch_forward(tape, param_views(theta, config), config, batch,
+                        settings.loss_variant, settings.alpha)
     if not np.isfinite(out.loss.value):
         raise TrainingDivergedError(f"non-finite loss at {where}")
-    grads = backward(tape, out.loss)
-    check_finite_grads(grads)
-    # every parameter feeds l_pred, so every leaf has a gradient
-    grad = np.concatenate([grads[k].ravel() for k in leaves])
+    grad = backward(tape, out.loss)  # laid out like theta
+    if not np.isfinite(grad).all():
+        name = next(k for k, g in param_views(grad, config).items() if not np.isfinite(g).all())
+        raise NonFiniteGradientError(f"gradient for {name!r} is not finite")
     theta = optimizer_step(theta, grad, state, settings.lr, settings.weight_decay)
     return theta, out.l_pred, out.l_rev
 
@@ -334,7 +334,8 @@ class EvalReport:
     mse: float
     n_targets: int
     bucket_mse: dict                # horizon -> cumulative MSE over targets <= horizon
-    max_error_gt_rev: float | None  # mean over (sample, agent) of max paired deviation
+    max_error_gt_rev: float | None  # mean over (sample, agent) of the worst deviation from the targets
+    #   of the paired reverse decode; under treat its rollout starts at the model's own z_K
     per_sample_mse: list
     l_rev: float | None             # mean per-sample reversal loss of the variant
 
@@ -368,9 +369,7 @@ def evaluate(
     for start in range(0, len(obs_sets), chunk):
         part = obs_sets[start : start + chunk]
         batch = build_batch(part)
-        tape = Tape(record=False)
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        out = batch_forward(tape, leaves, config, batch, variant=variant, alpha=0.0)
+        out = batch_forward(Tape(record=False), params, config, batch, variant=variant, alpha=0.0)
         truth = batch.targets
         d = truth.shape[1]
         err_sq = np.sum((out.yhat_values[batch.rows] - truth) ** 2, axis=1)

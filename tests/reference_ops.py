@@ -5,9 +5,11 @@ and decode must reproduce (tests/stagewise_rollout.py) are recorded with
 these ops next to the ones in revode.autodiff, and `grad_check` compares
 any tape's gradients against central finite differences.  Every op records
 one node through the tape's own `_record`, so the tape's generic backward
-sweep differentiates it.
+sweep differentiates it.  `leaf_grads` cuts backward's flat gradient back
+into the caller's names.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,6 +79,48 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return a.tape._record("softmax", out, (a.idx,), bwd)
 
 
+# ------------------------------------------------------- named gradients
+
+def leaves_of(tape: Tape, params: dict) -> dict[str, Tensor]:
+    """Record params (name -> array) as leaves, in their order."""
+    return {k: tape.leaf(v) for k, v in params.items()}
+
+
+def reached_nodes(tape: Tape, loss: Tensor) -> set:
+    """Indices of every node that loss depends on, found by walking the
+    parents back from it (they stay on the nodes after the sweep)."""
+    seen, todo = set(), [loss.idx]
+    while todo:
+        idx = todo.pop()
+        if idx not in seen:
+            seen.add(idx)
+            todo.extend(tape.nodes[idx].parents)
+    return seen
+
+
+def leaf_grads(tape: Tape, loss: Tensor, leaves: dict) -> dict[str, np.ndarray]:
+    """backward(tape, loss) cut back into the caller's names.
+
+    `leaves` names every leaf on the tape, in recording order, by its
+    Tensor or the array it records.  Like the dict of gradients backward
+    once returned, the result holds only the leaves that loss reaches; the
+    slice of any other leaf must read zero."""
+    grad = backward(tape, loss)
+    reached = reached_nodes(tape, loss)
+    leaf_idx = [idx for idx, node in enumerate(tape.nodes) if node.op == "leaf"]
+    assert len(leaf_idx) == len(leaves), "leaves must name every leaf on the tape"
+    out, stop = {}, 0
+    for idx, (name, leaf) in zip(leaf_idx, leaves.items()):
+        start, stop = stop, stop + math.prod(leaf.shape)
+        part = grad[start:stop].reshape(leaf.shape)
+        if idx in reached:
+            out[name] = part
+        else:
+            assert not part.any(), name
+    assert stop == grad.size
+    return out
+
+
 # ----------------------------------------------------------- grad check
 
 @dataclass
@@ -88,28 +132,26 @@ class GradCheckReport:
 
 
 def grad_check(
-    f: Callable[[Tape, dict[str, Tensor]], Tensor],
+    f: Callable[[Tape, dict[str, np.ndarray]], Tensor],
     params: dict[str, np.ndarray],
     h: float = 1e-5,
     tol: float = 1e-5,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of f against central differences.
 
-    f receives a fresh tape and a dict of named leaf Tensors and must
-    return a scalar loss Tensor.  The relative error denominator is
-    floored so that near-zero gradients are compared absolutely.
+    f receives a fresh tape and params (name -> array), records params as
+    the tape's leaves in their order (as batch_forward does; `leaves_of`
+    does it for f) and returns a scalar loss Tensor.  The relative error
+    denominator is floored so that near-zero gradients are compared
+    absolutely.
     """
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     def run(vals: dict[str, np.ndarray]) -> float:
-        tape = Tape(record=False)
-        leaves = {k: tape.leaf(v, k) for k, v in vals.items()}
-        return float(f(tape, leaves).value)
+        return float(f(Tape(record=False), vals).value)
 
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-    loss = f(tape, leaves)
-    ad_grads = backward(tape, loss)
+    ad_grads = leaf_grads(tape, f(tape, params), params)
 
     per_param = {}
     max_rel = 0.0

@@ -74,7 +74,7 @@ def rollout_reverse(z_end, g, n_steps: int, dt: float, scheme: str = "rk4"):
     return ad.concat(rollout(z_end, field_node(g), n_steps, -dt, scheme, "reverse"), axis=0)
 
 
-def decode(tape, leaves, config, Z):
+def decode(leaves, Z):
     """Drop-in for model.decode: relu(Z W1 + b1) W2 + b2 as five nodes."""
     hidden = ops.relu(ad.add_bias(ad.matmul(Z, leaves["dec.W1"]), leaves["dec.b1"]))
     return ad.add_bias(ad.matmul(hidden, leaves["dec.W2"]), leaves["dec.b2"])

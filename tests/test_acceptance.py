@@ -134,9 +134,9 @@ def test_criterion_05_full_gradient_matches_finite_differences():
     for seed in GRAD_SEEDS:
         batch = build_batch([toy_observation(seed)])
 
-        def combined(tape, leaves, batch=batch):
+        def combined(tape, params, batch=batch):
             return batch_forward(
-                tape, leaves, config, batch, variant="treat", alpha=0.5
+                tape, params, config, batch, variant="treat", alpha=0.5
             ).loss
 
         result = grad_check(

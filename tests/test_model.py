@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import reference_ops as ops
 import stagewise_rollout as stagewise
-from reference_ops import grad_check
+from reference_ops import grad_check, leaf_grads, leaves_of
 from revode import model
 
 from revode import autodiff as ad
-from revode.autodiff import Tape, backward
+from revode.autodiff import Tape
 from revode.data import ObservationSet, directed_edges
 from revode.errors import (
     ArtifactMismatchError, ConfigurationError, EncodingError, RevodeError,
@@ -66,10 +66,6 @@ def tiny_obs(seed=0, n_agents=2, K=4, d=2, n_cond=4, graph=None):
         pred_idx=pred_idx, pred_feats=pred_feats,
         graph=InteractionGraph.complete(n_agents) if graph is None else graph,
     )
-
-
-def leaves_of(tape, params):
-    return {k: tape.leaf(v, k) for k, v in params.items()}
 
 
 # ------------------------------------------------------------------ config
@@ -181,8 +177,9 @@ def test_encoder_gradients_reach_attention_weights():
     obs = tiny_obs(seed=6)
     params = init_params(TINY, seed=1)
     tape = Tape()
-    z0 = encode_initial_states(tape, leaves_of(tape, params), TINY, [obs])
-    grads = backward(tape, ad.l2_norm_sq(z0))
+    leaves = leaves_of(tape, params)
+    z0 = encode_initial_states(tape, leaves, TINY, [obs])
+    grads = leaf_grads(tape, ad.l2_norm_sq(z0), leaves)
     for key in ("enc.embed.W", "enc.attn.Wq", "enc.attn.Wk", "enc.attn.Wv", "enc.out.W"):
         assert key in grads and np.any(grads[key] != 0.0), key
 
@@ -235,7 +232,7 @@ def encoder_bits(encoder, monkeypatch, config, samples, params):
     z0 = encode_initial_states(tape, leaves, config, samples)
     nodes = len(tape) - before
     weight = np.linspace(0.5, 1.5, z0.value.size).reshape(z0.shape)
-    return nodes, z0.value, backward(tape, ad.l2_norm_sq(ops.mul(z0, weight)))
+    return nodes, z0.value, leaf_grads(tape, ad.l2_norm_sq(ops.mul(z0, weight)), leaves)
 
 
 def assert_encoder_matches_the_chain(monkeypatch, config, samples, params):
@@ -262,7 +259,7 @@ def test_encoder_is_one_node_with_the_composite_bits(monkeypatch, config, padded
     assert_encoder_matches_the_chain(monkeypatch, config, samples, params)
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=25, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=5), seed=st.integers(0, 99))
 def test_encoder_bits_hold_for_any_observation_counts(monkeypatch, counts, seed):
@@ -271,6 +268,28 @@ def test_encoder_bits_hold_for_any_observation_counts(monkeypatch, counts, seed)
     params = init_params(TINY, seed=seed)
     sample = tiny_obs(seed=seed, n_agents=len(counts), n_cond=counts)
     assert_encoder_matches_the_chain(monkeypatch, TINY, [sample], params)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d_obs=st.integers(1, 4), d_model=st.sampled_from((2, 4, 6)), d_enc=st.integers(1, 4),
+       d_aug=st.integers(0, 2), n_agents=st.integers(1, 3),
+       counts=st.lists(st.lists(st.integers(1, 5), min_size=3, max_size=3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16), share=st.sampled_from((0.0, 0.3, 1.0)))
+def test_encoder_bits_hold_for_any_widths_and_samples(
+        monkeypatch, d_obs, d_model, d_enc, d_aug, n_agents, counts, seed, share):
+    """Any feature, model and encoding widths, one to three samples in one
+    pass, any observation counts, and signed zeros among the features: the
+    one node keeps the chain's bits."""
+    config = ModelConfig(d_obs=d_obs, d_enc=d_enc, d_aug=d_aug, d_model=d_model,
+                         ode_hidden=2, dec_hidden=2)
+    rng = np.random.default_rng(seed)
+    samples = []
+    for b, sample_counts in enumerate(counts):
+        obs = tiny_obs(seed=seed + b, n_agents=n_agents, d=d_obs, n_cond=sample_counts[:n_agents])
+        signed = [with_signed_zeros(rng, f.shape, share) for f in obs.cond_feats]
+        samples.append(replace(obs, cond_feats=signed))
+    assert_encoder_matches_the_chain(monkeypatch, config, samples, init_params(config, seed))
 
 
 def test_encoder_grad_check():
@@ -284,7 +303,8 @@ def test_encoder_grad_check():
     params["enc.embed.b"] = 0.3 * rng.standard_normal(params["enc.embed.b"].shape)
     readout = rng.standard_normal((3, TINY.d_model))
 
-    def f(tape, leaves):
+    def f(tape, params):
+        leaves = leaves_of(tape, params)
         u = encode_agent(tape, leaves, TINY, times, feats, counts)
         return ad.l2_norm_sq(ops.mul(u, readout))
 
@@ -436,7 +456,7 @@ def test_message_passing_respects_graph_structure():
 
     def field(z_val):
         tape = Tape()
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        leaves = leaves_of(tape, params)
         g = make_ode_func(tape, leaves, TINY, edges, n_nodes=4)
         return g(z_val)[0]
 
@@ -495,12 +515,13 @@ def test_fused_field_matches_composite(graph):
     leaves = leaves_of(tape, {**params, "z": z0})
     g = make_ode_func(tape, leaves, TINY, edges, n)
     states = rollout_forward(leaves["z"], g, 2, 0.1, scheme="rk4")
-    results.append((g(z0)[0], backward(tape, ad.l2_norm_sq(ad.row_blocks(states, n, [2])))))
+    loss = ad.l2_norm_sq(ad.row_blocks(states, n, [2]))
+    results.append((g(z0)[0], leaf_grads(tape, loss, leaves)))
     tape = Tape()
     leaves = leaves_of(tape, {**params, "z": z0})
     f = composite_field(tape, leaves, TINY, edges, n)
     states = stagewise.rollout(leaves["z"], f, 2, 0.1, "rk4", "forward")
-    results.append((f(leaves["z"]).value, backward(tape, ad.l2_norm_sq(states[-1]))))
+    results.append((f(leaves["z"]).value, leaf_grads(tape, ad.l2_norm_sq(states[-1]), leaves)))
     (fused, fused_grads), (ref, ref_grads) = results
     assert np.array_equal(fused, ref)
     assert set(fused_grads) == set(ref_grads) == {"z", *model.FIELD_PARAMS}
@@ -513,7 +534,8 @@ def test_fused_field_grad_check(graph):
     edges, n = FIELD_GRAPHS[graph]
     params = {**field_params(seed=7), "z": np.random.default_rng(8).standard_normal((n, TINY.d_z))}
 
-    def f(tape, leaves):
+    def f(tape, params):
+        leaves = leaves_of(tape, params)
         g = stagewise.field_node(make_ode_func(tape, leaves, TINY, edges, n))
         return ad.l2_norm_sq(g(ad.smul(g(leaves["z"]), 0.5)))
 
@@ -531,7 +553,8 @@ def test_rollout_legs_grad_check(scheme):
     K = 3
     w_fwd, w_rev = rng.standard_normal((2, (K + 1) * n, TINY.d_z))
 
-    def f(tape, leaves):
+    def f(tape, params):
+        leaves = leaves_of(tape, params)
         g = make_ode_func(tape, leaves, TINY, edges, n)
         fwd = rollout_forward(leaves["z"], g, K, 0.1, scheme)
         rev = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, 0.1, scheme)
@@ -568,12 +591,12 @@ def test_rollout_leg_is_one_tape_node():
 def test_decode_shape_and_row_layout():
     params = init_params(TINY, seed=0)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    leaves = leaves_of(tape, params)
     rng = np.random.default_rng(1)
     Z = tape.const(rng.standard_normal((12, TINY.d_z)))
-    out = decode(tape, leaves, TINY, Z)
+    out = decode(leaves, Z)
     assert out.value.shape == (12, TINY.d_obs)
-    single = decode(tape, leaves, TINY, ad.row_blocks(Z, 3, [2]))
+    single = decode(leaves, ad.row_blocks(Z, 3, [2]))
     assert np.allclose(out.value[6:9], single.value)
 
 
@@ -596,10 +619,10 @@ def test_decode_is_one_node_with_the_composite_bits():
         tape = Tape()
         leaves = leaves_of(tape, params)
         before = len(tape)
-        out = dec(tape, leaves, TINY, leaves["z"])
+        out = dec(leaves, leaves["z"])
         nodes = len(tape) - before
         loss = ad.add(ad.l2_norm_sq(out), ad.l2_norm_sq(ad.smul(leaves["z"], 0.5)))
-        results.append((nodes, out.value, backward(tape, loss)))
+        results.append((nodes, out.value, leaf_grads(tape, loss, leaves)))
     (n_fused, fused, fused_grads), (n_ref, ref, ref_grads) = results
     assert (n_fused, n_ref) == (1, 5)
     assert fused.tobytes() == ref.tobytes()
@@ -609,8 +632,9 @@ def test_decode_is_one_node_with_the_composite_bits():
 
 
 def test_decode_grad_check():
-    def f(tape, leaves):
-        return ad.l2_norm_sq(decode(tape, leaves, TINY, leaves["z"]))
+    def f(tape, params):
+        leaves = leaves_of(tape, params)
+        return ad.l2_norm_sq(decode(leaves, leaves["z"]))
 
     report = grad_check(f, decode_params(seed=4), tol=1e-5)
     assert report.passed, report.per_param
@@ -619,9 +643,9 @@ def test_decode_grad_check():
 def test_decode_rejects_rows_of_the_wrong_width():
     params = init_params(TINY, seed=0)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    leaves = leaves_of(tape, params)
     with pytest.raises(ShapeError, match="decode"):
-        decode(tape, leaves, TINY, tape.const(np.ones((3, TINY.d_z + 1))))
+        decode(leaves, tape.const(np.ones((3, TINY.d_z + 1))))
 
 
 def with_signed_zeros(rng, shape, share):
@@ -636,9 +660,10 @@ def op_bits(op, params, seed, share):
     """The value of op(tape, leaves) and every leaf gradient of a loss that
     weights each output entry, with signed zeros among the weights too."""
     tape = Tape()
-    out = op(tape, leaves_of(tape, params))
+    leaves = leaves_of(tape, params)
+    out = op(tape, leaves)
     weight = with_signed_zeros(np.random.default_rng(seed), out.shape, share)
-    return out.value, backward(tape, ad.l2_norm_sq(ops.mul(out, tape.const(weight))))
+    return out.value, leaf_grads(tape, ad.l2_norm_sq(ops.mul(out, tape.const(weight))), leaves)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -668,10 +693,10 @@ def test_field_and_decode_keep_the_chain_bits_for_any_shape(
         return composite_field(tape, leaves, config, edges, n_rows)(leaves["z"])
 
     def decoder(tape, leaves):
-        return decode(tape, leaves, config, leaves["z"])
+        return decode(leaves, leaves["z"])
 
     def decoder_chain(tape, leaves):
-        return stagewise.decode(tape, leaves, config, leaves["z"])
+        return stagewise.decode(leaves, leaves["z"])
 
     for fused, chain in ((field, field_chain), (decoder, decoder_chain)):
         (value, grads), (chain_value, chain_grads) = (
@@ -713,7 +738,7 @@ def test_rollout_legs_keep_the_stagewise_bits_for_any_shape(
         rev = reverse(ad.row_blocks(fwd, n_agents, [start_block]), g, K, 0.1, scheme)
         loss = ad.add(ad.l2_norm_sq(ops.mul(fwd, tape.const(w_fwd))),
                       ad.l2_norm_sq(ops.mul(rev, tape.const(w_rev))))
-        return fwd.value, rev.value, backward(tape, loss)
+        return fwd.value, rev.value, leaf_grads(tape, loss, leaves)
 
     fwd, rev, grads = legs(rollout_forward, rollout_reverse)
     ref_fwd, ref_rev, ref_grads = legs(stagewise.rollout_forward, stagewise.rollout_reverse)

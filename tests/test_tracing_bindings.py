@@ -62,8 +62,7 @@ def test_backward_hook_reads_a_real_treat_tape(tracing):
     batch = build_batch(build_observation_sets(trajs, (0, 8, 14), 4, 6, obs_seed=5))
     config = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in init_params(config, seed=0).items()}
-    loss = batch_forward(tape, leaves, config, batch, "treat", 0.5).loss
+    loss = batch_forward(tape, init_params(config, seed=0), config, batch, "treat", 0.5).loss
     tracer = tracing.Tracer()
     tracing._backward_hook(tracer, (tape, loss), {})
     assert tracer.tape["nodes"] == len(tape)

@@ -9,6 +9,7 @@ stage-by-stage and op-by-op reference tape.
 
 import csv
 import gc
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import stagewise_rollout as stagewise
+from reference_ops import leaves_of, reached_nodes
 from revode import autodiff as ad
 from revode import training
 from revode.autodiff import Tape, backward
@@ -79,7 +81,7 @@ def decoded_rollouts(params, batch):
     """Forward rollout and the reverse rollouts from z_K and from z_0, each
     decoded one time step at a time into a (K+1, n_nodes, d) array."""
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+    leaves = leaves_of(tape, params)
     z0 = ad.concat(
         [encode_initial_states(tape, leaves, TINY, [o]) for o in batch.obs_list], axis=0
     )
@@ -90,7 +92,7 @@ def decoded_rollouts(params, batch):
     from_start = rollout_reverse(ad.row_blocks(fwd, n, [0]), g, K, batch.dt, TINY.scheme)
 
     def dec(states):
-        return np.stack([decode(tape, leaves, TINY, ad.row_blocks(states, n, [k])).value
+        return np.stack([decode(leaves, ad.row_blocks(states, n, [k])).value
                          for k in range(K + 1)])
 
     return dec(fwd), dec(from_end), dec(from_start)
@@ -108,9 +110,7 @@ def target_sq(stack, obs_list):
 
 def traced(batch, variant, alpha=0.5):
     params = init_params(TINY, seed=0)
-    tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-    return params, batch_forward(tape, leaves, TINY, batch, variant, alpha)
+    return params, batch_forward(Tape(), params, TINY, batch, variant, alpha)
 
 
 def test_reconstruction_loss_by_hand():
@@ -213,10 +213,8 @@ def test_batch_forward_all_variants_trace():
     batch = build_batch(obs)
     params = init_params(TINY, seed=0)
     for variant in LOSS_VARIANTS:
-        tape = Tape()
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
         alpha = 0.0 if variant == "none" else 0.5
-        out = batch_forward(tape, leaves, TINY, batch, variant, alpha)
+        out = batch_forward(Tape(), params, TINY, batch, variant, alpha)
         assert np.isfinite(out.loss.value)
         assert out.l_pred >= 0.0
         if variant == "none":
@@ -233,10 +231,8 @@ def test_batch_forward_unknown_variant():
     obs = small_obs_sets(n_sets=1)
     batch = build_batch(obs)
     params = init_params(TINY, seed=0)
-    tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
     with pytest.raises(ConfigurationError):
-        batch_forward(tape, leaves, TINY, batch, "flip", 0.5)
+        batch_forward(Tape(), params, TINY, batch, "flip", 0.5)
 
 
 def synthetic_obs_sets(n_sets, n_agents, d, K, seed=0):
@@ -278,8 +274,7 @@ def test_treat_batch_tape_size(preset, max_nodes):
     whatever its scheme and length, and per decode."""
     config, batch, params = treat_batch(preset)
     tape = Tape()
-    leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-    batch_forward(tape, leaves, config, batch, "treat", 0.5)
+    batch_forward(tape, params, config, batch, "treat", 0.5)
     assert len(tape) <= max_nodes
     assert not hasattr(batch, "sel_matrix")
 
@@ -294,8 +289,7 @@ def test_treat_step_peak_memory(preset, max_mb):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         tape = Tape()
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        backward(tape, batch_forward(tape, leaves, config, batch, "treat", 0.5).loss)
+        backward(tape, batch_forward(tape, params, config, batch, "treat", 0.5).loss)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -305,18 +299,20 @@ def test_treat_step_peak_memory(preset, max_mb):
 def test_tape_nodes_hold_dead_intermediates_weakly():
     """With the cycle collector off, once batch_forward returns, an
     intermediate that no backward closure reads is gone from its node,
-    while every leaf still returns its parameter array."""
+    while every leaf, the first nodes in params' order, still returns its
+    parameter array as long as the caller holds params."""
     config, batch, params = treat_batch("desk")
     gc.disable()
     try:
         tape = Tape()
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        out = batch_forward(tape, leaves, config, batch, "treat", 0.5)
+        out = batch_forward(tape, params, config, batch, "treat", 0.5)
         # the encoder's output layer: add_bias(U W, b), read only by a concat
         z_enc = next(node for node in tape.nodes if node.op == "add_bias")
         assert z_enc.value.shape == (0,) and z_enc.value.dtype == np.float64
-        for name, leaf in leaves.items():
-            assert tape.nodes[leaf.idx].value is leaf.value is params[name]
+        leaf_nodes = [node for node in tape.nodes if node.op == "leaf"]
+        assert leaf_nodes == tape.nodes[:len(params)]
+        for node, value in zip(leaf_nodes, params.values()):
+            assert node.value is value and node.shape == value.shape
         assert tape.nodes[out.loss.idx].value is out.loss.value
     finally:
         gc.enable()
@@ -330,8 +326,7 @@ def test_backward_lets_each_closure_go_and_sweeps_a_tape_once():
     gc.disable()
     try:
         tape = Tape()
-        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-        loss = batch_forward(tape, leaves, config, batch, "treat", 0.5).loss
+        loss = batch_forward(tape, params, config, batch, "treat", 0.5).loss
         closures = [weakref.ref(node.bwd) for node in tape.nodes if node.bwd is not None]
         assert len(closures) > 10
         backward(tape, loss)
@@ -474,9 +469,9 @@ def test_weight_decay_is_decoupled():
 @pytest.mark.parametrize("d_aug", [0, 4])
 def test_every_parameter_gets_a_gradient(d_aug):
     """l_pred runs through the encoder, the field and the decoder, so under
-    every variant and scheme each parameter has a gradient, on graphs with
-    and without edges: the flat gradient needs no entry for a parameter
-    without one."""
+    every variant and scheme the loss reaches every parameter's leaf, on
+    graphs with and without edges, and the flat gradient has one entry per
+    parameter entry."""
     spec = SystemSpec(kind="simple_spring", n_agents=3, dim=1)
     edgeless = [build_trajectory(spec, seed=4, index=i, raw_steps=3000, edge_prob=0.0)
                 for i in range(2)]
@@ -489,18 +484,24 @@ def test_every_parameter_gets_a_gradient(d_aug):
             alpha = 0.0 if variant == "none" else 0.5
             for batch in batches:
                 tape = Tape()
-                leaves = {k: tape.leaf(v, k) for k, v in init_params(config, seed=0).items()}
-                loss = batch_forward(tape, leaves, config, batch, variant, alpha).loss
-                assert list(backward(tape, loss)) == list(param_shapes(config)), (scheme, variant)
+                loss = batch_forward(tape, init_params(config, 0), config, batch, variant, alpha).loss
+                leaf_idx = {idx for idx, node in enumerate(tape.nodes) if node.op == "leaf"}
+                assert len(leaf_idx) == len(param_shapes(config))
+                assert leaf_idx <= reached_nodes(tape, loss), (scheme, variant)
+                size = sum(math.prod(shape) for shape in param_shapes(config).values())
+                assert backward(tape, loss).shape == (size,), (scheme, variant)
 
 
-def test_train_reports_a_non_finite_gradient_by_name(monkeypatch):
-    def backward_nan(tape, loss):
-        grads = backward(tape, loss)
-        grads["dec.b1"][0, 0] = np.nan
-        return grads
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_train_reports_a_non_finite_gradient_by_name(monkeypatch, bad):
+    """One isfinite over the flat gradient catches a NaN or an infinity,
+    and the message names the parameter whose slice holds it."""
+    def backward_bad(tape, loss):
+        grad = backward(tape, loss)
+        param_views(grad, TINY)["dec.b1"][0, 0] = bad
+        return grad
 
-    monkeypatch.setattr(training, "backward", backward_nan)
+    monkeypatch.setattr(training, "backward", backward_bad)
     with pytest.raises(TrainingDivergedError, match="gradient for 'dec.b1' is not finite"):
         train(small_obs_sets(), TrainSettings(model=TINY, epochs=1, batch_size=4, seed=0))
 
@@ -642,9 +643,7 @@ def test_evaluate_reports_the_mean_reversal_loss_of_its_variant():
     for variant in ("treat", "gt_rev", "rev2"):
         chunk_sums = 0.0
         for part in (obs[:2], obs[2:]):
-            tape = Tape(record=False)
-            leaves = {k: tape.leaf(v, k) for k, v in params.items()}
-            out = batch_forward(tape, leaves, TINY, build_batch(part), variant, 0.0)
+            out = batch_forward(Tape(record=False), params, TINY, build_batch(part), variant, 0.0)
             chunk_sums += out.l_rev * len(part)
         report = evaluate(params, obs, TINY, 2, variant)
         assert report.l_rev == chunk_sums / 3 and report.l_rev >= 0.0
