@@ -99,10 +99,16 @@ class Tape:
         return len(self.nodes)
 
 
+def parent_indices(tape: Tape, tensors) -> tuple:
+    """The indices of `tensors`, a node's parents, each checked to be on `tape`."""
+    if any(t.tape is not tape for t in tensors):
+        raise ShapeError("operands belong to different tapes")
+    return tuple(t.idx for t in tensors)
+
+
 def _lift(tape: Tape, x) -> Tensor:
     if isinstance(x, Tensor):
-        if x.tape is not tape:
-            raise ShapeError("operands belong to different tapes")
+        parent_indices(tape, (x,))
         return x
     return tape.const(x)
 

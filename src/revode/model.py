@@ -231,7 +231,7 @@ def encode_agent(
         yield d_H.sum(axis=0, keepdims=True)
         yield X.T @ d_H
 
-    return tape._record("encode", out, tuple(w.idx for w in weights), bwd)
+    return tape._record("encode", out, ad.parent_indices(tape, weights), bwd)
 
 
 def encode_initial_states(
@@ -241,15 +241,16 @@ def encode_initial_states(
     obs_list: list[ObservationSet],
 ) -> Tensor:
     """Latent initial states of every agent of every sample, stacked
-    sample-major like the batch's nodes -> (sum of n_agents, d_z)."""
-    agents = [(t, f) for obs in obs_list for t, f in zip(obs.cond_times, obs.cond_feats)]
-    n_valid = np.array([len(t) for t, _ in agents], dtype=np.int64)
-    n_rows, m = len(agents), int(n_valid.max())
+    sample-major like the batch's nodes -> (sum of n_agents, d_z); one mask
+    writes each agent's observations into the first slots of its padded row."""
+    times = [t for obs in obs_list for t in obs.cond_times]
+    n_valid = np.array([len(t) for t in times], dtype=np.int64)
+    n_rows, m = len(times), int(n_valid.max())
+    valid = np.arange(m) < n_valid[:, None]
     rel_times = np.zeros((n_rows, m))
+    rel_times[valid] = np.concatenate(times)
     feats = np.zeros((n_rows, m, config.d_obs))
-    for a, (t, f) in enumerate(agents):
-        rel_times[a, : len(t)] = t
-        feats[a, : len(t)] = f
+    feats[valid] = np.concatenate([f for obs in obs_list for f in obs.cond_feats])
     U = encode_agent(tape, leaves, config, rel_times, feats, n_valid)
     z_enc = ad.add_bias(ad.matmul(U, leaves["enc.out.W"]), leaves["enc.out.b"])
     if config.d_aug == 0:
@@ -403,8 +404,7 @@ def _leg(start: Tensor, g, n_steps: int, h: float, scheme: str, tag: str) -> Ten
             a = yield from _step_adjoint(G[k], a, backs[k], h, tableau)
         yield a
 
-    weights = tuple(w.idx for w in g.params)
-    parents = weights * sum(len(step_backs) for step_backs in backs) + (start.idx,)
+    parents = ad.parent_indices(start.tape, g.params) * sum(map(len, backs)) + (start.idx,)
     return start.tape._record("rollout", states.reshape(-1, d), parents, bwd)
 
 
@@ -455,7 +455,7 @@ def decode(leaves: dict[str, Tensor], Z: Tensor) -> Tensor:
         yield z.T @ d_pre
         yield d_pre @ W1.T
 
-    return Z.tape._record("decode", out, tuple(w.idx for w in weights) + (Z.idx,), bwd)
+    return Z.tape._record("decode", out, ad.parent_indices(Z.tape, weights + (Z,)), bwd)
 
 
 # ------------------------------------------------------------ checkpoints

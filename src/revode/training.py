@@ -47,27 +47,20 @@ class Batch:
     edges: np.ndarray        # (E, 2) directed (src, tgt) node pairs
     n_nodes: int
     rows: np.ndarray         # (n_targets,) row k * n_nodes + node in decode()'s stack
-    spans: list              # per sample, per agent: (start, stop) into rows
     targets: np.ndarray      # (n_targets, d)
 
 
 def build_batch(obs_list: list[ObservationSet]) -> Batch:
+    """Stack samples as n_nodes = samples * n_agents nodes.  Targets run sample-major,
+    then agent, so divmod(rows, n_nodes) is each target's (horizon, node)."""
     first = obs_list[0]
     n, K, dt = first.n_agents, first.n_rollout_steps, first.dt
-    for obs in obs_list[1:]:
-        if obs.n_agents != n or obs.n_rollout_steps != K or obs.dt != dt:
-            raise ConfigurationError(
-                "all samples in a batch must share n_agents, rollout length, and dt"
-            )
+    if any((o.n_agents, o.n_rollout_steps, o.dt) != (n, K, dt) for o in obs_list[1:]):
+        raise ConfigurationError(
+            "all samples in a batch must share n_agents, rollout length, and dt")
     n_nodes = len(obs_list) * n
-    rows, spans = [], []
-    stop = 0
-    for b, obs in enumerate(obs_list):
-        spans.append([])
-        for i, idx in enumerate(obs.pred_idx):
-            rows.append(idx * n_nodes + b * n + i)
-            start, stop = stop, stop + len(idx)
-            spans[-1].append((start, stop))
+    pred_idx = [idx for obs in obs_list for idx in obs.pred_idx]
+    nodes = np.repeat(np.arange(n_nodes), [len(idx) for idx in pred_idx])
     return Batch(
         obs_list=obs_list,
         n_agents=n,
@@ -75,8 +68,7 @@ def build_batch(obs_list: list[ObservationSet]) -> Batch:
         dt=dt,
         edges=np.concatenate([obs.edges + b * n for b, obs in enumerate(obs_list)]),
         n_nodes=n_nodes,
-        rows=np.concatenate(rows),
-        spans=spans,
+        rows=np.concatenate(pred_idx) * n_nodes + nodes,
         targets=np.concatenate([f for obs in obs_list for f in obs.pred_feats], axis=0),
     )
 
@@ -87,7 +79,7 @@ class BatchForward:
     l_pred: float
     l_rev: float | None
     rev_paired_values: np.ndarray | None  # ((K+1)*n_nodes, d) reverse decode
-    yhat_values: np.ndarray
+    residual: np.ndarray  # (n_targets, d) decode minus targets, the residual l_pred squares
 
 
 def batch_forward(
@@ -109,8 +101,8 @@ def batch_forward(
         raise ConfigurationError(f"unknown loss variant {variant!r}")
     per_sample = 1.0 / len(batch.obs_list)
 
-    def mean_sq(a: Tensor, b: Tensor) -> Tensor:
-        return ad.smul(ad.l2_norm_sq(ad.sub(a, b)), per_sample)
+    def mean_sq(diff: Tensor) -> Tensor:
+        return ad.smul(ad.l2_norm_sq(diff), per_sample)
 
     leaves = {k: tape.leaf(v) for k, v in params.items()}  # first: the gradient follows params
     n, K = batch.n_nodes, batch.K
@@ -120,26 +112,27 @@ def batch_forward(
     yhat = decode(leaves, fwd)
 
     y = tape.const(batch.targets)
-    l_pred = mean_sq(ad.gather_rows(yhat, batch.rows), y)
+    residual = ad.sub(ad.gather_rows(yhat, batch.rows), y)
+    l_pred = mean_sq(residual)
     l_rev = None
     if variant == "rev2":
         rev = rollout_reverse(ad.row_blocks(fwd, n, [0]), g, K, batch.dt, config.scheme)
         yrev = decode(leaves, rev)
-        l_rev = mean_sq(yhat, yrev)
+        l_rev = mean_sq(ad.sub(yhat, yrev))
     elif variant != "none":
         rev = rollout_reverse(ad.row_blocks(fwd, n, [K]), g, K, batch.dt, config.scheme)
         yrev = decode(leaves, ad.row_blocks(rev, n, range(K, -1, -1)))
         if variant == "gt_rev":
-            l_rev = mean_sq(ad.gather_rows(yrev, batch.rows), y)
+            l_rev = mean_sq(ad.sub(ad.gather_rows(yrev, batch.rows), y))
         else:
-            l_rev = mean_sq(yhat, yrev)
+            l_rev = mean_sq(ad.sub(yhat, yrev))
     no_rev = l_rev is None
     return BatchForward(
         loss=l_pred if no_rev or alpha == 0.0 else ad.add(l_pred, ad.smul(l_rev, alpha)),
         l_pred=float(l_pred.value),
         l_rev=None if no_rev else float(l_rev.value),
         rev_paired_values=None if no_rev else yrev.value,
-        yhat_values=yhat.value,
+        residual=residual.value,
     )
 
 
@@ -354,55 +347,41 @@ def evaluate(
     target-weighted MSE, its horizon buckets and per-sample values, and
     `variant`'s mean reversal loss with the mean worst deviation of its
     paired reverse decode from the targets.  Under "none" the reverse
-    rollout is never traced, and those two are None."""
+    rollout is never traced, and those two are None.  Each chunk adds a row
+    per target to one table; every metric is a mask or a bincount over it,
+    and a bucket is reported when the longest rollout reaches it."""
     if not obs_sets:
         raise ConfigurationError("empty evaluation set")
     with_rev = variant != "none"
-    sq_sum = 0.0
-    n_tot = 0
-    rev_sum = 0.0
-    bucket_sq = {b: 0.0 for b in BUCKETS}
-    bucket_n = {b: 0 for b in BUCKETS}
-    max_errs = []
-    per_sample = []
-
+    rev_sum, n_agents, table = 0.0, 0, []
     for start in range(0, len(obs_sets), chunk):
-        part = obs_sets[start : start + chunk]
-        batch = build_batch(part)
+        batch = build_batch(obs_sets[start : start + chunk])
         out = batch_forward(Tape(record=False), params, config, batch, variant=variant, alpha=0.0)
-        truth = batch.targets
-        d = truth.shape[1]
-        err_sq = np.sum((out.yhat_values[batch.rows] - truth) ** 2, axis=1)
+        horizon, node = np.divmod(batch.rows, batch.n_nodes)
+        dist = np.zeros(0)
         if with_rev:
-            rev_sum += out.l_rev * len(part)
-            dist = np.sqrt(np.sum((out.rev_paired_values[batch.rows] - truth) ** 2, axis=1))
-        for obs, spans in zip(part, batch.spans):
-            samp_sq = 0.0
-            samp_n = 0
-            for idxs, (lo, hi) in zip(obs.pred_idx, spans):
-                agent_sq = err_sq[lo:hi]
-                for bk in BUCKETS:
-                    if bk <= batch.K:
-                        mask = idxs <= bk
-                        bucket_sq[bk] += float(agent_sq[mask].sum())
-                        bucket_n[bk] += int(mask.sum()) * d
-                if with_rev:
-                    max_errs.append(float(dist[lo:hi].max()) if hi > lo else 0.0)
-                samp_sq += float(agent_sq.sum())
-                samp_n += (hi - lo) * d
-            sq_sum += samp_sq
-            n_tot += samp_n
-            per_sample.append(samp_sq / samp_n)
+            rev_sum += out.l_rev * len(batch.obs_list)
+            paired = out.rev_paired_values[batch.rows] - batch.targets
+            dist = np.sqrt(np.sum(paired**2, axis=1))
+        # squared error, horizon, sample, set-wide agent, reverse distance
+        table.append((np.sum(out.residual**2, axis=1), horizon,
+                      start + node // batch.n_agents, n_agents + node, dist))
+        n_agents += batch.n_nodes
 
-    bucket_mse = {
-        bk: (bucket_sq[bk] / bucket_n[bk]) for bk in BUCKETS if bucket_n[bk] > 0
-    }
+    err_sq, horizon, sample, agent, dist = map(np.concatenate, zip(*table))
+    d, k_max = config.d_obs, max(obs.n_rollout_steps for obs in obs_sets)
+    per_sample = np.bincount(sample, err_sq, len(obs_sets)) / (
+        np.bincount(sample, minlength=len(obs_sets)) * d)
+    buckets = [(bk, horizon <= bk) for bk in BUCKETS if bk <= k_max]
+    worst = np.zeros(n_agents)
+    if with_rev:
+        np.maximum.at(worst, agent, dist)
     return EvalReport(
-        mse=sq_sum / n_tot,
-        n_targets=n_tot,
-        bucket_mse=bucket_mse,
-        max_error_gt_rev=float(np.mean(max_errs)) if with_rev else None,
-        per_sample_mse=per_sample,
+        mse=float(err_sq.sum() / (err_sq.size * d)),
+        n_targets=err_sq.size * d,
+        bucket_mse={bk: float(err_sq[w].sum() / (w.sum() * d)) for bk, w in buckets if w.any()},
+        max_error_gt_rev=float(np.mean(worst)) if with_rev else None,
+        per_sample_mse=per_sample.tolist(),
         l_rev=rev_sum / len(obs_sets) if with_rev else None,
     )
 

@@ -5,9 +5,11 @@ directory; exit-code contracts are checked by provoking each error class.
 """
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import shlex
@@ -408,8 +410,18 @@ def test_train_writes_all_artifacts(tmp_path):
         assert key in summary, key
     assert summary["lr_retried"] is False
     assert summary["epochs_run"] <= 3
+    # every number is written as a plain float: a NumPy scalar's repr
+    # (np.float64(...)) in losses.csv would fail float()
+    test_values = [summary["test_mse"], summary["test_mse_hundredths"],
+                   summary["test_max_error_gt_rev"], *summary["test_bucket_mse"].values()]
+    assert summary["test_bucket_mse"] and all(type(v) is float for v in test_values)
     with open(os.path.join(outdir, "losses.csv")) as fh:
         assert fh.readline().strip() == "epoch,l_pred,l_reverse,total,val_mse"
+        rows = list(csv.reader(fh))
+    assert len(rows) == summary["epochs_run"]
+    for row in rows:
+        assert len(row) == 5 and int(row[0]) >= 0
+        assert all(math.isfinite(float(v)) or v == "nan" for v in row[1:])
 
 
 def test_train_resolved_config_reruns_identically(tmp_path):

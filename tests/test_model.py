@@ -323,6 +323,17 @@ def test_encoder_rejects_features_of_the_wrong_width():
                     np.zeros((2, 3)), np.ones((2, 3, TINY.d_obs + 1)), [3, 2])
 
 
+def test_encoder_rejects_weights_of_another_tape():
+    """Leaves recorded on one tape cannot parent an encode node on another:
+    their indices would name whatever nodes sit there."""
+    params = init_params(TINY, seed=0)
+    tape = Tape()
+    leaves = leaves_of(Tape(), params)
+    with pytest.raises(ShapeError, match="different tapes"):
+        encode_agent(tape, leaves, TINY, np.zeros((2, 3)), np.ones((2, 3, TINY.d_obs)), [3, 2])
+    assert len(tape) == 0
+
+
 # ------------------------------------------------------------------- edges
 
 def test_directed_edges_doubles_undirected_pairs():
@@ -586,6 +597,20 @@ def test_rollout_leg_is_one_tape_node():
         g(np.ones((n + 1, TINY.d_z)))
 
 
+def test_rollout_leg_rejects_field_weights_of_another_tape():
+    """A leg records the field's weights as parents, so they must sit on
+    the start state's tape."""
+    edges, n = FIELD_GRAPHS["chain"]
+    g = make_ode_func(Tape(), leaves_of(Tape(), init_params(TINY, seed=0)), TINY, edges, n)
+    tape = Tape()
+    for _ in range(20):  # indices the field's leaves would otherwise name
+        tape.const(np.zeros(1))
+    z = tape.const(np.ones((n, TINY.d_z)))
+    with pytest.raises(ShapeError, match="different tapes"):
+        rollout_forward(z, g, 2, 0.1, scheme="heun")
+    assert len(tape) == 21
+
+
 # ------------------------------------------------------------------ decode
 
 def test_decode_shape_and_row_layout():
@@ -646,6 +671,19 @@ def test_decode_rejects_rows_of_the_wrong_width():
     leaves = leaves_of(tape, params)
     with pytest.raises(ShapeError, match="decode"):
         decode(leaves, tape.const(np.ones((3, TINY.d_z + 1))))
+
+
+def test_decode_rejects_weights_of_another_tape():
+    """decode records on Z's tape, so leaves of another tape raise instead
+    of parenting the node with that tape's nodes at their indices."""
+    leaves = leaves_of(Tape(), init_params(TINY, seed=0))
+    tape = Tape()
+    for _ in range(20):
+        tape.const(np.zeros(1))
+    Z = tape.const(np.ones((3, TINY.d_z)))
+    with pytest.raises(ShapeError, match="different tapes"):
+        decode(leaves, Z)
+    assert len(tape) == 21
 
 
 def with_signed_zeros(rng, shape, share):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import stagewise_rollout as stagewise
+from nested_loop_metrics import nested_loop_evaluate
 from reference_ops import leaves_of, reached_nodes
 from revode import autodiff as ad
 from revode import training
@@ -133,7 +134,7 @@ def test_reversal_loss_treat_pairing():
     assert out.l_rev == pytest.approx(expected / len(batch.obs_list), rel=1e-12)
     # evaluate() reads the paired reverse decode in the forward stack's layout
     assert np.allclose(
-        out.rev_paired_values, y_end[::-1].reshape(out.yhat_values.shape), rtol=1e-12
+        out.rev_paired_values, y_end[::-1].reshape(-1, out.residual.shape[1]), rtol=1e-12
     )
 
 
@@ -187,18 +188,21 @@ def test_build_batch_layout():
     assert not hasattr(batch, "sel_matrix")
 
 
-def test_build_batch_rows_and_spans_per_agent():
-    """Target rows sit at k * n_nodes + b * n_agents + i, grouped by (sample, agent)."""
+def test_build_batch_rows_per_agent():
+    """Target rows sit at k * n_nodes + b * n_agents + i, grouped by (sample,
+    agent) in that order: agent (b, i) owns the next len(pred_idx[i]) rows."""
     obs = three_agent_obs_sets(n_sets=2)
     batch = build_batch(obs)
-    assert len(batch.spans) == 2 and all(len(s) == 3 for s in batch.spans)
+    stops = np.cumsum([len(ix) for o in obs for ix in o.pred_idx]).reshape(2, 3)
     for b, o in enumerate(obs):
-        for i, (lo, hi) in enumerate(batch.spans[b]):
+        for i in range(3):
+            hi = int(stops[b, i])
+            lo = hi - len(o.pred_idx[i])
             assert np.array_equal(
                 batch.rows[lo:hi], o.pred_idx[i] * batch.n_nodes + b * 3 + i
             )
             assert np.array_equal(batch.targets[lo:hi], o.pred_feats[i])
-    assert batch.spans[-1][-1][1] == len(batch.rows)
+    assert stops[-1, -1] == len(batch.rows)
 
 
 def test_build_batch_rejects_mixed_rollout_lengths():
@@ -660,6 +664,32 @@ def test_evaluate_mse_is_target_weighted():
     counts = [sum(ix.size * o.d for ix in o.pred_idx) for o in obs]
     weighted = sum(m * c for m, c in zip(report.per_sample_mse, counts)) / sum(counts)
     assert report.mse == pytest.approx(weighted, rel=1e-12)
+
+
+def test_evaluate_matches_the_nested_loop_reference():
+    """The per-target table gives the metrics of the loop over samples,
+    agents and buckets: counts, bucket keys, worst deviations and l_rev to
+    the bit, sums within round-off of their other order, all Python floats."""
+    spec = SystemSpec(kind="damped_spring", n_agents=3, dim=1)
+    trajs = [build_trajectory(spec, seed=4, index=i, raw_steps=6000, edge_prob=0.5)
+             for i in range(5)]
+    obs = build_observation_sets(trajs, (0, 10, 55), 4, 30, obs_seed=8)  # K = 45
+    params = init_params(TINY, seed=2)
+    for variant in LOSS_VARIANTS:
+        got = evaluate(params, obs, TINY, 2, variant)
+        ref = nested_loop_evaluate(params, obs, TINY, 2, variant)
+        assert list(got.bucket_mse) == list(ref.bucket_mse) == [20, 40], variant
+        assert (got.n_targets, got.max_error_gt_rev, got.l_rev) == (
+            ref.n_targets, ref.max_error_gt_rev, ref.l_rev), variant
+        assert got.mse == pytest.approx(ref.mse, rel=1e-12)
+        assert got.per_sample_mse == pytest.approx(ref.per_sample_mse, rel=1e-12)
+        assert list(got.bucket_mse.values()) == pytest.approx(
+            list(ref.bucket_mse.values()), rel=1e-12)
+        floats = [got.mse, *got.bucket_mse.values(), *got.per_sample_mse]
+        if variant != "none":
+            floats += [got.max_error_gt_rev, got.l_rev]
+        assert all(type(v) is float for v in floats), variant
+        assert type(got.n_targets) is int and type(got.per_sample_mse) is list
 
 
 def test_evaluate_chunking_does_not_change_results():
