@@ -15,7 +15,10 @@ broadcast through the field, so a whole ensemble of trajectories steps in
 one call; a single start is an ensemble of one, and a member that leaves
 the finite range turns NaN without stopping the others.  The schemes are
 element-wise on y, so a packed step has the bits of the same step taken on
-q and p apart.
+q and p apart, and on any view of its buffers.  The steps (and the spring
+field) make their ufunc calls on memory-order views, `np.moveaxis(a, -1, 0)`,
+C-contiguous on a packed state for any number of members, where the logical
+views of two or more members are neither C- nor F-ordered (a slower path).
 
 `StateVector` is the entry and exit container: `integrate` packs a start
 (`StateVector.packed`) and unpacks the recorded states into a `Trajectory`.
@@ -100,6 +103,7 @@ def _stepper(scheme: str, field: Field, y: np.ndarray, dt: float):
     k1 = np.empty_like(y)  # like y, so the field sees y's layout everywhere
     rate1 = field(y, k1)
     if scheme == "euler":
+        y, k1 = np.moveaxis(y, -1, 0), np.moveaxis(k1, -1, 0)  # memory order
         def step(t):
             rate1(t)
             add(y, mul(h, k1, k1), y)
@@ -107,6 +111,7 @@ def _stepper(scheme: str, field: Field, y: np.ndarray, dt: float):
     stage, k2 = np.empty_like(y), np.empty_like(y)
     rate2 = field(stage, k2)
     if scheme == "heun":
+        y, k1, stage, k2 = (np.moveaxis(a, -1, 0) for a in (y, k1, stage, k2))
         def step(t):
             rate1(t)
             add(y, mul(h, k1, stage), stage)
@@ -115,6 +120,7 @@ def _stepper(scheme: str, field: Field, y: np.ndarray, dt: float):
         return step
     k3, k4 = np.empty_like(y), np.empty_like(y)
     rate3, rate4 = field(stage, k3), field(stage, k4)
+    y, k1, stage, k2, k3, k4 = (np.moveaxis(a, -1, 0) for a in (y, k1, stage, k2, k3, k4))
     t_half = dt / 2.0
 
     def step(t):

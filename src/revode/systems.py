@@ -10,7 +10,9 @@ into out through ufunc calls on arrays only, constants bound once as 0-d
 arrays and outputs passed by position (a Python float is a "weak" scalar
 that NumPy 2 takes more slowly, as it does an `out=` keyword; a 0-d array
 runs the same loop to the same bits).  Leading batch axes broadcast
-through, so ensembles integrate in one pass.
+through, so ensembles integrate in one pass.  Element-wise calls take the
+memory-order views `np.moveaxis(a, -1, 0)`, C-contiguous on a packed state
+for any number of members, and `matmul` the logical ones it needs.
 """
 
 from __future__ import annotations
@@ -266,25 +268,28 @@ def _spring_field(spec: SystemSpec):
         # A packed state stores q's last axis first (`StateVector.packed`), where
         # A q is fastest as (q^T A)^T, A being symmetric, straight into that
         # layout: the same exact 0/1 products added in the same order, so the
-        # bits of A q.  One column keeps A q's own matrix-vector product.
+        # bits of A q.  One column keeps A q's own matrix-vector product.  The
+        # element-wise calls take the memory-order views (see the module doc),
+        # but the drive takes dp, where eval_derivative broadcasts a t per state.
         q_t, s_t = q.swapaxes(-1, -2), s.swapaxes(-1, -2)
-        if deg is not None:  # the degree column, broadcast once into q's layout
-            deg_q = np.empty_like(q)
-            np.copyto(deg_q, deg)
+        q_m, p_m, dq_m, dp_m, s_m = (np.moveaxis(a, -1, 0) for a in (q, p, dq, dp, s))
+        if deg is not None:  # the degree column, broadcast once in q's memory order
+            deg_q = np.empty_like(q_m)
+            np.copyto(deg_q, np.moveaxis(deg, -1, 0))
 
         def rate(t):
-            divide(p, m, dq)
+            divide(p_m, m, dq_m)
             if deg is None:
-                multiply(k, q, dp)
+                multiply(k, q_m, dp_m)
             else:  # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
                 if d == 1:
                     matmul(adj, q, s)
                 else:
                     matmul(q_t, adj, s_t)
-                multiply(k, subtract(multiply(deg_q, q, dp), s, dp), dp)
-            subtract(zero, dp, dp)  # not -dp: a zero force is +0.0, as 0.0 - 0.0 is
+                multiply(k, subtract(multiply(deg_q, q_m, dp_m), s_m, dp_m), dp_m)
+            subtract(zero, dp_m, dp_m)  # not -dp: a zero force is +0.0, as 0.0 - 0.0 is
             if damped:
-                subtract(dp, divide(multiply(gamma, p, s), m, s), dp)
+                subtract(dp_m, divide(multiply(gamma, p_m, s_m), m, s_m), dp_m)
             elif forced:
                 subtract(dp, k1 * np.cos(omega * t), dp)
 
@@ -454,10 +459,10 @@ def make_derivative(spec: SystemSpec):
 
 def eval_derivative(spec: SystemSpec, state: StateVector, t: float = 0.0) -> StateVector:
     """Time derivative of the state under the system's equations of motion:
-    the field bound on [q | p] and a fresh output, split back into row-major
-    q and p rates."""
+    the field bound on the packed [q | p] that `integrate` marches and a
+    fresh output of its layout, split back into row-major q and p rates."""
     d = state.q.shape[-1]
-    y = np.concatenate([state.q, state.p], axis=-1)
+    y = state.packed()
     dy = np.empty_like(y)
     make_derivative(spec)(y, dy)(t)
     return StateVector(dy[..., :d].copy(), dy[..., d:].copy())

@@ -20,7 +20,7 @@ from revode.integrators import (
     integrate,
     reverse_state,
 )
-from revode.systems import SystemSpec, eval_derivative, make_derivative
+from revode.systems import InteractionGraph, SystemSpec, eval_derivative, make_derivative
 
 
 def sho_deriv(y, out):
@@ -554,3 +554,38 @@ def test_integrate_binds_the_field_once_per_buffer_pair(scheme, n_binds):
     escaped = integrate(field, unit_state(), TimeGrid(0.0, 0.1, 21), scheme, record_every=7)
     assert np.isnan(escaped.q[2:]).all() and np.isfinite(escaped.q[:2]).all()
     assert len(binds) == n_binds
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("members", [2, 10])
+def test_an_ensemble_steps_and_springs_on_c_contiguous_operands(monkeypatch, members, scheme):
+    """The stepper's and the spring field's element-wise ufuncs see only
+    C-contiguous arrays while an ensemble of damped springs marches, one
+    sampled graph per member.  On a packed state of two or more members the
+    logical (..., n_agents, d) views are neither C- nor F-ordered, and a ufunc
+    on them takes NumPy's slower general iterator; the memory-order views keep
+    each call on the contiguous loop.  `matmul` is not watched: it keeps the
+    swapped logical operands (q^T A into s^T), whose product order gives the
+    bits of A q."""
+    rng = np.random.default_rng(12)
+    upper = np.triu(rng.random((members, 5, 5)) < 0.5, 1)
+    spec = SystemSpec(kind="damped_spring", n_agents=5, dim=2,
+                      graph=InteractionGraph(5, upper | np.swapaxes(upper, -1, -2)))
+    start = StateVector(rng.standard_normal((members, 5, 2)), rng.standard_normal((members, 5, 2)))
+    strided, calls = [], []
+
+    def watched(ufunc):
+        def call(*operands):
+            calls.append(ufunc.__name__)
+            arrays = [a for a in operands if isinstance(a, np.ndarray)]
+            if not all(a.flags.c_contiguous for a in arrays):
+                strided.append((ufunc.__name__, [(a.shape, a.strides) for a in arrays]))
+            return ufunc(*operands)
+
+        return call
+
+    for name in ("add", "multiply", "subtract", "divide"):
+        monkeypatch.setattr(np, name, watched(getattr(np, name)))
+    integrate(make_derivative(spec), start, TimeGrid(0.0, 0.01, 6), scheme, 3)
+    assert {"add", "multiply", "subtract", "divide"} <= set(calls)
+    assert strided == []

@@ -560,30 +560,36 @@ def draw_field_spec(rng, kind, damped_form, lead):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(FIELD_KINDS),
-    lead=st.sampled_from([(), (3,), (2, 3)]),
+    lead=st.sampled_from([(), (2,), (3,), (2, 3)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_a_field_bound_once_keeps_the_reference_bits_on_every_call(kind, lead, seed):
     """A field bound once on the packed layout integrate marches, with y
     rewritten in place between calls as integrate does, gives the per-term
     reference's bits on every call: nothing its bind-time buffers keep from
-    one call leaks into the next.  States hold signed zeros, and pendulum
-    angles coincide."""
+    one call leaks into the next.  The same holds bound on a row-major
+    concatenation and on a Fortran-ordered copy, so the layout sets only the
+    speed.  States hold signed zeros, and pendulum angles coincide."""
     rng = np.random.default_rng(seed)
     spec = draw_field_spec(rng, *kind, lead)
     shape = lead + (spec.n_agents,)
-    y = StateVector(np.zeros(shape + (spec.d_q,)), np.zeros(shape + (spec.d_p,))).packed()
-    out = np.empty_like(y)
-    rate, reference = make_derivative(spec)(y, out), reference_deriv(spec)
+    q0, p0 = np.zeros(shape + (spec.d_q,)), np.zeros(shape + (spec.d_p,))
+    packed = StateVector(q0, p0).packed()
+    ys = [packed, np.concatenate([q0, p0], axis=-1), np.asfortranarray(packed)]
+    assert ys[1].flags.c_contiguous and ys[2].flags.f_contiguous
+    outs = [np.empty_like(y) for y in ys]
+    rates, reference = [make_derivative(spec)(y, out) for y, out in zip(ys, outs)], reference_deriv(spec)
     for _ in range(4):
         q, p = draw_with_signed_zeros(rng, shape + (spec.d_q,)), draw_with_signed_zeros(rng, shape + (spec.d_p,))
         if spec.kind == "triple_pendulum":
             i, j = rng.choice(3, 2, replace=False)
             q[..., i, :] = q[..., j, :]  # two angles coincide
-        y[...] = np.concatenate([q, p], axis=-1)
         t = float(rng.uniform(-2.0, 2.0))
-        rate(t)
-        assert out.tobytes() == reference(np.concatenate([q, p], axis=-1), t).tobytes()
+        expected = reference(np.concatenate([q, p], axis=-1), t).tobytes()
+        for layout, y, out, rate in zip(("packed", "row-major", "Fortran"), ys, outs, rates):
+            y[...] = np.concatenate([q, p], axis=-1)
+            rate(t)
+            assert out.tobytes() == expected, layout
 
 
 # ------------------------------------------------------------ classifiers
