@@ -12,7 +12,9 @@ that NumPy 2 takes more slowly, as it does an `out=` keyword; a 0-d array
 runs the same loop to the same bits).  Leading batch axes broadcast
 through, so ensembles integrate in one pass.  Element-wise calls take the
 memory-order views `np.moveaxis(a, -1, 0)`, C-contiguous on a packed state
-for any number of members, and `matmul` the logical ones it needs.
+for any number of members, and `matmul` the logical ones it needs.  The
+pendulum keeps its intermediates in one slot buffer per bind and folds one
+gather of stacked factors per product group by `np.multiply.reduce`.
 """
 
 from __future__ import annotations
@@ -323,88 +325,101 @@ def pendulum_mass_matrix(theta: np.ndarray, m: float, length: float) -> np.ndarr
     return ml2 * rows
 
 
-# The pendulum's rates in stacked form.  Every entry takes the float
-# operations of the per-term formula in its order, so each bit matches:
-# x - c y is taken as x + (-c) y, 1 y as y and a last term c y as (c y) 1,
-# all exact, and a sum of fewer than eight terms adds left to right.  Each
-# table is written with rate r in row r and stored transposed, term axis
-# first, as the field reads it.
+# The pendulum's rates as products of stacked factors.  Every product and
+# sum takes the float operations of the per-term formula in its order, so
+# each bit matches: x - c y is taken as x + (-c) y, 1 y as y, and a term with
+# fewer factors is padded with 1s, all exact.  np.multiply.reduce and
+# np.add.reduce over a leading axis fold left to right, but a sum starts from
+# its identity +0.0 and so turns all -0.0 terms into +0.0; seeded with -0.0
+# (-0.0 + x is x for every x) it keeps the per-term sign of zero too.  Only
+# the angle-rate numerators need the seed: the denominator is never zero,
+# cos is even, and the momentum sums are two np.add calls.
 #
-# Cosine arguments: 2(th_i - th_j) for ij = 12, 13, 23, then th_i - th_j,
-# then th1 + th2 - 2 th3, th1 - 2 th2 + th3 and 2 th1 - th2 - th3; cosine 9
-# is the constant 1.
+# The field's buffer has one slot per quantity, each as wide as the member
+# stack: 0-2 2(th_i - th_j) for ij = 12, 13, 23; 3 zero; 4-6 th1 + th2 -
+# 2 th3, th1 - 2 th2 + th3 and 2 th1 - th2 - th3; 7-9 th_i - th_j; 10-12
+# theta; 13-15 p; 16-25 the cosines of slots 0-9 (19 is cos 0 = 1); 26-31
+# the sines of slots 7-12; 32-34 the angular velocities w; 35-58 the
+# constants: _PEND_NUM_COEF row by row, 3, -3, the gravity coefficients, l.
 _PEND_TRI = np.array([[1.0, 1.0, -2.0], [1.0, -2.0, 1.0], [2.0, -1.0, -1.0]]).T
-# Angle-rate numerator r: sum over n of (coef * p[mom]) * cos[arg], the last
-# term -23 p1, -47 p2 or -143 p3.  Args: 0-2 the doubled differences, 3-5
-# the differences, 6-8 the three-angle combinations.  The bracket of the
-# denominator is the sum of the _PEND_DEN terms, coef * cos[arg].
 _PEND_NUM_COEF = np.array([
     [9.0, 27.0, -9.0, 21.0, -27.0, -23.0],
     [27.0, -9.0, 9.0, -27.0, 57.0, -47.0],
     [21.0, -27.0, -27.0, 57.0, 81.0, -143.0],
-]).T
-_PEND_NUM_MOM = np.array([[0, 1, 1, 2, 2, 0], [0, 0, 1, 2, 2, 1], [0, 0, 1, 1, 2, 2]]).T
-_PEND_NUM_ARG = np.array([[2, 3, 6, 4, 7, 9], [3, 6, 1, 8, 5, 9], [4, 7, 8, 5, 0, 9]]).T
-_PEND_DEN_COEF, _PEND_DEN_ARG = np.array([81.0, -9.0, 45.0, -169.0]), np.array([0, 1, 2, 9])
-# Momentum rate r: prefactor * ((sum over n of ((coef * w[a]) * w[b]) * l * s[arg])
-# + gravity coefficient * sin(th_r)), with sines of (th1 - th2, th1 - th3,
-# th2 - th3).
-_PEND_MOM_COEF = np.array([[3.0, 1.0], [-3.0, 1.0], [1.0, 1.0]]).T
-_PEND_MOM_A = np.array([[0, 0], [0, 1], [0, 1]]).T
-_PEND_MOM_B = np.array([[1, 2], [1, 2], [2, 2]]).T
-_PEND_MOM_ARG = np.array([[0, 1], [0, 2], [1, 2]]).T
+])
+_PEND_DEN_COEF = np.array([81.0, -9.0, 45.0, -169.0])  # times cosine slots 16-19
+# Slot tables, written with rate r in row r and stored factor first, then
+# term and rate on one axis (a 2-D index gathers faster than a 3-D one).
+# Angle-rate numerator r: sum over n of coef * p * cos.
+_PEND_NUM = np.array([
+    35 + np.arange(18).reshape(3, 6),  # coefficients
+    [[13, 14, 14, 15, 15, 13], [13, 13, 14, 15, 15, 14], [13, 13, 14, 14, 15, 15]],  # p
+    [[18, 23, 20, 24, 21, 19], [23, 20, 17, 22, 25, 19], [24, 21, 22, 25, 16, 19]],  # cosines
+]).transpose(0, 2, 1).reshape(3, 18)
+# Momentum rate r: prefactor * ((term 0 + term 1) + gravity term), the
+# terms coef * w[a] * w[b] * l * sin(th_i - th_j), the gravity term its
+# coefficient * sin(th_r) * 1 * 1 * 1.
+_PEND_MOM = np.array([
+    [[53, 19, 55], [54, 19, 56], [19, 19, 57]],  # 3, -3 or 1; gravity coefficient
+    [[32, 32, 29], [32, 33, 30], [32, 33, 31]],  # w[a]; sin(th_r)
+    [[33, 34, 19], [33, 34, 19], [34, 34, 19]],  # w[b]; 1
+    [[58, 58, 19]] * 3,                          # l; 1
+    [[26, 27, 19], [26, 28, 19], [27, 28, 19]],  # sin(th_i - th_j); 1
+]).transpose(0, 2, 1).reshape(5, 9)
 
 
 def _pendulum_field(spec: SystemSpec):
     """Angular velocities from the inverted mass matrix, and the momentum
-    rates dL/dtheta, for states y = [theta | p] with any leading axes: one
-    np.cos call on the nine distinct cosine arguments and one np.sin call
-    on six sines.  The rate works on views and buffers with the angle or
-    term axis first, bound once, so that each sum over terms adds whole
-    blocks of members."""
+    rates dL/dtheta, for states y = [theta | p] with any leading axes.  Bind
+    allocates the slot buffer above, slot axis first, with its zero and its
+    constants.  A rate copies [theta | p] in with one copyto, forms the trig
+    arguments, and takes one np.cos over slots 0-9 and one np.sin over slots
+    7-12.  One gather of (coef, p, cos) factors, folded by
+    np.multiply.reduce, gives the numerator terms, summed from -0.0; the
+    denominator reads its four cosines as one view; a second gather of
+    (coef, w, w, l, sin) factors gives the momentum terms."""
     gravity, prefactor = spec._pendulum_terms
-    ml2, length, two, six = (np.array(c) for c in (spec.m * spec.length**2, spec.length, 2.0, 6.0))
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    add_reduce, copyto, cos, sin = np.add.reduce, np.copyto, np.cos, np.sin
+    ml2, two, six = (np.array(c) for c in (spec.m * spec.length**2, 2.0, 6.0))
+    consts = np.concatenate([_PEND_NUM_COEF.ravel(), [3.0, -3.0], gravity, [spec.length]])
+    add, subtract, multiply, divide, cos, sin = np.add, np.subtract, np.multiply, np.divide, np.cos, np.sin
+    add_reduce, multiply_reduce, copyto = np.add.reduce, np.multiply.reduce, np.copyto
 
     def bind(y, out):
-        th, p, w, dp = (np.moveaxis(a[..., i], -1, 0) for a in (y, out) for i in (0, 1))
-        lead = th.shape[1:]
+        w_out, dp = (np.moveaxis(out[..., i], -1, 0) for i in (0, 1))
+        lead = dp.shape[1:]
 
         def first(c):  # a constant, term axes first, broadcast over the members
             return c.reshape(c.shape + (1,) * len(lead))
 
-        tri_c, num_c, den_c = first(_PEND_TRI), first(_PEND_NUM_COEF), first(_PEND_DEN_COEF)
-        mom_c, grav_c, pre_c = first(_PEND_MOM_COEF), first(gravity), first(prefactor)
-        cos_arg, cos_v, sin_arg, sin_v = (np.empty((n,) + lead) for n in (9, 10, 6, 6))
-        cos_v[9] = 1.0
-        tri_terms, mom_terms = np.empty((3, 3) + lead), np.empty((2, 3) + lead)
-        den, num, rows = np.empty(lead), np.empty((3,) + lead), np.empty((3,) + lead)
-        doubled, diff, tri = cos_arg[:3], cos_arg[3:6], cos_arg[6:]
-        th1, th2, th3, th23, th_col = th[:1], th[1:2], th[2:], th[1:], th[:, None]
-        diff12_13, diff23, sin_diff, sin_th = diff[:2], diff[2:], sin_arg[:3], sin_arg[3:]
-        cos_9, sin_th_v, mom_0, mom_1 = cos_v[:9], sin_v[3:], mom_terms[0], mom_terms[1]
+        tri_c, den_c, pre_c = first(_PEND_TRI), first(_PEND_DEN_COEF), first(prefactor)
+        buf = np.zeros((59,) + lead)
+        buf[35:] = first(consts)
+        y_t, th_p = np.moveaxis(y, (-1, -2), (0, 1)), buf[10:16].reshape((2, 3) + lead)
+        th1, th2, th3, th23, th_col = buf[10:11], buf[11:12], buf[12:13], buf[11:13], buf[10:13, None]
+        doubled, tri, diff, diff12_13, diff23 = buf[:3], buf[4:7], buf[7:10], buf[7:9], buf[9:10]
+        cos_arg, cos_v, sin_arg, sin_v = buf[:10], buf[16:26], buf[7:13], buf[26:32]
+        den_cos, w = buf[16:20], buf[32:35]
+        tri_terms, num_terms, mom_terms = (np.empty(s + lead) for s in ((3, 3), (18,), (9,)))
+        den_terms, den, num = np.empty((4,) + lead), np.empty(lead), np.empty((3,) + lead)
+        num_by_term, (mom_0, mom_1, mom_2) = (a.reshape((-1, 3) + lead) for a in (num_terms, mom_terms))
 
         def rate(t):
+            copyto(th_p, y_t)
             subtract(th1, th23, diff12_13)
             subtract(th2, th3, diff23)
             multiply(two, diff, doubled)
             add_reduce(multiply(th_col, tri_c, tri_terms), 0, None, tri)
-            copyto(sin_diff, diff)
-            copyto(sin_th, th)
-            cos(cos_arg, cos_9)
+            cos(cos_arg, cos_v)
             sin(sin_arg, sin_v)
 
-            den_terms = multiply(den_c, cos_v[_PEND_DEN_ARG])
-            multiply(ml2, add_reduce(den_terms, 0, None, den), den)
-            num_terms = multiply(num_c, p[_PEND_NUM_MOM])
-            add_reduce(multiply(num_terms, cos_v[_PEND_NUM_ARG], num_terms), 0, None, num)
+            multiply_reduce(buf[_PEND_NUM], 0, None, num_terms)
+            add_reduce(num_by_term, 0, None, num, False, -0.0)
+            multiply(ml2, add_reduce(multiply(den_c, den_cos, den_terms), 0, None, den), den)
             divide(multiply(six, num, num), den, w)
+            copyto(w_out, w)
 
-            multiply(mom_c, w[_PEND_MOM_A], mom_terms)
-            multiply(multiply(mom_terms, w[_PEND_MOM_B], mom_terms), length, mom_terms)
-            multiply(mom_terms, sin_v[_PEND_MOM_ARG], mom_terms)
-            add(add(mom_0, mom_1, num), multiply(grav_c, sin_th_v, rows), num)
+            multiply_reduce(buf[_PEND_MOM], 0, None, mom_terms)
+            add(add(mom_0, mom_1, num), mom_2, num)
             multiply(pre_c, num, dp)
 
         return rate

@@ -245,7 +245,6 @@ def lemma2_construction_check(a, b) -> tuple:
 
     max_err_endpoint = np.max(np.abs(y_rev_endpoint - y_true), axis=-1)
     max_err_start = np.max(np.abs(y_rev_start - y_true), axis=-1)
-    assert np.all(max_err_endpoint <= max_err_start + 1e-15)
     if max_err_endpoint.ndim == 0:
         return float(max_err_endpoint), float(max_err_start)
     return max_err_endpoint, max_err_start
