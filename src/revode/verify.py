@@ -1,17 +1,19 @@
 """Empirical checks of the reversibility/accuracy claims the package rests on.
 
-Four harnesses:
+Five probes, one behind each named suite:
 
-* round-trip test -- integrate forward, flip momenta, integrate forward
-  again, flip back; a reversible flow returns to the start up to solver
-  error, a dissipative one does not return no matter how small the step.
-* order-scaling test -- on the 1-body oscillator with a closed-form
+* round trip (`lemma1`) -- integrate forward, flip momenta, integrate
+  forward again, flip back; a reversible flow returns to the start up to
+  solver error, a dissipative one does not return however small the step.
+* order scaling (`theorem1`) -- on the 1-body oscillator with a closed-form
   solution, measure how prediction error and forward/reverse mismatch
   shrink with the internal step and grow with the horizon.
-* worst-case construction -- a one-step scenario showing the maximum
-  ground-truth deviation is max(a, b) when the reverse leg starts from
-  the forward endpoint but a + b when it starts from the initial state.
-* chaos probe -- largest Lyapunov exponent estimated from pairs of
+* worst-case construction (`lemma2`) -- a one-step scenario showing the
+  maximum ground-truth deviation is max(a, b) when the reverse leg starts
+  from the forward endpoint but a + b when it starts from the initial state.
+* energy classification (`energy`) -- each spring system's energy is
+  conserved, decays or follows the driven-work rate, as its class requires.
+* chaos probe (`mle`) -- largest Lyapunov exponent estimated from pairs of
   nearby trajectories.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -283,7 +286,6 @@ def mechanical_energy_rate_chain_rule(
 
 @dataclass
 class EnergyCheckReport:
-    kind: str
     classification: str
     passed: bool
     checks: dict = field(default_factory=dict)
@@ -294,14 +296,17 @@ class EnergyCheckReport:
 ENERGY_SCHEME = "rk4"
 ENERGY_SPAN = 6.0
 ENERGY_RATE_STATES = 1000  # states sampled for the rate identities
+ENERGY_DRIFT_TOL = 1e-6
+ENERGY_RATE_TOL = 1e-6
+ENERGY_STEP_TOL = 1e-9
 
 
 def energy_classification_check(
     spec: SystemSpec,
     n_trajectories: int = 3,
-    tol: float = 1e-6,
+    tol: float = ENERGY_DRIFT_TOL,
     seed: int = 0,
-    rate_tol: float = 1e-6,
+    rate_tol: float = ENERGY_RATE_TOL,
 ) -> EnergyCheckReport:
     """Verify the energy behavior that defines each spring system's class.
 
@@ -340,7 +345,7 @@ def energy_classification_check(
         moved = float(np.max(np.abs(energy - start)))
         checks = {"max_rate_mismatch": rate_err, "max_energy_change": moved}
         passed = rate_err < rate_tol and moved > 100 * tol
-    return EnergyCheckReport(spec.kind, classify_reversibility(spec), passed, checks)
+    return EnergyCheckReport(classify_reversibility(spec), passed, checks)
 
 
 def _max_rate_mismatch(spec, states: StateVector, times, n_states: int) -> float:
@@ -370,8 +375,6 @@ class LyapunovReport:
     mle_std: float
     n_pairs_used: int
     n_escaped: int
-    perturbation_sigma: float
-    horizon: float
     per_pair: list = field(default_factory=list)
 
 
@@ -440,21 +443,15 @@ def lyapunov_mle(
         delta = np.sqrt(np.sum(diff_q**2, axis=-1) + np.sum(diff_p**2, axis=-1))  # (points, pairs)
     usable = delta[:, np.isfinite(delta).all(axis=0) & (delta[0] != 0.0)]
     lam = np.max(np.log(usable[1:] / usable[0]) / traj.times[1:, None], axis=0)
-    per_pair = lam.tolist()
-    escaped = len(pairs) - len(per_pair)
-
-    if not per_pair:
+    if not lam.size:
         raise ConfigurationError("every trajectory pair escaped; nothing to report")
-    arr = np.asarray(per_pair)
     return LyapunovReport(
         kind=spec.kind,
-        mle_mean=float(arr.mean()),
-        mle_std=float(arr.std()),
-        n_pairs_used=len(per_pair),
-        n_escaped=escaped,
-        perturbation_sigma=MLE_SIGMA,
-        horizon=horizon,
-        per_pair=per_pair,
+        mle_mean=float(lam.mean()),
+        mle_std=float(lam.std()),
+        n_pairs_used=lam.size,
+        n_escaped=len(pairs) - lam.size,
+        per_pair=lam.tolist(),
     )
 
 
@@ -483,6 +480,17 @@ class SuiteResult:
 
     def to_jsonable(self) -> dict:
         return {**asdict(self), "passed": self.passed}
+
+
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def _require(name: str, value: float, comparison: str, bound: float, detail=None) -> Assertion:
+    """The assertion that `value <comparison> bound` holds; unless a detail
+    is given, it reads as the requirement, e.g. "require >= 12.0"."""
+    if detail is None:
+        detail = f"require {comparison} {bound}"
+    return Assertion(name, _COMPARISONS[comparison](value, bound), value, detail)
 
 
 ROUNDTRIP_DTS = (1e-3, 5e-4, 2.5e-4)
@@ -516,33 +524,18 @@ def run_suite_lemma1() -> SuiteResult:
         f"{label}_roundtrip": {str(dt): v for dt, v in zip(ROUNDTRIP_DTS, vals)}
         for label, vals in sweeps.items()
     }
-    assertions = [
-        Assertion(
-            name=f"{label}_shrink_dt_{dt0}_to_{dt1}",
-            passed=v0 / v1 >= ROUNDTRIP_SHRINK_MIN,
-            value=v0 / v1,
-            detail=f"require >= {ROUNDTRIP_SHRINK_MIN}",
-        )
-        for label in ("spring", "pendulum")
-        for (dt0, v0), (dt1, v1) in itertools.pairwise(zip(ROUNDTRIP_DTS, sweeps[label]))
-    ]
     damped = sweeps["damped"]
-    assertions.append(
-        Assertion(
-            name="damped_plateau_floor",
-            passed=min(damped) > DAMPED_PLATEAU_FLOOR,
-            value=min(damped),
-            detail=f"discrepancy must stay above {DAMPED_PLATEAU_FLOOR} as dt shrinks",
-        )
-    )
-    assertions.append(
-        Assertion(
-            name="damped_plateau_flat",
-            passed=damped[-1] / damped[0] > 0.5,
-            value=damped[-1] / damped[0],
-            detail="no meaningful decay across dt halvings",
-        )
-    )
+    assertions = [
+        *(
+            _require(f"{label}_shrink_dt_{dt0}_to_{dt1}", v0 / v1, ">=", ROUNDTRIP_SHRINK_MIN)
+            for label in ("spring", "pendulum")
+            for (dt0, v0), (dt1, v1) in itertools.pairwise(zip(ROUNDTRIP_DTS, sweeps[label]))
+        ),
+        _require("damped_plateau_floor", min(damped), ">", DAMPED_PLATEAU_FLOOR,
+                 f"discrepancy must stay above {DAMPED_PLATEAU_FLOOR} as dt shrinks"),
+        _require("damped_plateau_flat", damped[-1] / damped[0], ">", 0.5,
+                 "no meaningful decay across dt halvings"),
+    ]
     return SuiteResult(suite="lemma1", assertions=assertions, data=data)
 
 
@@ -558,49 +551,22 @@ def run_suite_theorem1() -> SuiteResult:
     rep_matched = theorem1_scaling(scheme="heun")
     euler = rep_euler.slopes_by_span[rep_euler.fit_span]
     matched = rep_matched.slopes_by_span[rep_matched.fit_span]
+    lo, hi = SCALING_PRED_SLOPE
     assertions = [
-        Assertion(
-            name="euler_pred_slope_in_band",
-            passed=SCALING_PRED_SLOPE[0] <= euler["s_pred"] <= SCALING_PRED_SLOPE[1],
-            value=euler["s_pred"],
-            detail=f"band {SCALING_PRED_SLOPE}",
+        Assertion("euler_pred_slope_in_band", lo <= euler["s_pred"] <= hi, euler["s_pred"],
+                  f"band {SCALING_PRED_SLOPE}"),
+        _require("euler_pred_fit_r2", euler["s_pred_r2"], ">", SCALING_MIN_R2),
+        _require("matched_rev_slope_gap", matched["s_rev"] - euler["s_pred"], ">=",
+                 SCALING_MIN_GAP),
+        _require("matched_rev_fit_r2", matched["s_rev_r2"], ">", SCALING_MIN_R2),
+        *(
+            _require(f"rev_envelope_growth_T_{span}", growth, "<=", SCALING_MAX_RATIO_GROWTH,
+                     "normalized reversal loss must not outgrow its envelope")
+            for span, growth in rep_matched.ratio_growth_by_span.items()
         ),
-        Assertion(
-            name="euler_pred_fit_r2",
-            passed=euler["s_pred_r2"] > SCALING_MIN_R2,
-            value=euler["s_pred_r2"],
-            detail=f"require > {SCALING_MIN_R2}",
-        ),
-        Assertion(
-            name="matched_rev_slope_gap",
-            passed=matched["s_rev"] - euler["s_pred"] >= SCALING_MIN_GAP,
-            value=matched["s_rev"] - euler["s_pred"],
-            detail=f"require >= {SCALING_MIN_GAP}",
-        ),
-        Assertion(
-            name="matched_rev_fit_r2",
-            passed=matched["s_rev_r2"] > SCALING_MIN_R2,
-            value=matched["s_rev_r2"],
-            detail=f"require > {SCALING_MIN_R2}",
-        ),
+        Assertion("t_trend_positive", rep_matched.t_slope_rev > 0 and rep_euler.t_slope_pred > 0,
+                  rep_matched.t_slope_rev, "losses nondecreasing in horizon at the finest step"),
     ]
-    for span, growth in rep_matched.ratio_growth_by_span.items():
-        assertions.append(
-            Assertion(
-                name=f"rev_envelope_growth_T_{span}",
-                passed=growth <= SCALING_MAX_RATIO_GROWTH,
-                value=growth,
-                detail="normalized reversal loss must not outgrow its envelope",
-            )
-        )
-    assertions.append(
-        Assertion(
-            name="t_trend_positive",
-            passed=rep_matched.t_slope_rev > 0 and rep_euler.t_slope_pred > 0,
-            value=rep_matched.t_slope_rev,
-            detail="losses nondecreasing in horizon at the finest step",
-        )
-    )
     data = {"euler": rep_euler.to_jsonable(), "matched": rep_matched.to_jsonable()}
     return SuiteResult(suite="theorem1", assertions=assertions, data=data)
 
@@ -611,14 +577,6 @@ LEMMA2_N_RANDOM = 10_000
 def run_suite_lemma2() -> SuiteResult:
     """Deterministic worst-case construction plus a randomized sweep."""
     det = lemma2_construction_check(0.3, 0.4)
-    assertions = [
-        Assertion(
-            name="deterministic_case",
-            passed=abs(det[0] - 0.4) < 1e-12 and abs(det[1] - 0.7) < 1e-12,
-            value=det[0],
-            detail=f"(0.3, 0.4) -> {det}",
-        )
-    ]
     rng = rng_stream(0, 0, PURPOSE_PARAMS)
     a, b = rng.uniform(0.0, 10.0, size=(LEMMA2_N_RANDOM, 2)).T
     lo, hi = lemma2_construction_check(a, b)
@@ -627,21 +585,14 @@ def run_suite_lemma2() -> SuiteResult:
         | (np.abs(lo - np.maximum(a, b)) > 1e-12)
         | (np.abs(hi - (a + b)) > 1e-9)
     )
-    assertions.append(
-        Assertion(
-            name="random_pairs_max_le_sum",
-            passed=not bad.any(),
-            value=max(0.0, float(np.max(lo - hi))),
-            detail=f"{LEMMA2_N_RANDOM} uniform pairs on [0, 10]^2",
-        )
-    )
+    assertions = [
+        Assertion("deterministic_case", abs(det[0] - 0.4) < 1e-12 and abs(det[1] - 0.7) < 1e-12,
+                  det[0], f"(0.3, 0.4) -> {det}"),
+        Assertion("random_pairs_max_le_sum", not bad.any(), max(0.0, float(np.max(lo - hi))),
+                  f"{LEMMA2_N_RANDOM} uniform pairs on [0, 10]^2"),
+    ]
     data = {"deterministic": list(det)}
     return SuiteResult(suite="lemma2", assertions=assertions, data=data)
-
-
-ENERGY_DRIFT_TOL = 1e-6
-ENERGY_RATE_TOL = 1e-6
-ENERGY_STEP_TOL = 1e-9
 
 
 ENERGY_CASES = (
@@ -654,22 +605,15 @@ ENERGY_CASES = (
 
 def run_suite_energy() -> SuiteResult:
     """Conservation / monotone decay / driven-rate identity per system."""
-    assertions = []
-    data = {}
-    for label, spec in ENERGY_CASES:
-        rep = energy_classification_check(
-            spec, n_trajectories=2, tol=ENERGY_DRIFT_TOL, rate_tol=ENERGY_RATE_TOL
-        )
-        data[label] = {"classification": rep.classification, **rep.checks}
-        value = next(iter(rep.checks.values()))
-        assertions.append(
-            Assertion(
-                name=f"{label}_{rep.classification}",
-                passed=rep.passed,
-                value=float(value),
-                detail=str(rep.checks),
-            )
-        )
+    reports = {label: energy_classification_check(spec, n_trajectories=2)
+               for label, spec in ENERGY_CASES}
+    assertions = [
+        Assertion(f"{label}_{rep.classification}", rep.passed,
+                  float(next(iter(rep.checks.values()))), str(rep.checks))
+        for label, rep in reports.items()
+    ]
+    data = {label: {"classification": rep.classification, **rep.checks}
+            for label, rep in reports.items()}
     return SuiteResult(suite="energy", assertions=assertions, data=data)
 
 
@@ -680,21 +624,13 @@ def run_suite_mle() -> SuiteResult:
     """Chaos ordering: the stick pendulum against the spring lattice."""
     spring = lyapunov_mle(SystemSpec(kind="simple_spring", n_agents=5, dim=2))
     pend = lyapunov_mle(SystemSpec(kind="triple_pendulum", n_agents=3))
-    ratio = pend.mle_mean / spring.mle_mean
     assertions = [
-        Assertion(
-            name="pendulum_vs_spring_mle_ratio",
-            passed=ratio > MLE_ORDER_FACTOR,
-            value=ratio,
-            detail=f"require > {MLE_ORDER_FACTOR}; spring={spring.mle_mean:.4f}, "
-            f"pendulum={pend.mle_mean:.4f}",
-        ),
-        Assertion(
-            name="all_pairs_usable",
-            passed=spring.n_escaped == 0 and pend.n_escaped == 0,
-            value=float(spring.n_escaped + pend.n_escaped),
-            detail="escaped pairs are excluded and counted",
-        ),
+        _require("pendulum_vs_spring_mle_ratio", pend.mle_mean / spring.mle_mean, ">",
+                 MLE_ORDER_FACTOR, f"require > {MLE_ORDER_FACTOR}; "
+                 f"spring={spring.mle_mean:.4f}, pendulum={pend.mle_mean:.4f}"),
+        Assertion("all_pairs_usable", spring.n_escaped == 0 and pend.n_escaped == 0,
+                  float(spring.n_escaped + pend.n_escaped),
+                  "escaped pairs are excluded and counted"),
     ]
     data = {
         "spring": {"mean": spring.mle_mean, "std": spring.mle_std},

@@ -37,6 +37,7 @@ from revode.verify import (
     SuiteResult,
     _loglog_fit,
     _max_rate_mismatch,
+    _require,
     energy_classification_check,
     lemma1_roundtrip,
     lemma2_construction_check,
@@ -44,6 +45,7 @@ from revode.verify import (
     mechanical_energy_rate_chain_rule,
     run_suite,
     run_suite_lemma2,
+    run_suite_theorem1,
     theorem1_scaling,
 )
 
@@ -411,6 +413,54 @@ def test_run_suite_lemma2_passes_and_reports():
     assert all(a.passed for a in result.assertions)
     names = {a.name for a in result.assertions}
     assert any("deterministic" in n for n in names)
+
+
+def test_run_suite_lemma2_report_is_pinned():
+    """`revode verify --json` writes this document; its bytes are a release gate."""
+    import json
+
+    doc = run_suite_lemma2().to_jsonable()
+    want = {
+        "suite": "lemma2",
+        "assertions": [
+            {"name": "deterministic_case", "passed": True, "value": 0.4,
+             "detail": "(0.3, 0.4) -> (0.4, 0.7)"},
+            {"name": "random_pairs_max_le_sum", "passed": True, "value": 0.0,
+             "detail": "10000 uniform pairs on [0, 10]^2"},
+        ],
+        "data": {"deterministic": [0.4, 0.7]},
+        "passed": True,
+    }
+    assert doc == want
+    assert json.dumps(doc) == json.dumps(want)  # also pins bool and float types, and key order
+
+
+def test_run_suite_theorem1_names_and_details_are_pinned():
+    envelope = "normalized reversal loss must not outgrow its envelope"
+    assert [(a.name, a.detail) for a in run_suite_theorem1().assertions] == [
+        ("euler_pred_slope_in_band", "band (1.7, 2.3)"),
+        ("euler_pred_fit_r2", "require > 0.98"),
+        ("matched_rev_slope_gap", "require >= 1.5"),
+        ("matched_rev_fit_r2", "require > 0.98"),
+        ("rev_envelope_growth_T_1.6", envelope),
+        ("rev_envelope_growth_T_3.2", envelope),
+        ("rev_envelope_growth_T_6.4", envelope),
+        ("t_trend_positive", "losses nondecreasing in horizon at the finest step"),
+    ]
+
+
+@pytest.mark.parametrize("comparison, passed, detail", [
+    (">=", True, "require >= 12.0"),
+    ("<=", True, "require <= 12.0"),
+    (">", False, "require > 12.0"),
+])
+def test_require_at_the_bound(comparison, passed, detail):
+    """A value equal to its bound passes an inclusive comparison only, and
+    the default detail states the requirement."""
+    check = _require("at_bound", 12.0, comparison, 12.0)
+    assert check == Assertion("at_bound", passed, 12.0, detail)
+    assert check.passed is passed
+    assert _require("at_bound", 12.0, comparison, 12.0, "custom").detail == "custom"
 
 
 def test_run_suite_dispatch():
