@@ -7,12 +7,15 @@ packed states y = [q | p], positions and momenta concatenated on the last
 axis, (..., n_agents, d_q + d_p).  `bind` takes the views of y and out (and
 any scratch) once; each `rate(t)` then writes dy/dt at y's current contents
 into out through ufunc calls on arrays only, constants bound once as 0-d
-arrays and outputs passed by position (a Python float is a "weak" scalar
-that NumPy 2 takes more slowly, as it does an `out=` keyword; a 0-d array
-runs the same loop to the same bits).  Leading batch axes broadcast
-through, so ensembles integrate in one pass.  Element-wise calls take the
-memory-order views `np.moveaxis(a, -1, 0)`, C-contiguous on a packed state
-for any number of members, and `matmul` the logical ones it needs.  The
+arrays and outputs passed by position, for the reason `integrators` gives.
+Leading batch axes broadcast through, so ensembles integrate in one pass.
+Element-wise calls take the memory-order views `np.moveaxis(a, -1, 0)`,
+C-contiguous on a packed state for any number of members, and `matmul` the
+logical ones it needs.  A spring rate takes [b | g] = [deg q | gamma p]
+([k q | gamma p] anchored) from one product with a multiplier bound once,
+and the graph force as k (s - b), s = A q: s - b is -(b - s), +0.0 at
+b == s, and s is never -0.0, so it has the bits of 0 - k (b - s) but for
+the true force's -0.0 where k (b - s) underflows to zero from b > s.  The
 pendulum keeps its intermediates in one slot buffer per bind and folds one
 gather of stacked factors per product group by `np.multiply.reduce`.
 """
@@ -71,16 +74,12 @@ class InteractionGraph:
 
     @staticmethod
     def complete(n: int) -> "InteractionGraph":
-        adj = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(adj, False)
-        return InteractionGraph(n, adj)
+        return InteractionGraph(n, ~np.eye(n, dtype=bool))
 
     @staticmethod
     def chain(n: int) -> "InteractionGraph":
-        adj = np.zeros((n, n), dtype=bool)
-        for i in range(n - 1):
-            adj[i, i + 1] = adj[i + 1, i] = True
-        return InteractionGraph(n, adj)
+        adj = np.eye(n, k=1, dtype=bool)
+        return InteractionGraph(n, adj | adj.T)
 
     @staticmethod
     def from_edges(n: int, edges) -> "InteractionGraph":
@@ -92,6 +91,8 @@ class InteractionGraph:
         return InteractionGraph(n, adj)
 
     def edges(self) -> list[tuple[int, int]]:
+        if self.adjacency.ndim > 2:
+            raise ConfigurationError("a stacked graph has one edge list per member, not one")
         ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
         return [(int(i), int(j)) for i, j in zip(ii, jj)]
 
@@ -206,7 +207,7 @@ class SystemSpec:
 
     @cached_property
     def _spring_terms(self):
-        """(k, degree column, float adjacency), resolved once per spec for the
+        """(k, degrees, float adjacency), resolved once per spec for the
         force and potential to read at every evaluation; anchored systems pull
         each agent to the origin and have neither of the last two."""
         if self.n_agents == 1 or (
@@ -215,7 +216,7 @@ class SystemSpec:
             return self.anchor_k, None, None
         adj = self.resolved_graph().adjacency.astype(np.float64)
         adj.flags.writeable = False
-        return self.k, adj.sum(axis=-1)[..., None], adj
+        return self.k, adj.sum(axis=-1), adj
 
     def params_dict(self) -> dict:
         return {
@@ -266,32 +267,31 @@ def _spring_field(spec: SystemSpec):
 
     def bind(y, out):
         q, p, dq, dp = y[..., :d], y[..., d:], out[..., :d], out[..., d:]
-        s = np.empty_like(q)  # A q, then the damping term
-        # A packed state stores q's last axis first (`StateVector.packed`), where
-        # A q is fastest as (q^T A)^T, A being symmetric, straight into that
-        # layout: the same exact 0/1 products added in the same order, so the
-        # bits of A q.  One column keeps A q's own matrix-vector product.  The
-        # element-wise calls take the memory-order views (see the module doc),
-        # but the drive takes dp, where eval_derivative broadcasts a t per state.
+        s = np.empty_like(q)  # A q
+        # y's memory-order view times w is [b | g] (see the module doc; g when
+        # damped).  A packed state stores q's last axis first, where A q is
+        # fastest as (q^T A)^T, A symmetric, to the same bits; one column keeps
+        # A q's own product.  The drive takes dp, where t may vary by member.
         q_t, s_t = q.swapaxes(-1, -2), s.swapaxes(-1, -2)
-        q_m, p_m, dq_m, dp_m, s_m = (np.moveaxis(a, -1, 0) for a in (q, p, dq, dp, s))
-        if deg is not None:  # the degree column, broadcast once in q's memory order
-            deg_q = np.empty_like(q_m)
-            np.copyto(deg_q, np.moveaxis(deg, -1, 0))
+        y_m, p_m, dq_m, dp_m, s_m = (np.moveaxis(a, -1, 0) for a in (y, p, dq, dp, s))
+        y_w = y_m if damped else y_m[:d]
+        w, bg = np.empty((2,) + y_w.shape)
+        w[:d], w[d:] = k if deg is None else deg, gamma
+        b, g = bg[:d], bg[d:]
 
         def rate(t):
             divide(p_m, m, dq_m)
+            multiply(y_w, w, bg)
             if deg is None:
-                multiply(k, q_m, dp_m)
-            else:  # sum_{j in N_i} (q_i - q_j) = deg_i q_i - (A q)_i
+                subtract(zero, b, dp_m)  # not -b: a zero force is +0.0, as 0.0 - 0.0 is
+            else:  # -k sum_{j in N_i} (q_i - q_j) = k ((A q)_i - deg_i q_i)
                 if d == 1:
                     matmul(adj, q, s)
                 else:
                     matmul(q_t, adj, s_t)
-                multiply(k, subtract(multiply(deg_q, q_m, dp_m), s_m, dp_m), dp_m)
-            subtract(zero, dp_m, dp_m)  # not -dp: a zero force is +0.0, as 0.0 - 0.0 is
+                multiply(k, subtract(s_m, b, dp_m), dp_m)
             if damped:
-                subtract(dp_m, divide(multiply(gamma, p_m, s_m), m, s_m), dp_m)
+                subtract(dp_m, divide(g, m, g), dp_m)
             elif forced:
                 subtract(dp, k1 * np.cos(omega * t), dp)
 

@@ -134,6 +134,20 @@ def test_graph_constructors():
     assert g.edges() == [(0, 2)]
 
 
+def test_stacked_graph_has_no_single_edge_list():
+    """A stacked adjacency holds one graph per member, so neither its edges
+    nor the params_dict of an ensemble spec (as build_trajectories stacks
+    it) are one list: both raise ConfigurationError, not an unpacking error."""
+    chain, complete = InteractionGraph.chain(3).adjacency, InteractionGraph.complete(3).adjacency
+    for adjacency in (np.stack([chain, complete]), chain[None]):
+        stacked = InteractionGraph(3, adjacency)
+        with pytest.raises(ConfigurationError, match="one edge list per member"):
+            stacked.edges()
+        spec = SystemSpec(kind="damped_spring", n_agents=3, dim=2, graph=stacked)
+        with pytest.raises(ConfigurationError, match="one edge list per member"):
+            spec.params_dict()
+
+
 def test_graph_rejects_malformed_adjacency():
     eye = np.eye(3, dtype=bool)
     with pytest.raises(ConfigurationError):
@@ -246,6 +260,83 @@ def test_spring_force_on_sampled_graphs_is_bitwise_in_every_layout(dim):
         y = at_rest(q)
         for layout in (y, StateVector(q, np.zeros_like(q)).packed(), np.asfortranarray(y)):
             assert spring_force(spec, layout).tobytes() == want, (n, members)
+
+
+@pytest.mark.parametrize("spec, q", [
+    (SystemSpec(kind="simple_spring", n_agents=3, dim=2, graph=InteractionGraph.from_edges(3, [])),
+     [[0.0, -0.0], [-0.0, 0.0], [1.5, -2.0]]),
+    (SystemSpec(kind="simple_spring", n_agents=3, dim=2, graph=InteractionGraph.from_edges(3, [(0, 1)])),
+     [[-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]),
+    (SystemSpec(kind="damped_spring", n_agents=3, dim=2, graph=InteractionGraph.chain(3)),
+     [[0.7, -0.0], [0.7, -0.0], [0.7, -0.0]]),
+    (SystemSpec(kind="simple_spring", n_agents=4, dim=2), [[-3.25, 0.0]] * 4),
+    (SystemSpec(kind="damped_spring", n_agents=4, dim=1,
+                graph=InteractionGraph.from_edges(4, [(0, 1), (2, 3)])),
+     [[-0.0], [0.0], [2.5], [2.5]]),
+    (SystemSpec(kind="simple_spring", n_agents=3, dim=1), [[0.0], [-0.0], [-0.0]]),
+], ids=["isolated", "isolated_and_paired_zeros", "coinciding", "coinciding_complete",
+        "d1_coinciding_pair", "d1_signed_zeros"])
+@pytest.mark.parametrize("stack", [False, True], ids=["one_graph", "one_member_stack"])
+def test_zero_graph_forces_have_the_reference_bits(spec, q, stack):
+    """Where the graph force is zero, k (s - b) with b = deg q and s = A q
+    has the bits of 0 - k (b - s): isolated agents (deg 0) at q = +-0.0,
+    coinciding neighbours (b == s, for d = 1 on the matmul(adj, q) branch
+    too), and the one-member (1, n, n) stack that build_trajectory passes."""
+    q = np.array(q)
+    if stack:
+        spec = replace(spec, graph=InteractionGraph(spec.n_agents, spec.resolved_graph().adjacency[None]))
+        q = q[None]
+    want = reference_spring_force(spec, q)
+    assert not want.any()
+    for y in (at_rest(q), StateVector(q, np.zeros_like(q)).packed()):
+        assert spring_force(spec, y).tobytes() == want.tobytes()
+    # and the whole rate at p = -0.0, where a damping term is -0.0
+    y = StateVector(q, np.full_like(q, -0.0)).packed()
+    out = np.empty_like(y)
+    make_derivative(spec)(y, out)(0.0)
+    assert out.tobytes() == reference_spring_deriv(spec)(y, 0.0).tobytes()
+
+
+def test_underflowed_graph_force_keeps_its_sign():
+    """The one state where k (s - b) parts from 0 - k (b - s): positions one
+    subnormal apart, where k (b - s) underflows to zero from b > s.  The
+    field keeps the true force's sign, -0.0, on the leading agent; the
+    reference's 0 - (+0.0) gives +0.0."""
+    spec = SystemSpec(kind="simple_spring", n_agents=2, dim=1, k=0.1)
+    q = np.array([[5e-324], [0.0]])
+    assert spring_force(spec, at_rest(q)).tobytes() == np.array([[-0.0], [0.0]]).tobytes()
+    assert reference_spring_force(spec, q).tobytes() == np.array([[0.0], [0.0]]).tobytes()
+
+
+@pytest.mark.parametrize("spec, count", [
+    (SystemSpec(kind="simple_spring", n_agents=1, dim=2, k0=0.3), 3),
+    (SystemSpec(kind="damped_spring", n_agents=4, dim=2, damped_form="anchored", k0=2.0), 5),
+    (SystemSpec(kind="simple_spring", n_agents=5, dim=2), 5),
+    (SystemSpec(kind="damped_spring", n_agents=5, dim=2), 7),
+    (SystemSpec(kind="damped_spring", n_agents=5, dim=1), 7),
+], ids=["anchored_simple", "anchored_damped", "graph_simple", "graph_damped", "graph_damped_d1"])
+@pytest.mark.parametrize("lead", [(), (1,), (3,)])
+def test_one_spring_rate_makes_its_numpy_calls(monkeypatch, spec, count, lead):
+    """One spring rate takes [deg q | gamma p] (or [k q | gamma p]) from one
+    product and the graph force as k (s - b): 3, 5, 5 and 7 calls of the
+    ufuncs it binds for the anchored and graph forms, simple and damped;
+    a separate product per term or a sign flip would raise the count."""
+    calls = []
+
+    def counted(ufunc):
+        return lambda *operands: calls.append(ufunc.__name__) or ufunc(*operands)
+
+    for name in ("add", "subtract", "multiply", "divide", "matmul"):
+        monkeypatch.setattr(np, name, counted(getattr(np, name)))
+    rng = np.random.default_rng(9)
+    shape = lead + (spec.n_agents, spec.dim)
+    y = StateVector(rng.standard_normal(shape), rng.standard_normal(shape)).packed()
+    out = np.empty_like(y)
+    rate = make_derivative(spec)(y, out)
+    calls.clear()
+    rate(0.0)
+    assert len(calls) == count, calls
+    assert out.tobytes() == reference_spring_deriv(spec)(y, 0.0).tobytes()
 
 
 def draw_with_signed_zeros(rng, shape):
