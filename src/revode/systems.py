@@ -11,13 +11,11 @@ arrays and outputs passed by position, for the reason `integrators` gives.
 Leading batch axes broadcast through, so ensembles integrate in one pass.
 Element-wise calls take the memory-order views `np.moveaxis(a, -1, 0)`,
 C-contiguous on a packed state for any number of members, and `matmul` the
-logical ones it needs.  A spring rate takes [b | g] = [deg q | gamma p]
-([k q | gamma p] anchored) from one product with a multiplier bound once,
-and the graph force as k (s - b), s = A q: s - b is -(b - s), +0.0 at
-b == s, and s is never -0.0, so it has the bits of 0 - k (b - s) but for
-the true force's -0.0 where k (b - s) underflows to zero from b > s.  The
-pendulum keeps its intermediates in one slot buffer per bind and folds one
-gather of stacked factors per product group by `np.multiply.reduce`.
+logical ones it needs.  A spring rate takes [deg q | gamma p] from one
+product and the graph force as k (s - b), s = A q, with the reference bits
+but for the sign of a force that underflows to zero (see `_spring_field`).
+The pendulum keeps its intermediates in one slot buffer per bind and folds
+one gather of stacked factors per product group by `np.multiply.reduce`.
 """
 
 from __future__ import annotations
@@ -74,12 +72,16 @@ class InteractionGraph:
 
     @staticmethod
     def complete(n: int) -> "InteractionGraph":
-        return InteractionGraph(n, ~np.eye(n, dtype=bool))
+        adj = np.ones((n, n), dtype=bool)
+        np.fill_diagonal(adj, False)
+        return InteractionGraph(n, adj)
 
     @staticmethod
     def chain(n: int) -> "InteractionGraph":
-        adj = np.eye(n, k=1, dtype=bool)
-        return InteractionGraph(n, adj | adj.T)
+        adj = np.zeros((n, n), dtype=bool)
+        for i in range(n - 1):
+            adj[i, i + 1] = adj[i + 1, i] = True
+        return InteractionGraph(n, adj)
 
     @staticmethod
     def from_edges(n: int, edges) -> "InteractionGraph":
@@ -267,12 +269,13 @@ def _spring_field(spec: SystemSpec):
 
     def bind(y, out):
         q, p, dq, dp = y[..., :d], y[..., d:], out[..., :d], out[..., d:]
-        s = np.empty_like(q)  # A q
-        # y's memory-order view times w is [b | g] (see the module doc; g when
-        # damped).  A packed state stores q's last axis first, where A q is
-        # fastest as (q^T A)^T, A symmetric, to the same bits; one column keeps
-        # A q's own product.  The drive takes dp, where t may vary by member.
-        q_t, s_t = q.swapaxes(-1, -2), s.swapaxes(-1, -2)
+        # y_m w = [b | g] = [deg q | gamma p] ([k q | gamma p] anchored; g only
+        # when damped).  s - b is -(b - s), +0.0 at b == s, and s = A q, summed
+        # from +0.0, is never -0.0, so k (s - b) has the bits of 0 - k (b - s)
+        # but for -0.0 where k (b - s) underflows to zero from b > s.  A q runs
+        # as (q^T A)^T on q's memory order (A symmetric; same bits) unless d = 1.
+        s = np.empty_like(q)
+        aq = (adj, q, s) if d == 1 else (q.swapaxes(-1, -2), adj, s.swapaxes(-1, -2))
         y_m, p_m, dq_m, dp_m, s_m = (np.moveaxis(a, -1, 0) for a in (y, p, dq, dp, s))
         y_w = y_m if damped else y_m[:d]
         w, bg = np.empty((2,) + y_w.shape)
@@ -285,15 +288,12 @@ def _spring_field(spec: SystemSpec):
             if deg is None:
                 subtract(zero, b, dp_m)  # not -b: a zero force is +0.0, as 0.0 - 0.0 is
             else:  # -k sum_{j in N_i} (q_i - q_j) = k ((A q)_i - deg_i q_i)
-                if d == 1:
-                    matmul(adj, q, s)
-                else:
-                    matmul(q_t, adj, s_t)
+                matmul(*aq)
                 multiply(k, subtract(s_m, b, dp_m), dp_m)
             if damped:
                 subtract(dp_m, divide(g, m, g), dp_m)
             elif forced:
-                subtract(dp, k1 * np.cos(omega * t), dp)
+                subtract(dp, k1 * np.cos(omega * t), dp)  # t may vary by member
 
         return rate
 

@@ -72,11 +72,43 @@ def test_summary_of_canned_pairs():
     assert items["change_q1_med_q3"] == pytest.approx([0.9, 1.0, 1.05])
     assert items["ratio"] == pytest.approx(1.0 / 0.9)
     assert items["change_better_pairs"] == "3/5"  # pair 2 ties, pair 5 is worse
-    assert items["within_bound"] and items["bound"] == 0.25
+    assert items["verdict"] == "within bound" and items["bound"] == 0.25
+    assert not items["gain"]  # 3 of 5 pairs
 
     setup = record["setup_s"]
     assert setup["change_better_pairs"] == "2/5"  # lower is better; two ties
-    assert setup["ratio"] == pytest.approx(1.0)
+    assert setup["ratio"] == pytest.approx(1.0) and setup["verdict"] == "within bound"
     slower = bench_pairs.summarize_metric([1.0, 1.0], [1.3, 1.3], "lower", 0.25)
-    assert slower["ratio"] == pytest.approx(1.3) and not slower["within_bound"]
+    assert slower["ratio"] == pytest.approx(1.3) and slower["verdict"] == "beyond bound"
     assert bench_pairs.quartiles([2.0]) == [2.0, 2.0, 2.0]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # parent IQR 0.02 s on a 0.05 s median: 40% against a 25% bound
+    parent = [0.038, 0.05, 0.062, 0.04, 0.06]
+    overlapping = [0.035, 0.04, 0.045, 0.048, 0.042]  # 0.048 s loses to 0.038 s
+    summary = bench_pairs.summarize_metric(parent, overlapping, "lower", 0.25)
+    assert summary["parent_q1_med_q3"] == pytest.approx([0.04, 0.05, 0.06])
+    assert summary["verdict"] == "unresolved" and not summary["gain"]
+    # every change run beats every parent run: resolved, though not a gain,
+    # as the medians differ by 0.018 s against the parent's 0.02 s IQR
+    apart = [0.03, 0.031, 0.032, 0.033, 0.034]
+    summary = bench_pairs.summarize_metric(parent, apart, "lower", 0.25)
+    assert summary["verdict"] == "within bound" and not summary["gain"]
+    assert summary["change_better_pairs"] == "5/5"
+    # a median worse by more than the bound is beyond it, whatever the spread
+    worse = bench_pairs.summarize_metric(parent, [0.07] * 5, "lower", 0.25)
+    assert worse["ratio"] == pytest.approx(1.4) and worse["verdict"] == "beyond bound"
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr():
+    parent = [0.88, 0.87, 0.89, 0.88, 0.86, 0.87, 0.88, 0.90, 0.87, 0.88]
+    change = [v + 0.13 for v in parent[:9]] + [0.85]  # pair 10 is worse
+    summary = bench_pairs.summarize_metric(parent, change, "higher", 0.25)
+    assert summary["change_better_pairs"] == "9/10" and summary["gain"]
+    assert summary["verdict"] == "within bound"
+    change[8] = 0.80  # 8 of 10
+    assert not bench_pairs.summarize_metric(parent, change, "higher", 0.25)["gain"]
+    close = [v + 0.005 for v in parent]  # 10/10, but inside the parent's IQR
+    summary = bench_pairs.summarize_metric(parent, close, "higher", 0.25)
+    assert summary["change_better_pairs"] == "10/10" and not summary["gain"]

@@ -7,13 +7,14 @@
 Pair i (from 1) runs `benchmarks/run.py --workload <w> --seed <seed + i - 1>
 --seconds 20 --trace 0` in both checkouts, the parent first when i is odd,
 with the same seed on both sides.  Each run's exit code, operation counts,
-metrics, notes and digests go into `BENCH_<label>.json` (in the current
-directory unless `--out` says otherwise) under `end_to_end.<workload>`, with
-a summary per metric: both sides' medians and quartiles, the change/parent
-ratio of the medians, the metric's bound from the change's BENCHMARK.json,
-and in how many pairs the change was better (ties count for neither).  A
-file that exists already keeps its other workloads, so one label collects
-a run of each workload.  Standard library only.
+metrics, notes and digests go into `BENCH_<label>.json` in the current
+directory under `end_to_end.<workload>`, with a summary per metric: both
+sides' medians and quartiles, the change/parent ratio of the medians, in
+how many pairs the change was better (ties count for neither), whether
+that shows a gain, and the metric's verdict against its bound from the
+change's BENCHMARK.json.  A file that exists already keeps its other
+workloads, so one label collects a run of each workload.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -60,19 +61,34 @@ def quartiles(values: list) -> list:
 
 def summarize_metric(parent: list, change: list, better: str, bound=None) -> dict:
     """Both sides' runs in pair order, their quartiles, the change/parent
-    median ratio, and the pairs in which the change was strictly better."""
+    median ratio and the pairs in which the change was strictly better.
+
+    `gain` holds when the change won at least nine tenths of the pairs and
+    its median beats the parent's by more than the parent's interquartile
+    range.  `verdict` weighs the median ratio against the bound: "beyond
+    bound" when it is worse by more; else "unresolved" when the parent's IQR
+    is wider than the bound times its median, unless every change run beats
+    every parent run; else "within bound"."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
+    p_iqr = p_q[2] - p_q[0]
     summary = {
         "parent_runs": parent, "change_runs": change,
         "parent_q1_med_q3": p_q, "change_q1_med_q3": c_q,
         "ratio": c_q[1] / p_q[1] if p_q[1] else None, "better": better,
         "change_better_pairs": f"{wins}/{len(parent)}",
+        "gain": wins >= 0.9 * len(parent) and sign * (c_q[1] - p_q[1]) > p_iqr,
     }
     if bound is not None and summary["ratio"] is not None:
         summary["bound"] = bound
-        summary["within_bound"] = sign * (summary["ratio"] - 1.0) >= -bound
+        if sign * (summary["ratio"] - 1.0) < -bound:
+            summary["verdict"] = "beyond bound"
+        elif p_iqr > bound * abs(p_q[1]) and not all(
+                sign * (c - p) > 0 for p in parent for c in change):
+            summary["verdict"] = "unresolved"
+        else:
+            summary["verdict"] = "within bound"
     return summary
 
 
@@ -98,9 +114,9 @@ def summarize(runs: dict, seeds: list, metric_specs: list) -> dict:
     return record
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, str(checkout / "benchmarks" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", "20", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         run = parse_run(proc.stdout)
@@ -118,8 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seed", required=True, type=int, help="seed of pair 1")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -131,14 +145,14 @@ def main(argv=None) -> int:
     for i, seed in enumerate(seeds, start=1):
         order = SIDES if i % 2 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(checkouts[side], args.workload, seed, args.seconds))
+            runs[side].append(run_once(checkouts[side], args.workload, seed))
         print(f"pair {i}/{args.pairs} seed {seed}: " + ", ".join(
             f"{side} {runs[side][-1]['metrics'].get('items_per_ref')}" for side in order))
 
-    path = args.out or Path(f"BENCH_{args.label}.json")
+    path = Path(f"BENCH_{args.label}.json")
     bench = json.loads(path.read_text()) if path.is_file() else {"label": args.label}
-    bench["harness"] = (f"python3 benchmarks/run.py --workload <w> --seed <seed> "
-                        f"--seconds {args.seconds:g} --trace 0")
+    bench["harness"] = ("python3 benchmarks/run.py --workload <w> --seed <seed> "
+                        "--seconds 20 --trace 0")
     bench.setdefault("end_to_end", {})[args.workload] = summarize(
         runs, seeds, declared["end_to_end"])
     path.write_text(json.dumps(bench, indent=1) + "\n")
