@@ -234,6 +234,10 @@ def _traj_from_record(rec: dict, lineno: int) -> Trajectory:
     bare = _bare_spec(params, lineno)
     times = np.asarray(rec["times"], dtype=np.float64)
     states = np.asarray(rec["states"], dtype=np.float64)
+    scale = float(rec.get("scale", 1.0))
+    for name, values in (("times", times), ("states", states), ("scale", scale)):
+        if not np.isfinite(values).all():  # NaN times would pass the increasing check
+            raise DatasetFormatError(f"line {lineno}: {name} holds a non-finite value")
     if times.ndim != 1 or states.ndim != 2 or states.shape[0] != len(times):
         raise DatasetFormatError(f"line {lineno}: states/timestamps shape mismatch")
     if len(times) > 1 and np.any(np.diff(times) <= 0):
@@ -251,7 +255,7 @@ def _traj_from_record(rec: dict, lineno: int) -> Trajectory:
         p=mats[..., spec.d_q :].copy(),
         system=params,
         seed=rec.get("seed"),
-        scale=float(rec.get("scale", 1.0)),
+        scale=scale,
     )
 
 

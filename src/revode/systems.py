@@ -14,6 +14,9 @@ C-contiguous on a packed state for any number of members, and `matmul` the
 logical ones it needs.  A spring rate takes [deg q | gamma p] from one
 product and the graph force as k (s - b), s = A q, with the reference bits
 but for the sign of a force that underflows to zero (see `_spring_field`).
+Members that share one graph (a single start, or a stack of one graph) take
+s as one 2-D np.dot over all their memory-order rows of q; a graph per
+member, or d = 1, where the rows would change bits, a batched matmul.
 The pendulum keeps its intermediates in one slot buffer per bind and folds
 one gather of stacked factors per product group by `np.multiply.reduce`.
 """
@@ -216,7 +219,9 @@ class SystemSpec:
             self.kind == "damped_spring" and self.effective_damped_form == "anchored"
         ):
             return self.anchor_k, None, None
-        adj = self.resolved_graph().adjacency.astype(np.float64)
+        adj = self.resolved_graph().adjacency
+        first = adj.reshape((-1,) + adj.shape[-2:])[:1]  # a stack of one graph is that graph
+        adj = (first[0] if first.size and (adj == first).all() else adj).astype(np.float64)
         adj.flags.writeable = False
         return self.k, adj.sum(axis=-1), adj
 
@@ -261,11 +266,11 @@ def _spring_potential(spec: SystemSpec, q: np.ndarray) -> np.ndarray:
 
 
 def _spring_field(spec: SystemSpec):
-    d, k1, omega = spec.d_q, spec.k1, spec.omega
+    d, n, k1, omega = spec.d_q, spec.n_agents, spec.k1, spec.omega
     damped, forced = spec.kind == "damped_spring", spec.kind == "forced_spring"
     k, deg, adj = spec._spring_terms
     m, k, gamma, zero = (np.array(c) for c in (spec.m, k, spec.gamma, 0.0))
-    divide, multiply, subtract, matmul = np.divide, np.multiply, np.subtract, np.matmul
+    divide, multiply, subtract, dot, matmul = np.divide, np.multiply, np.subtract, np.dot, np.matmul
 
     def bind(y, out):
         q, p, dq, dp = y[..., :d], y[..., d:], out[..., :d], out[..., d:]
@@ -273,10 +278,16 @@ def _spring_field(spec: SystemSpec):
         # when damped).  s - b is -(b - s), +0.0 at b == s, and s = A q, summed
         # from +0.0, is never -0.0, so k (s - b) has the bits of 0 - k (b - s)
         # but for -0.0 where k (b - s) underflows to zero from b > s.  A q runs
-        # as (q^T A)^T on q's memory order (A symmetric; same bits) unless d = 1.
+        # as (q^T A)^T (A symmetric; same bits): with one (n, n) graph for all
+        # members, one np.dot of q's (d members, n) memory-order rows; else (a
+        # graph per member, or rows that would be a copy of a logical-order y)
+        # one batched matmul.  d = 1 keeps A q as a column: its rows change bits.
         s = np.empty_like(q)
-        aq = (adj, q, s) if d == 1 else (q.swapaxes(-1, -2), adj, s.swapaxes(-1, -2))
         y_m, p_m, dq_m, dp_m, s_m = (np.moveaxis(a, -1, 0) for a in (y, p, dq, dp, s))
+        if d > 1 and np.ndim(adj) == 2 and y_m.flags.c_contiguous and s_m.flags.c_contiguous:
+            product, aq = dot, (y_m[:d].reshape(-1, n), adj, s_m.reshape(-1, n))
+        else:
+            product, aq = matmul, (adj, q, s) if d == 1 else (q.swapaxes(-1, -2), adj, s.swapaxes(-1, -2))
         y_w = y_m if damped else y_m[:d]
         w, bg = np.empty((2,) + y_w.shape)
         w[:d], w[d:] = k if deg is None else deg, gamma
@@ -288,7 +299,7 @@ def _spring_field(spec: SystemSpec):
             if deg is None:
                 subtract(zero, b, dp_m)  # not -b: a zero force is +0.0, as 0.0 - 0.0 is
             else:  # -k sum_{j in N_i} (q_i - q_j) = k ((A q)_i - deg_i q_i)
-                matmul(*aq)
+                product(*aq)
                 multiply(k, subtract(s_m, b, dp_m), dp_m)
             if damped:
                 subtract(dp_m, divide(g, m, g), dp_m)

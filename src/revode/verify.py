@@ -444,7 +444,7 @@ def lyapunov_mle(
     usable = delta[:, np.isfinite(delta).all(axis=0) & (delta[0] != 0.0)]
     lam = np.max(np.log(usable[1:] / usable[0]) / traj.times[1:, None], axis=0)
     if not lam.size:
-        raise ConfigurationError("every trajectory pair escaped; nothing to report")
+        raise IntegrationError("every trajectory pair escaped; nothing to report")
     return LyapunovReport(
         kind=spec.kind,
         mle_mean=float(lam.mean()),

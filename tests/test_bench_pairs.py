@@ -3,6 +3,7 @@ harness run is started."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,38 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr():
     close = [v + 0.005 for v in parent]  # 10/10, but inside the parent's IQR
     summary = bench_pairs.summarize_metric(parent, close, "higher", 0.25)
     assert summary["change_better_pairs"] == "10/10" and not summary["gain"]
+
+
+def test_a_run_without_a_result_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys):
+    """The change's run in pair 3 prints no result line: the driver stops,
+    writes BENCH_<label>.json from pairs 1 and 2 with that run's exit code
+    and last stderr line, and exits 1.  The harness is never started."""
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    declared = {"end_to_end": [{"name": "items_per_ref", "better": "higher", "bound": 0.25}]}
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(declared))
+    started = []
+
+    def run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        started.append((Path(cwd).name, seed))
+        if started[-1] == ("change", 12):
+            return subprocess.CompletedProcess(cmd, 1, "", "Traceback\nMemoryError: boom\n")
+        return subprocess.CompletedProcess(cmd, 0, canned(1.0 + 0.1 * seed, 0.05), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", "parent", "--change", "change", "--workload", "simulate",
+            "--pairs", "4", "--seed", "10", "--label", "cut"]
+    assert bench_pairs.main(argv) == 1
+    assert started == [("parent", 10), ("change", 10), ("change", 11), ("parent", 11),
+                       ("parent", 12), ("change", 12)]
+    assert "exit 1, MemoryError: boom" in capsys.readouterr().err
+    record = json.loads((tmp_path / "BENCH_cut.json").read_text())["end_to_end"]["simulate"]
+    assert record["pairs"] == 2 and record["seeds"] == [10, 11]
+    assert record["exit_codes"] == {"parent": [0, 0], "change": [0, 0]}
+    assert record["items_per_ref"]["parent_runs"] == pytest.approx([2.0, 2.1])
+    assert record["failed_run"] == {
+        "pair": 3, "seed": 12, "side": "change", "exit_code": 1,
+        "error": "the run printed nothing", "stderr_last_line": "MemoryError: boom"}

@@ -493,6 +493,49 @@ def test_train_malformed_dataset_is_input_error(tmp_path, capsys, mutate):
     assert len(err) == 1 and err[0].startswith(f"error: {train_jl}: line 1:")
 
 
+def nan_run_in_first_record(records):
+    for row in records[0]["states"][:13]:
+        row[0] = math.nan
+
+
+def nan_point_in_every_record(records):
+    for rec in records:
+        rec["states"][7][1] = math.nan
+
+
+@pytest.mark.parametrize("mutate", [
+    nan_run_in_first_record,
+    nan_point_in_every_record,
+    lambda records: records[0]["times"].__setitem__(3, math.nan),
+    lambda records: records[0].update(scale=math.inf),
+], ids=["states_nan_run", "states_nan_everywhere", "times_nan", "scale_inf"])
+def test_non_finite_dataset_values_exit_2_in_train_and_eval(tmp_path, capsys, mutate):
+    """A NaN or inf in a record is malformed data, caught as the file is
+    read: `train` exits 2 with one `error:` line naming the file and line and
+    writes no run directory, and `eval` exits 2, rather than a divergence
+    (or, where no sampled observation lands on the bad point, a clean run)."""
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    records = [json.loads(line) for line in open(train_jl)]
+    mutate(records)
+    with open(train_jl, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl, "--outdir", str(tmp_path / "run")]
+              + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and re.match(
+        rf"error: {re.escape(train_jl)}: line 1: \w+ holds a non-finite value$", err[0]), err
+    assert not (tmp_path / "run").exists()
+    ckpt = str(tmp_path / "ckpt.json")
+    model = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8)
+    save_checkpoint(ckpt, init_params(model, 0), model)
+    rc = main(["eval", "--checkpoint", ckpt, "--data", train_jl,
+               "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"])
+    assert rc == 2
+
+
 def test_train_non_utf8_dataset_is_input_error(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     data.write_bytes(b"\xff\xfe\x00\x01\n")

@@ -1,6 +1,7 @@
 """Dataset pipeline tests: seeding, subsampling, normalization, and I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -408,6 +409,25 @@ def test_read_dataset_field_fuzz_raises_only_revode_errors(tmp_path_factory, dat
         read_dataset(path)
     except RevodeError:
         pass
+
+
+@pytest.mark.parametrize("field, value", [
+    ("states", math.nan), ("states", -math.inf), ("times", math.nan), ("times", math.inf),
+    ("scale", math.nan), ("scale", math.inf),
+])
+def test_read_dataset_rejects_non_finite_values_naming_the_line(tmp_path, field, value):
+    """NaN or +-inf in a record's states, times or scale is malformed data,
+    named by its line: NaN times would otherwise pass the strictly-increasing
+    check, since every comparison with NaN is false."""
+    good, bad = (json.loads(json.dumps(VALID_RECORDS[0])) for _ in range(2))
+    if field == "scale":
+        bad["scale"] = value
+    else:
+        bad[field][2] = value if field == "times" else [value] + bad[field][2][1:]
+    path = tmp_path / "non_finite.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DatasetFormatError, match=f"line 2: {field} holds a non-finite value"):
+        read_dataset(path)
 
 
 def test_read_dataset_checks_n_agents_before_building_the_graph(tmp_path, monkeypatch):

@@ -315,20 +315,28 @@ def test_underflowed_graph_force_keeps_its_sign():
     (SystemSpec(kind="damped_spring", n_agents=5, dim=2), 7),
     (SystemSpec(kind="damped_spring", n_agents=5, dim=1), 7),
 ], ids=["anchored_simple", "anchored_damped", "graph_simple", "graph_damped", "graph_damped_d1"])
-@pytest.mark.parametrize("lead", [(), (1,), (3,)])
-def test_one_spring_rate_makes_its_numpy_calls(monkeypatch, spec, count, lead):
+@pytest.mark.parametrize("lead, per_member", [((), False), ((1,), False), ((3,), False), ((3,), True)],
+                         ids=["lead0", "lead1", "lead2", "lead2_own_graphs"])
+def test_one_spring_rate_makes_its_numpy_calls(monkeypatch, spec, count, lead, per_member):
     """One spring rate takes [deg q | gamma p] (or [k q | gamma p]) from one
     product and the graph force as k (s - b): 3, 5, 5 and 7 calls of the
     ufuncs it binds for the anchored and graph forms, simple and damped;
-    a separate product per term or a sign flip would raise the count."""
+    a separate product per term or a sign flip would raise the count.  The
+    neighbour sum is one np.dot when every member shares the graph (d > 1)
+    and one batched np.matmul when each member has its own, or d = 1."""
     calls = []
 
     def counted(ufunc):
         return lambda *operands: calls.append(ufunc.__name__) or ufunc(*operands)
 
-    for name in ("add", "subtract", "multiply", "divide", "matmul"):
+    for name in ("add", "subtract", "multiply", "divide", "matmul", "dot"):
         monkeypatch.setattr(np, name, counted(getattr(np, name)))
     rng = np.random.default_rng(9)
+    if per_member:  # three differing graphs: a chain, a star and the complete graph
+        chain, star = InteractionGraph.chain(spec.n_agents), InteractionGraph.from_edges(
+            spec.n_agents, [(0, j) for j in range(1, spec.n_agents)])
+        adjacency = [g.adjacency for g in (chain, star, InteractionGraph.complete(spec.n_agents))]
+        spec = replace(spec, graph=InteractionGraph(spec.n_agents, np.stack(adjacency)))
     shape = lead + (spec.n_agents, spec.dim)
     y = StateVector(rng.standard_normal(shape), rng.standard_normal(shape)).packed()
     out = np.empty_like(y)
@@ -336,6 +344,9 @@ def test_one_spring_rate_makes_its_numpy_calls(monkeypatch, spec, count, lead):
     calls.clear()
     rate(0.0)
     assert len(calls) == count, calls
+    graph_force = spec._spring_terms[2] is not None
+    shared = graph_force and not per_member and spec.dim > 1
+    assert calls.count("dot") == shared and calls.count("matmul") == (graph_force and not shared)
     assert out.tobytes() == reference_spring_deriv(spec)(y, 0.0).tobytes()
 
 
@@ -382,6 +393,71 @@ def test_one_bound_step_is_bitwise_the_out_of_place_step(
     want = STEP_FNS[scheme](reference_spring_deriv(spec), np.concatenate([q, p], axis=-1), t0, dt)
     assert got.q[-1].tobytes() == want[..., :dim].tobytes()
     assert got.p[-1].tobytes() == want[..., dim:].tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["simple_spring", "damped_spring", "forced_spring"]),
+    members=st.integers(1, 4),
+    shared=st.booleans(),
+    n=st.integers(2, 8),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_shared_graph_keeps_the_reference_bits_in_the_rate_and_the_march(
+    kind, members, shared, n, dim, seed
+):
+    """Members that share one graph take A q as one np.dot of q's
+    memory-order rows, and members with their own graphs one batched matmul:
+    either way the rate, bound once and called on states rewritten in place,
+    and three Euler or RK4 steps of `integrate` have the reference bits.
+    Bound on a row-major y, whose q rows are not one block (a reshape would
+    copy them), the rate still reads y's contents at every call."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random(((1,) if shared else (members,)) + (n, n)) < 0.5, 1)
+    adjacency = np.repeat(upper | np.swapaxes(upper, -1, -2), members if shared else 1, axis=0)
+    spec = SystemSpec(
+        kind=kind, n_agents=n, dim=dim, graph=InteractionGraph(n, adjacency),
+        m=rng.uniform(0.5, 2.0), k=rng.uniform(0.05, 2.0), gamma=rng.uniform(0.0, 3.0),
+        k1=rng.uniform(0.0, 10.0), omega=rng.uniform(0.1, 3.0),
+    )
+    assert spec._spring_terms[2].ndim == (2 if (adjacency == adjacency[0]).all() else 3)
+    shape, reference = (members, n, dim), reference_spring_deriv(spec)
+    ys = [StateVector(np.zeros(shape), np.zeros(shape)).packed(), np.zeros(shape[:-1] + (2 * dim,))]
+    outs = [np.empty_like(y) for y in ys]
+    rates = [make_derivative(spec)(y, out) for y, out in zip(ys, outs)]
+    for _ in range(3):
+        y_new = np.concatenate([draw_with_signed_zeros(rng, shape) for _ in "qp"], axis=-1)
+        t = float(rng.uniform(-2.0, 2.0))
+        for layout, y, out, rate in zip(("packed", "row-major"), ys, outs, rates):
+            y[...] = y_new
+            rate(t)
+            assert out.tobytes() == reference(y_new, t).tobytes(), layout
+    q, p = draw_with_signed_zeros(rng, shape), draw_with_signed_zeros(rng, shape)
+    t0, dt = rng.uniform(-2.0, 2.0), rng.uniform(1e-3, 0.1)
+    for scheme in ("euler", "rk4"):
+        got = integrate(make_derivative(spec), StateVector(q, p), TimeGrid(t0, dt, 3), scheme)
+        want = np.concatenate([q, p], axis=-1)
+        for i in range(3):
+            want = STEP_FNS[scheme](reference, want, t0 + i * dt, dt)
+        assert got.q[-1].tobytes() == want[..., :dim].tobytes(), scheme
+        assert got.p[-1].tobytes() == want[..., dim:].tobytes(), scheme
+
+
+def test_spring_terms_resolve_one_adjacency_for_members_that_share_a_graph():
+    """An identical stack collapses to one (n, n) adjacency and (n,) degrees,
+    whatever its leading axes; a stack of differing graphs keeps its own
+    adjacency per member."""
+    chain, complete = InteractionGraph.chain(4).adjacency, InteractionGraph.complete(4).adjacency
+    for stack, shape in [
+        (chain[None], (4, 4)), (np.stack([chain] * 3), (4, 4)),
+        (np.broadcast_to(complete, (2, 3, 4, 4)), (4, 4)),
+        (np.stack([chain, complete, chain]), (3, 4, 4)),
+    ]:
+        spec = SystemSpec(kind="damped_spring", n_agents=4, dim=2, graph=InteractionGraph(4, stack))
+        k, deg, adj = spec._spring_terms
+        assert adj.shape == shape and deg.shape == shape[:-1] and not adj.flags.writeable
+        assert np.array_equal(np.broadcast_to(adj, stack.shape), stack)
 
 
 def test_anchored_single_ball_force():

@@ -404,6 +404,16 @@ def test_lyapunov_mle_counts_escaped_pairs(monkeypatch):
          3.255082343168327, 0.2110627893476245, 0.3225373440648331], rel=1e-12)
 
 
+def test_lyapunov_mle_with_every_pair_escaped_is_an_integration_failure(monkeypatch):
+    """A cloud so wide that every member of the attractor's cloud leaves the
+    finite range leaves no pair to report: that is a divergence (exit 3), not
+    a configuration error."""
+    monkeypatch.setattr(revode.verify, "MLE_SIGMA", 100.0)
+    with pytest.raises(IntegrationError, match="every trajectory pair escaped"):
+        lyapunov_mle(SystemSpec(kind="attractor"), n_pairs=15, horizon=6.0, seed=0)
+    assert IntegrationError.exit_code == 3
+
+
 # ----------------------------------------------------------------- suites
 
 def test_run_suite_lemma2_passes_and_reports():

@@ -13,7 +13,10 @@ sides' medians and quartiles, the change/parent ratio of the medians, in
 how many pairs the change was better (ties count for neither), whether
 that shows a gain, and the metric's verdict against its bound from the
 change's BENCHMARK.json.  A file that exists already keeps its other
-workloads, so one label collects a run of each workload.  Standard library
+workloads, so one label collects a run of each workload.  A run that prints
+no result line stops the driver: the file is written from the pairs
+completed before it, with the failed run's exit code and the last line of
+its stderr under `failed_run`, and the driver exits 1.  Standard library
 only.
 """
 
@@ -107,11 +110,15 @@ def summarize(runs: dict, seeds: list, metric_specs: list) -> dict:
     }
     for spec in metric_specs:
         name = spec["name"]
-        if all(name in r["metrics"] for r in parent + change):
+        if parent and all(name in r["metrics"] for r in parent + change):
             record[name] = summarize_metric(
                 [r["metrics"][name] for r in parent], [r["metrics"][name] for r in change],
                 spec["better"], spec.get("bound"))
     return record
+
+
+class RunFailed(Exception):
+    """A harness run that printed no result line; `args[0]` is its record."""
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -121,7 +128,9 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     try:
         run = parse_run(proc.stdout)
     except ValueError as exc:
-        raise SystemExit(f"error: {checkout} seed {seed}: {exc}\n{proc.stderr}")
+        stderr = proc.stderr.strip().splitlines()
+        raise RunFailed({"exit_code": proc.returncode, "error": str(exc),
+                         "stderr_last_line": stderr[-1] if stderr else ""}) from None
     run["exit_code"] = proc.returncode
     return run
 
@@ -140,24 +149,35 @@ def main(argv=None) -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds, failed = [], None
     runs = {side: [] for side in SIDES}
-    for i, seed in enumerate(seeds, start=1):
-        order = SIDES if i % 2 else SIDES[::-1]
+    for i in range(1, args.pairs + 1):
+        seed, order, pair = args.seed + i - 1, SIDES if i % 2 else SIDES[::-1], {}
+        try:
+            for side in order:
+                pair[side] = run_once(checkouts[side], args.workload, seed)
+        except RunFailed as exc:
+            failed = {"pair": i, "seed": seed, "side": side, **exc.args[0]}
+            print(f"error: {side} run of pair {i} (seed {seed}) printed no result: "
+                  f"exit {failed['exit_code']}, {failed['stderr_last_line']}", file=sys.stderr)
+            break
+        seeds.append(seed)
         for side in order:
-            runs[side].append(run_once(checkouts[side], args.workload, seed))
+            runs[side].append(pair[side])
         print(f"pair {i}/{args.pairs} seed {seed}: " + ", ".join(
-            f"{side} {runs[side][-1]['metrics'].get('items_per_ref')}" for side in order))
+            f"{side} {pair[side]['metrics'].get('items_per_ref')}" for side in order))
 
     path = Path(f"BENCH_{args.label}.json")
     bench = json.loads(path.read_text()) if path.is_file() else {"label": args.label}
     bench["harness"] = ("python3 benchmarks/run.py --workload <w> --seed <seed> "
                         "--seconds 20 --trace 0")
-    bench.setdefault("end_to_end", {})[args.workload] = summarize(
-        runs, seeds, declared["end_to_end"])
+    record = summarize(runs, seeds, declared["end_to_end"])
+    if failed:
+        record["failed_run"] = failed
+    bench.setdefault("end_to_end", {})[args.workload] = record
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
