@@ -279,12 +279,12 @@ def _spring_field(spec: SystemSpec):
         # from +0.0, is never -0.0, so k (s - b) has the bits of 0 - k (b - s)
         # but for -0.0 where k (b - s) underflows to zero from b > s.  A q runs
         # as (q^T A)^T (A symmetric; same bits): with one (n, n) graph for all
-        # members, one np.dot of q's (d members, n) memory-order rows; else (a
+        # members, one np.dot of q's (d * members, n) memory-order rows; else (a
         # graph per member, or rows that would be a copy of a logical-order y)
         # one batched matmul.  d = 1 keeps A q as a column: its rows change bits.
         s = np.empty_like(q)
         y_m, p_m, dq_m, dp_m, s_m = (np.moveaxis(a, -1, 0) for a in (y, p, dq, dp, s))
-        if d > 1 and np.ndim(adj) == 2 and y_m.flags.c_contiguous and s_m.flags.c_contiguous:
+        if d > 1 and np.ndim(adj) == 2 and y_m.flags.c_contiguous:  # s_m too: empty_like keeps q's order
             product, aq = dot, (y_m[:d].reshape(-1, n), adj, s_m.reshape(-1, n))
         else:
             product, aq = matmul, (adj, q, s) if d == 1 else (q.swapaxes(-1, -2), adj, s.swapaxes(-1, -2))
