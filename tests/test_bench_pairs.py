@@ -116,7 +116,7 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr():
 
 
 def test_a_run_without_a_result_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys):
-    """The change's run in pair 3 prints no result line: the driver stops,
+    """The change's run in pair 3 prints no result line: the series ends,
     writes BENCH_<label>.json from pairs 1 and 2 with that run's exit code
     and last stderr line, and exits 1.  The harness is never started."""
     checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}

@@ -14,9 +14,9 @@ how many pairs the change was better (ties count for neither), whether
 that shows a gain, and the metric's verdict against its bound from the
 change's BENCHMARK.json.  A file that exists already keeps its other
 workloads, so one label collects a run of each workload.  A run that prints
-no result line stops the driver: the file is written from the pairs
+no result line ends the series: the file is written from the pairs
 completed before it, with the failed run's exit code and the last line of
-its stderr under `failed_run`, and the driver exits 1.  Standard library
+its stderr under `failed_run`, and the script exits 1.  Standard library
 only.
 """
 
