@@ -1,9 +1,8 @@
 """Command-line surface: simulate, train, eval, verify.
 
-Exit codes: 0 success, 1 verification assertion failed, 2 bad
-configuration or input, 3 simulation/integration failure, 4 training
-divergence (after one retry at half the learning rate), 5 artifact
-mismatch (checkpoint incompatible with requested shapes).
+A command ends with 0, with 1 when a verification assertion fails, or with
+the `exit_code` of the RevodeError that stopped it (2 for an OSError);
+README.md's exit-code table gives each code's meaning.
 """
 
 from __future__ import annotations

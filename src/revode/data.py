@@ -21,6 +21,10 @@ from .integrators import StateVector, TimeGrid, Trajectory, integrate
 from .systems import InteractionGraph, SystemSpec, make_derivative
 
 SCHEMA_VERSION = 1
+# irregular_subsample takes a record's rollout step from its first two times,
+# so every step must match the first to this fraction of it; a t0 + i * dt
+# grid strays from its first step by under 1e-10 up to 600 000 recorded points
+GRID_STEP_RTOL = 1e-9
 
 # purpose nibble for stream indices
 PURPOSE_GRAPH = 0
@@ -240,8 +244,11 @@ def _traj_from_record(rec: dict, lineno: int) -> Trajectory:
             raise DatasetFormatError(f"line {lineno}: {name} holds a non-finite value")
     if times.ndim != 1 or states.ndim != 2 or states.shape[0] != len(times):
         raise DatasetFormatError(f"line {lineno}: states/timestamps shape mismatch")
-    if len(times) > 1 and np.any(np.diff(times) <= 0):
+    steps = np.diff(times)
+    if np.any(steps <= 0):
         raise DatasetFormatError(f"line {lineno}: timestamps are not strictly increasing")
+    if np.any(np.abs(steps - steps[:1]) > GRID_STEP_RTOL * steps[:1]):
+        raise DatasetFormatError(f"line {lineno}: timestamps are not a uniform grid")
     expected = bare.n_agents * bare.feature_dim
     if states.shape[1] != expected:
         raise DatasetFormatError(
@@ -300,12 +307,20 @@ def _read_records(path) -> list[Trajectory]:
             try:
                 if kind != "trajectory":
                     raise DatasetFormatError(f"line {lineno}: unknown record type {kind!r}")
-                items.append(_traj_from_record(rec, lineno))
+                traj = _traj_from_record(rec, lineno)
             except KeyError as exc:
                 raise DatasetFormatError(f"line {lineno}: missing field {exc}") from None
             except (ConfigurationError, TypeError, ValueError, IndexError, OverflowError) as exc:
                 # wrong types or values inside a field: ragged states, a bad edge
                 raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from None
+            # a batch stacks every sample's agents, so all share one feature width
+            width = traj.q.shape[-1] + traj.p.shape[-1]
+            first = items[0].q.shape[-1] + items[0].p.shape[-1] if items else width
+            if width != first:
+                raise DatasetFormatError(
+                    f"line {lineno}: {width} features per agent, the first record has {first}"
+                )
+            items.append(traj)
     return items
 
 

@@ -52,12 +52,6 @@ class RolloutDivergedError(IntegrationError):
     """Latent ODE rollout left the finite range."""
 
 
-class NonFiniteGradientError(RevodeError):
-    """Backward pass produced NaN or Inf gradients."""
-
-    exit_code = 4
-
-
 class TrainingDivergedError(RevodeError):
     """Optimization produced a non-finite loss or gradient and cannot continue."""
 

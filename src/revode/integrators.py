@@ -12,8 +12,7 @@ passed by position: on small states a call's fixed cost is its whole price,
 and a Python-float operand (a NumPy 2 "weak" scalar) or an `out=` keyword
 costs more, while a 0-d array runs the same loop to the same bits.  Leading axes
 broadcast through the field, so a whole ensemble of trajectories steps in
-one call; a single start is an ensemble of one, and a member that leaves
-the finite range turns NaN without stopping the others.  The schemes are
+one call (`integrate` says how a member escapes alone).  The schemes are
 element-wise on y, so a packed step has the bits of the same step taken on
 q and p apart, and on any view of its buffers.  The steps (and the spring
 field) make their ufunc calls on memory-order views, `np.moveaxis(a, -1, 0)`,

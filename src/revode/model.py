@@ -5,10 +5,9 @@ Everything here builds autodiff graphs.  The field works on arrays, and each
 rollout leg is one tape node whose backward is the discrete adjoint of its
 scheme, so gradients flow through the unrolled solver (discretize-then-optimize).
 One table, one row per `integrators.SCHEMES` entry, drives both a leg's step
-and that adjoint.  The encoder and the decoder are one node each too: their
-backwards keep a few arrays (for the encoder H, the softmax weights and the
-pooled rows; for the decoder its input rows) and recompute the rest, with
-every bit the chain of primitives gave.
+and that adjoint.  The encoder and the decoder are one node each too, whose
+backwards keep a few arrays and recompute the rest (see `encode_agent` and
+`decode`).
 """
 
 from __future__ import annotations
@@ -149,7 +148,8 @@ def encode_agent(
     feats: np.ndarray,
     n_valid: np.ndarray,
 ) -> Tensor:
-    """Temporal self-attention over every agent's observations -> (A, d_model).
+    """Temporal self-attention over every agent's observations, as in LG-ODE,
+    in one padded, masked pass -> (A, d_model).
 
     Agent a's observations fill the first n_valid[a] slots of rel_times
     (A, m) and feats (A, m, d_obs); the padding after them is masked out of
@@ -271,7 +271,8 @@ def make_ode_func(
     """Message-passing vector field g over n_nodes stacked latent rows.
 
     `edges` are directed (src, tgt) pairs; messages m_e = MLP([z_tgt, z_src])
-    are summed per target and fed with z into the update MLP.  One gather of
+    are summed per target by index and fed with z into the update MLP, so
+    the cost grows with the edges, not with edges x nodes.  One gather of
     the interleaved (tgt, src) rows reshapes into the message inputs.
 
     g works on arrays: g(z) -> (rates, backward) for (n_nodes, d_z) rows z.

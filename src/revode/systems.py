@@ -8,16 +8,11 @@ axis, (..., n_agents, d_q + d_p).  `bind` takes the views of y and out (and
 any scratch) once; each `rate(t)` then writes dy/dt at y's current contents
 into out through ufunc calls on arrays only, constants bound once as 0-d
 arrays and outputs passed by position, for the reason `integrators` gives.
-Leading batch axes broadcast through, so ensembles integrate in one pass.
-Element-wise calls take the memory-order views `np.moveaxis(a, -1, 0)`,
-C-contiguous on a packed state for any number of members, and `matmul` the
-logical ones it needs.  A spring rate takes [deg q | gamma p] from one
-product and the graph force as k (s - b), s = A q, with the reference bits
-but for the sign of a force that underflows to zero (see `_spring_field`).
-Members that share one graph (a single start, or a stack of one graph) take
-s as one 2-D np.dot over all their memory-order rows of q; a graph per
-member, or d = 1, where the rows would change bits, a batched matmul.
-The pendulum keeps its intermediates in one slot buffer per bind and folds
+Leading batch axes broadcast through, so ensembles integrate in one pass,
+and element-wise calls take the memory-order views `integrators` describes.
+A spring rate is one product and a graph force k (A q - deg q), whose
+choice of product and signed zeros `_spring_field`'s `bind` explains.  The
+pendulum keeps its intermediates in one slot buffer per bind and folds
 one gather of stacked factors per product group by `np.multiply.reduce`.
 """
 

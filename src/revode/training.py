@@ -6,6 +6,10 @@ trajectory (decoded) against a second rollout integrated with the negated
 vector field.  Index pairing follows t'_{K-k} = T - t_k: reverse step K-k
 aligns with forward step k.  Everything trains by backpropagation through
 the unrolled solver on one tape per minibatch.
+
+Parameters train as one flat float64 vector, which each step records as the
+named views `model.param_views` cuts from it; checkpoints and `evaluate`
+take the named arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .data import ObservationSet, rng_stream, PURPOSE_SPLIT, PURPOSE_SHUFFLE
-from .errors import (
-    ConfigurationError, NonFiniteGradientError, RolloutDivergedError, TrainingDivergedError,
-)
+from .errors import ConfigurationError, RolloutDivergedError, TrainingDivergedError
 from .model import (
     ModelConfig,
     decode,
@@ -228,7 +230,7 @@ def _train_step(theta, state: AdamWState, obs_list, settings: TrainSettings, whe
     grad = backward(tape, out.loss)  # laid out like theta
     if not np.isfinite(grad).all():
         name = next(k for k, g in param_views(grad, config).items() if not np.isfinite(g).all())
-        raise NonFiniteGradientError(f"gradient for {name!r} is not finite")
+        raise TrainingDivergedError(f"gradient for {name!r} is not finite")
     theta = optimizer_step(theta, grad, state, settings.lr, settings.weight_decay)
     return theta, out.l_pred, out.l_rev
 
@@ -308,7 +310,7 @@ def train(train_sets: list[ObservationSet], settings: TrainSettings) -> TrainRes
 
         best_params = param_views(best, config)
         final_diag = evaluate(best_params, diag_sets, config).l_rev
-    except (RolloutDivergedError, NonFiniteGradientError) as exc:
+    except RolloutDivergedError as exc:
         raise TrainingDivergedError(str(exc)) from exc
     return TrainResult(
         params=best_params,

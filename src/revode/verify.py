@@ -299,6 +299,7 @@ ENERGY_RATE_STATES = 1000  # states sampled for the rate identities
 ENERGY_DRIFT_TOL = 1e-6
 ENERGY_RATE_TOL = 1e-6
 ENERGY_STEP_TOL = 1e-9
+ENERGY_MIN_FALL = 1e-2  # least relative fall of a damped member's energy over the span
 
 
 def energy_classification_check(
@@ -311,8 +312,10 @@ def energy_classification_check(
     """Verify the energy behavior that defines each spring system's class.
 
     simple: relative drift of the conserved energy stays below tol.
-    damped: mechanical energy never increases (per-step tolerance), and the
-        closed-form decay rate matches the chain-rule rate at sampled states.
+    damped: mechanical energy never increases (per-step tolerance), each
+        member's falls by at least ENERGY_MIN_FALL of its start over the
+        span, and the closed-form decay rate matches the chain-rule rate at
+        sampled states.
     forced: the chain-rule rate matches the closed-form driven-work rate at
         sampled states, and the energy genuinely moves.
 
@@ -338,8 +341,10 @@ def energy_classification_check(
     elif spec.kind == "damped_spring":
         worst_rise = float(np.max(np.diff(energy, axis=1)))
         rate_err = _max_rate_mismatch(spec, states, times, ENERGY_RATE_STATES)
-        checks = {"max_energy_increase_per_step": worst_rise, "max_rate_mismatch": rate_err}
-        passed = worst_rise <= ENERGY_STEP_TOL and rate_err < rate_tol
+        fall = float(np.min((start - energy[:, -1:]) / start))
+        checks = {"max_energy_increase_per_step": worst_rise, "max_rate_mismatch": rate_err,
+                  "min_relative_energy_fall": fall}
+        passed = worst_rise <= ENERGY_STEP_TOL and rate_err < rate_tol and fall >= ENERGY_MIN_FALL
     else:  # forced_spring
         rate_err = _max_rate_mismatch(spec, states, times, ENERGY_RATE_STATES)
         moved = float(np.max(np.abs(energy - start)))

@@ -536,6 +536,51 @@ def test_non_finite_dataset_values_exit_2_in_train_and_eval(tmp_path, capsys, mu
     assert rc == 2
 
 
+def times_stretched_after_point_10(train_jl, tmp_path):
+    records = [json.loads(line) for line in open(train_jl)]
+    for rec in records:
+        t = rec["times"]
+        rec["times"] = t[:11] + [t[10] + 5.0 * (x - t[10]) for x in t[11:]]
+    return records, 1, "timestamps are not a uniform grid"
+
+
+def two_d_records_appended(train_jl, tmp_path):
+    wide = str(tmp_path / "wide.jsonl")
+    main(SIM_BASE + ["--dim", "2", "--trajectories", "2", "--out", wide])
+    records = [json.loads(line) for path in (train_jl, wide) for line in open(path)]
+    return records, 11, "4 features per agent, the first record has 2"
+
+
+@pytest.mark.parametrize("corrupt", [times_stretched_after_point_10, two_d_records_appended],
+                         ids=["stretched_times", "mixed_widths"])
+def test_a_dataset_off_one_grid_or_width_exits_2_in_train_and_eval(tmp_path, capsys, corrupt):
+    """Times that are not one uniform grid, or records of differing feature
+    widths, are malformed data caught as the file is read: `train` exits 2
+    with one `error:` line naming the file and line and writes no run
+    directory, and `eval` exits 2 with one `error:` line, rather than a
+    run on a wrong step (exit 0) or a traceback from the batch (exit 1)."""
+    train_jl = str(tmp_path / "train.jsonl")
+    main(SIM_BASE + ["--out", train_jl])
+    records, lineno, message = corrupt(train_jl, tmp_path)
+    with open(train_jl, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+    capsys.readouterr()
+    rc = main(["train", "--data", train_jl, "--outdir", str(tmp_path / "run")]
+              + WINDOW_ARGS + MODEL_ARGS)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {train_jl}: line {lineno}: {message}"), err
+    assert not (tmp_path / "run").exists()
+    ckpt = str(tmp_path / "ckpt.json")
+    model = ModelConfig(d_obs=2, d_enc=4, d_aug=4, d_model=8, ode_hidden=8, dec_hidden=8)
+    save_checkpoint(ckpt, init_params(model, 0), model)
+    rc = main(["eval", "--checkpoint", ckpt, "--data", train_jl,
+               "--window", "0,10,25", "--n-obs-min", "4", "--n-obs-max", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {train_jl}: line {lineno}: {message}"), err
+
+
 def test_train_non_utf8_dataset_is_input_error(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     data.write_bytes(b"\xff\xfe\x00\x01\n")
@@ -965,7 +1010,7 @@ EXIT_CODE_OF = {
     errors.ConfigurationError: 2, errors.DatasetFormatError: 2,
     errors.UnsupportedSystemError: 2, errors.EncodingError: 2,
     errors.IntegrationError: 3, errors.RolloutDivergedError: 3,
-    errors.NonFiniteGradientError: 4, errors.TrainingDivergedError: 4,
+    errors.TrainingDivergedError: 4,
     errors.ShapeError: 5, errors.ArtifactMismatchError: 5,
 }
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import revode.data
 from revode.data import (
+    GRID_STEP_RTOL,
     PURPOSE_GRAPH,
     PURPOSE_INIT,
     PURPOSE_NOISE,
@@ -427,6 +428,34 @@ def test_read_dataset_rejects_non_finite_values_naming_the_line(tmp_path, field,
     path = tmp_path / "non_finite.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(DatasetFormatError, match=f"line 2: {field} holds a non-finite value"):
+        read_dataset(path)
+
+
+def test_read_dataset_rejects_times_off_one_uniform_grid_naming_the_line(tmp_path):
+    """`irregular_subsample` takes the rollout step from a record's first two
+    times, so a record whose steps stray from that one step by more than
+    GRID_STEP_RTOL of it is malformed data, named by its line."""
+    good, bad, jittered = (json.loads(json.dumps(VALID_RECORDS[0])) for _ in range(3))
+    step = good["times"][1] - good["times"][0]
+    bad["times"][3] += 0.5 * step
+    jittered["times"][3] += 0.5 * GRID_STEP_RTOL * step
+    path = tmp_path / "grids.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(jittered) + "\n")
+    assert len(read_dataset(path)) == 2
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 2: timestamps are not a uniform grid"):
+        read_dataset(path)
+
+
+def test_read_dataset_rejects_a_record_of_another_feature_width(tmp_path):
+    """A batch stacks every sample's agents, so a file whose records differ
+    in features per agent is malformed data, named by its line."""
+    spec = SystemSpec(kind="simple_spring", n_agents=2, dim=2)
+    wide = _traj_record(build_trajectory(spec, seed=3, index=0, raw_steps=300))
+    path = tmp_path / "widths.jsonl"
+    path.write_text(json.dumps(VALID_RECORDS[0]) + "\n" + json.dumps(wide) + "\n")
+    with pytest.raises(DatasetFormatError,
+                       match="line 2: 4 features per agent, the first record has 2"):
         read_dataset(path)
 
 

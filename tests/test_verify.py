@@ -6,6 +6,7 @@ derived independently (closed forms, hand constructions, synthetic power
 laws).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -26,6 +27,7 @@ from revode.systems import (
 )
 from revode.verify import (
     ENERGY_CASES,
+    ENERGY_MIN_FALL,
     ENERGY_SCHEME,
     SCALING_EVAL_SPACING,
     SCALING_MIN_R2,
@@ -259,6 +261,26 @@ def test_energy_classification_damped_spring(monkeypatch):
     report = energy_classification_check(spec, n_trajectories=1)
     assert report.passed
     assert report.checks["max_energy_increase_per_step"] <= 1e-9
+
+
+DAMPED_ENERGY_CASES = [case for case in ENERGY_CASES if case[1].kind == "damped_spring"]
+
+
+@pytest.mark.parametrize("label, spec", DAMPED_ENERGY_CASES,
+                         ids=[case[0] for case in DAMPED_ENERGY_CASES])
+def test_the_damped_energy_check_fails_without_damping(label, spec):
+    """An energy that never rises is not yet a damped one: at gamma = 0 the
+    suite's damped specs pass every other check but fail the required fall,
+    and at their own gamma they pass it."""
+    report = energy_classification_check(spec, n_trajectories=2)
+    assert report.passed and report.checks["min_relative_energy_fall"] >= ENERGY_MIN_FALL
+    # last, so the suite's assertion value (the first check) keeps its bits
+    assert list(report.checks)[-1] == "min_relative_energy_fall"
+    undamped = energy_classification_check(dataclasses.replace(spec, gamma=0.0), n_trajectories=2)
+    checks = undamped.checks
+    assert not undamped.passed and abs(checks["min_relative_energy_fall"]) < 1e-12
+    assert checks["max_energy_increase_per_step"] <= revode.verify.ENERGY_STEP_TOL
+    assert checks["max_rate_mismatch"] < revode.verify.ENERGY_RATE_TOL
 
 
 def test_energy_classification_rejects_non_spring():
